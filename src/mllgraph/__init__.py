@@ -30,7 +30,7 @@ from .glove import EmbeddingMatrix, GloveConfig, train_glove
 from .graph import GcnLayer, GcnStack, gcn_forward, init_gcn_stack
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
 from .relabel import ClusterModel, KMeansResult, kmeans, mean_embedding, relabel
-from .losses import LossConfig, contrastive_loss, cosine_similarity, mll_loss, total_loss
+from .losses import LossConfig, contrastive_loss, cosine_similarity, mll_loss
 from .metrics import MetricsReport, ScoreTable, compute_report
 from .trainer import (
     Checkpoint,
@@ -90,6 +90,5 @@ __all__ = [
     "save_checkpoint",
     "save_dataset",
     "split_by_subject",
-    "total_loss",
     "train_glove",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cooccur import build_cooccurrence, write_matrix_csv
+from .cooccur import write_matrix_csv
 from .corpus import (
     Dataset,
     DatasetFormatError,
@@ -37,7 +37,7 @@ from .metrics import (
     write_score_csv,
 )
 from .oracle import oracle_metrics
-from .relabel import write_assignments_csv, write_centroids_csv
+from .relabel import ClusterModel, write_assignments_csv, write_centroids_csv
 from .seeding import stage_seed
 from .trainer import (
     CheckpointError,
@@ -45,13 +45,12 @@ from .trainer import (
     VariantSpec,
     VARIANT_NAMES,
     TrainConfig,
+    config_from_dict,
     evaluate,
     load_checkpoint,
     run_pipeline,
     save_checkpoint,
     score_dataset,
-    train_config_from_dict,
-    train_config_to_dict,
 )
 
 
@@ -59,12 +58,24 @@ class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit code 2."""
 
 
+# Run-config sections that group TrainConfig fields, as {run-config key:
+# TrainConfig field}. Every other TrainConfig field (the seed and the nested
+# sections) sits at the top level of the run config under its own name.
+_TRAIN_SECTIONS = {
+    "train": {key: key for key in ("epochs", "learning_rate", "momentum", "batch_size")},
+    "kmeans": {"n_clusters": "n_clusters", "max_iter": "kmeans_max_iter", "tol": "kmeans_tol"},
+}
+
+
 def default_run_config() -> dict:
-    t = train_config_to_dict(TrainConfig())
+    t = dataclasses.asdict(TrainConfig())
+    sections = {
+        name: {key: t.pop(field) for key, field in keys.items()}
+        for name, keys in _TRAIN_SECTIONS.items()
+    }
     syn = dataclasses.asdict(SyntheticConfig())
     syn.pop("seed")
     return {
-        "seed": 0,
         "variant": "MLL-GCN-CRC",
         "out_dir": "runs/default",
         "data": {
@@ -73,22 +84,8 @@ def default_run_config() -> dict:
             "split_ratios": [0.45, 0.27, 0.28],
         },
         "synthetic": syn,
-        "weighting": t["weighting"],
-        "adjacency": t["adjacency"],
-        "glove": t["glove"],
-        "encoder": t["encoder"],
-        "loss": t["loss"],
-        "train": {
-            "epochs": t["epochs"],
-            "learning_rate": t["learning_rate"],
-            "momentum": t["momentum"],
-            "batch_size": t["batch_size"],
-        },
-        "kmeans": {
-            "n_clusters": t["n_clusters"],
-            "max_iter": t["kmeans_max_iter"],
-            "tol": t["kmeans_tol"],
-        },
+        **t,
+        **sections,
         "metrics": {"threshold": 0.5, "sp_mode": "exact"},
     }
 
@@ -162,20 +159,12 @@ def build_synthetic_config(cfg: dict) -> SyntheticConfig:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    data = {
-        "seed": cfg["seed"],
-        **cfg["train"],
-        "n_clusters": cfg["kmeans"]["n_clusters"],
-        "kmeans_max_iter": cfg["kmeans"]["max_iter"],
-        "kmeans_tol": cfg["kmeans"]["tol"],
-        "loss": cfg["loss"],
-        "glove": cfg["glove"],
-        "weighting": cfg["weighting"],
-        "adjacency": cfg["adjacency"],
-        "encoder": cfg["encoder"],
-    }
+    names = {f.name for f in dataclasses.fields(TrainConfig)}
+    data = {key: value for key, value in cfg.items() if key in names}
+    for name, keys in _TRAIN_SECTIONS.items():
+        data.update((field, cfg[name][key]) for key, field in keys.items())
     try:
-        return train_config_from_dict(data)
+        return config_from_dict(TrainConfig, data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train config: {exc}") from exc
 
@@ -258,8 +247,7 @@ def cmd_train(args) -> int:
     _write_config_snapshot(cfg, out)
     dataset.vocabulary.save(out / "vocabulary.json")
 
-    X = build_cooccurrence(train)
-    write_matrix_csv(out / "cooccurrence.csv", X.counts, dataset.vocabulary.names)
+    write_matrix_csv(out / "cooccurrence.csv", result.cooccurrence.counts, dataset.vocabulary.names)
     if cp.correlation is not None:
         write_matrix_csv(out / "correlation.csv", cp.correlation, dataset.vocabulary.names)
     write_embeddings_csv(out / "embeddings.csv", cp.embeddings, dataset.vocabulary.names)
@@ -342,10 +330,7 @@ def cmd_export(args) -> int:
     elif args.what == "clusters":
         if cp.centroids is None:
             raise ConfigError("checkpoint stores no cluster model (non-CRC variant)")
-        with open(out / "centroids.csv", "w", encoding="utf-8") as fh:
-            fh.write("cluster," + ",".join(f"c{j}" for j in range(cp.centroids.shape[1])) + "\n")
-            for k, row in enumerate(cp.centroids):
-                fh.write(str(k) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        write_centroids_csv(out / "centroids.csv", ClusterModel(cp.centroids))
     elif args.what == "projection":
         proj, axes, mean = _pca_projection(cp.embeddings)
         with open(out / "projection.csv", "w", encoding="utf-8") as fh:

@@ -56,16 +56,6 @@ class WeightingConfig:
             raise ValueError("exponent must lie in (0, 1]")
 
 
-def weight(x: float, cfg: WeightingConfig) -> float:
-    if x < 0:
-        raise ValueError("count must be nonnegative")
-    if x == 0:
-        return 0.0
-    if x >= cfg.x_max:
-        return 1.0
-    return float((x / cfg.x_max) ** cfg.exponent)
-
-
 def weight_matrix(counts: np.ndarray, cfg: WeightingConfig) -> np.ndarray:
     X = np.asarray(counts, dtype=np.float64)
     if np.any(X < 0):

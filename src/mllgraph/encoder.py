@@ -11,7 +11,6 @@ import numpy as np
 class EncoderConfig:
     layer_widths: tuple = (16, 32)
     slope: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
@@ -20,8 +19,6 @@ class EncoderConfig:
             raise ValueError("layer_widths must be positive")
         if self.slope < 0:
             raise ValueError("slope must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     @property
     def output_dim(self) -> int:
@@ -53,11 +50,11 @@ class EncoderParams:
         return self.weights[-1].shape[1]
 
 
-def init_encoder(input_dim: int, cfg: EncoderConfig) -> EncoderParams:
-    """Fan-in uniform weights, zero biases."""
+def init_encoder(input_dim: int, cfg: EncoderConfig, *, seed: int = 0) -> EncoderParams:
+    """Fan-in uniform weights drawn from `seed`, zero biases."""
     if input_dim < 1:
         raise ValueError("input_dim must be positive")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     dims = (input_dim,) + cfg.layer_widths
     weights = []
     biases = []

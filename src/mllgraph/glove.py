@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +18,6 @@ class GloveConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     init_scale: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.d < 2:
@@ -34,8 +32,6 @@ class GloveConfig:
             raise ValueError("eps must be positive")
         if self.init_scale <= 0:
             raise ValueError("init_scale must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -107,13 +103,13 @@ class GloveResult:
     params: EmbeddingParams
 
 
-def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig) -> GloveResult:
-    """Full-batch Adam fit of the weighted log-bilinear objective."""
+def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, seed: int = 0) -> GloveResult:
+    """Full-batch Adam fit of the weighted log-bilinear objective; `seed` drives the init."""
     X = np.asarray(counts, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("counts must be square")
     C = X.shape[0]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     s = cfg.init_scale
     params = EmbeddingParams(
         w=rng.uniform(-s, s, (C, cfg.d)),
@@ -150,17 +146,3 @@ def write_embeddings_csv(path, vectors: np.ndarray, names) -> None:
         fh.write("name," + ",".join(f"e{j}" for j in range(Z.shape[1])) + "\n")
         for name, row in zip(names, Z):
             fh.write(name + "," + ",".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_embeddings_csv(path):
-    """Inverse of write_embeddings_csv; returns (names, vectors)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError("empty embeddings file")
-    names = []
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        names.append(parts[0])
-        rows.append([float(x) for x in parts[1:]])
-    return names, np.asarray(rows, dtype=np.float64)

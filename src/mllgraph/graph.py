@@ -111,12 +111,3 @@ def gcn_gradients(upstream: np.ndarray, cache: GcnCache, correlation: np.ndarray
         dWs[i] = cache.propagated[i].T @ dH
         dG = B.T @ (dH @ layer.weights.T)
     return dWs, dG
-
-
-def predict_scores(classifier: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-class raw scores K x for one representation vector."""
-    K = np.asarray(classifier, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or K.shape[1] != x.shape[0]:
-        raise ValueError(f"representation length {x.shape} does not match classifier {K.shape}")
-    return K @ x

@@ -42,21 +42,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def mll_loss(scores: np.ndarray, targets: np.ndarray) -> float:
     """Mean over classes (and samples, for a batch) of stabilized BCE on raw scores."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ValueError(f"scores {s.shape} and targets {y.shape} differ")
-    bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    return float(bce.mean())
+    return mll_loss_and_grad(scores, targets)[0]
 
 
 def mll_loss_and_grad(scores: np.ndarray, targets: np.ndarray):
     """(loss, d loss / d scores); the gradient is (sigmoid(s) - y) / count."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    loss = mll_loss(s, y)
+    if s.shape != y.shape:
+        raise ValueError(f"scores {s.shape} and targets {y.shape} differ")
+    bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     grad = (sigmoid(s) - y) / s.size
-    return loss, grad
+    return float(bce.mean()), grad
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -104,20 +101,7 @@ def contrastive_loss(representations: np.ndarray, labels: np.ndarray, cfg: LossC
     beta (1 + sim) on different-label pairs, either summed raw or averaged
     per pair group. A batch of fewer than two samples contributes 0.
     """
-    X = np.asarray(representations, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = X.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError("one label per representation required")
-    if n < 2:
-        diagnostics.record("contrastive_undersized_batch")
-        return 0.0
-    U, _, _ = _unit_rows(X)
-    S = np.clip(U @ U.T, -1.0, 1.0)
-    pos, neg, w_pos, w_neg = _pair_terms(n, labels, cfg)
-    return float(
-        cfg.alpha * w_pos * (1.0 - S)[pos].sum() + cfg.beta * w_neg * (1.0 + S)[neg].sum()
-    )
+    return contrastive_loss_and_grad(representations, labels, cfg)[0]
 
 
 def contrastive_loss_and_grad(representations: np.ndarray, labels: np.ndarray, cfg: LossConfig):
@@ -125,6 +109,8 @@ def contrastive_loss_and_grad(representations: np.ndarray, labels: np.ndarray, c
     X = np.asarray(representations, dtype=np.float64)
     labels = np.asarray(labels)
     n = X.shape[0]
+    if labels.shape[0] != n:
+        raise ValueError("one label per representation required")
     if n < 2:
         diagnostics.record("contrastive_undersized_batch")
         return 0.0, np.zeros_like(X)
@@ -142,7 +128,3 @@ def contrastive_loss_and_grad(representations: np.ndarray, labels: np.ndarray, c
     dX = (dU - (U * dU).sum(axis=1)[:, None] * U) / safe[:, None]
     dX[zero] = 0.0
     return loss, dX
-
-
-def total_loss(mll: float, contrastive: float, cfg: LossConfig) -> float:
-    return float(mll + cfg.lam * contrastive)

@@ -9,9 +9,9 @@ classifier with momentum SGD while everything from phase 1 stays frozen.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import struct
+import typing
 import zlib
 from dataclasses import dataclass, field
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from .cooccur import (
     AdjacencyConfig,
+    CooccurrenceMatrix,
     WeightingConfig,
     build_adjacency,
     build_cooccurrence,
@@ -39,15 +40,6 @@ from .metrics import MetricsReport, ScoreTable, compute_report, exact_match
 from .relabel import KMeansResult, RelabeledDataset, kmeans, relabel
 from .seeding import stage_rng, stage_seed
 
-VARIANT_NAMES = (
-    "Single-MLL",
-    "MLL-CL",
-    "MLL-CRC",
-    "MLL-GCN",
-    "MLL-GCN-CL",
-    "MLL-GCN-CRC",
-)
-
 _VARIANT_FLAGS = {
     "Single-MLL": (False, "none"),
     "MLL-CL": (False, "vanilla"),
@@ -56,6 +48,7 @@ _VARIANT_FLAGS = {
     "MLL-GCN-CL": (True, "vanilla"),
     "MLL-GCN-CRC": (True, "cluster_relabeled"),
 }
+VARIANT_NAMES = tuple(_VARIANT_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -122,73 +115,118 @@ class TrainingDivergedError(RuntimeError):
         self.batch = batch
 
 
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    """JSON-safe nested dict; sub-seeds are derived from `seed`, never stored."""
-    return {
-        "seed": cfg.seed,
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "momentum": cfg.momentum,
-        "batch_size": cfg.batch_size,
-        "n_clusters": cfg.n_clusters,
-        "kmeans_max_iter": cfg.kmeans_max_iter,
-        "kmeans_tol": cfg.kmeans_tol,
-        "loss": {
-            "alpha": cfg.loss.alpha,
-            "beta": cfg.loss.beta,
-            "lam": cfg.loss.lam,
-            "contrastive_normalization": cfg.loss.contrastive_normalization,
-        },
-        "glove": {
-            "d": cfg.glove.d,
-            "epochs": cfg.glove.epochs,
-            "learning_rate": cfg.glove.learning_rate,
-            "beta1": cfg.glove.beta1,
-            "beta2": cfg.glove.beta2,
-            "eps": cfg.glove.eps,
-            "init_scale": cfg.glove.init_scale,
-        },
-        "weighting": {"x_max": cfg.weighting.x_max, "exponent": cfg.weighting.exponent},
-        "adjacency": {
-            "threshold": cfg.adjacency.threshold,
-            "reweight": cfg.adjacency.reweight,
-            "mode": cfg.adjacency.mode,
-        },
-        "encoder": {
-            "layer_widths": list(cfg.encoder.layer_widths),
-            "slope": cfg.encoder.slope,
-        },
-    }
+def config_from_dict(cls, data, where: str = ""):
+    """Inverse of `dataclasses.asdict` for the config dataclasses.
 
-
-def _check_keys(mapping, allowed, where: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+    Nested config sections are rebuilt recursively; absent keys keep their
+    defaults and unknown keys are rejected.
+    """
+    where = where or cls.__name__
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    kwargs = {}
+    for key, value in data.items():
+        if dataclasses.is_dataclass(types[key]):
+            value = config_from_dict(types[key], value, key)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
-def train_config_from_dict(data) -> TrainConfig:
-    top = (
-        "seed", "epochs", "learning_rate", "momentum", "batch_size",
-        "n_clusters", "kmeans_max_iter", "kmeans_tol",
-        "loss", "glove", "weighting", "adjacency", "encoder",
-    )
-    _check_keys(data, top, "train config")
-    sections = {
-        "loss": LossConfig,
-        "glove": GloveConfig,
-        "weighting": WeightingConfig,
-        "adjacency": AdjacencyConfig,
-        "encoder": EncoderConfig,
-    }
-    kwargs = {k: v for k, v in data.items() if k not in sections}
-    for name, cls in sections.items():
-        sub = dict(data.get(name, {}))
-        _check_keys(sub, [f.name for f in dataclasses.fields(cls)], name)
-        if name == "encoder" and "layer_widths" in sub:
-            sub["layer_widths"] = tuple(sub["layer_widths"])
-        kwargs[name] = cls(**sub)
-    return TrainConfig(**kwargs)
+class LinearHead:
+    """Independent per-class rows: the classifier K is the parameter itself."""
+
+    kind = "linear"
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+
+    @classmethod
+    def init(cls, n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> "LinearHead":
+        bound = 1.0 / np.sqrt(rep_dim)
+        return cls(np.random.default_rng(seed).uniform(-bound, bound, (n_classes, rep_dim)))
+
+    @staticmethod
+    def graph(X, cfg: AdjacencyConfig):
+        """The correlation matrix this head propagates over: none."""
+        return None
+
+    @property
+    def params(self) -> list:
+        return [self.weights]
+
+    def forward(self, Z, B):
+        return self.weights, None
+
+    def backward(self, dK, cache, B) -> list:
+        return [dK]
+
+    def copy(self) -> "LinearHead":
+        return LinearHead(self.weights.copy())
+
+    def tensors(self) -> list:
+        return [("classifier", self.weights)]
+
+    def header_entry(self):
+        return None
+
+    @classmethod
+    def from_checkpoint(cls, tensors: dict, entry) -> "LinearHead":
+        return cls(tensors["classifier"])
+
+
+class GcnHead:
+    """ML-GCN head: graph convolutions map the label embeddings to K."""
+
+    kind = "gcn"
+
+    def __init__(self, stack: GcnStack):
+        self.stack = stack
+
+    @classmethod
+    def init(cls, n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> "GcnHead":
+        return cls(init_gcn_stack((embed_dim, embed_dim, rep_dim), slope=0.2, seed=seed))
+
+    @staticmethod
+    def graph(X, cfg: AdjacencyConfig) -> np.ndarray:
+        """The normalized label-correlation matrix B-hat built from the counts."""
+        return normalize_adjacency(build_adjacency(X, cfg)).matrix
+
+    @property
+    def params(self) -> list:
+        return [layer.weights for layer in self.stack.layers]
+
+    def forward(self, Z, B):
+        return gcn_forward(Z, B, self.stack)
+
+    def backward(self, dK, cache, B) -> list:
+        return gcn_gradients(dK, cache, B, self.stack)[0]
+
+    def copy(self) -> "GcnHead":
+        return GcnHead(GcnStack([
+            GcnLayer(l.weights.copy(), l.activation, l.slope) for l in self.stack.layers
+        ]))
+
+    def tensors(self) -> list:
+        return [(f"gcn.{i}.weight", l.weights) for i, l in enumerate(self.stack.layers)]
+
+    def header_entry(self) -> list:
+        return [{"activation": l.activation, "slope": l.slope} for l in self.stack.layers]
+
+    @classmethod
+    def from_checkpoint(cls, tensors: dict, entry) -> "GcnHead":
+        return cls(GcnStack([
+            GcnLayer(tensors[f"gcn.{i}.weight"], meta["activation"], meta["slope"])
+            for i, meta in enumerate(entry)
+        ]))
+
+
+def head_type(variant: VariantSpec):
+    """The classifier head a variant trains."""
+    return GcnHead if variant.use_gcn else LinearHead
 
 
 @dataclass
@@ -199,9 +237,7 @@ class Checkpoint:
     config: TrainConfig
     vocabulary: LabelVocabulary
     encoder_params: EncoderParams
-    classifier_kind: str              # "gcn" | "linear"
-    gcn_stack: object                 # GcnStack or None
-    linear_head: object               # (C, D) ndarray or None
+    head: object                      # head_type(variant)
     embeddings: np.ndarray            # frozen phase-1 label embeddings
     correlation: object               # (C, C) ndarray or None
     centroids: object                 # (N, d) ndarray or None
@@ -220,6 +256,7 @@ class PipelineResult:
     checkpoint: Checkpoint
     trace: list
     glove_loss_trace: np.ndarray
+    cooccurrence: CooccurrenceMatrix
     relabeled: object        # RelabeledDataset or None
     kmeans_result: object    # KMeansResult or None
 
@@ -255,10 +292,6 @@ def _snapshot_encoder(enc: EncoderParams) -> EncoderParams:
     return EncoderParams([W.copy() for W in enc.weights], [b.copy() for b in enc.biases], enc.slope)
 
 
-def _snapshot_stack(stack) -> GcnStack:
-    return GcnStack([GcnLayer(l.weights.copy(), l.activation, l.slope) for l in stack.layers])
-
-
 def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainConfig) -> PipelineResult:
     """Run both phases and return the best-validation checkpoint.
 
@@ -274,13 +307,10 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     # phase 1: statistics, embeddings, correlation, surrogate labels
     X = build_cooccurrence(train)
-    glove_cfg = dataclasses.replace(cfg.glove, seed=stage_seed(cfg.seed, "glove_init"))
-    glove_res = train_glove(X.counts, glove_cfg, cfg.weighting)
+    glove_res = train_glove(X.counts, cfg.glove, cfg.weighting, seed=stage_seed(cfg.seed, "glove_init"))
     Z = glove_res.embedding.vectors
-
-    bhat = None
-    if variant.use_gcn:
-        bhat = normalize_adjacency(build_adjacency(X, cfg.adjacency)).matrix
+    Head = head_type(variant)
+    bhat = Head.graph(X, cfg.adjacency)
 
     relabeled = None
     km = None
@@ -300,22 +330,17 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     elif variant.contrastive_mode == "vanilla":
         contrast_labels = vanilla_contrast_labels(train)
 
-    # phase 2: encoder + classifier under momentum SGD; phase-1 tensors frozen
-    enc_cfg = dataclasses.replace(cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
-    enc = init_encoder(train.feature_dim, enc_cfg)
-    D = enc_cfg.output_dim
-    C = train.vocabulary.size
-    cls_seed = stage_seed(cfg.seed, "classifier_init")
-    stack = None
-    head = None
-    if variant.use_gcn:
-        stack = init_gcn_stack((glove_cfg.d, glove_cfg.d, D), slope=0.2, seed=cls_seed)
-        cls_params = [layer.weights for layer in stack.layers]
-    else:
-        rng = np.random.default_rng(cls_seed)
-        head = rng.uniform(-1.0 / np.sqrt(D), 1.0 / np.sqrt(D), (C, D))
-        cls_params = [head]
-    params = list(enc.weights) + list(enc.biases) + cls_params
+    # phase 2: encoder + classifier under momentum SGD. The phase-1 tensors
+    # are made read-only, so an in-place write to them raises.
+    Z.setflags(write=False)
+    if bhat is not None:
+        bhat.setflags(write=False)
+    enc = init_encoder(train.feature_dim, cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
+    head = Head.init(
+        train.vocabulary.size, cfg.glove.d, cfg.encoder.output_dim,
+        seed=stage_seed(cfg.seed, "classifier_init"),
+    )
+    params = list(enc.weights) + list(enc.biases) + head.params
     sgd = _MomentumSGD(params, cfg.learning_rate, cfg.momentum)
     rng_batches = stage_rng(cfg.seed, "batches")
 
@@ -324,13 +349,6 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     Xval = val.features_matrix()
     Yval = val.labels_matrix()
     n = len(train)
-    frozen_digest = hashlib.sha256(Z.tobytes() + (bhat.tobytes() if bhat is not None else b"")).hexdigest()
-
-    def current_classifier() -> np.ndarray:
-        if variant.use_gcn:
-            K, _ = gcn_forward(Z, bhat, stack)
-            return K
-        return head
 
     best_match = -1.0
     best = None
@@ -341,10 +359,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         for bstart in range(0, n, cfg.batch_size):
             batch = perm[bstart:bstart + cfg.batch_size]
             reps, ecache = encode(Xtr[batch], enc)
-            if variant.use_gcn:
-                K, gcache = gcn_forward(Z, bhat, stack)
-            else:
-                K = head
+            K, hcache = head.forward(Z, bhat)
             scores = reps @ K.T
             mll, d_scores = mll_loss_and_grad(scores, Ytr[batch])
             d_reps = d_scores @ K
@@ -357,37 +372,24 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
                 raise TrainingDivergedError(epoch, bstart // cfg.batch_size)
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
-            if variant.use_gcn:
-                dWs_g, _ = gcn_gradients(dK, gcache, bhat, stack)
-                sgd.step(dWs_e + dbs_e + dWs_g)
-            else:
-                sgd.step(dWs_e + dbs_e + [dK])
+            sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, bhat))
             loss_sum += total * batch.size
-        digest = hashlib.sha256(Z.tobytes() + (bhat.tobytes() if bhat is not None else b"")).hexdigest()
-        if digest != frozen_digest:
-            raise RuntimeError("phase-1 tensors changed during phase 2")
         val_reps, _ = encode(Xval, enc)
-        probs = sigmoid(val_reps @ current_classifier().T)
+        K, _ = head.forward(Z, bhat)
+        probs = sigmoid(val_reps @ K.T)
         vm = exact_match(ScoreTable(probs, Yval, 0.5))
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
             best_match = vm
-            best = (
-                epoch,
-                _snapshot_encoder(enc),
-                _snapshot_stack(stack) if stack is not None else None,
-                head.copy() if head is not None else None,
-            )
+            best = (epoch, _snapshot_encoder(enc), head.copy())
 
-    best_epoch, best_enc, best_stack, best_head = best
+    best_epoch, best_enc, best_head = best
     checkpoint = Checkpoint(
         variant=variant,
         config=cfg,
         vocabulary=train.vocabulary,
         encoder_params=best_enc,
-        classifier_kind="gcn" if variant.use_gcn else "linear",
-        gcn_stack=best_stack,
-        linear_head=best_head,
+        head=best_head,
         embeddings=Z.copy(),
         correlation=bhat.copy() if bhat is not None else None,
         centroids=centroids.copy() if centroids is not None else None,
@@ -397,6 +399,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         checkpoint=checkpoint,
         trace=trace,
         glove_loss_trace=glove_res.loss_trace,
+        cooccurrence=X,
         relabeled=relabeled,
         kmeans_result=km,
     )
@@ -404,10 +407,8 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
 def classifier_matrix(cp: Checkpoint) -> np.ndarray:
     """The (C, D) classifier the checkpoint scores with."""
-    if cp.classifier_kind == "gcn":
-        K, _ = gcn_forward(cp.embeddings, cp.correlation, cp.gcn_stack)
-        return K
-    return cp.linear_head
+    K, _ = cp.head.forward(cp.embeddings, cp.correlation)
+    return K
 
 
 def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:
@@ -469,28 +470,19 @@ def _tensor_entries(cp: Checkpoint):
     for i, (W, b) in enumerate(zip(cp.encoder_params.weights, cp.encoder_params.biases)):
         entries.append((f"encoder.{i}.weight", W))
         entries.append((f"encoder.{i}.bias", b))
-    if cp.classifier_kind == "gcn":
-        for i, layer in enumerate(cp.gcn_stack.layers):
-            entries.append((f"gcn.{i}.weight", layer.weights))
-    else:
-        entries.append(("classifier", cp.linear_head))
-    return entries
+    return entries + cp.head.tensors()
 
 
 def checkpoint_bytes(cp: Checkpoint) -> bytes:
     entries = [(name, np.ascontiguousarray(arr, dtype=np.float64)) for name, arr in _tensor_entries(cp)]
     header = {
         "variant": cp.variant.name,
-        "classifier_kind": cp.classifier_kind,
+        "classifier_kind": cp.head.kind,
         "epoch": cp.epoch,
-        "config": train_config_to_dict(cp.config),
+        "config": dataclasses.asdict(cp.config),
         "vocabulary": [{"name": n, "kind": k} for n, k in cp.vocabulary.entries],
         "encoder_slope": cp.encoder_params.slope,
-        "gcn_layers": (
-            [{"activation": l.activation, "slope": l.slope} for l in cp.gcn_stack.layers]
-            if cp.classifier_kind == "gcn"
-            else None
-        ),
+        "gcn_layers": cp.head.header_entry(),
         "tensors": [
             {"name": name, "shape": list(arr.shape), "dtype": "<f8"} for name, arr in entries
         ],
@@ -552,6 +544,14 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"unreadable header: {exc}") from exc
 
+    # the header passed the checksum but may still lack keys or mistype them
+    try:
+        return _checkpoint_from_header(header, r)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"malformed header: {type(exc).__name__}: {exc}") from exc
+
+
+def _checkpoint_from_header(header: dict, r: _Reader) -> Checkpoint:
     tensors = {}
     for meta in header["tensors"]:
         nbytes = struct.unpack("<Q", r.take(8))[0]
@@ -562,10 +562,16 @@ def load_checkpoint(path) -> Checkpoint:
             )
         blob = r.take(nbytes)
         tensors[meta["name"]] = np.frombuffer(blob, dtype="<f8").reshape(meta["shape"]).copy()
-    if len(data) - r.pos != 4:
+    if len(r.data) - r.pos != 4:
         raise CheckpointFormatError("trailing bytes after the tensor payload")
 
-    config = train_config_from_dict(header["config"])
+    variant = VariantSpec.from_name(header["variant"])
+    Head = head_type(variant)
+    if header["classifier_kind"] != Head.kind:
+        raise CheckpointFormatError(
+            f"classifier_kind {header['classifier_kind']!r} does not match variant {variant.name}"
+        )
+    config = config_from_dict(TrainConfig, header["config"])
     vocab = LabelVocabulary(tuple((e["name"], e["kind"]) for e in header["vocabulary"]))
     n_enc = len(config.encoder.layer_widths)
     enc = EncoderParams(
@@ -573,25 +579,12 @@ def load_checkpoint(path) -> Checkpoint:
         [tensors[f"encoder.{i}.bias"] for i in range(n_enc)],
         header["encoder_slope"],
     )
-    kind = header["classifier_kind"]
-    stack = None
-    head = None
-    if kind == "gcn":
-        layers = [
-            GcnLayer(tensors[f"gcn.{i}.weight"], meta["activation"], meta["slope"])
-            for i, meta in enumerate(header["gcn_layers"])
-        ]
-        stack = GcnStack(layers)
-    else:
-        head = tensors["classifier"]
     return Checkpoint(
-        variant=VariantSpec.from_name(header["variant"]),
+        variant=variant,
         config=config,
         vocabulary=vocab,
         encoder_params=enc,
-        classifier_kind=kind,
-        gcn_stack=stack,
-        linear_head=head,
+        head=Head.from_checkpoint(tensors, header["gcn_layers"]),
         embeddings=tensors["embeddings"],
         correlation=tensors.get("correlation"),
         centroids=tensors.get("centroids"),

@@ -127,7 +127,7 @@ def _encoder_path_gradcheck(rng) -> float:
     targets = rng.integers(0, 2, (n, C)).astype(float)
     while True:
         X = rng.standard_normal((n, D_in))
-        params = init_encoder(D_in, EncoderConfig(layer_widths=widths, seed=int(rng.integers(100_000))))
+        params = init_encoder(D_in, EncoderConfig(layer_widths=widths), seed=int(rng.integers(100_000)))
         _, cache = encode(X, params)
         if away_from_kinks(cache.preacts[:-1]):
             break
@@ -273,8 +273,9 @@ def test_criterion_3_embedding_semantics():
         assert counts[0, 1] > 0 and counts[2, 3] == 0
         res = train_glove(
             counts,
-            GloveConfig(d=8, epochs=256, learning_rate=0.05, seed=seed),
+            GloveConfig(d=8, epochs=256, learning_rate=0.05),
             WeightingConfig(),
+            seed=seed,
         )
         Z = res.embedding.vectors
         ratio = float(res.loss_trace[-1] / res.loss_trace[0])

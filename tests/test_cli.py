@@ -5,7 +5,9 @@ import pytest
 from mllgraph.cli import ConfigError, apply_set, default_run_config, main, merge_config
 from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.metrics import METRIC_KEYS
-from mllgraph.trainer import load_checkpoint
+from mllgraph.trainer import LinearHead, load_checkpoint
+
+from test_trainer import read_header, with_header
 
 SMALL_SETS = [
     "--set", "synthetic.n_samples=120",
@@ -146,7 +148,7 @@ def test_plain_variant_skips_graph_artifacts(work):
     assert not (out / "sample_clusters.csv").exists()
     assert not (out / "centroids.csv").exists()
     cp = load_checkpoint(out / "checkpoint.mllg")
-    assert cp.classifier_kind == "linear"
+    assert isinstance(cp.head, LinearHead)
 
 
 def test_train_rerun_is_byte_identical(work, tmp_path):
@@ -200,6 +202,21 @@ def test_export_rejects_missing_tensors(work, tmp_path):
                  "--out", str(tmp_path / "a")]) == 2
     assert main(["export", "--checkpoint", single, "--what", "clusters",
                  "--out", str(tmp_path / "b")]) == 2
+
+
+def test_export_rejects_malformed_header(work, tmp_path, capsys):
+    raw = (work / "crc" / "checkpoint.mllg").read_bytes()
+    header = read_header(raw)
+    for name, bad in (
+        ("no_tensors", {k: v for k, v in header.items() if k != "tensors"}),
+        ("array", [header]),
+        ("kind", dict(header, classifier_kind="linear")),
+    ):
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(with_header(raw, bad))
+        assert main(["export", "--checkpoint", str(path), "--what", "embeddings",
+                     "--out", str(tmp_path / name)]) == 1
+        assert "error: " in capsys.readouterr().err
 
 
 def test_metrics_oracle_agrees_with_eval_output(work, capsys):

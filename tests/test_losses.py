@@ -12,7 +12,6 @@ from mllgraph.losses import (
     mll_loss,
     mll_loss_and_grad,
     sigmoid,
-    total_loss,
 )
 
 from gradcheck import max_rel_err, numeric_gradient
@@ -137,9 +136,3 @@ def test_contrastive_zero_row_gets_zero_gradient():
     _, grad = contrastive_loss_and_grad(X, labels, LossConfig())
     assert np.all(grad[0] == 0.0)
     assert diagnostics.count("contrastive_zero_norm") >= before + 1
-
-
-def test_total_loss_combines_terms():
-    cfg = LossConfig(lam=0.1)
-    assert total_loss(2.0, 3.0, cfg) == pytest.approx(2.3)
-    assert total_loss(2.0, 3.0, LossConfig(lam=0.0)) == pytest.approx(2.0)

@@ -1,8 +1,13 @@
 import dataclasses
+import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from mllgraph import trainer
+from mllgraph.cooccur import build_cooccurrence
 from mllgraph.corpus import (
     Dataset,
     Sample,
@@ -19,20 +24,35 @@ from mllgraph.trainer import (
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    GcnHead,
+    LinearHead,
     TrainConfig,
     TrainingDivergedError,
     VariantSpec,
     checkpoint_bytes,
     classifier_matrix,
+    config_from_dict,
     evaluate,
     load_checkpoint,
     run_pipeline,
     save_checkpoint,
     score_dataset,
-    train_config_from_dict,
-    train_config_to_dict,
     vanilla_contrast_labels,
 )
+
+
+def read_header(raw: bytes):
+    """The JSON header of a checkpoint's bytes."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + n])
+
+
+def with_header(raw: bytes, header) -> bytes:
+    """Checkpoint bytes with the header replaced and a valid CRC footer."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    blob = json.dumps(header).encode("utf-8")
+    body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def small_train_config(**overrides) -> TrainConfig:
@@ -100,21 +120,44 @@ def test_train_config_validation():
 
 def test_train_config_dict_roundtrip():
     cfg = small_train_config(seed=7, learning_rate=0.02)
-    data = train_config_to_dict(cfg)
-    back = train_config_from_dict(data)
+    data = dataclasses.asdict(cfg)
+    back = config_from_dict(TrainConfig, json.loads(json.dumps(data)))
     assert back == cfg
     assert back.encoder.layer_widths == (8, 16)
+    assert config_from_dict(TrainConfig, {"glove": {"d": 4}}) == TrainConfig(
+        glove=dataclasses.replace(TrainConfig().glove, d=4)
+    )
+
+
+def test_default_config_dict_matches_checkpoint_header_json():
+    # the checkpoint header stores the config as this exact JSON text
+    text = json.dumps(dataclasses.asdict(TrainConfig()), sort_keys=True, separators=(",", ":"))
+    assert text == (
+        '{"adjacency":{"mode":"binarized","reweight":0.2,"threshold":0.4},"batch_size":32,'
+        '"encoder":{"layer_widths":[16,32],"slope":0.2},"epochs":100,'
+        '"glove":{"beta1":0.9,"beta2":0.999,"d":32,"epochs":256,"eps":1e-08,'
+        '"init_scale":0.05,"learning_rate":0.001},"kmeans_max_iter":100,"kmeans_tol":1e-06,'
+        '"learning_rate":0.01,"loss":{"alpha":0.75,"beta":0.25,'
+        '"contrastive_normalization":"pair_mean","lam":0.1},"momentum":0.9,"n_clusters":10,'
+        '"seed":0,"weighting":{"exponent":0.75,"x_max":100.0}}'
+    )
 
 
 def test_train_config_from_dict_rejects_unknown_keys():
-    data = train_config_to_dict(TrainConfig())
+    data = dataclasses.asdict(TrainConfig())
     data["momentum_decay"] = 0.5
     with pytest.raises(ValueError, match="unknown key 'momentum_decay'"):
-        train_config_from_dict(data)
-    data = train_config_to_dict(TrainConfig())
+        config_from_dict(TrainConfig, data)
+    data = dataclasses.asdict(TrainConfig())
     data["glove"]["warmup"] = 10
     with pytest.raises(ValueError, match="unknown key 'warmup'"):
-        train_config_from_dict(data)
+        config_from_dict(TrainConfig, data)
+    data = dataclasses.asdict(TrainConfig())
+    data["glove"]["seed"] = 3  # sub-seeds derive from the root seed, never stored
+    with pytest.raises(ValueError, match="unknown key 'seed'"):
+        config_from_dict(TrainConfig, data)
+    with pytest.raises(ValueError, match="expected an object"):
+        config_from_dict(TrainConfig, {"loss": [0.5]})
 
 
 def test_vanilla_contrast_labels_buckets_by_plane():
@@ -136,10 +179,11 @@ def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
     assert all(0.0 <= r.val_exact_match <= 1.0 for r in res.trace)
     assert all(np.isfinite(r.train_loss) for r in res.trace)
     cp = res.checkpoint
-    assert cp.classifier_kind == "linear"
-    assert cp.linear_head.shape == (train.vocabulary.size, 16)
-    assert cp.gcn_stack is None and cp.correlation is None and cp.centroids is None
+    assert isinstance(cp.head, LinearHead)
+    assert cp.head.weights.shape == (train.vocabulary.size, 16)
+    assert cp.correlation is None and cp.centroids is None
     assert res.relabeled is None and res.kmeans_result is None
+    assert np.array_equal(res.cooccurrence.counts, build_cooccurrence(train).counts)
     assert res.glove_loss_trace.shape == (31,)
     K = classifier_matrix(cp)
     assert K.shape == (train.vocabulary.size, 16)
@@ -148,8 +192,8 @@ def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
 def test_pipeline_gcn_crc_artifacts(crc_result, small_splits):
     train, _, _ = small_splits
     cp = crc_result.checkpoint
-    assert cp.classifier_kind == "gcn"
-    assert cp.linear_head is None
+    assert isinstance(cp.head, GcnHead)
+    assert [l.weights.shape for l in cp.head.stack.layers] == [(8, 8), (8, 16)]
     assert cp.correlation.shape == (train.vocabulary.size, train.vocabulary.size)
     assert cp.centroids.shape == (4, 8)
     assert crc_result.relabeled is not None
@@ -176,7 +220,7 @@ def test_zero_weight_contrastive_matches_plain_variant(small_splits):
     plain = run_pipeline(train, val, VariantSpec.from_name("Single-MLL"), cfg)
     vanilla = run_pipeline(train, val, VariantSpec.from_name("MLL-CL"), cfg)
     assert [r.train_loss for r in plain.trace] == [r.train_loss for r in vanilla.trace]
-    assert np.array_equal(plain.checkpoint.linear_head, vanilla.checkpoint.linear_head)
+    assert np.array_equal(plain.checkpoint.head.weights, vanilla.checkpoint.head.weights)
     for Wp, Wv in zip(plain.checkpoint.encoder_params.weights,
                       vanilla.checkpoint.encoder_params.weights):
         assert np.array_equal(Wp, Wv)
@@ -267,6 +311,24 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
     with pytest.raises(CheckpointChecksumError):
         load_checkpoint(tail_cut)
 
+    # A header that passes the checksum can still be malformed.
+    header = read_header(raw)
+    no_tensors = {k: v for k, v in header.items() if k != "tensors"}
+    wrong_kind = dict(header, classifier_kind="linear")
+    for name, bad, match in (
+        ("no_tensors", no_tensors, "tensors"),
+        ("array", [header], "malformed header"),
+        ("no_layers", {k: v for k, v in header.items() if k != "gcn_layers"}, "gcn_layers"),
+        ("config_type", dict(header, config=[1, 2]), "expected an object"),
+        ("shape_type", dict(header, tensors=[dict(header["tensors"][0], shape="9x8")]),
+         "malformed header"),
+        ("kind", wrong_kind, "does not match variant MLL-GCN-CRC"),
+    ):
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(with_header(raw, bad))
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+
 
 def test_checkpoint_roundtrip_linear_head(small_splits, tmp_path):
     train, val, _ = small_splits
@@ -274,7 +336,69 @@ def test_checkpoint_roundtrip_linear_head(small_splits, tmp_path):
     path = tmp_path / "linear.mllg"
     save_checkpoint(res.checkpoint, path)
     loaded = load_checkpoint(path)
-    assert loaded.classifier_kind == "linear"
-    assert loaded.gcn_stack is None
+    assert isinstance(loaded.head, LinearHead)
     assert loaded.correlation is None and loaded.centroids is None
-    assert np.array_equal(loaded.linear_head, res.checkpoint.linear_head)
+    assert np.array_equal(loaded.head.weights, res.checkpoint.head.weights)
+
+
+SMALL_CONFIG_DICT = {
+    "adjacency": {"mode": "binarized", "reweight": 0.2, "threshold": 0.4},
+    "batch_size": 16,
+    "encoder": {"layer_widths": [8, 16], "slope": 0.2},
+    "epochs": 3,
+    "glove": {"beta1": 0.9, "beta2": 0.999, "d": 8, "epochs": 30, "eps": 1e-08,
+              "init_scale": 0.05, "learning_rate": 0.001},
+    "kmeans_max_iter": 100,
+    "kmeans_tol": 1e-06,
+    "learning_rate": 0.01,
+    "loss": {"alpha": 0.75, "beta": 0.25, "contrastive_normalization": "pair_mean", "lam": 0.1},
+    "momentum": 0.9,
+    "n_clusters": 4,
+    "seed": 0,
+    "weighting": {"exponent": 0.75, "x_max": 100.0},
+}
+ENCODER_TENSORS = [
+    ("encoder.0.weight", [16, 8]),
+    ("encoder.0.bias", [8]),
+    ("encoder.1.weight", [8, 16]),
+    ("encoder.1.bias", [16]),
+]
+
+
+def test_checkpoint_header_golden(crc_result, small_splits):
+    train, val, _ = small_splits
+    linear = run_pipeline(train, val, VariantSpec.from_name("MLL-CL"), small_train_config())
+    cases = (
+        (linear.checkpoint, "linear", None,
+         [("embeddings", [9, 8])] + ENCODER_TENSORS + [("classifier", [9, 16])]),
+        (crc_result.checkpoint, "gcn",
+         [{"activation": "leaky", "slope": 0.2}, {"activation": "identity", "slope": 0.2}],
+         [("embeddings", [9, 8]), ("correlation", [9, 9]), ("centroids", [4, 8])]
+         + ENCODER_TENSORS + [("gcn.0.weight", [8, 8]), ("gcn.1.weight", [8, 16])]),
+    )
+    for cp, kind, layers, tensors in cases:
+        header = read_header(checkpoint_bytes(cp))
+        assert sorted(header) == [
+            "classifier_kind", "config", "encoder_slope", "epoch", "gcn_layers",
+            "tensors", "variant", "vocabulary",
+        ]
+        assert header["variant"] == cp.variant.name
+        assert header["classifier_kind"] == kind
+        assert header["gcn_layers"] == layers
+        assert header["config"] == SMALL_CONFIG_DICT
+        assert [(t["name"], t["shape"]) for t in header["tensors"]] == tensors
+        assert {t["dtype"] for t in header["tensors"]} == {"<f8"}
+
+
+@pytest.mark.parametrize("arg", [0, 1], ids=["embeddings", "correlation"])
+def test_phase_one_tensors_are_read_only_in_phase_two(small_splits, monkeypatch, arg):
+    train, val, _ = small_splits
+    real_forward = trainer.gcn_forward
+
+    def writing_forward(*args):
+        args[arg][0, 0] += 1.0
+        return real_forward(*args)
+
+    monkeypatch.setattr(trainer, "gcn_forward", writing_forward)
+    with pytest.raises(ValueError, match="read-only"):
+        run_pipeline(train, val, VariantSpec.from_name("MLL-GCN"), small_train_config())
