@@ -23,6 +23,7 @@ from .corpus import (
     DatasetFormatError,
     LabelVocabulary,
     SyntheticConfig,
+    format_csv_row,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -339,9 +340,9 @@ def cmd_export(args) -> int:
                 fh.write(f"{name},{float(row[0])!r},{float(row[1])!r}\n")
         with open(out / "projection_axes.csv", "w", encoding="utf-8") as fh:
             fh.write("component," + ",".join(f"e{j}" for j in range(axes.shape[1])) + "\n")
-            fh.write("mean," + ",".join(repr(float(v)) for v in mean) + "\n")
+            fh.write(f"mean,{format_csv_row(mean)}\n")
             for j in range(axes.shape[0]):
-                fh.write(f"pc{j + 1}," + ",".join(repr(float(v)) for v in axes[j]) + "\n")
+                fh.write(f"pc{j + 1},{format_csv_row(axes[j])}\n")
     else:
         raise ConfigError(f"unknown export target: {args.what!r}")
     print(f"artifacts in {out}")

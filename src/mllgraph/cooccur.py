@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, format_csv_row
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,16 @@ class CooccurrenceMatrix:
 
 
 def build_cooccurrence(dataset: Dataset) -> CooccurrenceMatrix:
-    """Count joint label occurrences: X = Y^T Y over the 0/1 label matrix."""
+    """Count joint label occurrences: X = Y^T Y over the 0/1 label matrix.
+
+    The product runs in float64 so that it goes through BLAS (an integer
+    matmul does not); it is exact because every partial sum is an integer
+    no larger than the sample count, far below 2^53.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot build co-occurrence counts from an empty dataset")
-    Y = dataset.labels_matrix().astype(np.int64)
-    return CooccurrenceMatrix(Y.T @ Y)
+    Y = dataset.labels_matrix().astype(np.float64)
+    return CooccurrenceMatrix((Y.T @ Y).astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -155,12 +160,11 @@ def normalize_adjacency(A: np.ndarray) -> NormalizedCorrelation:
 
 
 def write_matrix_csv(path, matrix: np.ndarray, names) -> None:
-    """Row-major CSV with the label names as header."""
+    """Row-major CSV with the label names as header; integer matrices stay integer."""
     M = np.asarray(matrix)
+    if not np.issubdtype(M.dtype, np.integer):
+        M = M.astype(np.float64, copy=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
         for row in M:
-            if np.issubdtype(M.dtype, np.integer):
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
-            else:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(format_csv_row(row) + "\n")

@@ -234,6 +234,17 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
     return Dataset(vocabulary, samples)
 
 
+def format_csv_row(values: np.ndarray) -> str:
+    """One CSV row from a 1-D int or float array: `str` of each int, `repr` of each float.
+
+    `repr` of a Python float is the shortest text that reads back to the
+    same bits. The row is converted with one `tolist()` call rather than
+    element by element; callers pass one row at a time so that a whole
+    matrix is never held as Python objects.
+    """
+    return ",".join(map(repr, values.tolist()))
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the JSONL form; floats round-trip exactly through repr."""
     names = dataset.vocabulary.names

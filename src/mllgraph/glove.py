@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cooccur import WeightingConfig, weight_matrix
+from .corpus import format_csv_row
 
 
 @dataclass(frozen=True)
@@ -69,31 +70,50 @@ class GloveDivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-def _residuals(params: EmbeddingParams, counts: np.ndarray, wcfg: WeightingConfig):
+def _fixed_terms(counts: np.ndarray, wcfg: WeightingConfig):
+    """(f(X), the mask of zero cells, log X): the parts of the objective the counts fix."""
     X = np.asarray(counts, dtype=np.float64)
-    F = weight_matrix(X, wcfg)
     mask = X > 0
     logX = np.where(mask, np.log(np.where(mask, X, 1.0)), 0.0)
-    R = params.w @ params.w_ctx.T + params.b[:, None] + params.b_ctx[None, :] - logX
-    return F, np.where(mask, R, 0.0)
+    return weight_matrix(X, wcfg), ~mask, logX
 
 
-def glove_loss(params: EmbeddingParams, counts: np.ndarray, wcfg: WeightingConfig) -> float:
-    """Sum over nonzero cells of f(X_ij) (w_i.w~_j + b_i + b~_j - log X_ij)^2."""
-    F, R = _residuals(params, counts, wcfg)
-    return float(np.sum(F * R * R))
+def _loss_and_residual_grad(params: EmbeddingParams, F, zero, logX):
+    """(loss, E) at `params`, where E = 2 f(X) R is d loss / d R.
+
+    R = w w~^T + b + b~^T - log X on the nonzero cells and 0 on the others.
+    R is built in place and f(X) R is reused for both the loss and E, so
+    one call holds two (C, C) arrays.
+    """
+    R = params.w @ params.w_ctx.T
+    R += params.b[:, None]
+    R += params.b_ctx[None, :]
+    R -= logX
+    R[zero] = 0.0
+    E = F * R
+    R *= E
+    loss = float(np.sum(R))
+    E *= 2.0
+    return loss, E
 
 
-def glove_gradients(params: EmbeddingParams, counts: np.ndarray, wcfg: WeightingConfig) -> EmbeddingParams:
-    """Analytic gradients of glove_loss for all four parameter blocks."""
-    F, R = _residuals(params, counts, wcfg)
-    E = 2.0 * F * R
+def _gradients(params: EmbeddingParams, E: np.ndarray) -> EmbeddingParams:
     return EmbeddingParams(
         w=E @ params.w_ctx,
         w_ctx=E.T @ params.w,
         b=E.sum(axis=1),
         b_ctx=E.sum(axis=0),
     )
+
+
+def glove_loss(params: EmbeddingParams, counts: np.ndarray, wcfg: WeightingConfig) -> float:
+    """Sum over nonzero cells of f(X_ij) (w_i.w~_j + b_i + b~_j - log X_ij)^2."""
+    return _loss_and_residual_grad(params, *_fixed_terms(counts, wcfg))[0]
+
+
+def glove_gradients(params: EmbeddingParams, counts: np.ndarray, wcfg: WeightingConfig) -> EmbeddingParams:
+    """Analytic gradients of glove_loss for all four parameter blocks."""
+    return _gradients(params, _loss_and_residual_grad(params, *_fixed_terms(counts, wcfg))[1])
 
 
 @dataclass
@@ -104,11 +124,14 @@ class GloveResult:
 
 
 def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, seed: int = 0) -> GloveResult:
-    """Full-batch Adam fit of the weighted log-bilinear objective; `seed` drives the init."""
-    X = np.asarray(counts, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+    """Full-batch Adam fit of the weighted log-bilinear objective; `seed` drives the init.
+
+    One evaluation per epoch: the residual at the parameters of epoch t
+    gives both loss_trace[t] and the gradient of step t + 1.
+    """
+    if np.ndim(counts) != 2 or np.shape(counts)[0] != np.shape(counts)[1]:
         raise ValueError("counts must be square")
-    C = X.shape[0]
+    C = np.shape(counts)[0]
     rng = np.random.default_rng(seed)
     s = cfg.init_scale
     params = EmbeddingParams(
@@ -120,12 +143,14 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     blocks = ("w", "w_ctx", "b", "b_ctx")
     m = {k: np.zeros_like(getattr(params, k)) for k in blocks}
     v = {k: np.zeros_like(getattr(params, k)) for k in blocks}
+    terms = _fixed_terms(counts, wcfg)
     trace = np.empty(cfg.epochs + 1)
-    trace[0] = glove_loss(params, X, wcfg)
+    trace[0], E = _loss_and_residual_grad(params, *terms)
     if not np.isfinite(trace[0]):
         raise GloveDivergenceError(0)
     for t in range(1, cfg.epochs + 1):
-        grads = glove_gradients(params, X, wcfg)
+        grads = _gradients(params, E)
+        del E  # free it before the next call allocates its own
         for k in blocks:
             g = getattr(grads, k)
             m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
@@ -133,7 +158,7 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
             m_hat = m[k] / (1.0 - cfg.beta1 ** t)
             v_hat = v[k] / (1.0 - cfg.beta2 ** t)
             getattr(params, k)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        trace[t] = glove_loss(params, X, wcfg)
+        trace[t], E = _loss_and_residual_grad(params, *terms)
         if not np.isfinite(trace[t]):
             raise GloveDivergenceError(t)
     Z = EmbeddingMatrix(params.w + params.w_ctx)
@@ -145,4 +170,4 @@ def write_embeddings_csv(path, vectors: np.ndarray, names) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("name," + ",".join(f"e{j}" for j in range(Z.shape[1])) + "\n")
         for name, row in zip(names, Z):
-            fh.write(name + "," + ",".join(repr(float(x)) for x in row) + "\n")
+            fh.write(f"{name},{format_csv_row(row)}\n")

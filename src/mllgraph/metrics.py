@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
+from .corpus import format_csv_row
 
 METRIC_KEYS = ("SP_ACC", "MLL_ACC", "mAP", "HL", "OP", "OR", "OF1", "CP", "CR", "CF1")
 
@@ -110,16 +111,12 @@ def sp_argmax_accuracy(table: ScoreTable, sp_indices) -> float:
     idx = np.asarray(sp_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("sp_indices must name at least one class")
-    scores = table.scores[:, idx]
     targets = table.targets[:, idx]
-    preds = binarize(table)[:, idx]
-    correct = 0
-    for i in range(table.n):
-        if targets[i].sum() == 0:
-            correct += int(preds[i].sum() == 0)
-        else:
-            correct += int(targets[i, int(np.argmax(scores[i]))] == 1)
-    return correct / table.n
+    top = np.argmax(table.scores[:, idx], axis=1)  # ties resolve to the lowest index
+    hit = targets[np.arange(table.n), top] == 1
+    no_plane_predicted = ~binarize(table)[:, idx].any(axis=1)
+    correct = np.where(targets.any(axis=1), hit, no_plane_predicted)
+    return int(correct.sum()) / table.n
 
 
 def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
@@ -212,10 +209,8 @@ def write_score_csv(path, table: ScoreTable, ids, names) -> None:
         raise ValueError("ids/names do not match the score table")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id," + ",".join(names) + "," + ",".join(f"target:{n}" for n in names) + "\n")
-        for i in range(table.n):
-            srow = ",".join(repr(float(v)) for v in table.scores[i])
-            trow = ",".join(str(int(v)) for v in table.targets[i])
-            fh.write(f"{ids[i]},{srow},{trow}\n")
+        for sid, srow, trow in zip(ids, table.scores, table.targets):
+            fh.write(f"{sid},{format_csv_row(srow)},{format_csv_row(trow)}\n")
 
 
 def read_score_csv(path, threshold: float = 0.5):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, format_csv_row
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,12 @@ def relabel(dataset: Dataset, vectors: np.ndarray, model: ClusterModel) -> Relab
 def write_assignments_csv(path, relabeled: RelabeledDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id,cluster\n")
-        for sid, c in zip(relabeled.sample_ids, relabeled.assignments):
-            fh.write(f"{sid},{int(c)}\n")
+        for sid, c in zip(relabeled.sample_ids, relabeled.assignments.tolist()):
+            fh.write(f"{sid},{c}\n")
 
 
 def write_centroids_csv(path, model: ClusterModel) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("cluster," + ",".join(f"c{j}" for j in range(model.centroids.shape[1])) + "\n")
         for k, row in enumerate(model.centroids):
-            fh.write(str(k) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(f"{k},{format_csv_row(row)}\n")

@@ -278,14 +278,14 @@ class _MomentumSGD:
 
 
 def vanilla_contrast_labels(dataset: Dataset) -> np.ndarray:
-    """Plane-bucket labels: the sample's plane index, or a shared no-plane bucket."""
-    sp_idx = dataset.vocabulary.sp_indices
-    bucket = sp_idx.size
-    out = np.empty(len(dataset), dtype=np.int64)
-    for i, s in enumerate(dataset.samples):
-        bits = s.labels[sp_idx]
-        out[i] = int(np.argmax(bits)) if bits.any() else bucket
-    return out
+    """Plane-bucket labels: the sample's first plane index, or a shared no-plane bucket.
+
+    The no-plane bucket is an always-set column after the plane bits, so
+    the first set bit of each row is the label.
+    """
+    Y = dataset.labels_matrix()
+    bits = np.concatenate([Y[:, dataset.vocabulary.sp_indices], np.ones((len(Y), 1), Y.dtype)], axis=1)
+    return np.argmax(bits, axis=1).astype(np.int64)
 
 
 def _snapshot_encoder(enc: EncoderParams) -> EncoderParams:
@@ -579,14 +579,22 @@ def _checkpoint_from_header(header: dict, r: _Reader) -> Checkpoint:
         [tensors[f"encoder.{i}.bias"] for i in range(n_enc)],
         header["encoder_slope"],
     )
-    return Checkpoint(
+    cp = Checkpoint(
         variant=variant,
         config=config,
         vocabulary=vocab,
         encoder_params=enc,
         head=Head.from_checkpoint(tensors, header["gcn_layers"]),
         embeddings=tensors["embeddings"],
-        correlation=tensors.get("correlation"),
-        centroids=tensors.get("centroids"),
+        correlation=tensors["correlation"] if Head is GcnHead else None,
+        centroids=tensors["centroids"] if variant.contrastive_mode == "cluster_relabeled" else None,
         epoch=int(header["epoch"]),
     )
+    # the file must hold exactly the tensors a save of this variant writes
+    stored = [meta["name"] for meta in header["tensors"]]
+    expected = [name for name, _ in _tensor_entries(cp)]
+    if stored != expected:
+        raise CheckpointFormatError(
+            f"tensors {stored} do not match the {expected} that variant {variant.name} stores"
+        )
+    return cp

@@ -7,7 +7,7 @@ from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.metrics import METRIC_KEYS
 from mllgraph.trainer import LinearHead, load_checkpoint
 
-from test_trainer import read_header, with_header
+from test_trainer import read_header, with_header, with_tensors
 
 SMALL_SETS = [
     "--set", "synthetic.n_samples=120",
@@ -217,6 +217,21 @@ def test_export_rejects_malformed_header(work, tmp_path, capsys):
         assert main(["export", "--checkpoint", str(path), "--what", "embeddings",
                      "--out", str(tmp_path / name)]) == 1
         assert "error: " in capsys.readouterr().err
+
+
+def test_eval_and_export_reject_missing_variant_tensors(work, tmp_path, capsys):
+    raw = (work / "crc" / "checkpoint.mllg").read_bytes()
+    names = [t["name"] for t in read_header(raw)["tensors"]]
+    data = str(work / "synth" / "dataset.jsonl")
+    for dropped, what in (("correlation", "correlation"), ("centroids", "clusters")):
+        path = tmp_path / f"no_{dropped}.mllg"
+        path.write_bytes(with_tensors(raw, [n for n in names if n != dropped]))
+        assert main(["eval", "--checkpoint", str(path), "--data", data,
+                     "--out", str(tmp_path / f"eval_{dropped}")]) == 1
+        assert main(["export", "--checkpoint", str(path), "--what", what,
+                     "--out", str(tmp_path / f"export_{dropped}")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: malformed header") == 2 and dropped in err
 
 
 def test_metrics_oracle_agrees_with_eval_output(work, capsys):

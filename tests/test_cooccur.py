@@ -43,6 +43,19 @@ def test_build_cooccurrence_matches_hand_count():
     assert X.size == 3
 
 
+def test_build_cooccurrence_matches_integer_product():
+    rng = np.random.default_rng(8)
+    for n, C in ((1, 2), (7, 3), (60, 11), (300, 40)):
+        vocab = LabelVocabulary(tuple((f"c{j}", "AS") for j in range(C)))
+        Y = (rng.random((n, C)) < rng.uniform(0.05, 0.9)).astype(np.uint8)
+        Y[np.flatnonzero(Y.sum(axis=1) == 0), 0] = 1
+        data = Dataset(vocab, [Sample(f"s{i}", "p", np.zeros(1), row) for i, row in enumerate(Y)])
+        X = build_cooccurrence(data).counts
+        assert X.dtype == np.int64
+        Yi = Y.astype(np.int64)
+        assert np.array_equal(X, Yi.T @ Yi)
+
+
 def test_build_cooccurrence_rejects_empty():
     ds = Dataset(LabelVocabulary((("A", "SP"), ("B", "SP"))), [])
     with pytest.raises(ValueError, match="empty dataset"):

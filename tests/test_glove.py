@@ -87,6 +87,54 @@ def test_train_glove_records_initial_loss_and_length():
     assert res.embedding.vectors.shape == (5, 4)
 
 
+def reference_train_glove(counts, cfg, wcfg, seed):
+    """Reference: Adam with a fresh glove_loss and glove_gradients every epoch.
+
+    This is the loop train_glove used before it reused one residual per
+    epoch for both the loss trace and the next gradient.
+    """
+    X = np.asarray(counts, dtype=np.float64)
+    C = X.shape[0]
+    rng = np.random.default_rng(seed)
+    s = cfg.init_scale
+    params = EmbeddingParams(
+        w=rng.uniform(-s, s, (C, cfg.d)),
+        w_ctx=rng.uniform(-s, s, (C, cfg.d)),
+        b=rng.uniform(-s, s, C),
+        b_ctx=rng.uniform(-s, s, C),
+    )
+    blocks = ("w", "w_ctx", "b", "b_ctx")
+    m = {k: np.zeros_like(getattr(params, k)) for k in blocks}
+    v = {k: np.zeros_like(getattr(params, k)) for k in blocks}
+    trace = [glove_loss(params, X, wcfg)]
+    for t in range(1, cfg.epochs + 1):
+        grads = glove_gradients(params, X, wcfg)
+        for k in blocks:
+            g = getattr(grads, k)
+            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+            m_hat = m[k] / (1.0 - cfg.beta1 ** t)
+            v_hat = v[k] / (1.0 - cfg.beta2 ** t)
+            getattr(params, k)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        trace.append(glove_loss(params, X, wcfg))
+    return np.asarray(trace), params
+
+
+def test_train_glove_is_bit_equal_to_reference_loop():
+    rng = np.random.default_rng(9)
+    for C, d, epochs in ((2, 2, 1), (6, 3, 25), (30, 8, 40)):
+        counts = rng.integers(0, 150, (C, C))
+        counts = np.triu(counts) + np.triu(counts, 1).T  # int64 with zero cells
+        cfg = GloveConfig(d=d, epochs=epochs, learning_rate=0.01)
+        wcfg = WeightingConfig(x_max=50.0)
+        res = train_glove(counts, cfg, wcfg, seed=C)
+        trace, params = reference_train_glove(counts, cfg, wcfg, seed=C)
+        assert np.array_equal(res.loss_trace, trace)
+        for k in ("w", "w_ctx", "b", "b_ctx"):
+            assert np.array_equal(getattr(res.params, k), getattr(params, k))
+        assert np.array_equal(res.embedding.vectors, params.w + params.w_ctx)
+
+
 def test_train_glove_is_deterministic():
     counts = np.array([[40.0, 12.0], [12.0, 30.0]])
     cfg = GloveConfig(d=4, epochs=20)

@@ -95,6 +95,37 @@ def test_sp_argmax_accuracy():
         sp_argmax_accuracy(table, sp_indices=[])
 
 
+def loop_sp_argmax_accuracy(table, sp_indices):
+    """Reference: the per-sample loop sp_argmax_accuracy replaced."""
+    idx = np.asarray(sp_indices, dtype=np.int64)
+    scores = table.scores[:, idx]
+    targets = table.targets[:, idx]
+    preds = binarize(table)[:, idx]
+    correct = 0
+    for i in range(table.n):
+        if targets[i].sum() == 0:
+            correct += int(preds[i].sum() == 0)
+        else:
+            correct += int(targets[i, int(np.argmax(scores[i]))] == 1)
+    return correct / table.n
+
+
+def test_sp_argmax_accuracy_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n, C = int(rng.integers(1, 30)), int(rng.integers(2, 8))
+        # a coarse score grid makes tied top scores common
+        scores = rng.integers(0, 5, (n, C)) / 4.0
+        targets = (rng.random((n, C)) < 0.3).astype(np.uint8)
+        targets[: n // 3, :] = 0  # samples with no plane at all
+        table = ScoreTable(scores, targets, threshold=float(rng.choice([0.0, 0.5, 1.0])))
+        sp = np.sort(rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False))
+        assert sp_argmax_accuracy(table, sp) == loop_sp_argmax_accuracy(table, sp)
+    # tied top scores: the lowest tied index decides
+    table = ScoreTable(np.array([[0.7, 0.7], [0.7, 0.7]]), np.array([[0, 1], [1, 0]]))
+    assert sp_argmax_accuracy(table, [0, 1]) == loop_sp_argmax_accuracy(table, [0, 1]) == 0.5
+
+
 def test_average_precision_hand_cases():
     # Positives at ranks 1 and 3: (1/1 + 2/3) / 2 = 5/6.
     ap = average_precision(np.array([0.9, 0.8, 0.7]), np.array([1, 0, 1]))

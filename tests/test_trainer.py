@@ -10,6 +10,7 @@ from mllgraph import trainer
 from mllgraph.cooccur import build_cooccurrence
 from mllgraph.corpus import (
     Dataset,
+    LabelVocabulary,
     Sample,
     SyntheticConfig,
     generate_synthetic,
@@ -52,6 +53,27 @@ def with_header(raw: bytes, header) -> bytes:
     (n,) = struct.unpack("<I", raw[8:12])
     blob = json.dumps(header).encode("utf-8")
     body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_tensors(raw: bytes, names, **header_changes) -> bytes:
+    """Checkpoint bytes holding only the named tensors, in that order, with a valid CRC.
+
+    A name may be given as (new name, stored name) to store a tensor under
+    another name; header_changes replace other header keys.
+    """
+    header = read_header(raw)
+    (n,) = struct.unpack("<I", raw[8:12])
+    pos = 12 + n
+    stored = {}
+    for meta in header["tensors"]:
+        (size,) = struct.unpack("<Q", raw[pos:pos + 8])
+        stored[meta["name"]] = (meta, raw[pos:pos + 8 + size])
+        pos += 8 + size
+    pairs = [name if isinstance(name, tuple) else (name, name) for name in names]
+    metas = [dict(stored[old][0], name=new) for new, old in pairs]
+    blob = json.dumps(dict(header, tensors=metas, **header_changes)).encode("utf-8")
+    body = raw[:8] + struct.pack("<I", len(blob)) + blob + b"".join(stored[old][1] for _, old in pairs)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -170,6 +192,32 @@ def test_vanilla_contrast_labels_buckets_by_plane():
     ]
     labels = vanilla_contrast_labels(Dataset(vocab, samples))
     assert labels.tolist() == [0, 1, 2]
+
+
+def loop_vanilla_contrast_labels(dataset):
+    """Reference: the per-sample loop vanilla_contrast_labels replaced."""
+    sp_idx = dataset.vocabulary.sp_indices
+    out = np.empty(len(dataset), dtype=np.int64)
+    for i, s in enumerate(dataset.samples):
+        bits = s.labels[sp_idx]
+        out[i] = int(np.argmax(bits)) if bits.any() else sp_idx.size
+    return out
+
+
+def test_vanilla_contrast_labels_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    feats = np.zeros(2)
+    vocabs = [synthetic_vocabulary(3, 4), synthetic_vocabulary(1, 2),
+              LabelVocabulary((("x", "AS"), ("y", "AS"), ("z", "SP"), ("w", "AS"))),
+              LabelVocabulary((("x", "AS"), ("y", "AS")))]  # no plane class at all
+    for vocab in vocabs:
+        rows = (rng.random((25, vocab.size)) < 0.4).astype(np.uint8)
+        rows[:5, vocab.sp_indices] = 0                     # samples with no plane
+        rows[np.flatnonzero(rows.sum(axis=1) == 0), -1] = 1  # every sample needs a label (AS)
+        data = Dataset(vocab, [Sample(f"s{i}", "p", feats, r) for i, r in enumerate(rows)])
+        labels = vanilla_contrast_labels(data)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, loop_vanilla_contrast_labels(data))
 
 
 def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
@@ -326,6 +374,35 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
     ):
         path = tmp_path / f"{name}.mllg"
         path.write_bytes(with_header(raw, bad))
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+
+    # A checksummed file must hold exactly the tensors its variant saves.
+    names = [t["name"] for t in header["tensors"]]
+    same = tmp_path / "same.mllg"
+    same.write_bytes(with_tensors(raw, names))
+    assert checkpoint_bytes(load_checkpoint(same)) == raw
+
+    def without(name):
+        return [n for n in names if n != name]
+
+    swapped = names[:3] + [names[4], names[3]] + names[5:]
+    linear = [n for n in names if not n.startswith("gcn.")] + [("classifier", "gcn.1.weight")]
+    for name, data, match in (
+        ("no_correlation", with_tensors(raw, without("correlation")), "correlation"),
+        ("no_centroids", with_tensors(raw, without("centroids")), "centroids"),
+        ("no_gcn_layer", with_tensors(raw, without("gcn.1.weight")), "gcn.1.weight"),
+        ("no_encoder_bias", with_tensors(raw, without("encoder.1.bias")), "encoder.1.bias"),
+        ("extra", with_tensors(raw, names + [("extra", "centroids")]), "do not match"),
+        ("renamed", with_tensors(raw, [("other" if n == "centroids" else n, n) for n in names]),
+         "centroids"),
+        ("reordered", with_tensors(raw, swapped), "do not match"),
+        ("centroids_in_gcn", with_tensors(raw, names, variant="MLL-GCN"), "do not match"),
+        ("graph_in_crc", with_tensors(raw, linear, variant="MLL-CRC", classifier_kind="linear",
+                                      gcn_layers=None), "do not match"),
+    ):
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(data)
         with pytest.raises(CheckpointFormatError, match=match):
             load_checkpoint(path)
 
