@@ -27,7 +27,7 @@ from .cooccur import (
     normalize_adjacency,
 )
 from .glove import EmbeddingMatrix, GloveConfig, train_glove
-from .graph import GcnLayer, GcnStack, gcn_forward, init_gcn_stack
+from .graph import GcnLayer, GcnStack, gcn_forward, init_gcn_stack, propagate
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
 from .relabel import ClusterModel, KMeansResult, kmeans, mean_embedding, relabel
 from .losses import LossConfig, contrastive_loss, cosine_similarity, mll_loss
@@ -85,6 +85,7 @@ __all__ = [
     "mean_embedding",
     "mll_loss",
     "normalize_adjacency",
+    "propagate",
     "relabel",
     "run_pipeline",
     "save_checkpoint",

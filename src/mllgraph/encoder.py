@@ -108,8 +108,7 @@ def encoder_gradients(upstream: np.ndarray, cache: EncodeCache, params: EncoderP
         if i == n_layers - 1:
             dz = dh
         else:
-            z = cache.preacts[i]
-            dz = dh * np.where(z >= 0, 1.0, params.slope)
+            dz = np.where(cache.preacts[i] >= 0, dh, dh * params.slope)
         dWs[i] = cache.inputs[i].T @ dz
         dbs[i] = dz.sum(axis=0)
         dh = dz @ params.weights[i].T

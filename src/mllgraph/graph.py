@@ -69,10 +69,10 @@ def _activate(H: np.ndarray, layer: GcnLayer) -> np.ndarray:
     return np.where(H >= 0, H, layer.slope * H)
 
 
-def _activation_grad(H: np.ndarray, layer: GcnLayer) -> np.ndarray:
+def _activation_backward(dG: np.ndarray, H: np.ndarray, layer: GcnLayer) -> np.ndarray:
     if layer.activation == "identity":
-        return np.ones_like(H)
-    return np.where(H >= 0, 1.0, layer.slope)
+        return dG
+    return np.where(H >= 0, dG, dG * layer.slope)
 
 
 @dataclass
@@ -81,17 +81,30 @@ class GcnCache:
     preacts: list = field(default_factory=list)
 
 
-def gcn_forward(embeddings: np.ndarray, correlation: np.ndarray, stack: GcnStack):
-    """Run G <- act(B G W) through the stack; returns (classifier, cache)."""
-    G = np.asarray(embeddings, dtype=np.float64)
+def propagate(embeddings: np.ndarray, correlation: np.ndarray) -> np.ndarray:
+    """B Z, the first layer's propagated input; fixed while Z and B are."""
+    Z = np.asarray(embeddings, dtype=np.float64)
     B = np.asarray(correlation, dtype=np.float64)
-    if G.ndim != 2 or B.shape != (G.shape[0], G.shape[0]):
+    if Z.ndim != 2 or B.shape != (Z.shape[0], Z.shape[0]):
         raise ValueError("embeddings must be (C, d) with a matching (C, C) correlation")
-    if G.shape[1] != stack.input_dim:
-        raise ValueError(f"embedding width {G.shape[1]} != stack input {stack.input_dim}")
+    return B @ Z
+
+
+def gcn_forward(propagated: np.ndarray, correlation: np.ndarray, stack: GcnStack):
+    """Run G <- act(B G W) through the stack from B Z = propagate(Z, B).
+
+    Returns (classifier, cache).
+    """
+    M = np.asarray(propagated, dtype=np.float64)
+    B = np.asarray(correlation, dtype=np.float64)
+    if M.ndim != 2 or B.shape != (M.shape[0], M.shape[0]):
+        raise ValueError("B Z must be (C, d) with a matching (C, C) correlation")
+    if M.shape[1] != stack.input_dim:
+        raise ValueError(f"B Z width {M.shape[1]} != stack input {stack.input_dim}")
     cache = GcnCache()
-    for layer in stack.layers:
-        M = B @ G
+    for i, layer in enumerate(stack.layers):
+        if i:
+            M = B @ G
         H = M @ layer.weights
         cache.propagated.append(M)
         cache.preacts.append(H)
@@ -100,14 +113,19 @@ def gcn_forward(embeddings: np.ndarray, correlation: np.ndarray, stack: GcnStack
 
 
 def gcn_gradients(upstream: np.ndarray, cache: GcnCache, correlation: np.ndarray, stack: GcnStack):
-    """Backpropagate d(loss)/d(classifier); returns (per-layer dW, d(embeddings))."""
+    """Backpropagate d(loss)/d(classifier); returns (per-layer dW, d(B Z)).
+
+    d(embeddings) is B.T @ d(B Z); training keeps Z frozen and skips it.
+    """
     B = np.asarray(correlation, dtype=np.float64)
     dG = np.asarray(upstream, dtype=np.float64)
     n_layers = len(stack.layers)
     dWs = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         layer = stack.layers[i]
-        dH = dG * _activation_grad(cache.preacts[i], layer)
+        dH = _activation_backward(dG, cache.preacts[i], layer)
         dWs[i] = cache.propagated[i].T @ dH
-        dG = B.T @ (dH @ layer.weights.T)
-    return dWs, dG
+        dM = dH @ layer.weights.T
+        if i:
+            dG = B.T @ dM
+    return dWs, dM

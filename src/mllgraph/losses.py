@@ -32,11 +32,14 @@ class LossConfig:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    return _sigmoid_from(x, np.exp(-np.abs(x)))
+
+
+def _sigmoid_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(x) given e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e)."""
+    d = 1.0 + e
+    out = np.divide(e, d, out=np.empty_like(x))
+    np.divide(1.0, d, out=out, where=x >= 0)
     return out
 
 
@@ -51,9 +54,12 @@ def mll_loss_and_grad(scores: np.ndarray, targets: np.ndarray):
     y = np.asarray(targets, dtype=np.float64)
     if s.shape != y.shape:
         raise ValueError(f"scores {s.shape} and targets {y.shape} differ")
-    bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    grad = (sigmoid(s) - y) / s.size
-    return float(bce.mean()), grad
+    e = np.exp(-np.abs(s))
+    bce = np.maximum(s, 0.0) - s * y + np.log1p(e)
+    grad = _sigmoid_from(s, e)
+    grad -= y
+    grad /= s.size
+    return float(bce.sum() / bce.size), grad  # bce.mean() without its wrapper
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,7 +75,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _unit_rows(X: np.ndarray):
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.sqrt((X * X).sum(axis=1))  # what np.linalg.norm(X, axis=1) computes
     zero = norms == 0.0
     if zero.any():
         diagnostics.record("contrastive_zero_norm", int(zero.sum()))
@@ -79,14 +85,13 @@ def _unit_rows(X: np.ndarray):
     return U, safe, zero
 
 
-def _pair_terms(n: int, labels: np.ndarray, cfg: LossConfig):
-    same = labels[:, None] == labels[None, :]
-    off = ~np.eye(n, dtype=bool)
-    pos = same & off
-    neg = ~same
+def _pair_terms(labels: np.ndarray, cfg: LossConfig):
+    pos = labels[:, None] == labels[None, :]
+    neg = ~pos
+    np.fill_diagonal(pos, False)
     if cfg.contrastive_normalization == "pair_mean":
-        n_pos = int(pos.sum())
-        n_neg = int(neg.sum())
+        n_pos = np.count_nonzero(pos)
+        n_neg = np.count_nonzero(neg)
         w_pos = 1.0 / n_pos if n_pos else 0.0
         w_neg = 1.0 / n_neg if n_neg else 0.0
     else:
@@ -115,16 +120,18 @@ def contrastive_loss_and_grad(representations: np.ndarray, labels: np.ndarray, c
         diagnostics.record("contrastive_undersized_batch")
         return 0.0, np.zeros_like(X)
     U, safe, zero = _unit_rows(X)
-    S = np.clip(U @ U.T, -1.0, 1.0)
-    pos, neg, w_pos, w_neg = _pair_terms(n, labels, cfg)
+    S = U @ U.T
+    np.minimum(np.maximum(S, -1.0, out=S), 1.0, out=S)  # np.clip(S, -1, 1) in place
+    pos, neg, w_pos, w_neg = _pair_terms(labels, cfg)
     loss = float(
-        cfg.alpha * w_pos * (1.0 - S)[pos].sum() + cfg.beta * w_neg * (1.0 + S)[neg].sum()
+        cfg.alpha * w_pos * (1.0 - S[pos]).sum() + cfg.beta * w_neg * (1.0 + S[neg]).sum()
     )
-    # loss is linear in the similarity entries: dL/dS_ij is a constant per pair
-    G = np.zeros((n, n))
-    G[pos] = -cfg.alpha * w_pos
-    G[neg] = cfg.beta * w_neg
-    dU = (G + G.T) @ U
+    # loss is linear in the similarity entries: dL/dS_ij = G_ij is a constant
+    # per pair kind and 0 on the diagonal. G is symmetric, so the (G + G.T) U
+    # of the chain rule is 2 G U, exactly.
+    G = np.where(neg, 2.0 * (cfg.beta * w_neg), 2.0 * (-cfg.alpha * w_pos))
+    np.fill_diagonal(G, 0.0)
+    dU = G @ U
     dX = (dU - (U * dU).sum(axis=1)[:, None] * U) / safe[:, None]
     dX[zero] = 0.0
     return loss, dX

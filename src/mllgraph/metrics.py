@@ -60,6 +60,15 @@ def _safe_ratio(num: float, den: float, event: str) -> float:
     return num / den
 
 
+def _safe_ratios(num: np.ndarray, den: np.ndarray, event: str) -> np.ndarray:
+    """num / den per element, 0 where den is 0; each such element is counted."""
+    zero = den == 0
+    n_zero = int(np.count_nonzero(zero))
+    if n_zero:
+        diagnostics.record(event, n_zero)
+    return np.divide(num, den, out=np.zeros_like(num), where=~zero)
+
+
 def overall_and_perclass(table: ScoreTable):
     """(OP, OR, OF1, CP, CR, CF1); every 0/0 is defined as 0 and counted."""
     pred = binarize(table).astype(bool)
@@ -70,12 +79,8 @@ def overall_and_perclass(table: ScoreTable):
     op = _safe_ratio(tp.sum(), tp.sum() + fp.sum(), "overall_precision_zero_division")
     orec = _safe_ratio(tp.sum(), tp.sum() + fn.sum(), "overall_recall_zero_division")
     of1 = _safe_ratio(2.0 * op * orec, op + orec, "overall_f1_zero_division")
-    cp = float(
-        np.mean([_safe_ratio(tp[c], tp[c] + fp[c], "perclass_precision_zero_division") for c in range(len(tp))])
-    )
-    cr = float(
-        np.mean([_safe_ratio(tp[c], tp[c] + fn[c], "perclass_recall_zero_division") for c in range(len(tp))])
-    )
+    cp = float(np.mean(_safe_ratios(tp, tp + fp, "perclass_precision_zero_division")))
+    cr = float(np.mean(_safe_ratios(tp, tp + fn, "perclass_recall_zero_division")))
     cf1 = _safe_ratio(2.0 * cp * cr, cp + cr, "perclass_f1_zero_division")
     return float(op), float(orec), float(of1), float(cp), float(cr), cf1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 import typing
 import zlib
@@ -28,7 +29,7 @@ from .cooccur import (
 from .corpus import Dataset, LabelVocabulary
 from .encoder import EncoderConfig, EncoderParams, encode, encoder_gradients, init_encoder
 from .glove import GloveConfig, train_glove
-from .graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack
+from .graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
 from .losses import (
     CONTRASTIVE_MODES,
     LossConfig,
@@ -154,11 +155,20 @@ class LinearHead:
         """The correlation matrix this head propagates over: none."""
         return None
 
+    @staticmethod
+    def graph_input(Z, B):
+        """The frozen input `forward` reads: none."""
+        return None
+
     @property
     def params(self) -> list:
         return [self.weights]
 
-    def forward(self, Z, B):
+    @params.setter
+    def params(self, values) -> None:
+        (self.weights,) = values
+
+    def forward(self, BZ, B):
         return self.weights, None
 
     def backward(self, dK, cache, B) -> list:
@@ -195,12 +205,22 @@ class GcnHead:
         """The normalized label-correlation matrix B-hat built from the counts."""
         return normalize_adjacency(build_adjacency(X, cfg)).matrix
 
+    @staticmethod
+    def graph_input(Z, B) -> np.ndarray:
+        """B-hat Z, the frozen input `forward` reads."""
+        return propagate(Z, B)
+
     @property
     def params(self) -> list:
         return [layer.weights for layer in self.stack.layers]
 
-    def forward(self, Z, B):
-        return gcn_forward(Z, B, self.stack)
+    @params.setter
+    def params(self, values) -> None:
+        for layer, W in zip(self.stack.layers, values, strict=True):
+            layer.weights = W
+
+    def forward(self, BZ, B):
+        return gcn_forward(BZ, B, self.stack)
 
     def backward(self, dK, cache, B) -> list:
         return gcn_gradients(dK, cache, B, self.stack)[0]
@@ -262,19 +282,29 @@ class PipelineResult:
 
 
 class _MomentumSGD:
-    """Classic momentum: v <- m v - lr g; p <- p + v. Updates in place."""
+    """Classic momentum: v <- m v - lr g; p <- p + v, over one flat buffer.
+
+    The given parameters are copied into the buffer; `params` holds views of
+    it with their shapes, in their order, and those views are what trains.
+    """
 
     def __init__(self, params, learning_rate: float, momentum: float):
-        self.params = params
-        self.velocity = [np.zeros_like(p) for p in params]
+        self.flat = np.concatenate([p.ravel() for p in params])
+        self.params = []
+        offset = 0
+        for p in params:
+            self.params.append(self.flat[offset:offset + p.size].reshape(p.shape))
+            offset += p.size
+        self.velocity = np.zeros_like(self.flat)
         self.learning_rate = learning_rate
         self.momentum = momentum
 
     def step(self, grads) -> None:
-        for p, v, g in zip(self.params, self.velocity, grads):
-            v *= self.momentum
-            v -= self.learning_rate * g
-            p += v
+        g = np.concatenate([g.ravel() for g in grads])
+        g *= self.learning_rate
+        self.velocity *= self.momentum
+        self.velocity -= g
+        self.flat += self.velocity
 
 
 def vanilla_contrast_labels(dataset: Dataset) -> np.ndarray:
@@ -331,17 +361,21 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         contrast_labels = vanilla_contrast_labels(train)
 
     # phase 2: encoder + classifier under momentum SGD. The phase-1 tensors
-    # are made read-only, so an in-place write to them raises.
-    Z.setflags(write=False)
-    if bhat is not None:
-        bhat.setflags(write=False)
+    # and the head's input built from them are made read-only, so an
+    # in-place write to them raises.
+    BZ = Head.graph_input(Z, bhat)
+    for frozen in (Z, bhat, BZ):
+        if frozen is not None:
+            frozen.setflags(write=False)
     enc = init_encoder(train.feature_dim, cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
     head = Head.init(
         train.vocabulary.size, cfg.glove.d, cfg.encoder.output_dim,
         seed=stage_seed(cfg.seed, "classifier_init"),
     )
-    params = list(enc.weights) + list(enc.biases) + head.params
-    sgd = _MomentumSGD(params, cfg.learning_rate, cfg.momentum)
+    n_enc = len(enc.weights)
+    sgd = _MomentumSGD(enc.weights + enc.biases + head.params, cfg.learning_rate, cfg.momentum)
+    enc = EncoderParams(sgd.params[:n_enc], sgd.params[n_enc:2 * n_enc], enc.slope)
+    head.params = sgd.params[2 * n_enc:]
     rng_batches = stage_rng(cfg.seed, "batches")
 
     Xtr = train.features_matrix()
@@ -359,7 +393,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         for bstart in range(0, n, cfg.batch_size):
             batch = perm[bstart:bstart + cfg.batch_size]
             reps, ecache = encode(Xtr[batch], enc)
-            K, hcache = head.forward(Z, bhat)
+            K, hcache = head.forward(BZ, bhat)
             scores = reps @ K.T
             mll, d_scores = mll_loss_and_grad(scores, Ytr[batch])
             d_reps = d_scores @ K
@@ -368,14 +402,14 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
                 closs, d_reps_c = contrastive_loss_and_grad(reps, contrast_labels[batch], cfg.loss)
                 total = mll + cfg.loss.lam * closs
                 d_reps = d_reps + cfg.loss.lam * d_reps_c
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 raise TrainingDivergedError(epoch, bstart // cfg.batch_size)
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
             sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, bhat))
             loss_sum += total * batch.size
         val_reps, _ = encode(Xval, enc)
-        K, _ = head.forward(Z, bhat)
+        K, _ = head.forward(BZ, bhat)
         probs = sigmoid(val_reps @ K.T)
         vm = exact_match(ScoreTable(probs, Yval, 0.5))
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
@@ -407,7 +441,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
 def classifier_matrix(cp: Checkpoint) -> np.ndarray:
     """The (C, D) classifier the checkpoint scores with."""
-    K, _ = cp.head.forward(cp.embeddings, cp.correlation)
+    K, _ = cp.head.forward(cp.head.graph_input(cp.embeddings, cp.correlation), cp.correlation)
     return K
 
 
@@ -547,7 +581,7 @@ def load_checkpoint(path) -> Checkpoint:
     # the header passed the checksum but may still lack keys or mistype them
     try:
         return _checkpoint_from_header(header, r)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CheckpointFormatError(f"malformed header: {type(exc).__name__}: {exc}") from exc
 
 
@@ -590,11 +624,47 @@ def _checkpoint_from_header(header: dict, r: _Reader) -> Checkpoint:
         centroids=tensors["centroids"] if variant.contrastive_mode == "cluster_relabeled" else None,
         epoch=int(header["epoch"]),
     )
-    # the file must hold exactly the tensors a save of this variant writes
+    # the file must hold exactly the tensors a save of this variant writes,
+    # each with the shape training gives it
     stored = [meta["name"] for meta in header["tensors"]]
-    expected = [name for name, _ in _tensor_entries(cp)]
-    if stored != expected:
+    entries = [(name, list(arr.shape)) for name, arr in _tensor_entries(cp)]
+    if stored != [name for name, _ in entries]:
         raise CheckpointFormatError(
-            f"tensors {stored} do not match the {expected} that variant {variant.name} stores"
+            f"tensors {stored} do not match the {[name for name, _ in entries]} "
+            f"that variant {variant.name} stores"
+        )
+    expected = _saved_tensor_shapes(variant, config, vocab, enc.input_dim)
+    if entries != expected:
+        raise CheckpointFormatError(
+            f"tensor shapes {_shape_list(entries)} do not match the {_shape_list(expected)} "
+            f"that variant {variant.name} stores for {vocab.size} classes with this config"
         )
     return cp
+
+
+def _saved_tensor_shapes(variant: VariantSpec, config: TrainConfig, vocab: LabelVocabulary,
+                         input_dim: int) -> list:
+    """(name, shape) of each tensor a save of this variant writes, in order.
+
+    The shapes are those training builds from the vocabulary and config;
+    the encoder's input (feature) width is the one the header does not fix.
+    """
+    Head = head_type(variant)
+    C, d = vocab.size, config.glove.d
+    crc = variant.contrastive_mode == "cluster_relabeled"
+    stand_in = Checkpoint(
+        variant=variant,
+        config=config,
+        vocabulary=vocab,
+        encoder_params=init_encoder(input_dim, config.encoder),
+        head=Head.init(C, d, config.encoder.output_dim, seed=0),
+        embeddings=np.empty((C, d)),
+        correlation=np.empty((C, C)) if Head is GcnHead else None,
+        centroids=np.empty((config.n_clusters, d)) if crc else None,
+        epoch=0,
+    )
+    return [(name, list(arr.shape)) for name, arr in _tensor_entries(stand_in)]
+
+
+def _shape_list(entries) -> str:
+    return ", ".join(f"{name}{shape}" for name, shape in entries)

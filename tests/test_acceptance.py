@@ -20,7 +20,7 @@ from mllgraph.cooccur import WeightingConfig
 from mllgraph.corpus import SyntheticConfig, generate_synthetic, split_by_subject
 from mllgraph.encoder import EncoderConfig, encode, encoder_gradients, init_encoder
 from mllgraph.glove import EmbeddingParams, GloveConfig, glove_gradients, glove_loss, train_glove
-from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack
+from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
 from mllgraph.losses import (
     LossConfig,
     contrastive_loss,
@@ -92,18 +92,19 @@ def _graph_path_gradcheck(rng) -> float:
     while True:
         Z = rng.standard_normal((C, d))
         stack = init_gcn_stack((d, d, D), seed=int(rng.integers(100_000)))
-        _, cache = gcn_forward(Z, B, stack)
+        _, cache = gcn_forward(propagate(Z, B), B, stack)
         if away_from_kinks(cache.preacts[:-1]):
             break
 
     def path_loss(Zv, stack_v):
-        K, _ = gcn_forward(Zv, B, stack_v)
+        K, _ = gcn_forward(propagate(Zv, B), B, stack_v)
         return mll_loss(reps @ K.T, targets)
 
-    K, cache = gcn_forward(Z, B, stack)
+    K, cache = gcn_forward(propagate(Z, B), B, stack)
     _, d_scores = mll_loss_and_grad(reps @ K.T, targets)
     dK = d_scores.T @ reps
-    dWs, dZ = gcn_gradients(dK, cache, B, stack)
+    dWs, dBZ = gcn_gradients(dK, cache, B, stack)
+    dZ = B.T @ dBZ
 
     worst = max_rel_err(dZ, numeric_gradient(lambda Zv: path_loss(Zv, stack), Z))
     for li in range(2):

@@ -7,7 +7,7 @@ from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.metrics import METRIC_KEYS
 from mllgraph.trainer import LinearHead, load_checkpoint
 
-from test_trainer import read_header, with_header, with_tensors
+from test_trainer import read_header, with_header, with_shapes, with_tensors
 
 SMALL_SETS = [
     "--set", "synthetic.n_samples=120",
@@ -232,6 +232,22 @@ def test_eval_and_export_reject_missing_variant_tensors(work, tmp_path, capsys):
                      "--out", str(tmp_path / f"export_{dropped}")]) == 1
         err = capsys.readouterr().err
         assert err.count("error: malformed header") == 2 and dropped in err
+
+
+def test_eval_and_export_reject_misshapen_tensors(work, tmp_path, capsys):
+    raw = (work / "crc" / "checkpoint.mllg").read_bytes()
+    data = str(work / "synth" / "dataset.jsonl")
+    for name, shapes in (("correlation", {"correlation": [3, 27]}),
+                         ("embeddings", {"embeddings": [8, 9]})):
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(with_shapes(raw, shapes))
+        assert main(["eval", "--checkpoint", str(path), "--data", data,
+                     "--out", str(tmp_path / f"eval_{name}")]) == 1
+        assert main(["export", "--checkpoint", str(path), "--what", name,
+                     "--out", str(tmp_path / f"export_{name}")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: tensor shapes") == 2 and name in err
+        assert not (tmp_path / f"export_{name}").exists()
 
 
 def test_metrics_oracle_agrees_with_eval_output(work, capsys):

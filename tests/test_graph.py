@@ -7,6 +7,7 @@ from mllgraph.graph import (
     gcn_forward,
     gcn_gradients,
     init_gcn_stack,
+    propagate,
 )
 
 from gradcheck import away_from_kinks, max_rel_err, numeric_gradient
@@ -54,7 +55,7 @@ def test_single_identity_layer_is_plain_propagation():
     B = rng.random((4, 4))
     W = rng.standard_normal((3, 2))
     stack = GcnStack([GcnLayer(W, "identity")])
-    K, cache = gcn_forward(Z, B, stack)
+    K, cache = gcn_forward(propagate(Z, B), B, stack)
     assert np.allclose(K, B @ Z @ W)
     assert np.allclose(cache.propagated[0], B @ Z)
 
@@ -66,13 +67,15 @@ def test_leaky_activation_between_layers():
         GcnLayer(np.array([[1.0]]), "leaky", slope=0.2),
         GcnLayer(np.array([[1.0]]), "identity"),
     ])
-    K, _ = gcn_forward(Z, B, stack)
+    K, _ = gcn_forward(propagate(Z, B), B, stack)
     assert K[0, 0] == pytest.approx(1.0)
     assert K[1, 0] == pytest.approx(-0.2)
 
 
 def test_forward_validates_shapes():
     stack = init_gcn_stack((3, 2), seed=0)
+    with pytest.raises(ValueError, match="correlation"):
+        propagate(np.ones((4, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="correlation"):
         gcn_forward(np.ones((4, 3)), np.ones((3, 3)), stack)
     with pytest.raises(ValueError, match="stack input"):
@@ -88,16 +91,17 @@ def test_gradients_match_numeric():
         while True:
             Z = rng.standard_normal((C, d))
             stack = init_gcn_stack((d, 3, D), seed=int(rng.integers(10_000)))
-            _, cache = gcn_forward(Z, B, stack)
+            _, cache = gcn_forward(propagate(Z, B), B, stack)
             if away_from_kinks(cache.preacts[:-1]):
                 break
 
         def loss_for(stack_):
-            K, _ = gcn_forward(Z, B, stack_)
+            K, _ = gcn_forward(propagate(Z, B), B, stack_)
             return float((K * upstream).sum())
 
-        K, cache = gcn_forward(Z, B, stack)
-        dWs, dZ = gcn_gradients(upstream, cache, B, stack)
+        K, cache = gcn_forward(propagate(Z, B), B, stack)
+        dWs, dBZ = gcn_gradients(upstream, cache, B, stack)
+        dZ = B.T @ dBZ
 
         for li in range(2):
             def f(W, _li=li):
@@ -111,7 +115,7 @@ def test_gradients_match_numeric():
             assert max_rel_err(dWs[li], numeric) < 1e-6
 
         def f_z(Zx):
-            K2, _ = gcn_forward(Zx, B, stack)
+            K2, _ = gcn_forward(propagate(Zx, B), B, stack)
             return float((K2 * upstream).sum())
 
         assert max_rel_err(dZ, numeric_gradient(f_z, Z)) < 1e-6

@@ -67,6 +67,64 @@ def test_zero_division_conventions_count():
     assert diagnostics.count("overall_precision_zero_division") == before + 1
 
 
+def overall_and_perclass_reference(table):
+    """Per-class P/R one class at a time, each 0/0 counted as it is met."""
+    pred = binarize(table).astype(bool)
+    tgt = table.targets.astype(bool)
+    tp = (pred & tgt).sum(axis=0).astype(np.float64)
+    fp = (pred & ~tgt).sum(axis=0).astype(np.float64)
+    fn = (~pred & tgt).sum(axis=0).astype(np.float64)
+
+    def safe_ratio(num, den, event):
+        if den == 0:
+            diagnostics.record(event)
+            return 0.0
+        return num / den
+
+    op = safe_ratio(tp.sum(), tp.sum() + fp.sum(), "overall_precision_zero_division")
+    orec = safe_ratio(tp.sum(), tp.sum() + fn.sum(), "overall_recall_zero_division")
+    of1 = safe_ratio(2.0 * op * orec, op + orec, "overall_f1_zero_division")
+    cp = float(np.mean([safe_ratio(tp[c], tp[c] + fp[c], "perclass_precision_zero_division")
+                        for c in range(len(tp))]))
+    cr = float(np.mean([safe_ratio(tp[c], tp[c] + fn[c], "perclass_recall_zero_division")
+                        for c in range(len(tp))]))
+    cf1 = safe_ratio(2.0 * cp * cr, cp + cr, "perclass_f1_zero_division")
+    return float(op), float(orec), float(of1), float(cp), float(cr), cf1
+
+
+def test_overall_and_perclass_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    tables = []
+    for n, C in ((1, 1), (1, 5), (6, 4), (40, 39), (25, 300)):
+        for _ in range(3):
+            scores = rng.random((n, C))
+            targets = rng.integers(0, 2, (n, C))
+            cols = rng.permutation(C)[: max(1, C // 4)]
+            scores[:, cols[::2]] = 0.1      # nothing predicted: precision 0/0
+            targets[:, cols[::3]] = 0       # no positives: recall 0/0 (both where they meet)
+            tables.append(ScoreTable(scores, targets))
+    tables.append(ScoreTable(np.full((3, 4), 0.2), np.zeros((3, 4))))   # every ratio 0/0
+    for table in tables:
+        before = diagnostics.snapshot()
+        got = overall_and_perclass(table)
+        mid = diagnostics.snapshot()
+        want = overall_and_perclass_reference(table)
+        after = diagnostics.snapshot()
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        for key in set(after) | set(before):
+            assert mid.get(key, 0) - before.get(key, 0) == after.get(key, 0) - mid.get(key, 0)
+
+
+def test_perclass_zero_division_records_no_zero_counts():
+    diagnostics.reset()
+    overall_and_perclass(ScoreTable(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[1, 0], [0, 1]])))
+    assert diagnostics.snapshot() == {}
+    overall_and_perclass(ScoreTable(np.array([[0.9, 0.1], [0.1, 0.1]]), np.array([[1, 0], [0, 0]])))
+    assert diagnostics.snapshot() == {
+        "perclass_precision_zero_division": 1, "perclass_recall_zero_division": 1,
+    }
+
+
 def test_exact_match_and_restrict():
     scores = np.array([[0.9, 0.1, 0.9], [0.9, 0.9, 0.1]])
     targets = np.array([[1, 0, 1], [1, 0, 0]])

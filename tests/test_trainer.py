@@ -77,6 +77,15 @@ def with_tensors(raw: bytes, names, **header_changes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def with_shapes(raw: bytes, shapes: dict, **header_changes) -> bytes:
+    """Checkpoint bytes whose header declares the given shapes for the named
+    tensors (same byte counts), with a valid CRC; header_changes replace
+    other header keys."""
+    header = read_header(raw)
+    metas = [dict(meta, shape=shapes.get(meta["name"], meta["shape"])) for meta in header["tensors"]]
+    return with_header(raw, dict(header, tensors=metas, **header_changes))
+
+
 def small_train_config(**overrides) -> TrainConfig:
     base = dict(
         epochs=3,
@@ -406,6 +415,31 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
         with pytest.raises(CheckpointFormatError, match=match):
             load_checkpoint(path)
 
+    # ... and each tensor with the shape training gives it for the header's
+    # vocabulary (9 classes) and config (d = 8, 4 clusters, widths 8 and 16).
+    config = header["config"]
+    one_layer = [header["gcn_layers"][0]]
+    for name, data, match in (
+        ("correlation_shape", with_shapes(raw, {"correlation": [3, 27]}), r"correlation\[3, 27\]"),
+        ("embeddings_shape", with_shapes(raw, {"embeddings": [8, 9]}), r"embeddings\[8, 9\]"),
+        ("centroids_shape", with_shapes(raw, {"centroids": [2, 16]}), r"centroids\[2, 16\]"),
+        ("gcn_shapes", with_shapes(raw, {"gcn.0.weight": [4, 16], "gcn.1.weight": [16, 8]}),
+         r"gcn.0.weight\[4, 16\]"),
+        ("glove_d", with_header(raw, dict(header, config=dict(config, glove=dict(config["glove"], d=4)))),
+         r"embeddings\[9, 4\]"),
+        ("n_clusters", with_header(raw, dict(header, config=dict(config, n_clusters=2))),
+         r"centroids\[2, 8\]"),
+        ("encoder_widths", with_header(raw, dict(header, config=dict(
+            config, encoder=dict(config["encoder"], layer_widths=[8, 32])))),
+         r"encoder.1.weight\[8, 32\]"),
+        ("one_gcn_layer", with_header(raw, dict(header, gcn_layers=one_layer)), "do not match"),
+        ("flat_encoder_weight", with_shapes(raw, {"encoder.0.weight": [128]}), "malformed header"),
+    ):
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+
 
 def test_checkpoint_roundtrip_linear_head(small_splits, tmp_path):
     train, val, _ = small_splits
@@ -467,15 +501,24 @@ def test_checkpoint_header_golden(crc_result, small_splits):
         assert {t["dtype"] for t in header["tensors"]} == {"<f8"}
 
 
-@pytest.mark.parametrize("arg", [0, 1], ids=["embeddings", "correlation"])
-def test_phase_one_tensors_are_read_only_in_phase_two(small_splits, monkeypatch, arg):
+@pytest.mark.parametrize("target", ["embeddings", "correlation", "propagated"])
+def test_phase_one_tensors_are_read_only_in_phase_two(small_splits, monkeypatch, target):
+    """Z, B-hat and the B-hat Z the GCN head reads every batch cannot be written."""
     train, val, _ = small_splits
+    real_glove = trainer.train_glove
     real_forward = trainer.gcn_forward
+    glove = []
 
-    def writing_forward(*args):
-        args[arg][0, 0] += 1.0
-        return real_forward(*args)
+    def recording_glove(*args, **kwargs):
+        glove.append(real_glove(*args, **kwargs))
+        return glove[-1]
 
+    def writing_forward(BZ, B, stack):
+        arrays = {"embeddings": glove[0].embedding.vectors, "correlation": B, "propagated": BZ}
+        arrays[target][0, 0] += 1.0
+        return real_forward(BZ, B, stack)
+
+    monkeypatch.setattr(trainer, "train_glove", recording_glove)
     monkeypatch.setattr(trainer, "gcn_forward", writing_forward)
     with pytest.raises(ValueError, match="read-only"):
         run_pipeline(train, val, VariantSpec.from_name("MLL-GCN"), small_train_config())
