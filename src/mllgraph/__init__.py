@@ -10,7 +10,6 @@ from .corpus import (
     Dataset,
     DatasetFormatError,
     LabelVocabulary,
-    Sample,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -62,7 +61,6 @@ __all__ = [
     "LossConfig",
     "MetricsReport",
     "NormalizedCorrelation",
-    "Sample",
     "ScoreTable",
     "SyntheticConfig",
     "TrainConfig",

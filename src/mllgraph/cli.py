@@ -237,8 +237,9 @@ def cmd_train(args) -> int:
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
 
-    dataset = _obtain_dataset(cfg)
-    train, val, test = split_by_subject(dataset, ratios, stage_seed(cfg["seed"], "split"))
+    # the splits hold copies of their rows, so the whole corpus is not kept beside them
+    train, val, test = split_by_subject(_obtain_dataset(cfg), ratios, stage_seed(cfg["seed"], "split"))
+    vocab = train.vocabulary
     print(f"variant {variant.name}, seed {cfg['seed']}")
     print(f"split sizes: train {len(train)} / val {len(val)} / test {len(test)}")
 
@@ -246,12 +247,12 @@ def cmd_train(args) -> int:
     cp = result.checkpoint
     save_checkpoint(cp, out / "checkpoint.mllg")
     _write_config_snapshot(cfg, out)
-    dataset.vocabulary.save(out / "vocabulary.json")
+    vocab.save(out / "vocabulary.json")
 
-    write_matrix_csv(out / "cooccurrence.csv", result.cooccurrence.counts, dataset.vocabulary.names)
+    write_matrix_csv(out / "cooccurrence.csv", result.cooccurrence.counts, vocab.names)
     if cp.correlation is not None:
-        write_matrix_csv(out / "correlation.csv", cp.correlation, dataset.vocabulary.names)
-    write_embeddings_csv(out / "embeddings.csv", cp.embeddings, dataset.vocabulary.names)
+        write_matrix_csv(out / "correlation.csv", cp.correlation, vocab.names)
+    write_embeddings_csv(out / "embeddings.csv", cp.embeddings, vocab.names)
     with open(out / "glove_trace.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,loss\n")
         for i, v in enumerate(result.glove_loss_trace):
@@ -268,11 +269,9 @@ def cmd_train(args) -> int:
         if len(split) == 0:
             continue
         table = score_dataset(cp, split, threshold)
-        report = compute_report(table, dataset.vocabulary.sp_indices, sp_mode)
+        report = compute_report(table, vocab.sp_indices, sp_mode)
         (out / f"metrics_{name}.json").write_text(format_report_json(report), encoding="utf-8")
-        write_score_csv(
-            out / f"scores_{name}.csv", table, [s.id for s in split.samples], dataset.vocabulary.names
-        )
+        write_score_csv(out / f"scores_{name}.csv", table, split.ids, vocab.names)
         scaled = {k: round(v * 100.0, 2) for k, v in report.as_dict().items()}
         print(f"{name}: " + " ".join(f"{k}={scaled[k]}" for k in ("MLL_ACC", "SP_ACC", "mAP", "HL")))
 
@@ -293,7 +292,7 @@ def cmd_eval(args) -> int:
     table = score_dataset(cp, dataset, args.threshold)
     report = compute_report(table, cp.vocabulary.sp_indices, args.sp_mode)
     (out / "metrics.json").write_text(format_report_json(report), encoding="utf-8")
-    write_score_csv(out / "scores.csv", table, [s.id for s in dataset.samples], cp.vocabulary.names)
+    write_score_csv(out / "scores.csv", table, dataset.ids, cp.vocabulary.names)
     cp.vocabulary.save(out / "vocabulary.json")
     with open(out / "per_class_ap.csv", "w", encoding="utf-8") as fh:
         fh.write("name,ap\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -111,83 +112,153 @@ def synthetic_vocabulary(sp_count: int, as_count: int) -> LabelVocabulary:
     return LabelVocabulary(tuple(entries))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: a feature vector plus a set of label bits."""
-
-    id: str
-    subject_id: str
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        bits = np.asarray(self.labels, dtype=np.uint8)
-        if feats.ndim != 1:
-            raise ValueError(f"sample {self.id}: features must be a flat vector")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError(f"sample {self.id}: non-finite feature value")
-        if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError(f"sample {self.id}: labels must be 0/1 bits")
-        if int(bits.sum()) == 0:
-            raise ValueError(f"sample {self.id}: empty label set")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", bits)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A list of samples sharing one vocabulary and feature dimension."""
+    """n samples sharing one vocabulary, held as columns.
+
+    `ids` and `subjects` are tuples of n strings, `features` an (n, F)
+    float64 matrix and `labels` an (n, C) uint8 matrix of 0/1 bits, C being
+    the vocabulary size. Both matrices are read-only and validated once, as
+    wholes; a sample with a non-finite feature or without any label bit is
+    rejected by its id.
+    """
 
     vocabulary: LabelVocabulary
-    samples: list
+    ids: tuple
+    subjects: tuple
+    features: np.ndarray
+    labels: np.ndarray
     split_tag: str = "unsplit"
 
     def __post_init__(self):
-        C = self.vocabulary.size
-        dim = None
-        for s in self.samples:
-            if s.labels.shape[0] != C:
-                raise ValueError(f"sample {s.id}: {s.labels.shape[0]} label bits, vocabulary has {C}")
-            if dim is None:
-                dim = s.features.shape[0]
-            elif s.features.shape[0] != dim:
-                raise ValueError(f"sample {s.id}: feature length {s.features.shape[0]} != {dim}")
+        ids = tuple(map(str, self.ids))
+        subjects = tuple(map(str, self.subjects))
+        n = len(ids)
+        if len(subjects) != n:
+            raise ValueError(f"{len(subjects)} subjects for {n} ids")
+        shape_error = f"features must be an (n, F) matrix: one row of equal feature length per id ({n})"
+        try:
+            feats = np.asarray(self.features, dtype=np.float64)
+        except ValueError as exc:  # ragged rows
+            raise ValueError(shape_error) from exc
+        if feats.ndim != 2 or feats.shape[0] != n:
+            raise ValueError(f"{shape_error}, got shape {feats.shape}")
+        raw = np.asarray(self.labels)
+        if raw.ndim != 2 or raw.shape[0] != n:
+            raise ValueError(f"labels must be an (n, C) matrix with one row per id ({n}), got shape {raw.shape}")
+        if raw.shape[1] != self.vocabulary.size:
+            raise ValueError(f"{raw.shape[1]} label bits per sample, vocabulary has {self.vocabulary.size}")
+        with np.errstate(invalid="ignore"):  # a NaN label is reported below, not warned about
+            bits = raw.astype(np.uint8, copy=False)
+        # row maxima rather than elementwise tests: uint8 input, which every
+        # corpus function passes, makes no (n, C) temporary
+        top = bits.max(axis=1)
+        not_bits = top > 1
+        if bits is not raw:  # a value the cast changed was not 0 or 1
+            not_bits |= (bits != raw).any(axis=1)
+        problems = [
+            (np.argmax(bad), message)
+            for bad, message in (
+                (~np.isfinite(feats).all(axis=1), "non-finite feature value"),
+                (not_bits, "labels must be 0/1 bits"),
+                (top == 0, "empty label set"),
+            )
+            if bad.any()
+        ]
+        if problems:
+            i, message = min(problems, key=lambda p: p[0])  # the first sample; per sample, the first check
+            raise ValueError(f"sample {ids[i]}: {message}")
+        feats = feats.view()
+        bits = bits.view()
+        for a in (feats, bits):
+            a.setflags(write=False)
+        for name, value in (("ids", ids), ("subjects", subjects), ("features", feats), ("labels", bits)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     @property
     def feature_dim(self) -> int:
-        return self.samples[0].features.shape[0] if self.samples else 0
+        return self.features.shape[1]
 
     def features_matrix(self) -> np.ndarray:
-        return np.stack([s.features for s in self.samples]) if self.samples else np.zeros((0, 0))
+        """The (n, F) features, not copied."""
+        return self.features
 
     def labels_matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, self.vocabulary.size), dtype=np.uint8)
-        return np.stack([s.labels for s in self.samples])
+        """The (n, C) label bits, not copied."""
+        return self.labels
 
     def subject_ids(self) -> list:
         """Distinct subjects in order of first appearance."""
-        seen = {}
-        for s in self.samples:
-            seen.setdefault(s.subject_id, None)
-        return list(seen)
+        return list(dict.fromkeys(self.subjects))
+
+
+# Samples per step of the JSONL reader and writer and of the noise draw:
+# enough to share the per-call cost, few enough that one block's Python
+# floats, strings and temporaries stay small beside the arrays.
+_BLOCK_ROWS = 64
+# what json.loads gives for a JSON number (bool counts, as in isinstance(v, int))
+_NUMBER_TYPES = frozenset((int, float, bool))
+
+
+def _line_count(path) -> int:
+    """An upper bound on the lines text mode reads: one per LF or CR byte, plus one."""
+    with open(path, "rb") as fh:
+        return sum(c.count(b"\n") + c.count(b"\r") for c in iter(lambda: fh.read(1 << 16), b"")) + 1
+
+
+def _convert_rows(rows: list, linenos: list, ids: list, out: np.ndarray) -> None:
+    """Feature rows into `out` as float64, or the error of the first line with a bad value."""
+    try:
+        out[...] = np.array(rows, dtype=np.float64)
+        if np.isfinite(out).all():
+            return
+    except OverflowError:  # a JSON integer beyond float range
+        pass
+    for row, lineno, sid in zip(rows, linenos, ids):
+        try:
+            finite = np.isfinite(np.array(row, dtype=np.float64)).all()
+        except OverflowError:
+            raise DatasetFormatError(f"line {lineno}: feature value too large for a float") from None
+        if not finite:
+            raise DatasetFormatError(f"line {lineno}: sample {sid}: non-finite feature value")
+    raise AssertionError("the block failed but none of its rows did")
 
 
 def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
     """Parse a JSONL corpus against a vocabulary.
 
     Each line holds {"id", "subject_id", "features", "labels"} with labels
-    given by name. Unknown labels, ragged feature lengths and empty label
-    sets are rejected with the offending line number.
+    given by name. Unknown labels, ragged feature lengths, empty label sets
+    and non-finite or out-of-range feature values are rejected with the
+    number of the first offending line. Features are converted to float64
+    in blocks of lines, each checked before any later line's error is
+    reported. The feature and label matrices are allocated once, from the
+    file's line count, and filled block by block.
     """
     index = vocabulary.index
-    C = vocabulary.size
-    samples = []
+    ids, subjects = [], []
+    rows, linenos, label_cols = [], [], []  # the block of lines not yet converted
     dim = None
+    features = np.zeros((0, 0))
+    labels = np.zeros((0, vocabulary.size), dtype=np.uint8)
+
+    def flush():
+        if rows:
+            start = len(ids) - len(rows)
+            _convert_rows(rows, linenos, ids[start:], features[start:len(ids)])
+            hit_rows = np.repeat(np.arange(start, len(ids)), list(map(len, label_cols)))
+            labels[hit_rows, list(chain.from_iterable(label_cols))] = 1
+            for block in (rows, linenos, label_cols):
+                block.clear()
+
+    def bad(message):
+        """This line's error, once the earlier lines' features have passed their check."""
+        flush()
+        return DatasetFormatError(f"line {lineno}: {message}")
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -195,43 +266,40 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
+                raise bad(f"invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
-                raise DatasetFormatError(f"line {lineno}: record must be a JSON object")
+                raise bad("record must be a JSON object")
             for key in ("id", "subject_id", "features", "labels"):
                 if key not in rec:
-                    raise DatasetFormatError(f"line {lineno}: missing key {key!r}")
+                    raise bad(f"missing key {key!r}")
             feats = rec["features"]
             names = rec["labels"]
-            if not isinstance(feats, list) or not all(isinstance(v, (int, float)) for v in feats):
-                raise DatasetFormatError(f"line {lineno}: features must be a list of numbers")
+            if not isinstance(feats, list) or not _NUMBER_TYPES.issuperset(map(type, feats)):
+                raise bad("features must be a list of numbers")
             if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-                raise DatasetFormatError(f"line {lineno}: labels must be a list of names")
+                raise bad("labels must be a list of names")
             if not names:
-                raise DatasetFormatError(f"line {lineno}: empty label set")
+                raise bad("empty label set")
             if dim is None:
                 dim = len(feats)
+                n_max = _line_count(path)
+                features = np.empty((n_max, dim))
+                labels = np.zeros((n_max, vocabulary.size), dtype=np.uint8)
             elif len(feats) != dim:
-                raise DatasetFormatError(
-                    f"line {lineno}: feature length {len(feats)} != {dim} from line 1"
-                )
-            bits = np.zeros(C, dtype=np.uint8)
-            for name in names:
-                if name not in index:
-                    raise DatasetFormatError(f"line {lineno}: unknown label name {name!r}")
-                bits[index[name]] = 1
+                raise bad(f"feature length {len(feats)} != {dim} from line 1")
             try:
-                samples.append(
-                    Sample(
-                        id=str(rec["id"]),
-                        subject_id=str(rec["subject_id"]),
-                        features=np.asarray(feats, dtype=np.float64),
-                        labels=bits,
-                    )
-                )
-            except ValueError as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from exc
-    return Dataset(vocabulary, samples)
+                label_cols.append([index[name] for name in names])
+            except KeyError as exc:  # the first unknown name
+                raise bad(f"unknown label name {exc.args[0]!r}") from None
+            ids.append(str(rec["id"]))
+            subjects.append(str(rec["subject_id"]))
+            rows.append(feats)
+            linenos.append(lineno)
+            if len(rows) == _BLOCK_ROWS:
+                flush()
+    flush()
+    n = len(ids)
+    return Dataset(vocabulary, ids, subjects, features[:n], labels[:n])
 
 
 def format_csv_row(values: np.ndarray) -> str:
@@ -246,17 +314,28 @@ def format_csv_row(values: np.ndarray) -> str:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the JSONL form; floats round-trip exactly through repr."""
+    """Write the JSONL form; floats round-trip exactly through repr.
+
+    Features become Python floats a block of rows at a time, never as a
+    whole matrix.
+    """
     names = dataset.vocabulary.names
     with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.samples:
-            rec = {
-                "id": s.id,
-                "subject_id": s.subject_id,
-                "features": [float(v) for v in s.features],
-                "labels": [names[i] for i in np.flatnonzero(s.labels)],
-            }
-            fh.write(json.dumps(rec) + "\n")
+        for start in range(0, len(dataset), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            bits = dataset.labels[block]
+            cols = np.nonzero(bits)[1].tolist()  # row after row
+            ends = np.cumsum(bits.sum(axis=1, dtype=np.int64)).tolist()
+            lines = []
+            begin = 0
+            for sid, subj, row, end in zip(
+                dataset.ids[block], dataset.subjects[block], dataset.features[block].tolist(), ends
+            ):
+                rec = {"id": sid, "subject_id": subj, "features": row,
+                       "labels": [names[c] for c in cols[begin:end]]}
+                lines.append(json.dumps(rec) + "\n")
+                begin = end
+            fh.write("".join(lines))
 
 
 @dataclass(frozen=True)
@@ -375,11 +454,13 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     protos = class_prototypes(config)
     rng_labels = stage_rng(config.seed, "labels")
     rng_noise = stage_rng(config.seed, "noise")
-    C = config.sp_count + config.as_count
-    samples = []
-    for i in range(config.n_samples):
-        bits = np.zeros(C, dtype=np.uint8)
-        if rng_labels.random() >= config.no_sp_probability:
+    n = config.n_samples
+    labels = np.zeros((n, config.sp_count + config.as_count), dtype=np.uint8)
+    features = np.empty((n, config.feature_dim))
+    for i in range(n):
+        bits = labels[i]
+        plane = rng_labels.random() >= config.no_sp_probability
+        if plane:
             s = int(rng_labels.integers(config.sp_count))
             bits[s] = 1
             row = profile[s]
@@ -387,24 +468,24 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
             row = background
         hit = rng_labels.random(config.as_count) < row
         bits[config.sp_count:][hit] = 1
-        if int(bits.sum()) == 0:
+        if not plane and not hit.any():
             # degenerate no-plane draw with no structures: force one structure
             total = row.sum()
             p = row / total if total > 0 else np.full(config.as_count, 1.0 / config.as_count)
             k = int(rng_labels.choice(config.as_count, p=p))
             bits[config.sp_count + k] = 1
-        feats = protos[bits.astype(bool)].sum(axis=0)
-        if config.noise_sigma > 0:
-            feats = feats + config.noise_sigma * rng_noise.standard_normal(config.feature_dim)
-        samples.append(
-            Sample(
-                id=f"img{i:06d}",
-                subject_id=f"subj{i // config.samples_per_subject:05d}",
-                features=feats,
-                labels=bits,
-            )
-        )
-    return Dataset(vocab, samples)
+        # one reduction per sample: a sum over all samples at once would add
+        # in another order (pairwise when feature_dim is 1) and change bits
+        np.add.reduce(protos[bits.view(bool)], axis=0, out=features[i])
+    if config.noise_sigma > 0:
+        # a block of rows per draw: the same stream as one row per draw, with
+        # no (n, F) temporary
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = features[start:start + _BLOCK_ROWS]
+            rows += config.noise_sigma * rng_noise.standard_normal(rows.shape)
+    ids = [f"img{i:06d}" for i in range(n)]
+    subjects = [f"subj{i // config.samples_per_subject:05d}" for i in range(n)]
+    return Dataset(vocab, ids, subjects, features, labels)
 
 
 def split_by_subject(dataset: Dataset, ratios, seed: int):
@@ -424,23 +505,29 @@ def split_by_subject(dataset: Dataset, ratios, seed: int):
     subjects = dataset.subject_ids()
     if len(subjects) < 3:
         raise ValueError(f"need at least 3 distinct subjects, got {len(subjects)}")
-    sizes = {}
-    for s in dataset.samples:
-        sizes[s.subject_id] = sizes.get(s.subject_id, 0) + 1
+    code = {subj: j for j, subj in enumerate(subjects)}
+    subject_of = np.fromiter(map(code.__getitem__, dataset.subjects), np.int64, len(dataset))
+    sizes = np.bincount(subject_of, minlength=len(subjects))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(subjects))
     targets = np.array([r * len(dataset) for r in ratios])
     counts = np.zeros(3)
-    assignment = {}
-    for j in order:
-        subj = subjects[int(j)]
+    split_of = np.empty(len(subjects), dtype=np.int64)
+    for j in order.tolist():
         k = int(np.argmax(targets - counts))
-        assignment[subj] = k
-        counts[k] += sizes[subj]
-    tags = ("train", "val", "test")
-    buckets = ([], [], [])
-    for s in dataset.samples:
-        buckets[assignment[s.subject_id]].append(s)
-    return tuple(
-        Dataset(dataset.vocabulary, list(b), split_tag=t) for b, t in zip(buckets, tags)
-    )
+        split_of[j] = k
+        counts[k] += sizes[j]
+    split_of_sample = split_of[subject_of]
+    parts = []
+    for k, tag in enumerate(("train", "val", "test")):
+        rows = np.flatnonzero(split_of_sample == k)
+        picked = rows.tolist()
+        parts.append(Dataset(
+            dataset.vocabulary,
+            [dataset.ids[i] for i in picked],
+            [dataset.subjects[i] for i in picked],
+            dataset.features[rows],
+            dataset.labels[rows],
+            split_tag=tag,
+        ))
+    return tuple(parts)

@@ -99,18 +99,21 @@ def encode(features: np.ndarray, params: EncoderParams):
 
 
 def encoder_gradients(upstream: np.ndarray, cache: EncodeCache, params: EncoderParams):
-    """Backprop d(loss)/d(representations); returns (dW list, db list, d(features))."""
+    """Backprop d(loss)/d(representations); returns (dW list, db list, dz0).
+
+    dz0 is d(first layer's preactivation), one row per sample (a vector for
+    a single sample); d(features) is dz0 @ W0.T, which training never needs
+    and skips.
+    """
     dh = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
     n_layers = len(params.weights)
     dWs = [None] * n_layers
     dbs = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
-        if i == n_layers - 1:
-            dz = dh
-        else:
-            dz = np.where(cache.preacts[i] >= 0, dh, dh * params.slope)
-        dWs[i] = cache.inputs[i].T @ dz
-        dbs[i] = dz.sum(axis=0)
-        dh = dz @ params.weights[i].T
-    dx = dh[0] if cache.single else dh
-    return dWs, dbs, dx
+        if i < n_layers - 1:
+            dh = np.where(cache.preacts[i] >= 0, dh, dh * params.slope)
+        dWs[i] = cache.inputs[i].T @ dh
+        dbs[i] = dh.sum(axis=0)
+        if i:
+            dh = dh @ params.weights[i].T
+    return dWs, dbs, dh[0] if cache.single else dh

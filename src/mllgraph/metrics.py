@@ -124,6 +124,27 @@ def sp_argmax_accuracy(table: ScoreTable, sp_indices) -> float:
     return int(correct.sum()) / table.n
 
 
+def _column_aps(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """AP of each column of (n, C) scores against 0/1 targets; NaN for a column without positives.
+
+    One stable sort ranks every column (descending score, ties by ascending
+    index). Each column's precisions at its positive ranks are averaged with
+    one `mean` over a contiguous slice, the reduction a column-by-column loop
+    made, so the bits are the same.
+    """
+    n, C = scores.shape
+    order = np.argsort(-scores, axis=0, kind="stable")
+    hits = np.take_along_axis(targets, order, axis=0).astype(np.float64)
+    cls, rank0 = np.nonzero(hits.T)  # column after column, ranks ascending
+    precision = np.cumsum(hits, axis=0)[rank0, cls] / (rank0 + 1)
+    counts = np.bincount(cls, minlength=C)
+    ends = np.cumsum(counts)
+    aps = np.full(C, np.nan)
+    for c in np.flatnonzero(counts).tolist():
+        aps[c] = precision[ends[c] - counts[c]:ends[c]].mean()
+    return aps
+
+
 def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     """Mean of precision@k over the positive ranks.
 
@@ -135,27 +156,20 @@ def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
         raise ValueError("scores and targets must be matching vectors")
     if int(t.sum()) == 0:
         raise ValueError("average precision needs at least one positive")
-    order = np.argsort(-s, kind="stable")
-    hits = t[order].astype(np.float64)
-    ranks = np.flatnonzero(hits) + 1
-    return float((np.cumsum(hits)[ranks - 1] / ranks).mean())
+    return float(_column_aps(s[:, None], t[:, None])[0])
 
 
 def mean_average_precision(table: ScoreTable):
     """(mAP, per-class AP with NaN for skipped classes without positives)."""
-    C = table.n_classes
-    per_class = np.full(C, np.nan)
-    vals = []
-    for c in range(C):
-        if int(table.targets[:, c].sum()) == 0:
-            diagnostics.record("map_class_without_positives")
-            continue
-        per_class[c] = average_precision(table.scores[:, c], table.targets[:, c])
-        vals.append(per_class[c])
-    if not vals:
+    per_class = _column_aps(table.scores, table.targets)
+    scorable = ~np.isnan(per_class)
+    skipped = per_class.size - int(scorable.sum())
+    if skipped:
+        diagnostics.record("map_class_without_positives", skipped)
+    if not scorable.any():
         diagnostics.record("map_no_scorable_classes")
         return 0.0, per_class
-    return float(np.mean(vals)), per_class
+    return float(np.mean(per_class[scorable])), per_class
 
 
 @dataclass(frozen=True)

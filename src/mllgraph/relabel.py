@@ -150,11 +150,11 @@ def relabel(dataset: Dataset, vectors: np.ndarray, model: ClusterModel) -> Relab
     Z = np.asarray(vectors, dtype=np.float64)
     if Z.shape[1] != model.centroids.shape[1]:
         raise ValueError("embedding width does not match centroids")
-    means = np.stack([mean_embedding(Z, s.labels) for s in dataset.samples])
+    means = np.stack([mean_embedding(Z, bits) for bits in dataset.labels])
     D2 = _squared_distances(means, model.centroids)
     assign = D2.argmin(axis=1)  # ties resolve to the lowest cluster index
     return RelabeledDataset(
-        sample_ids=tuple(s.id for s in dataset.samples),
+        sample_ids=dataset.ids,
         assignments=assign.astype(np.int64),
         n_clusters=model.n_clusters,
     )

@@ -139,7 +139,8 @@ def _encoder_path_gradcheck(rng) -> float:
 
     reps, cache = encode(X, params)
     _, d_scores = mll_loss_and_grad(reps @ K.T, targets)
-    dWs, dbs, dX = encoder_gradients(d_scores @ K, cache, params)
+    dWs, dbs, dz0 = encoder_gradients(d_scores @ K, cache, params)
+    dX = dz0 @ params.weights[0].T
 
     worst = max_rel_err(dX, numeric_gradient(lambda Xv: path_loss(params, Xv), X))
     for li in range(2):

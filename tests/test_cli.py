@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,36 @@ def test_synth_rerun_is_byte_identical(work, tmp_path):
     va = (work / "synth" / "vocabulary.json").read_bytes()
     vb = (again / "vocabulary.json").read_bytes()
     assert va == vb
+
+
+def test_synth_corpus_bytes_are_pinned(tmp_path):
+    # sha256 of the corpus as the per-sample writer produced it; 600 lines
+    # span more than one block of the block-wise writer
+    out = tmp_path / "pinned"
+    assert main(["synth", "--seed", "0", "--out", str(out), *SMALL_SETS,
+                 "--set", "synthetic.n_samples=600"]) == 0
+    digest = hashlib.sha256((out / "dataset.jsonl").read_bytes()).hexdigest()
+    assert digest == "dfc9beefaac855c85e4d9588de49f01cf447cb49f00a5928502a8a049e0ba894"
+
+
+def test_train_and_eval_reject_integer_beyond_float_range(work, tmp_path, capsys):
+    lines = (work / "synth" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[4])
+    lines[4] = json.dumps(rec).replace(repr(rec["features"][0]), "1" + "0" * 400, 1)
+    data = tmp_path / "huge.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([
+        "train", "--out", str(tmp_path / "t"), *SMALL_SETS,
+        "--set", f"data.dataset_path={data}",
+        "--set", f"data.vocabulary_path={work / 'synth' / 'vocabulary.json'}",
+    ]) == 1
+    assert "error: line 5: feature value too large for a float" in capsys.readouterr().err
+    assert main([
+        "eval", "--checkpoint", str(work / "crc" / "checkpoint.mllg"),
+        "--data", str(data), "--out", str(tmp_path / "e"),
+    ]) == 1
+    assert "error: line 5: feature value too large for a float" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ from mllgraph.cooccur import (
     weight_matrix,
     write_matrix_csv,
 )
-from mllgraph.corpus import Dataset, LabelVocabulary, Sample
+from mllgraph.corpus import Dataset, LabelVocabulary
 
 
 def tiny_dataset():
@@ -23,11 +23,9 @@ def tiny_dataset():
         [0, 1, 0],
         [1, 1, 1],
     ]
-    samples = [
-        Sample(id=f"s{i}", subject_id=f"p{i}", features=np.zeros(2), labels=np.array(r, dtype=np.uint8))
-        for i, r in enumerate(rows)
-    ]
-    return Dataset(vocab, samples)
+    n = len(rows)
+    return Dataset(vocab, [f"s{i}" for i in range(n)], [f"p{i}" for i in range(n)],
+                   np.zeros((n, 2)), np.array(rows, dtype=np.uint8))
 
 
 def test_build_cooccurrence_matches_hand_count():
@@ -49,7 +47,7 @@ def test_build_cooccurrence_matches_integer_product():
         vocab = LabelVocabulary(tuple((f"c{j}", "AS") for j in range(C)))
         Y = (rng.random((n, C)) < rng.uniform(0.05, 0.9)).astype(np.uint8)
         Y[np.flatnonzero(Y.sum(axis=1) == 0), 0] = 1
-        data = Dataset(vocab, [Sample(f"s{i}", "p", np.zeros(1), row) for i, row in enumerate(Y)])
+        data = Dataset(vocab, [f"s{i}" for i in range(n)], ["p"] * n, np.zeros((n, 1)), Y)
         X = build_cooccurrence(data).counts
         assert X.dtype == np.int64
         Yi = Y.astype(np.int64)
@@ -57,7 +55,7 @@ def test_build_cooccurrence_matches_integer_product():
 
 
 def test_build_cooccurrence_rejects_empty():
-    ds = Dataset(LabelVocabulary((("A", "SP"), ("B", "SP"))), [])
+    ds = Dataset(LabelVocabulary((("A", "SP"), ("B", "SP"))), [], [], np.zeros((0, 0)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="empty dataset"):
         build_cooccurrence(ds)
 

@@ -8,8 +8,8 @@ from mllgraph.corpus import (
     Dataset,
     DatasetFormatError,
     LabelVocabulary,
-    Sample,
     SyntheticConfig,
+    class_prototypes,
     default_structure_profile,
     default_vocabulary,
     generate_synthetic,
@@ -25,12 +25,15 @@ def small_vocab():
     return LabelVocabulary((("A", "SP"), ("B", "SP"), ("x", "AS"), ("y", "AS")))
 
 
-def make_sample(i, labels, dim=3, subject=None):
-    return Sample(
-        id=f"s{i}",
-        subject_id=subject or f"subj{i}",
-        features=np.arange(dim, dtype=float) + i,
-        labels=np.asarray(labels, dtype=np.uint8),
+def make_dataset(label_rows, subjects=None):
+    """Sample i: id s{i}, subject subj{i} unless given, features arange(3) + i."""
+    n = len(label_rows)
+    return Dataset(
+        small_vocab(),
+        [f"s{i}" for i in range(n)],
+        subjects or [f"subj{i}" for i in range(n)],
+        np.arange(3, dtype=float) + np.arange(n, dtype=float)[:, None],
+        np.asarray(label_rows, dtype=np.uint8).reshape(n, -1),
     )
 
 
@@ -110,47 +113,87 @@ def test_synthetic_vocabulary_generates_plane_names_beyond_builtin():
 # ------------------------------------------------------------------- samples
 
 def test_sample_rejects_empty_labels():
-    with pytest.raises(ValueError, match="empty label set"):
-        make_sample(0, [0, 0, 0, 0])
+    with pytest.raises(ValueError, match="sample s1: empty label set"):
+        make_dataset([[1, 0, 0, 0], [0, 0, 0, 0]])
 
 
 def test_sample_rejects_nonfinite_features():
-    with pytest.raises(ValueError, match="non-finite"):
-        Sample(id="s", subject_id="p", features=np.array([1.0, np.nan]), labels=np.array([1, 0]))
+    with pytest.raises(ValueError, match="sample s: non-finite"):
+        Dataset(LabelVocabulary((("A", "SP"), ("B", "SP"))), ["s"], ["p"],
+                np.array([[1.0, np.nan]]), np.array([[1, 0]]))
 
 
 def test_sample_rejects_non_binary_labels():
-    with pytest.raises(ValueError, match="0/1"):
-        Sample(id="s", subject_id="p", features=np.ones(2), labels=np.array([1, 2]))
+    vocab = LabelVocabulary((("A", "SP"), ("B", "SP")))
+    with pytest.raises(ValueError, match="sample s: labels must be 0/1"):
+        Dataset(vocab, ["s"], ["p"], np.ones((1, 2)), np.array([[1, 2]]))
+    # values a cast to uint8 would wrap or truncate into 0/1
+    for row in ([1, 256], [1, -1], [1, 0.5], [1, np.nan], [257, 0]):
+        with pytest.raises(ValueError, match="sample t: labels must be 0/1"):
+            Dataset(vocab, ["s", "t"], ["p", "p"], np.ones((2, 2)), np.array([[1, 0], row]))
+    for ok, want in (([[True, False]], [[1, 0]]), ([[1.0, 0.0]], [[1, 0]]), ([[0, 1]], [[0, 1]])):
+        ds = Dataset(vocab, ["s"], ["p"], np.ones((1, 2)), np.array(ok))
+        assert ds.labels.dtype == np.uint8 and ds.labels.tolist() == want
+
+
+def test_dataset_reports_the_first_bad_sample():
+    # sample s1 fails two checks, s2 an earlier one: s1's first check is reported
+    labels = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    feats = np.zeros((3, 2))
+    feats[1, 0] = np.inf
+    feats[2, 0] = np.nan
+    with pytest.raises(ValueError, match="sample 1: non-finite"):
+        Dataset(small_vocab(), ["0", "1", "2"], ["p"] * 3, feats, labels)
+    feats[1, 0] = 0.0
+    with pytest.raises(ValueError, match="sample 1: empty label set"):
+        Dataset(small_vocab(), ["0", "1", "2"], ["p"] * 3, feats, labels)
 
 
 def test_dataset_rejects_label_width_mismatch():
     with pytest.raises(ValueError, match="label bits"):
-        Dataset(small_vocab(), [make_sample(0, [1, 0, 0])])
+        make_dataset([[1, 0, 0]])
 
 
 def test_dataset_rejects_ragged_features():
-    ok = make_sample(0, [1, 0, 0, 0], dim=3)
-    bad = make_sample(1, [1, 0, 0, 0], dim=4)
+    rows = [np.arange(3.0), np.arange(4.0)]
     with pytest.raises(ValueError, match="feature length"):
-        Dataset(small_vocab(), [ok, bad])
+        Dataset(small_vocab(), ["s0", "s1"], ["p", "p"], rows, np.ones((2, 4), dtype=np.uint8))
+
+
+def test_dataset_rejects_mismatched_columns():
+    with pytest.raises(ValueError, match="subjects for 2 ids"):
+        Dataset(small_vocab(), ["a", "b"], ["p"], np.zeros((2, 3)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="feature length"):
+        Dataset(small_vocab(), ["a", "b"], ["p", "p"], np.zeros((3, 3)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="labels must be an"):
+        Dataset(small_vocab(), ["a", "b"], ["p", "p"], np.zeros((2, 3)), np.ones(4))
 
 
 def test_dataset_matrices_preserve_order():
-    samples = [make_sample(i, [1, 0, 0, 0]) for i in range(3)]
-    ds = Dataset(small_vocab(), samples)
+    ds = make_dataset([[1, 0, 0, 0]] * 3)
     assert ds.features_matrix().shape == (3, 3)
-    assert np.array_equal(ds.features_matrix()[1], samples[1].features)
+    assert np.array_equal(ds.features_matrix()[1], np.arange(3.0) + 1)
     assert ds.labels_matrix().dtype == np.uint8
+    # the held arrays, not copies
+    assert ds.features_matrix() is ds.features and ds.labels_matrix() is ds.labels
+
+
+def test_dataset_arrays_are_read_only():
+    features = np.zeros((2, 3))
+    labels = np.ones((2, 4), dtype=np.uint8)
+    ds = Dataset(small_vocab(), ["a", "b"], ["p", "q"], features, labels)
+    for arr in (ds.features, ds.labels, ds.features_matrix(), ds.labels_matrix()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+    assert features.flags.writeable and labels.flags.writeable  # the caller's arrays stay as they were
+    assert ds.ids == ("a", "b") and ds.subjects == ("p", "q")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.features = np.ones((2, 3))
 
 
 def test_subject_ids_first_appearance_order():
-    samples = [
-        make_sample(0, [1, 0, 0, 0], subject="b"),
-        make_sample(1, [1, 0, 0, 0], subject="a"),
-        make_sample(2, [1, 0, 0, 0], subject="b"),
-    ]
-    ds = Dataset(small_vocab(), samples)
+    ds = make_dataset([[1, 0, 0, 0]] * 3, subjects=["b", "a", "b"])
     assert ds.subject_ids() == ["b", "a"]
 
 
@@ -169,8 +212,9 @@ def test_load_dataset_happy_path(tmp_path):
     ])
     ds = load_dataset(path, small_vocab())
     assert len(ds) == 2
-    assert np.array_equal(ds.samples[0].labels, [1, 0, 1, 0])
-    assert ds.samples[1].features[1] == 3.5
+    assert np.array_equal(ds.labels[0], [1, 0, 1, 0])
+    assert ds.features[1, 1] == 3.5
+    assert ds.ids == ("a", "b") and ds.subjects == ("p1", "p2")
 
 
 def test_load_dataset_reports_line_numbers(tmp_path):
@@ -215,24 +259,148 @@ def test_load_dataset_rejects_ragged_features(tmp_path):
         load_dataset(path, small_vocab())
 
 
+def record(i, features, labels=("A",)):
+    return json.dumps({"id": f"r{i}", "subject_id": "p", "features": features, "labels": list(labels)})
+
+
+def test_load_dataset_rejects_integer_beyond_float_range(tmp_path):
+    huge = record(2, [1.0, 2.0]).replace("2.0", "1" + "0" * 400)
+    path = write_lines(tmp_path, [record(1, [1.0, 2.0]), huge, record(3, [1.0, 2.0])])
+    with pytest.raises(DatasetFormatError, match="line 2: feature value too large for a float"):
+        load_dataset(path, small_vocab())
+
+
+def test_load_dataset_reports_first_bad_line_within_a_block(tmp_path):
+    # a non-finite value is found when its block is converted; a structural
+    # error on a later line of the same block must not be reported first
+    lines = [record(i, [float(i), 1.0]) for i in range(1, 11)]
+    lines[2] = record(3, [float("nan"), 1.0])          # line 3, written as NaN
+    lines[6] = record(7, [1.0, 2.0], labels=["Q"])      # line 7: unknown label
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(DatasetFormatError, match="line 3: sample r3: non-finite feature value"):
+        load_dataset(path, small_vocab())
+    # an out-of-range integer before a non-finite value in the same block
+    lines[1] = record(2, [1.0, 2.0]).replace("2.0", "9" * 400)
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(DatasetFormatError, match="line 2: feature value too large"):
+        load_dataset(path, small_vocab())
+    # a structural error on the same line as a non-finite value comes first, as before
+    lines[1] = record(2, [float("inf"), 1.0], labels=["Q"])
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(DatasetFormatError, match="line 2: unknown label name 'Q'"):
+        load_dataset(path, small_vocab())
+
+
+def test_load_dataset_across_blocks(tmp_path):
+    n = 1100                                            # full blocks of lines and a partial one
+    lines = [record(i, [i * 0.5, -float(i)], labels=("A", "x") if i % 3 else ("y",)) for i in range(n)]
+    lines.insert(700, "   ")                           # a blank line is skipped but counted
+    path = write_lines(tmp_path, lines)
+    ds = load_dataset(path, small_vocab())
+    assert len(ds) == n
+    assert ds.ids == tuple(f"r{i}" for i in range(n))
+    assert np.array_equal(ds.features, np.stack([np.arange(n) * 0.5, -np.arange(n, dtype=float)], axis=1))
+    assert np.array_equal(ds.labels[:, 2], [1 if i % 3 else 0 for i in range(n)])
+    assert np.array_equal(ds.labels[:, 3], [0 if i % 3 else 1 for i in range(n)])
+    lines[1000] = record(999, [float("-inf"), 0.0])    # file line 1001, in the third block
+    lines[1050] = "{broken"
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(DatasetFormatError, match="line 1001: sample r999: non-finite"):
+        load_dataset(path, small_vocab())
+    lines[1000] = record(999, [0.0, 0.0])
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(DatasetFormatError, match="line 1051: invalid JSON"):
+        load_dataset(path, small_vocab())
+
+
+def test_load_dataset_reads_any_line_ending(tmp_path):
+    lines = [record(i, [float(i), -1.0], labels=("B", "y")) for i in range(150)]
+    want = load_dataset(write_lines(tmp_path, lines), small_vocab())
+    for ending in ("\r\n", "\r"):
+        path = tmp_path / "endings.jsonl"
+        path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+        got = load_dataset(path, small_vocab())
+        assert got.ids == want.ids
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+
+
+def test_load_dataset_of_an_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n", encoding="utf-8")
+    ds = load_dataset(path, small_vocab())
+    assert len(ds) == 0 and ds.feature_dim == 0
+    assert ds.features.shape == (0, 0) and ds.labels.shape == (0, 4)
+
+
+def test_load_then_save_keeps_every_value(tmp_path):
+    # JSON ints and bools read as floats; -0.0, the smallest subnormal and
+    # 1e300 keep their bits, and the writer gives json.dumps's text
+    path = tmp_path / "in.jsonl"
+    path.write_text(
+        '{"id": "a", "subject_id": "p", "features": [3, true, -0.0, 5e-324, 1e300], "labels": ["y", "A"]}\n'
+        '{"id": "b\\u00e9", "subject_id": 7, "features": [false, -12, 0.1, -5e-324, -1e300], "labels": ["B"]}\n',
+        encoding="utf-8",
+    )
+    ds = load_dataset(path, small_vocab())
+    expected = np.array([[3.0, 1.0, -0.0, 5e-324, 1e300], [0.0, -12.0, 0.1, -5e-324, -1e300]])
+    assert ds.features.tobytes() == expected.tobytes()
+    assert ds.ids == ("a", "b\u00e9") and ds.subjects == ("p", "7")
+    out = tmp_path / "out.jsonl"
+    save_dataset(ds, out)
+    records = [
+        {"id": "a", "subject_id": "p", "features": [3.0, 1.0, -0.0, 5e-324, 1e300], "labels": ["A", "y"]},
+        {"id": "b\u00e9", "subject_id": "7", "features": [0.0, -12.0, 0.1, -5e-324, -1e300], "labels": ["B"]},
+    ]
+    assert out.read_text(encoding="utf-8") == "".join(json.dumps(r) + "\n" for r in records)
+    back = load_dataset(out, small_vocab())
+    assert back.features.tobytes() == expected.tobytes()
+    assert np.array_equal(back.labels, ds.labels) and back.ids == ds.ids
+    again = tmp_path / "again.jsonl"
+    save_dataset(back, again)
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_save_load_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
-    samples = [
-        Sample(
-            id=f"s{i}",
-            subject_id=f"p{i % 2}",
-            features=rng.standard_normal(4),
-            labels=np.array([1, 0, i % 2, 1], dtype=np.uint8),
-        )
-        for i in range(5)
-    ]
-    ds = Dataset(small_vocab(), samples)
+    ds = Dataset(
+        small_vocab(),
+        [f"s{i}" for i in range(5)],
+        [f"p{i % 2}" for i in range(5)],
+        np.stack([rng.standard_normal(4) for _ in range(5)]),
+        np.array([[1, 0, i % 2, 1] for i in range(5)], dtype=np.uint8),
+    )
     path = tmp_path / "round.jsonl"
     save_dataset(ds, path)
     back = load_dataset(path, small_vocab())
     assert np.array_equal(back.features_matrix(), ds.features_matrix())
     assert np.array_equal(back.labels_matrix(), ds.labels_matrix())
-    assert [s.id for s in back.samples] == [s.id for s in ds.samples]
+    assert back.ids == ds.ids
+
+
+def save_dataset_reference(dataset, path):
+    """Reference: the writer as it was, one json.dumps record per sample."""
+    names = dataset.vocabulary.names
+    with open(path, "w", encoding="utf-8") as fh:
+        for sid, subj, feats, bits in zip(dataset.ids, dataset.subjects, dataset.features, dataset.labels):
+            rec = {
+                "id": sid,
+                "subject_id": subj,
+                "features": [float(v) for v in feats],
+                "labels": [names[i] for i in np.flatnonzero(bits)],
+            }
+            fh.write(json.dumps(rec) + "\n")
+
+
+def test_save_dataset_matches_reference(tmp_path):
+    ds = generate_synthetic(SyntheticConfig(n_samples=1100, sp_count=3, as_count=5, feature_dim=6, seed=3))
+    odd = Dataset(small_vocab(), ['q"uote', "tab\t", "\u00e9"], ["s/1", "s\\2", ""],
+                  np.array([[-0.0, 5e-324, 1e300], [np.pi, -1e-300, 2.0**70], [0.1, 0.2, 0.3]]),
+                  np.array([[1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 0, 0]]))
+    for data in (ds, odd):
+        save_dataset(data, tmp_path / "new.jsonl")
+        save_dataset_reference(data, tmp_path / "ref.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
 
 
 # ----------------------------------------------------------------- synthetic
@@ -287,8 +455,8 @@ def test_generate_synthetic_groups_subjects():
     ds = generate_synthetic(cfg)
     assert len(ds.subject_ids()) == 5
     counts = {}
-    for s in ds.samples:
-        counts[s.subject_id] = counts.get(s.subject_id, 0) + 1
+    for subject in ds.subjects:
+        counts[subject] = counts.get(subject, 0) + 1
     assert set(counts.values()) == {8}
 
 
@@ -304,31 +472,76 @@ def test_generate_synthetic_respects_planted_profile():
         structure_profile=profile, noise_sigma=0.0, seed=3,
     )
     ds = generate_synthetic(cfg)
-    for s in ds.samples:
-        plane = int(np.argmax(s.labels[:4]))
+    for bits in ds.labels:
+        plane = int(np.argmax(bits[:4]))
         expect = np.zeros(13, dtype=np.uint8)
         expect[plane] = 1
         expect[4 + 2 * plane] = 1
         expect[4 + 2 * plane + 1] = 1
-        assert np.array_equal(s.labels, expect)
+        assert np.array_equal(bits, expect)
 
 
 def test_generate_synthetic_features_are_prototype_sums_plus_noise():
     cfg = SyntheticConfig(n_samples=30, sp_count=3, as_count=6, feature_dim=8,
                           noise_sigma=0.0, seed=4)
     ds = generate_synthetic(cfg)
-    from mllgraph.corpus import class_prototypes
-
     protos = class_prototypes(cfg)
-    for s in ds.samples[:10]:
-        expected = protos[s.labels.astype(bool)].sum(axis=0)
-        assert np.allclose(s.features, expected)
+    for feats, bits in zip(ds.features[:10], ds.labels[:10]):
+        expected = protos[bits.astype(bool)].sum(axis=0)
+        assert np.allclose(feats, expected)
+
+
+def generate_synthetic_reference(config):
+    """Reference: the per-sample generator as it was, one label row and noise draw at a time."""
+    profile = (np.asarray(config.structure_profile, dtype=np.float64) if config.structure_profile is not None
+               else default_structure_profile(config.sp_count, config.as_count))
+    background = (np.asarray(config.background_profile, dtype=np.float64) if config.background_profile is not None
+                  else np.full(config.as_count, 0.08))
+    protos = class_prototypes(config)
+    rng_labels = stage_rng(config.seed, "labels")
+    rng_noise = stage_rng(config.seed, "noise")
+    C = config.sp_count + config.as_count
+    rows, feats = [], []
+    for _ in range(config.n_samples):
+        bits = np.zeros(C, dtype=np.uint8)
+        if rng_labels.random() >= config.no_sp_probability:
+            s = int(rng_labels.integers(config.sp_count))
+            bits[s] = 1
+            row = profile[s]
+        else:
+            row = background
+        hit = rng_labels.random(config.as_count) < row
+        bits[config.sp_count:][hit] = 1
+        if int(bits.sum()) == 0:
+            total = row.sum()
+            p = row / total if total > 0 else np.full(config.as_count, 1.0 / config.as_count)
+            bits[config.sp_count + int(rng_labels.choice(config.as_count, p=p))] = 1
+        f = protos[bits.astype(bool)].sum(axis=0)
+        if config.noise_sigma > 0:
+            f = f + config.noise_sigma * rng_noise.standard_normal(config.feature_dim)
+        rows.append(bits)
+        feats.append(f)
+    return np.stack(feats), np.stack(rows)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"feature_dim": 1, "as_count": 12},                     # a one-column sum is pairwise in numpy
+    {"noise_sigma": 0.0, "prototype_correlation": 0.4},
+    {"no_sp_probability": 0.7, "background_profile": np.zeros(29)},          # forced structures, uniform
+    {"no_sp_probability": 0.5, "background_profile": np.full(29, 0.01)},     # forced structures, weighted
+])
+def test_generate_synthetic_matches_per_sample_reference(overrides):
+    cfg = SyntheticConfig(n_samples=300, seed=11, **overrides)
+    ds = generate_synthetic(cfg)
+    features, labels = generate_synthetic_reference(cfg)
+    assert ds.features.tobytes() == features.tobytes()
+    assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.uint8
+    assert ds.ids[:2] == ("img000000", "img000001") and ds.subjects[10] == "subj00001"
 
 
 def test_prototype_correlation_pulls_structures_toward_their_plane():
     base = SyntheticConfig(sp_count=4, as_count=8, feature_dim=32, seed=7)
-    from mllgraph.corpus import class_prototypes
-
     free = class_prototypes(base)
     tied = class_prototypes(dataclasses.replace(base, prototype_correlation=0.9))
     profile = default_structure_profile(4, 8)
@@ -358,28 +571,66 @@ def test_prototype_correlation_pulls_structures_toward_their_plane():
 # --------------------------------------------------------------------- split
 
 def split_fixture(n_subjects=30, per=4):
-    samples = []
+    ids, subjects, feats, labels = [], [], [], []
     rng = stage_rng(0, "labels")
     for j in range(n_subjects):
         for i in range(per):
             bits = np.zeros(4, dtype=np.uint8)
             bits[int(rng.integers(4))] = 1
-            samples.append(
-                Sample(id=f"s{j}_{i}", subject_id=f"subj{j}",
-                       features=rng.standard_normal(3), labels=bits)
-            )
-    return Dataset(small_vocab(), samples)
+            ids.append(f"s{j}_{i}")
+            subjects.append(f"subj{j}")
+            feats.append(rng.standard_normal(3))
+            labels.append(bits)
+    return Dataset(small_vocab(), ids, subjects, np.array(feats), np.array(labels))
 
 
 def test_split_partitions_without_breaking_subjects():
     ds = split_fixture()
     train, val, test = split_by_subject(ds, (0.5, 0.25, 0.25), seed=1)
     assert len(train) + len(val) + len(test) == len(ds)
-    ids = [s.id for s in train.samples + val.samples + test.samples]
-    assert sorted(ids) == sorted(s.id for s in ds.samples)
+    ids = train.ids + val.ids + test.ids
+    assert sorted(ids) == sorted(ds.ids)
     groups = [set(p.subject_ids()) for p in (train, val, test)]
     assert not (groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2])
     assert (train.split_tag, val.split_tag, test.split_tag) == ("train", "val", "test")
+
+
+def split_by_subject_reference(dataset, ratios, seed):
+    """Reference: the dict-and-list split as it was; returns the ids of each part."""
+    subjects = dataset.subject_ids()
+    sizes = {}
+    for subj in dataset.subjects:
+        sizes[subj] = sizes.get(subj, 0) + 1
+    order = np.random.default_rng(seed).permutation(len(subjects))
+    targets = np.array([r * len(dataset) for r in ratios])
+    counts = np.zeros(3)
+    assignment = {}
+    for j in order:
+        subj = subjects[int(j)]
+        k = int(np.argmax(targets - counts))
+        assignment[subj] = k
+        counts[k] += sizes[subj]
+    buckets = ([], [], [])
+    for sid, subj in zip(dataset.ids, dataset.subjects):
+        buckets[assignment[subj]].append(sid)
+    return tuple(tuple(b) for b in buckets)
+
+
+def test_split_matches_reference():
+    rng = np.random.default_rng(2)
+    for n_subjects, ratios in ((30, (0.5, 0.25, 0.25)), (7, (0.6, 0.2, 0.2)), (50, (0.0, 0.5, 0.5)), (12, (1.0, 0.0, 0.0))):
+        base = split_fixture(n_subjects=n_subjects, per=3)
+        shuffled = rng.permutation(len(base))               # subjects interleaved, uneven sizes
+        keep = np.sort(shuffled[: len(base) - n_subjects // 2])
+        ds = Dataset(base.vocabulary, [base.ids[i] for i in keep], [base.subjects[i] for i in keep],
+                     base.features[keep], base.labels[keep])
+        for seed in range(3):
+            parts = split_by_subject(ds, ratios, seed)
+            assert tuple(p.ids for p in parts) == split_by_subject_reference(ds, ratios, seed)
+            for part in parts:
+                rows = [ds.ids.index(i) for i in part.ids]
+                assert np.array_equal(part.features, ds.features[rows]) and np.array_equal(part.labels, ds.labels[rows])
+                assert part.subjects == tuple(ds.subjects[r] for r in rows)
 
 
 def test_split_ratios_are_approximated():
@@ -396,7 +647,7 @@ def test_split_is_deterministic():
     a = split_by_subject(ds, (0.5, 0.3, 0.2), seed=9)
     b = split_by_subject(ds, (0.5, 0.3, 0.2), seed=9)
     for pa, pb in zip(a, b):
-        assert [s.id for s in pa.samples] == [s.id for s in pb.samples]
+        assert pa.ids == pb.ids
 
 
 def test_split_validates_ratios():
@@ -410,7 +661,6 @@ def test_split_validates_ratios():
 
 
 def test_split_needs_three_subjects():
-    samples = [make_sample(i, [1, 0, 0, 0], subject=f"p{i % 2}") for i in range(6)]
-    ds = Dataset(small_vocab(), samples)
+    ds = make_dataset([[1, 0, 0, 0]] * 6, subjects=[f"p{i % 2}" for i in range(6)])
     with pytest.raises(ValueError, match="at least 3 distinct subjects"):
         split_by_subject(ds, (0.6, 0.2, 0.2), seed=0)

@@ -119,7 +119,8 @@ def test_gradients_match_numeric():
             return float((out * upstream).sum())
 
         _, cache = encode(X, params)
-        dWs, dbs, dX = encoder_gradients(upstream, cache, params)
+        dWs, dbs, dz0 = encoder_gradients(upstream, cache, params)
+        dX = dz0 @ params.weights[0].T
 
         for li in range(2):
             def f_w(W, _li=li):
@@ -144,5 +145,6 @@ def test_gradient_shapes_follow_input_shape():
     params = init_encoder(4, EncoderConfig(layer_widths=(3,)), seed=0)
     x = np.ones(4)
     out, cache = encode(x, params)
-    _, _, dx = encoder_gradients(np.ones_like(out), cache, params)
-    assert dx.shape == (4,)
+    _, _, dz0 = encoder_gradients(np.ones_like(out), cache, params)
+    assert dz0.shape == (3,)
+    assert (dz0 @ params.weights[0].T).shape == (4,)

@@ -217,6 +217,56 @@ def test_mean_average_precision_all_classes_empty():
     assert diagnostics.count("map_no_scorable_classes") == before + 1
 
 
+def average_precision_reference(scores, targets):
+    """Reference: one column's AP with its own sort, as each class was scored before."""
+    order = np.argsort(-scores, kind="stable")
+    hits = targets[order].astype(np.float64)
+    ranks = np.flatnonzero(hits) + 1
+    return float((np.cumsum(hits)[ranks - 1] / ranks).mean())
+
+
+def loop_mean_average_precision(table):
+    """Reference: the per-class loop mean_average_precision replaced."""
+    per_class = np.full(table.n_classes, np.nan)
+    vals = []
+    for c in range(table.n_classes):
+        if int(table.targets[:, c].sum()) == 0:
+            diagnostics.record("map_class_without_positives")
+            continue
+        per_class[c] = average_precision_reference(table.scores[:, c], table.targets[:, c])
+        vals.append(per_class[c])
+    if not vals:
+        diagnostics.record("map_no_scorable_classes")
+        return 0.0, per_class
+    return float(np.mean(vals)), per_class
+
+
+def test_mean_average_precision_matches_loop_reference():
+    rng = np.random.default_rng(8)
+    tables = []
+    for n, C in ((1, 1), (2, 3), (7, 5), (40, 9), (300, 39), (1000, 4)):
+        scores = rng.random((n, C))
+        scores[:, ::2] = np.round(scores[:, ::2], 1)   # many ties
+        targets = (rng.random((n, C)) < rng.uniform(0.02, 0.9)).astype(np.uint8)
+        targets[:, 0] = 0                                 # a class without positives
+        tables.append(ScoreTable(scores, targets))
+    tables.append(ScoreTable(np.full((6, 3), 0.5), np.eye(6, 3, dtype=np.uint8)))   # all tied
+    tables.append(ScoreTable(np.random.default_rng(1).random((5, 2)), np.zeros((5, 2))))  # none scorable
+    tables.append(ScoreTable(np.zeros((4, 2)), np.ones((4, 2))))   # all positive, all tied
+    for table in tables:
+        before = diagnostics.snapshot()
+        mp, per_class = mean_average_precision(table)
+        mid = diagnostics.snapshot()
+        ref_mp, ref_per_class = loop_mean_average_precision(table)
+        after = diagnostics.snapshot()
+        assert np.float64(mp).tobytes() == np.float64(ref_mp).tobytes()
+        assert per_class.tobytes() == ref_per_class.tobytes()
+        for key in set(after) | set(before):
+            assert mid.get(key, 0) - before.get(key, 0) == after.get(key, 0) - mid.get(key, 0)
+        for c in np.flatnonzero(table.targets.any(axis=0)):
+            assert average_precision(table.scores[:, c], table.targets[:, c]) == per_class[c]
+
+
 def test_report_keys_and_formatting():
     scores = np.array([[0.9, 0.1], [0.2, 0.8]])
     targets = np.array([[1, 0], [0, 1]])

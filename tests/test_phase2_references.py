@@ -2,8 +2,9 @@
 
 Each fast form must give the same bits as its reference: the sigmoid and
 BCE sharing one exp(-|s|), the contrastive term with 2 G in place of
-G + G.T, the leaky-rectifier and identity backward passes, the GCN with
-B Z computed once, and momentum SGD over one flat buffer.
+G + G.T, the leaky-rectifier and identity backward passes, the encoder
+backward stopping at the first layer's dz, the GCN with B Z computed
+once, and momentum SGD over one flat buffer.
 """
 
 import numpy as np
@@ -72,6 +73,7 @@ def contrastive_loss_and_grad_reference(representations, labels, cfg):
 
 
 def encoder_gradients_reference(upstream, cache, params):
+    """Per-layer dW, db and d(features), with the rectifier mask as a multiply."""
     dh = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
     n_layers = len(params.weights)
     dWs = [None] * n_layers
@@ -213,11 +215,12 @@ def test_encoder_backward_matches_reference():
     for x in (features, features[:1], features[0]):
         reps, cache = encode(x, params)
         upstream = rng.standard_normal(np.shape(reps))
-        dWs, dbs, dx = encoder_gradients(upstream, cache, params)
+        dWs, dbs, dz0 = encoder_gradients(upstream, cache, params)
         ref_dWs, ref_dbs, ref_dh = encoder_gradients_reference(upstream, cache, params)
         for got, want in zip(dWs + dbs, ref_dWs + ref_dbs):
             assert_same_bits(got, want)
-        assert_same_bits(np.atleast_2d(dx), ref_dh)
+        assert np.ndim(dz0) == np.ndim(x)
+        assert_same_bits(np.atleast_2d(dz0) @ params.weights[0].T, ref_dh)
 
 
 def test_gcn_with_propagation_once_matches_reference():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mllgraph.corpus import Dataset, Sample, synthetic_vocabulary
+from mllgraph.corpus import Dataset, synthetic_vocabulary
 from mllgraph.relabel import (
     ClusterModel,
     _lloyd,
@@ -95,13 +95,8 @@ def test_cluster_model_validation():
 
 def _tiny_dataset():
     vocab = synthetic_vocabulary(2, 2)
-    feats = np.zeros(3)
-    samples = [
-        Sample("s0", "subj0", feats, np.array([1, 0, 1, 0])),
-        Sample("s1", "subj0", feats, np.array([0, 1, 0, 1])),
-        Sample("s2", "subj1", feats, np.array([1, 0, 0, 1])),
-    ]
-    return Dataset(vocab, samples)
+    labels = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1]])
+    return Dataset(vocab, ["s0", "s1", "s2"], ["subj0", "subj0", "subj1"], np.zeros((3, 3)), labels)
 
 
 def test_relabel_assigns_nearest_centroid():

@@ -11,7 +11,6 @@ from mllgraph.cooccur import build_cooccurrence
 from mllgraph.corpus import (
     Dataset,
     LabelVocabulary,
-    Sample,
     SyntheticConfig,
     generate_synthetic,
     split_by_subject,
@@ -40,6 +39,10 @@ from mllgraph.trainer import (
     score_dataset,
     vanilla_contrast_labels,
 )
+
+
+def empty_dataset(vocab):
+    return Dataset(vocab, [], [], np.zeros((0, 0)), np.zeros((0, vocab.size)))
 
 
 def read_header(raw: bytes):
@@ -193,13 +196,8 @@ def test_train_config_from_dict_rejects_unknown_keys():
 
 def test_vanilla_contrast_labels_buckets_by_plane():
     vocab = synthetic_vocabulary(2, 2)
-    feats = np.zeros(3)
-    samples = [
-        Sample("a", "s0", feats, np.array([1, 0, 1, 0])),
-        Sample("b", "s0", feats, np.array([0, 1, 0, 1])),
-        Sample("c", "s1", feats, np.array([0, 0, 1, 1])),
-    ]
-    labels = vanilla_contrast_labels(Dataset(vocab, samples))
+    bits = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+    labels = vanilla_contrast_labels(Dataset(vocab, ["a", "b", "c"], ["s0", "s0", "s1"], np.zeros((3, 3)), bits))
     assert labels.tolist() == [0, 1, 2]
 
 
@@ -207,15 +205,14 @@ def loop_vanilla_contrast_labels(dataset):
     """Reference: the per-sample loop vanilla_contrast_labels replaced."""
     sp_idx = dataset.vocabulary.sp_indices
     out = np.empty(len(dataset), dtype=np.int64)
-    for i, s in enumerate(dataset.samples):
-        bits = s.labels[sp_idx]
+    for i, labels in enumerate(dataset.labels):
+        bits = labels[sp_idx]
         out[i] = int(np.argmax(bits)) if bits.any() else sp_idx.size
     return out
 
 
 def test_vanilla_contrast_labels_matches_loop_reference():
     rng = np.random.default_rng(4)
-    feats = np.zeros(2)
     vocabs = [synthetic_vocabulary(3, 4), synthetic_vocabulary(1, 2),
               LabelVocabulary((("x", "AS"), ("y", "AS"), ("z", "SP"), ("w", "AS"))),
               LabelVocabulary((("x", "AS"), ("y", "AS")))]  # no plane class at all
@@ -223,7 +220,7 @@ def test_vanilla_contrast_labels_matches_loop_reference():
         rows = (rng.random((25, vocab.size)) < 0.4).astype(np.uint8)
         rows[:5, vocab.sp_indices] = 0                     # samples with no plane
         rows[np.flatnonzero(rows.sum(axis=1) == 0), -1] = 1  # every sample needs a label (AS)
-        data = Dataset(vocab, [Sample(f"s{i}", "p", feats, r) for i, r in enumerate(rows)])
+        data = Dataset(vocab, [f"s{i}" for i in range(25)], ["p"] * 25, np.zeros((25, 2)), rows)
         labels = vanilla_contrast_labels(data)
         assert labels.dtype == np.int64
         assert np.array_equal(labels, loop_vanilla_contrast_labels(data))
@@ -292,11 +289,11 @@ def test_checkpoint_keeps_first_best_epoch(crc_result):
 def test_pipeline_input_validation(small_splits):
     train, val, _ = small_splits
     variant = VariantSpec.from_name("Single-MLL")
-    other = Dataset(synthetic_vocabulary(2, 2), [])
+    other = empty_dataset(synthetic_vocabulary(2, 2))
     with pytest.raises(ValueError, match="share one vocabulary"):
         run_pipeline(train, other, variant, small_train_config())
     with pytest.raises(ValueError, match="nonempty"):
-        run_pipeline(Dataset(train.vocabulary, []), val, variant, small_train_config())
+        run_pipeline(empty_dataset(train.vocabulary), val, variant, small_train_config())
 
 
 def test_training_divergence_is_reported(small_splits):
@@ -317,9 +314,9 @@ def test_score_and_evaluate(crc_result, small_splits):
     assert 0.0 <= report.mll_acc <= 1.0
     assert 0.0 <= report.map <= 1.0
     with pytest.raises(ValueError, match="does not match"):
-        score_dataset(crc_result.checkpoint, Dataset(synthetic_vocabulary(2, 2), []))
+        score_dataset(crc_result.checkpoint, empty_dataset(synthetic_vocabulary(2, 2)))
     with pytest.raises(ValueError, match="empty"):
-        score_dataset(crc_result.checkpoint, Dataset(small_splits[0].vocabulary, []))
+        score_dataset(crc_result.checkpoint, empty_dataset(small_splits[0].vocabulary))
 
 
 def test_checkpoint_roundtrip_is_bit_exact(crc_result, tmp_path):
