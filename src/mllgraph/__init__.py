@@ -28,14 +28,13 @@ from .cooccur import (
 from .glove import EmbeddingMatrix, GloveConfig, train_glove
 from .graph import GcnLayer, GcnStack, gcn_forward, init_gcn_stack, propagate
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
-from .relabel import ClusterModel, KMeansResult, kmeans, mean_embedding, relabel
-from .losses import LossConfig, contrastive_loss, cosine_similarity, mll_loss
+from .relabel import ClusterModel, KMeansResult, kmeans, relabel
+from .losses import LossConfig
 from .metrics import MetricsReport, ScoreTable, compute_report
 from .trainer import (
     Checkpoint,
     TrainConfig,
     VariantSpec,
-    evaluate,
     load_checkpoint,
     run_pipeline,
     save_checkpoint,
@@ -69,10 +68,7 @@ __all__ = [
     "build_adjacency",
     "build_cooccurrence",
     "compute_report",
-    "contrastive_loss",
-    "cosine_similarity",
     "encode",
-    "evaluate",
     "gcn_forward",
     "generate_synthetic",
     "init_encoder",
@@ -80,8 +76,6 @@ __all__ = [
     "kmeans",
     "load_checkpoint",
     "load_dataset",
-    "mean_embedding",
-    "mll_loss",
     "normalize_adjacency",
     "propagate",
     "relabel",

@@ -32,8 +32,10 @@ from .corpus import (
 from .glove import GloveDivergenceError, write_embeddings_csv
 from .metrics import (
     METRIC_KEYS,
+    SP_MODES,
     compute_report,
     format_report_json,
+    percentages,
     read_score_csv,
     write_score_csv,
 )
@@ -47,7 +49,6 @@ from .trainer import (
     VARIANT_NAMES,
     TrainConfig,
     config_from_dict,
-    evaluate,
     load_checkpoint,
     run_pipeline,
     save_checkpoint,
@@ -152,11 +153,9 @@ def resolve_config(args) -> dict:
 def build_synthetic_config(cfg: dict) -> SyntheticConfig:
     data = dict(cfg["synthetic"])
     try:
-        sc = SyntheticConfig(**data, seed=stage_seed(cfg["seed"], "synthetic"))
-        sc.validate()
+        return SyntheticConfig(**data, seed=stage_seed(cfg["seed"], "synthetic"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"synthetic: {exc}") from exc
-    return sc
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
@@ -170,14 +169,13 @@ def build_train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(f"train config: {exc}") from exc
 
 
-def _check_metrics_section(cfg: dict):
-    m = cfg["metrics"]
-    thr = m["threshold"]
-    if not isinstance(thr, (int, float)) or not 0.0 <= float(thr) <= 1.0:
-        raise ConfigError("metrics.threshold: must lie within [0, 1]")
-    if m["sp_mode"] not in ("exact", "argmax"):
-        raise ConfigError("metrics.sp_mode: must be 'exact' or 'argmax'")
-    return float(thr), m["sp_mode"]
+def _check_scoring(threshold, sp_mode, names=("--threshold", "--sp-mode")):
+    """(threshold, sp_mode) once both are valid; `names` label the two in the error."""
+    if not isinstance(threshold, (int, float)) or not 0.0 <= float(threshold) <= 1.0:
+        raise ConfigError(f"{names[0]} must lie within [0, 1]")
+    if sp_mode not in SP_MODES:
+        raise ConfigError(f"{names[1]} must be 'exact' or 'argmax'")
+    return float(threshold), sp_mode
 
 
 def _check_ratios(cfg: dict):
@@ -231,7 +229,9 @@ def cmd_train(args) -> int:
         variant = VariantSpec.from_name(cfg["variant"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    threshold, sp_mode = _check_metrics_section(cfg)
+    threshold, sp_mode = _check_scoring(
+        cfg["metrics"]["threshold"], cfg["metrics"]["sp_mode"], ("metrics.threshold:", "metrics.sp_mode:")
+    )
     ratios = _check_ratios(cfg)
     tcfg = build_train_config(cfg)
     out = Path(cfg["out_dir"])
@@ -272,7 +272,7 @@ def cmd_train(args) -> int:
         report = compute_report(table, vocab.sp_indices, sp_mode)
         (out / f"metrics_{name}.json").write_text(format_report_json(report), encoding="utf-8")
         write_score_csv(out / f"scores_{name}.csv", table, split.ids, vocab.names)
-        scaled = {k: round(v * 100.0, 2) for k, v in report.as_dict().items()}
+        scaled = percentages(report.as_dict())
         print(f"{name}: " + " ".join(f"{k}={scaled[k]}" for k in ("MLL_ACC", "SP_ACC", "mAP", "HL")))
 
     print(f"best epoch {cp.epoch} (val exact-match {result.trace[cp.epoch - 1].val_exact_match:.4f})")
@@ -281,12 +281,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_scoring(args.threshold, args.sp_mode)
     cp = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data, cp.vocabulary)
-    if args.sp_mode not in ("exact", "argmax"):
-        raise ConfigError("--sp-mode must be 'exact' or 'argmax'")
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError("--threshold must lie within [0, 1]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = score_dataset(cp, dataset, args.threshold)
@@ -298,7 +295,7 @@ def cmd_eval(args) -> int:
         fh.write("name,ap\n")
         for name, ap in zip(cp.vocabulary.names, report.per_class_ap):
             fh.write(f"{name},{'' if np.isnan(ap) else repr(float(ap))}\n")
-    scaled = {k: round(v * 100.0, 2) for k, v in report.as_dict().items()}
+    scaled = percentages(report.as_dict())
     print(" ".join(f"{k}={scaled[k]}" for k in METRIC_KEYS))
     print(f"artifacts in {out}")
     return 0
@@ -349,8 +346,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_metrics_oracle(args) -> int:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError("--threshold must lie within [0, 1]")
+    _check_scoring(args.threshold, "exact")  # the oracle scores SP_ACC by exact match
     _, names, table = read_score_csv(args.scores, args.threshold)
     reported = json.loads(Path(args.report).read_text(encoding="utf-8"))
     missing = [k for k in METRIC_KEYS if k not in reported]
@@ -362,13 +358,13 @@ def cmd_metrics_oracle(args) -> int:
         if vocab.names != tuple(names):
             raise ConfigError("vocabulary does not match the score file columns")
         sp_indices = vocab.sp_indices
-    oracle = oracle_metrics(table.scores, table.targets, args.threshold, sp_indices)
+    oracle = percentages(oracle_metrics(table.scores, table.targets, args.threshold, sp_indices))
     ok = True
     for key in METRIC_KEYS:
         if key == "SP_ACC" and sp_indices is None:
             print("SP_ACC: skipped (pass --vocabulary to check it)")
             continue
-        want = round(oracle[key] * 100.0, 2)
+        want = oracle[key]
         got = float(reported[key])
         if abs(got - want) <= 1e-9:
             print(f"{key}: ok ({got})")

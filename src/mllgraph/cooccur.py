@@ -25,14 +25,6 @@ class CooccurrenceMatrix:
             raise ValueError("co-occurrence counts must be symmetric")
         object.__setattr__(self, "counts", X)
 
-    @property
-    def size(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def class_counts(self) -> np.ndarray:
-        return np.diagonal(self.counts).copy()
-
 
 def build_cooccurrence(dataset: Dataset) -> CooccurrenceMatrix:
     """Count joint label occurrences: X = Y^T Y over the 0/1 label matrix.
@@ -132,10 +124,6 @@ class NormalizedCorrelation:
         if not np.all(np.isfinite(B)):
             raise ValueError("correlation matrix must be finite")
         object.__setattr__(self, "matrix", B)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def normalize_adjacency(A: np.ndarray) -> NormalizedCorrelation:

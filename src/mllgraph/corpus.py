@@ -99,11 +99,6 @@ class LabelVocabulary:
             raise DatasetFormatError(str(exc)) from exc
 
 
-def default_vocabulary() -> LabelVocabulary:
-    """The built-in 39-class vocabulary (10 planes, 29 structures)."""
-    return synthetic_vocabulary(len(PLANE_NAMES), 29)
-
-
 def synthetic_vocabulary(sp_count: int, as_count: int) -> LabelVocabulary:
     """Vocabulary with built-in names where available, generated ones beyond."""
     sp = [PLANE_NAMES[i] if i < len(PLANE_NAMES) else f"SP{i + 1}" for i in range(sp_count)]
@@ -128,7 +123,6 @@ class Dataset:
     subjects: tuple
     features: np.ndarray
     labels: np.ndarray
-    split_tag: str = "unsplit"
 
     def __post_init__(self):
         ids = tuple(map(str, self.ids))
@@ -360,7 +354,7 @@ class SyntheticConfig:
     samples_per_subject: int = 10
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if self.sp_count < 1 or self.as_count < 1:
@@ -418,7 +412,6 @@ def class_prototypes(config: SyntheticConfig) -> np.ndarray:
     direction shared with the plane it is most associated with, making
     individual structure bits ambiguous from features alone.
     """
-    config.validate()
     rng = stage_rng(config.seed, "prototypes")
     C = config.sp_count + config.as_count
     protos = rng.standard_normal((C, config.feature_dim))
@@ -439,7 +432,6 @@ def class_prototypes(config: SyntheticConfig) -> np.ndarray:
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """Sample a planted-dependency corpus; shares byte-identical results per config."""
-    config.validate()
     vocab = synthetic_vocabulary(config.sp_count, config.as_count)
     profile = (
         np.asarray(config.structure_profile, dtype=np.float64)
@@ -519,7 +511,7 @@ def split_by_subject(dataset: Dataset, ratios, seed: int):
         counts[k] += sizes[j]
     split_of_sample = split_of[subject_of]
     parts = []
-    for k, tag in enumerate(("train", "val", "test")):
+    for k in range(3):
         rows = np.flatnonzero(split_of_sample == k)
         picked = rows.tolist()
         parts.append(Dataset(
@@ -528,6 +520,5 @@ def split_by_subject(dataset: Dataset, ratios, seed: int):
             [dataset.subjects[i] for i in picked],
             dataset.features[rows],
             dataset.labels[rows],
-            split_tag=tag,
         ))
     return tuple(parts)

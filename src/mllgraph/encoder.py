@@ -45,10 +45,6 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
 
 def init_encoder(input_dim: int, cfg: EncoderConfig, *, seed: int = 0) -> EncoderParams:
     """Fan-in uniform weights drawn from `seed`, zero biases."""
@@ -69,18 +65,17 @@ def init_encoder(input_dim: int, cfg: EncoderConfig, *, seed: int = 0) -> Encode
 class EncodeCache:
     inputs: list
     preacts: list
-    single: bool
 
 
 def encode(features: np.ndarray, params: EncoderParams):
-    """Map features to representations; accepts one vector or a batch.
+    """Map an (n, F) batch of features to (n, D) representations.
 
     Hidden layers use the leaky rectifier, the last layer is linear.
     Returns (representations, cache) with the cache feeding encoder_gradients.
     """
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    h = np.atleast_2d(x)
+    h = np.asarray(features, dtype=np.float64)
+    if h.ndim != 2:
+        raise ValueError(f"features must be an (n, F) batch, got shape {h.shape}")
     if h.shape[1] != params.input_dim:
         raise ValueError(f"feature length {h.shape[1]} != encoder input {params.input_dim}")
     n_layers = len(params.weights)
@@ -94,18 +89,16 @@ def encode(features: np.ndarray, params: EncoderParams):
             h = z
         else:
             h = np.where(z >= 0, z, params.slope * z)
-    out = h[0] if single else h
-    return out, EncodeCache(inputs, preacts, single)
+    return h, EncodeCache(inputs, preacts)
 
 
 def encoder_gradients(upstream: np.ndarray, cache: EncodeCache, params: EncoderParams):
     """Backprop d(loss)/d(representations); returns (dW list, db list, dz0).
 
-    dz0 is d(first layer's preactivation), one row per sample (a vector for
-    a single sample); d(features) is dz0 @ W0.T, which training never needs
-    and skips.
+    dz0 is d(first layer's preactivation), one row per sample; d(features)
+    is dz0 @ W0.T, which training never needs and skips.
     """
-    dh = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+    dh = np.asarray(upstream, dtype=np.float64)
     n_layers = len(params.weights)
     dWs = [None] * n_layers
     dbs = [None] * n_layers
@@ -116,4 +109,4 @@ def encoder_gradients(upstream: np.ndarray, cache: EncodeCache, params: EncoderP
         dbs[i] = dh.sum(axis=0)
         if i:
             dh = dh @ params.weights[i].T
-    return dWs, dbs, dh[0] if cache.single else dh
+    return dWs, dbs, dh

@@ -59,10 +59,6 @@ class EmbeddingMatrix:
             raise ValueError("embeddings must be finite")
         object.__setattr__(self, "vectors", Z)
 
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
 
 class GloveDivergenceError(RuntimeError):
     def __init__(self, epoch: int):
@@ -79,7 +75,7 @@ def _fixed_terms(counts: np.ndarray, wcfg: WeightingConfig):
 
 
 def _loss_and_residual_grad(params: EmbeddingParams, F, zero, logX):
-    """(loss, E) at `params`, where E = 2 f(X) R is d loss / d R.
+    """(loss, E) at `params`: loss = sum of f(X) R^2, and E = 2 f(X) R is d loss / d R.
 
     R = w w~^T + b + b~^T - log X on the nonzero cells and 0 on the others.
     R is built in place and f(X) R is reused for both the loss and E, so
@@ -104,16 +100,6 @@ def _gradients(params: EmbeddingParams, E: np.ndarray) -> EmbeddingParams:
         b=E.sum(axis=1),
         b_ctx=E.sum(axis=0),
     )
-
-
-def glove_loss(params: EmbeddingParams, counts: np.ndarray, wcfg: WeightingConfig) -> float:
-    """Sum over nonzero cells of f(X_ij) (w_i.w~_j + b_i + b~_j - log X_ij)^2."""
-    return _loss_and_residual_grad(params, *_fixed_terms(counts, wcfg))[0]
-
-
-def glove_gradients(params: EmbeddingParams, counts: np.ndarray, wcfg: WeightingConfig) -> EmbeddingParams:
-    """Analytic gradients of glove_loss for all four parameter blocks."""
-    return _gradients(params, _loss_and_residual_grad(params, *_fixed_terms(counts, wcfg))[1])
 
 
 @dataclass

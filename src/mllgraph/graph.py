@@ -43,10 +43,6 @@ class GcnStack:
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weights.shape[1]
-
 
 def init_gcn_stack(dims, *, slope: float = 0.2, seed: int = 0) -> GcnStack:
     """Fan-in uniform init; leaky activations between layers, identity last."""

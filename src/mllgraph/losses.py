@@ -43,13 +43,8 @@ def _sigmoid_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def mll_loss(scores: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over classes (and samples, for a batch) of stabilized BCE on raw scores."""
-    return mll_loss_and_grad(scores, targets)[0]
-
-
 def mll_loss_and_grad(scores: np.ndarray, targets: np.ndarray):
-    """(loss, d loss / d scores); the gradient is (sigmoid(s) - y) / count."""
+    """(loss, d loss / d scores): mean stabilized BCE on raw scores, and (sigmoid(s) - y) / count."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if s.shape != y.shape:
@@ -60,18 +55,6 @@ def mll_loss_and_grad(scores: np.ndarray, targets: np.ndarray):
     grad -= y
     grad /= s.size
     return float(bce.sum() / bce.size), grad  # bce.mean() without its wrapper
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of two vectors; a zero-norm operand yields 0 and is counted."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        diagnostics.record("cosine_zero_norm")
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def _unit_rows(X: np.ndarray):
@@ -99,18 +82,14 @@ def _pair_terms(labels: np.ndarray, cfg: LossConfig):
     return pos, neg, w_pos, w_neg
 
 
-def contrastive_loss(representations: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> float:
-    """Pull same-label pairs together, push different-label pairs apart.
-
-    Over ordered within-batch pairs: alpha (1 - sim) on same-label pairs and
-    beta (1 + sim) on different-label pairs, either summed raw or averaged
-    per pair group. A batch of fewer than two samples contributes 0.
-    """
-    return contrastive_loss_and_grad(representations, labels, cfg)[0]
-
-
 def contrastive_loss_and_grad(representations: np.ndarray, labels: np.ndarray, cfg: LossConfig):
-    """(loss, d loss / d representations); zero-norm rows get a zero gradient."""
+    """(loss, d loss / d representations): pull same-label pairs together, push different-label pairs apart.
+
+    Over ordered within-batch pairs: alpha (1 - cos) on same-label pairs and
+    beta (1 + cos) on different-label pairs, either summed raw or averaged
+    per pair group. A batch of fewer than two samples contributes 0; a
+    zero-norm row has cosine 0 with every row and gets a zero gradient.
+    """
     X = np.asarray(representations, dtype=np.float64)
     labels = np.asarray(labels)
     n = X.shape[0]

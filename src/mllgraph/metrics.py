@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from . import diagnostics
 from .corpus import format_csv_row
 
 METRIC_KEYS = ("SP_ACC", "MLL_ACC", "mAP", "HL", "OP", "OR", "OF1", "CP", "CR", "CF1")
+SP_MODES = ("exact", "argmax")  # SP_ACC by exact match on the plane bits, or by the top plane
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,9 @@ def overall_and_perclass(table: ScoreTable):
     op = _safe_ratio(tp.sum(), tp.sum() + fp.sum(), "overall_precision_zero_division")
     orec = _safe_ratio(tp.sum(), tp.sum() + fn.sum(), "overall_recall_zero_division")
     of1 = _safe_ratio(2.0 * op * orec, op + orec, "overall_f1_zero_division")
-    cp = float(np.mean(_safe_ratios(tp, tp + fp, "perclass_precision_zero_division")))
-    cr = float(np.mean(_safe_ratios(tp, tp + fn, "perclass_recall_zero_division")))
+    # exactly rounded means, as the oracle takes them, so a round-half tie rounds alike in both
+    cp = math.fsum(_safe_ratios(tp, tp + fp, "perclass_precision_zero_division").tolist()) / tp.size
+    cr = math.fsum(_safe_ratios(tp, tp + fn, "perclass_recall_zero_division").tolist()) / tp.size
     cf1 = _safe_ratio(2.0 * cp * cr, cp + cr, "perclass_f1_zero_division")
     return float(op), float(orec), float(of1), float(cp), float(cr), cf1
 
@@ -145,20 +148,6 @@ def _column_aps(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return aps
 
 
-def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of precision@k over the positive ranks.
-
-    Ranking is by descending score; ties keep ascending original index.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(targets)
-    if s.ndim != 1 or s.shape != t.shape:
-        raise ValueError("scores and targets must be matching vectors")
-    if int(t.sum()) == 0:
-        raise ValueError("average precision needs at least one positive")
-    return float(_column_aps(s[:, None], t[:, None])[0])
-
-
 def mean_average_precision(table: ScoreTable):
     """(mAP, per-class AP with NaN for skipped classes without positives)."""
     per_class = _column_aps(table.scores, table.targets)
@@ -194,7 +183,7 @@ class MetricsReport:
 
 def compute_report(table: ScoreTable, sp_indices, sp_mode: str = "exact") -> MetricsReport:
     """All Table-style metrics in one pass over a score table."""
-    if sp_mode not in ("exact", "argmax"):
+    if sp_mode not in SP_MODES:
         raise ValueError(f"unknown sp_mode: {sp_mode!r}")
     if sp_mode == "exact":
         sp_acc = exact_match(table, restrict=sp_indices)
@@ -209,17 +198,14 @@ def compute_report(table: ScoreTable, sp_indices, sp_mode: str = "exact") -> Met
     )
 
 
+def percentages(fractions: dict) -> dict:
+    """Each metric as a percentage rounded to two decimals, the form reports print and store."""
+    return {k: round(v * 100.0, 2) for k, v in fractions.items()}
+
+
 def format_report_json(report: MetricsReport) -> str:
     """Percentages rounded to two decimals, keys in canonical order."""
-    scaled = {k: round(v * 100.0, 2) for k, v in report.as_dict().items()}
-    return json.dumps(scaled, indent=2) + "\n"
-
-
-def format_report_csv(report: MetricsReport) -> str:
-    scaled = {k: round(v * 100.0, 2) for k, v in report.as_dict().items()}
-    head = ",".join(METRIC_KEYS)
-    row = ",".join(repr(scaled[k]) for k in METRIC_KEYS)
-    return head + "\n" + row + "\n"
+    return json.dumps(percentages(report.as_dict()), indent=2) + "\n"
 
 
 def write_score_csv(path, table: ScoreTable, ids, names) -> None:

@@ -7,6 +7,8 @@ check each other.
 
 from __future__ import annotations
 
+import math
+
 
 def oracle_metrics(scores, targets, threshold: float = 0.5, sp_indices=None) -> dict:
     """All ten report metrics as plain fractions, computed with bare loops."""
@@ -36,8 +38,9 @@ def oracle_metrics(scores, targets, threshold: float = 0.5, sp_indices=None) -> 
     op = ratio(sum(tp), sum(tp) + sum(fp))
     orec = ratio(sum(tp), sum(tp) + sum(fn))
     of1 = ratio(2 * op * orec, op + orec)
-    cp = sum(ratio(tp[c], tp[c] + fp[c]) for c in range(C)) / C
-    cr = sum(ratio(tp[c], tp[c] + fn[c]) for c in range(C)) / C
+    # exactly rounded means, as metrics.py takes them, so a round-half tie cannot split the two
+    cp = math.fsum(ratio(tp[c], tp[c] + fp[c]) for c in range(C)) / C
+    cr = math.fsum(ratio(tp[c], tp[c] + fn[c]) for c in range(C)) / C
     cf1 = ratio(2 * cp * cr, cp + cr)
 
     mismatches = 0

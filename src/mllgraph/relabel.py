@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diagnostics
 from .corpus import Dataset, format_csv_row
 
 
@@ -20,10 +21,6 @@ class ClusterModel:
         if not np.all(np.isfinite(M)):
             raise ValueError("centroids must be finite")
         object.__setattr__(self, "centroids", M)
-
-    @property
-    def n_clusters(self) -> int:
-        return self.centroids.shape[0]
 
 
 @dataclass(frozen=True)
@@ -41,19 +38,6 @@ class RelabeledDataset:
 
     sample_ids: tuple
     assignments: np.ndarray
-    n_clusters: int
-
-
-def mean_embedding(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean of the embedding rows whose label bit is set."""
-    Z = np.asarray(vectors, dtype=np.float64)
-    bits = np.asarray(labels).astype(bool)
-    if bits.shape[0] != Z.shape[0]:
-        raise ValueError(f"{bits.shape[0]} label bits for {Z.shape[0]} embeddings")
-    idx = np.flatnonzero(bits)
-    if idx.size == 0:
-        raise ValueError("cannot average an empty label set")
-    return Z[idx].mean(axis=0)
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -93,6 +77,7 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
         cost = np.where(movable, cost, -np.inf)
         far = int(np.argmax(cost))
         assign[far] = k
+        diagnostics.record("kmeans_empty_cluster_repaired")
     return assign
 
 
@@ -148,15 +133,16 @@ def kmeans(points: np.ndarray, n_clusters: int, *, seed: int = 0, max_iter: int 
 def relabel(dataset: Dataset, vectors: np.ndarray, model: ClusterModel) -> RelabeledDataset:
     """Assign each sample the cluster nearest its mean positive-label embedding."""
     Z = np.asarray(vectors, dtype=np.float64)
-    if Z.shape[1] != model.centroids.shape[1]:
-        raise ValueError("embedding width does not match centroids")
-    means = np.stack([mean_embedding(Z, bits) for bits in dataset.labels])
+    C, d = dataset.vocabulary.size, model.centroids.shape[1]
+    if Z.shape != (C, d):
+        raise ValueError(f"embeddings {Z.shape} do not match {C} label bits and centroid width {d}")
+    Y = dataset.labels
+    means = (Y @ Z) / Y.sum(axis=1, keepdims=True)  # every sample has a label bit
     D2 = _squared_distances(means, model.centroids)
     assign = D2.argmin(axis=1)  # ties resolve to the lowest cluster index
     return RelabeledDataset(
         sample_ids=dataset.ids,
         assignments=assign.astype(np.int64),
-        n_clusters=model.n_clusters,
     )
 
 

@@ -37,7 +37,7 @@ from .losses import (
     mll_loss_and_grad,
     sigmoid,
 )
-from .metrics import MetricsReport, ScoreTable, compute_report, exact_match
+from .metrics import ScoreTable, exact_match
 from .relabel import KMeansResult, RelabeledDataset, kmeans, relabel
 from .seeding import stage_rng, stage_seed
 
@@ -453,11 +453,6 @@ def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> S
     reps, _ = encode(dataset.features_matrix(), cp.encoder_params)
     probs = sigmoid(reps @ classifier_matrix(cp).T)
     return ScoreTable(probs, dataset.labels_matrix(), threshold)
-
-
-def evaluate(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5, sp_mode: str = "exact") -> MetricsReport:
-    table = score_dataset(cp, dataset, threshold)
-    return compute_report(table, cp.vocabulary.sp_indices, sp_mode)
 
 
 # ---------------------------------------------------------------------------

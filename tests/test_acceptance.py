@@ -19,16 +19,16 @@ from mllgraph.cli import main
 from mllgraph.cooccur import WeightingConfig
 from mllgraph.corpus import SyntheticConfig, generate_synthetic, split_by_subject
 from mllgraph.encoder import EncoderConfig, encode, encoder_gradients, init_encoder
-from mllgraph.glove import EmbeddingParams, GloveConfig, glove_gradients, glove_loss, train_glove
-from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
-from mllgraph.losses import (
-    LossConfig,
-    contrastive_loss,
-    contrastive_loss_and_grad,
-    cosine_similarity,
-    mll_loss,
-    mll_loss_and_grad,
+from mllgraph.glove import (
+    EmbeddingParams,
+    GloveConfig,
+    _fixed_terms,
+    _gradients,
+    _loss_and_residual_grad,
+    train_glove,
 )
+from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
+from mllgraph.losses import LossConfig, contrastive_loss_and_grad, mll_loss_and_grad
 from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report
 from mllgraph.oracle import oracle_metrics
 from mllgraph.relabel import kmeans
@@ -37,9 +37,9 @@ from mllgraph.trainer import (
     TrainConfig,
     VariantSpec,
     checkpoint_bytes,
-    evaluate,
     load_checkpoint,
     run_pipeline,
+    score_dataset,
 )
 
 from gradcheck import away_from_kinks, max_rel_err, numeric_gradient
@@ -68,13 +68,15 @@ def _embedding_gradcheck(rng) -> float:
         b=rng.standard_normal(C) * 0.3,
         b_ctx=rng.standard_normal(C) * 0.3,
     )
-    grads = glove_gradients(params, counts, wcfg)
+    # the loss/residual and gradient pair that train_glove runs each epoch
+    terms = _fixed_terms(counts, wcfg)
+    grads = _gradients(params, _loss_and_residual_grad(params, *terms)[1])
     worst = 0.0
     for block in ("w", "w_ctx", "b", "b_ctx"):
         def f(value, _block=block):
             fields = {k: getattr(params, k) for k in ("w", "w_ctx", "b", "b_ctx")}
             fields[_block] = value
-            return glove_loss(EmbeddingParams(**fields), counts, wcfg)
+            return _loss_and_residual_grad(EmbeddingParams(**fields), *terms)[0]
 
         numeric = numeric_gradient(f, getattr(params, block))
         worst = max(worst, max_rel_err(getattr(grads, block), numeric))
@@ -98,7 +100,7 @@ def _graph_path_gradcheck(rng) -> float:
 
     def path_loss(Zv, stack_v):
         K, _ = gcn_forward(propagate(Zv, B), B, stack_v)
-        return mll_loss(reps @ K.T, targets)
+        return mll_loss_and_grad(reps @ K.T, targets)[0]
 
     K, cache = gcn_forward(propagate(Z, B), B, stack)
     _, d_scores = mll_loss_and_grad(reps @ K.T, targets)
@@ -135,7 +137,7 @@ def _encoder_path_gradcheck(rng) -> float:
 
     def path_loss(params_, Xv):
         reps, _ = encode(Xv, params_)
-        return mll_loss(reps @ K.T, targets)
+        return mll_loss_and_grad(reps @ K.T, targets)[0]
 
     reps, cache = encode(X, params)
     _, d_scores = mll_loss_and_grad(reps @ K.T, targets)
@@ -164,7 +166,7 @@ def _contrastive_gradcheck(rng, norm: str) -> float:
     X = rng.standard_normal((n, d))
     labels = rng.integers(0, max(2, n // 2), n)
     _, grad = contrastive_loss_and_grad(X, labels, cfg)
-    numeric = numeric_gradient(lambda Xv: contrastive_loss(Xv, labels, cfg), X)
+    numeric = numeric_gradient(lambda Xv: contrastive_loss_and_grad(Xv, labels, cfg)[0], X)
     return max_rel_err(grad, numeric)
 
 
@@ -266,6 +268,10 @@ def _planted_counts(seed: int) -> np.ndarray:
     return Y.T @ Y
 
 
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def test_criterion_3_embedding_semantics():
     start = time.time()
     passes = 0
@@ -281,8 +287,8 @@ def test_criterion_3_embedding_semantics():
         )
         Z = res.embedding.vectors
         ratio = float(res.loss_trace[-1] / res.loss_trace[0])
-        co = cosine_similarity(Z[0], Z[1])
-        apart = cosine_similarity(Z[2], Z[3])
+        co = _cosine(Z[0], Z[1])
+        apart = _cosine(Z[2], Z[3])
         passes += int(ratio <= 0.10 and co > apart)
         details.append(f"s{seed}: ratio={ratio:.4f} cos+={co:+.2f} cos-={apart:+.2f}")
     elapsed = time.time() - start
@@ -365,7 +371,8 @@ def test_criterion_5_benchmark_ordering():
         train, val, test = split_by_subject(data, (0.45, 0.27, 0.28), stage_seed(seed, "split"))
         for v in variants:
             res = run_pipeline(train, val, VariantSpec.from_name(v), TrainConfig(seed=seed))
-            accs[v].append(evaluate(res.checkpoint, test).mll_acc * 100.0)
+            table = score_dataset(res.checkpoint, test)
+            accs[v].append(compute_report(table, test.vocabulary.sp_indices).mll_acc * 100.0)
     means = {v: float(np.mean(accs[v])) for v in variants}
     gap = means["MLL-GCN-CRC"] - means["Single-MLL"]
     chain = means["MLL-GCN-CRC"] >= means["MLL-GCN"] >= means["Single-MLL"]
@@ -458,9 +465,9 @@ def test_criterion_7_contrastive_scale_invariance():
             d = int(rng.integers(2, 7))
             X = rng.standard_normal((n, d)) * float(rng.uniform(0.1, 10.0))
             labels = rng.integers(0, 3, n)
-            base = contrastive_loss(X, labels, cfg)
+            base = contrastive_loss_and_grad(X, labels, cfg)[0]
             for c in (0.5, 3.0):
-                worst = max(worst, abs(contrastive_loss(c * X, labels, cfg) - base))
+                worst = max(worst, abs(contrastive_loss_and_grad(c * X, labels, cfg)[0] - base))
     elapsed = time.time() - start
     ok = worst <= 1e-10
     _report(

@@ -1,11 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from mllgraph.cli import ConfigError, apply_set, default_run_config, main, merge_config
 from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
-from mllgraph.metrics import METRIC_KEYS
+from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report, format_report_json, write_score_csv
 from mllgraph.trainer import LinearHead, load_checkpoint
 
 from test_trainer import read_header, with_header, with_shapes, with_tensors
@@ -211,6 +212,17 @@ def test_eval_flag_validation(work, tmp_path):
                  "--out", str(tmp_path / "e")]) == 1
 
 
+def test_eval_checks_flags_before_reading_files(tmp_path, capsys):
+    # neither file exists: the bad flag is reported first, as a usage error
+    for flags, message in ((["--sp-mode", "bogus"], "--sp-mode must be 'exact' or 'argmax'"),
+                           (["--threshold", "-1"], "--threshold must lie within [0, 1]")):
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.mllg"),
+                     "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "e"),
+                     *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "e").exists()
+
+
 def test_export_targets(work, tmp_path):
     ckpt = str(work / "crc" / "checkpoint.mllg")
     for what, filename in (
@@ -302,6 +314,24 @@ def test_metrics_oracle_skips_sp_acc_without_vocabulary(work, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "SP_ACC: skipped" in out
+
+
+def test_metrics_oracle_agrees_at_a_rounding_tie(tmp_path, capsys):
+    # seed 126 of a search over random tables: CR is exactly 45.625 %, a tie
+    # at two decimals. A loop sum of the eight per-class recalls lands one
+    # bit above it (45.63), a pairwise mean on it (45.62); the report and the
+    # oracle must take the same mean
+    rng = np.random.default_rng(126)
+    n, C = int(rng.integers(2, 30)), int(rng.integers(8, 60))
+    table = ScoreTable(rng.random((n, C)), rng.integers(0, 2, (n, C)))
+    report = compute_report(table, list(range(C)))
+    (tmp_path / "metrics.json").write_text(format_report_json(report), encoding="utf-8")
+    write_score_csv(tmp_path / "scores.csv", table, [f"s{i}" for i in range(n)], [f"c{j}" for j in range(C)])
+    code = main(["metrics-oracle", "--scores", str(tmp_path / "scores.csv"),
+                 "--report", str(tmp_path / "metrics.json")])
+    out = capsys.readouterr().out
+    assert "CR: ok (45.62)" in out
+    assert code == 0
 
 
 def test_metrics_oracle_flags_tampered_report(work, tmp_path, capsys):

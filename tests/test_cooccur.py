@@ -37,8 +37,6 @@ def test_build_cooccurrence_matches_hand_count():
         [3, 1, 3],
     ])
     assert np.array_equal(X.counts, expected)
-    assert np.array_equal(X.class_counts, [3, 2, 3])
-    assert X.size == 3
 
 
 def test_build_cooccurrence_matches_integer_product():

@@ -11,7 +11,6 @@ from mllgraph.corpus import (
     SyntheticConfig,
     class_prototypes,
     default_structure_profile,
-    default_vocabulary,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -93,7 +92,8 @@ def test_vocabulary_load_rejects_bad_entry(tmp_path):
 
 
 def test_default_vocabulary_shape():
-    v = default_vocabulary()
+    cfg = SyntheticConfig()
+    v = synthetic_vocabulary(cfg.sp_count, cfg.as_count)
     assert v.size == 39
     assert v.sp_indices.size == 10
     assert v.as_indices.size == 29
@@ -407,15 +407,15 @@ def test_save_dataset_matches_reference(tmp_path):
 
 def test_synthetic_config_validation_messages():
     with pytest.raises(ValueError, match="n_samples"):
-        SyntheticConfig(n_samples=0).validate()
+        SyntheticConfig(n_samples=0)
     with pytest.raises(ValueError, match="no_sp_probability"):
-        SyntheticConfig(no_sp_probability=1.5).validate()
+        SyntheticConfig(no_sp_probability=1.5)
     with pytest.raises(ValueError, match="noise_sigma"):
-        SyntheticConfig(noise_sigma=-1.0).validate()
+        SyntheticConfig(noise_sigma=-1.0)
     with pytest.raises(ValueError, match="structure_profile"):
-        SyntheticConfig(structure_profile=np.ones((2, 2))).validate()
+        SyntheticConfig(structure_profile=np.ones((2, 2)))
     with pytest.raises(ValueError, match="background_profile"):
-        SyntheticConfig(background_profile=np.full(29, 2.0)).validate()
+        SyntheticConfig(background_profile=np.full(29, 2.0))
 
 
 def test_default_structure_profile_plants_trios():
@@ -592,7 +592,6 @@ def test_split_partitions_without_breaking_subjects():
     assert sorted(ids) == sorted(ds.ids)
     groups = [set(p.subject_ids()) for p in (train, val, test)]
     assert not (groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2])
-    assert (train.split_tag, val.split_tag, test.split_tag) == ("train", "val", "test")
 
 
 def split_by_subject_reference(dataset, ratios, seed):

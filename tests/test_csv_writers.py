@@ -60,6 +60,6 @@ def test_cluster_writers_bytes(tmp_path):
 
     assignments = np.array([3, 0, 2 ** 40], dtype=np.int64)
     apath = tmp_path / "assignments.csv"
-    write_assignments_csv(apath, RelabeledDataset(("a", "b", "c"), assignments, 4))
+    write_assignments_csv(apath, RelabeledDataset(("a", "b", "c"), assignments))
     want = "id,cluster\n" + "".join(f"{sid},{int(c)}\n" for sid, c in zip("abc", assignments))
     assert apath.read_bytes() == want.encode("utf-8")

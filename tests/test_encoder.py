@@ -32,7 +32,6 @@ def test_init_shapes_and_zero_biases():
     assert [b.shape for b in params.biases] == [(6,), (4,)]
     assert all(np.all(b == 0.0) for b in params.biases)
     assert params.input_dim == 10
-    assert params.output_dim == 4
     bound = 1.0 / np.sqrt(10)
     assert np.all(np.abs(params.weights[0]) <= bound)
 
@@ -64,9 +63,8 @@ def test_single_linear_layer_is_affine_map():
     W = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
     b = np.array([0.25, -0.75])
     params = EncoderParams([W], [b])
-    x = np.array([1.0, -2.0, 4.0])
-    out, cache = encode(x, params)
-    assert cache.single
+    x = np.array([[1.0, -2.0, 4.0]])
+    out, _ = encode(x, params)
     assert np.allclose(out, x @ W + b)
 
 
@@ -76,28 +74,29 @@ def test_hidden_layers_use_leaky_rectifier():
         [np.zeros(1), np.zeros(1)],
         slope=0.2,
     )
-    out_pos, _ = encode(np.array([2.0]), params)
-    out_neg, _ = encode(np.array([-2.0]), params)
-    assert out_pos[0] == pytest.approx(2.0)
-    assert out_neg[0] == pytest.approx(-0.4)
+    out, _ = encode(np.array([[2.0], [-2.0]]), params)
+    assert out[0, 0] == pytest.approx(2.0)
+    assert out[1, 0] == pytest.approx(-0.4)
 
 
 def test_batch_rows_match_single_calls():
     rng = np.random.default_rng(1)
     params = init_encoder(5, EncoderConfig(layer_widths=(4, 3)), seed=2)
     X = rng.standard_normal((6, 5))
-    batch, cache = encode(X, params)
-    assert not cache.single
+    batch, _ = encode(X, params)
     assert batch.shape == (6, 3)
     for i in range(6):
-        row, _ = encode(X[i], params)
-        assert np.allclose(batch[i], row)
+        row, _ = encode(X[i:i + 1], params)
+        assert np.allclose(batch[i], row[0])
 
 
 def test_encode_rejects_wrong_width():
     params = init_encoder(5, EncoderConfig(layer_widths=(3,)))
     with pytest.raises(ValueError, match="encoder input"):
-        encode(np.ones(4), params)
+        encode(np.ones((2, 4)), params)
+    # one feature vector is not a batch
+    with pytest.raises(ValueError, match="batch"):
+        encode(np.ones(5), params)
 
 
 def test_gradients_match_numeric():
@@ -143,8 +142,9 @@ def test_gradients_match_numeric():
 
 def test_gradient_shapes_follow_input_shape():
     params = init_encoder(4, EncoderConfig(layer_widths=(3,)), seed=0)
-    x = np.ones(4)
-    out, cache = encode(x, params)
-    _, _, dz0 = encoder_gradients(np.ones_like(out), cache, params)
-    assert dz0.shape == (3,)
-    assert (dz0 @ params.weights[0].T).shape == (4,)
+    for n in (1, 5):
+        out, cache = encode(np.ones((n, 4)), params)
+        dWs, dbs, dz0 = encoder_gradients(np.ones_like(out), cache, params)
+        assert [dW.shape for dW in dWs] == [(4, 3)] and [db.shape for db in dbs] == [(3,)]
+        assert dz0.shape == (n, 3)
+        assert (dz0 @ params.weights[0].T).shape == (n, 4)

@@ -9,13 +9,24 @@ from mllgraph.glove import (
     EmbeddingMatrix,
     EmbeddingParams,
     GloveConfig,
-    glove_gradients,
-    glove_loss,
+    _fixed_terms,
+    _gradients,
+    _loss_and_residual_grad,
     train_glove,
     write_embeddings_csv,
 )
 
 from gradcheck import max_rel_err, numeric_gradient
+
+
+def glove_loss(params, counts, wcfg):
+    """The objective train_glove minimizes, at `params`."""
+    return _loss_and_residual_grad(params, *_fixed_terms(counts, wcfg))[0]
+
+
+def glove_gradients(params, counts, wcfg):
+    """The gradients train_glove steps along, at `params`."""
+    return _gradients(params, _loss_and_residual_grad(params, *_fixed_terms(counts, wcfg))[1])
 
 
 def zero_params(C, d):

@@ -18,7 +18,6 @@ def test_init_stack_shapes_and_activations():
     assert [l.weights.shape for l in stack.layers] == [(6, 5), (5, 4)]
     assert [l.activation for l in stack.layers] == ["leaky", "identity"]
     assert stack.input_dim == 6
-    assert stack.output_dim == 4
 
 
 def test_init_stack_respects_fan_in_bounds():

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from mllgraph import diagnostics
-from mllgraph.losses import (
-    LossConfig,
-    contrastive_loss,
-    contrastive_loss_and_grad,
-    cosine_similarity,
-    mll_loss,
-    mll_loss_and_grad,
-    sigmoid,
-)
+from mllgraph.losses import LossConfig, contrastive_loss_and_grad, mll_loss_and_grad, sigmoid
 
 from gradcheck import max_rel_err, numeric_gradient
 
@@ -37,6 +29,14 @@ def test_sigmoid_center_and_saturation():
     assert np.all(np.isfinite(big))
 
 
+def mll_loss(scores, targets):
+    return mll_loss_and_grad(scores, targets)[0]
+
+
+def contrastive_loss(representations, labels, cfg):
+    return contrastive_loss_and_grad(representations, labels, cfg)[0]
+
+
 def test_mll_loss_hand_values():
     # At a raw score of 0 every class costs log 2 regardless of its target.
     s = np.zeros((2, 3))
@@ -49,7 +49,7 @@ def test_mll_loss_hand_values():
 
 def test_mll_loss_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="differ"):
-        mll_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+        mll_loss_and_grad(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_mll_gradient_matches_numeric():
@@ -63,12 +63,19 @@ def test_mll_gradient_matches_numeric():
 
 
 def test_cosine_similarity_cases():
-    assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine_similarity([2, 0], [5, 0]) == pytest.approx(1.0)
-    assert cosine_similarity([1, 0], [-3, 0]) == pytest.approx(-1.0)
-    before = diagnostics.count("cosine_zero_norm")
-    assert cosine_similarity([0, 0], [1, 1]) == 0.0
-    assert diagnostics.count("cosine_zero_norm") == before + 1
+    # the contrastive term's similarity is the cosine of the two rows: with
+    # two differently labeled rows, raw_sum and beta = 1 it costs 2 (1 + cos)
+    cfg = LossConfig(alpha=0.0, beta=1.0, contrastive_normalization="raw_sum")
+
+    def cosine(a, b):
+        return contrastive_loss(np.array([a, b], dtype=float), np.array([0, 1]), cfg) / 2.0 - 1.0
+
+    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
+    assert cosine([2, 0], [5, 0]) == pytest.approx(1.0)
+    assert cosine([1, 0], [-3, 0]) == pytest.approx(-1.0)
+    before = diagnostics.count("contrastive_zero_norm")
+    assert cosine([0, 0], [1, 1]) == 0.0
+    assert diagnostics.count("contrastive_zero_norm") == before + 1
 
 
 def test_contrastive_hand_case_both_normalizations():
@@ -86,16 +93,15 @@ def test_contrastive_hand_case_both_normalizations():
 
 def test_contrastive_undersized_batch_is_zero():
     before = diagnostics.count("contrastive_undersized_batch")
-    assert contrastive_loss(np.ones((1, 4)), np.array([0]), LossConfig()) == 0.0
     loss, grad = contrastive_loss_and_grad(np.ones((1, 4)), np.array([0]), LossConfig())
     assert loss == 0.0
     assert np.all(grad == 0.0)
-    assert diagnostics.count("contrastive_undersized_batch") == before + 2
+    assert diagnostics.count("contrastive_undersized_batch") == before + 1
 
 
 def test_contrastive_rejects_label_count_mismatch():
     with pytest.raises(ValueError, match="one label per"):
-        contrastive_loss(np.ones((3, 2)), np.array([0, 1]), LossConfig())
+        contrastive_loss_and_grad(np.ones((3, 2)), np.array([0, 1]), LossConfig())
 
 
 def test_contrastive_scale_invariance():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mllgraph.corpus import Dataset, synthetic_vocabulary
+from mllgraph import diagnostics
+from mllgraph.corpus import Dataset, LabelVocabulary, SyntheticConfig, generate_synthetic, synthetic_vocabulary
 from mllgraph.relabel import (
     ClusterModel,
     _lloyd,
+    _squared_distances,
     kmeans,
-    mean_embedding,
     relabel,
     write_assignments_csv,
     write_centroids_csv,
@@ -14,13 +15,17 @@ from mllgraph.relabel import (
 
 
 def test_mean_embedding_hand_case():
+    # each sample sits on the centroid placed at the mean of its label embeddings
+    vocab = LabelVocabulary((("a", "SP"), ("b", "SP"), ("c", "AS")))
+    labels = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
+    ds = Dataset(vocab, ["s0", "s1", "s2"], ["p", "p", "p"], np.zeros((3, 1)), labels)
     Z = np.array([[1.0, 0.0], [3.0, 4.0], [0.0, 2.0]])
-    out = mean_embedding(Z, np.array([1, 0, 1]))
-    assert np.allclose(out, [0.5, 1.0])
+    model = ClusterModel(np.array([[0.5, 1.0], [3.0, 4.0], [4.0 / 3.0, 2.0]]))
+    assert relabel(ds, Z, model).assignments.tolist() == [0, 1, 2]
     with pytest.raises(ValueError, match="empty label set"):
-        mean_embedding(Z, np.array([0, 0, 0]))
+        Dataset(vocab, ["s0"], ["p"], np.zeros((1, 1)), np.array([[0, 0, 0]]))
     with pytest.raises(ValueError, match="label bits"):
-        mean_embedding(Z, np.array([1, 0]))
+        relabel(ds, Z[:2], model)
 
 
 def test_kmeans_input_validation():
@@ -69,14 +74,25 @@ def test_two_blob_recovery():
 
 
 def test_lloyd_repairs_empty_clusters():
-    # Both starting centroids sit on top of each other far from the data, so
-    # the first assignment leaves cluster 1 empty and the repair must fire.
+    # All starting centroids sit on top of each other far from the data, so
+    # the first assignment leaves every cluster but 0 empty and the repair
+    # must fire once for each; later iterations leave none empty.
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]])
-    centroids = np.array([[-10.0, 0.0], [-10.0, 1e-9]])
-    res = _lloyd(pts, centroids, max_iter=20, tol=1e-9)
-    counts = np.bincount(res.assignments, minlength=2)
-    assert np.all(counts > 0)
-    assert np.all(np.diff(res.objective_trace) <= 1e-12)
+    for n_clusters in (2, 3):
+        centroids = np.array([[-10.0, 1e-9 * k] for k in range(n_clusters)])
+        before = diagnostics.count("kmeans_empty_cluster_repaired")
+        res = _lloyd(pts, centroids, max_iter=20, tol=1e-9)
+        assert diagnostics.count("kmeans_empty_cluster_repaired") == before + n_clusters - 1
+        counts = np.bincount(res.assignments, minlength=n_clusters)
+        assert np.all(counts > 0)
+        assert np.all(np.diff(res.objective_trace) <= 1e-12)
+
+
+def test_kmeans_without_empty_clusters_counts_no_repair():
+    pts = np.random.default_rng(5).standard_normal((40, 3))
+    before = diagnostics.count("kmeans_empty_cluster_repaired")
+    kmeans(pts, 4, seed=1)
+    assert diagnostics.count("kmeans_empty_cluster_repaired") == before
 
 
 def test_singleton_clusters_reachable():
@@ -107,7 +123,25 @@ def test_relabel_assigns_nearest_centroid():
     # Sample means along x: (0+2)/2=1, (4+6)/2=5, (0+6)/2=3 (tie -> cluster 0).
     assert out.assignments.tolist() == [0, 1, 0]
     assert out.sample_ids == ("s0", "s1", "s2")
-    assert out.n_clusters == 2
+
+
+def relabel_loop_reference(dataset, vectors, model):
+    """Reference: the per-sample loop relabel replaced, one mean of the set label rows per sample."""
+    means = np.stack([vectors[np.flatnonzero(bits)].mean(axis=0) for bits in dataset.labels])
+    return _squared_distances(means, model.centroids).argmin(axis=1)
+
+
+def test_relabel_matches_loop_reference():
+    for seed in range(4):
+        for sp_count, as_count, d, n_clusters in ((10, 29, 32, 10), (3, 6, 2, 4), (40, 160, 8, 12)):
+            ds = generate_synthetic(SyntheticConfig(
+                n_samples=300, sp_count=sp_count, as_count=as_count, feature_dim=4, seed=seed,
+            ))
+            Z = np.random.default_rng(seed).standard_normal((sp_count + as_count, d))
+            model = kmeans(Z, n_clusters, seed=seed).model
+            got = relabel(ds, Z, model).assignments
+            assert got.dtype == np.int64
+            assert np.array_equal(got, relabel_loop_reference(ds, Z, model))
 
 
 def test_relabel_rejects_width_mismatch():
