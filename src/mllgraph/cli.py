@@ -346,7 +346,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_metrics_oracle(args) -> int:
-    _check_scoring(args.threshold, "exact")  # the oracle scores SP_ACC by exact match
+    _check_scoring(args.threshold, args.sp_mode)
     _, names, table = read_score_csv(args.scores, args.threshold)
     reported = json.loads(Path(args.report).read_text(encoding="utf-8"))
     missing = [k for k in METRIC_KEYS if k not in reported]
@@ -358,7 +358,7 @@ def cmd_metrics_oracle(args) -> int:
         if vocab.names != tuple(names):
             raise ConfigError("vocabulary does not match the score file columns")
         sp_indices = vocab.sp_indices
-    oracle = percentages(oracle_metrics(table.scores, table.targets, args.threshold, sp_indices))
+    oracle = percentages(oracle_metrics(table.scores, table.targets, args.threshold, sp_indices, args.sp_mode))
     ok = True
     for key in METRIC_KEYS:
         if key == "SP_ACC" and sp_indices is None:
@@ -423,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="metrics JSON to verify")
     p.add_argument("--vocabulary", help="vocabulary JSON (enables the SP_ACC check)")
     p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--sp-mode", dest="sp_mode", default="exact",
+                   help="SP_ACC rule the report was made with, as for eval: exact or argmax")
     p.set_defaults(func=cmd_metrics_oracle)
 
     return parser

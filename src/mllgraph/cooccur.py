@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, format_csv_row
+from .corpus import Dataset
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def weight_matrix(counts: np.ndarray, cfg: WeightingConfig) -> np.ndarray:
     X = np.asarray(counts, dtype=np.float64)
     if np.any(X < 0):
         raise ValueError("counts must be nonnegative")
-    scaled = np.minimum(X / cfg.x_max, 1.0) ** cfg.exponent
-    return np.where(X > 0, scaled, 0.0)
+    # the power only over the nonzero counts; the zero cells keep the 0.0 of `out`
+    return np.power(np.minimum(X / cfg.x_max, 1.0), cfg.exponent, out=np.zeros_like(X), where=X > 0)
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,24 @@ def normalize_adjacency(A: np.ndarray) -> NormalizedCorrelation:
 
 
 def write_matrix_csv(path, matrix: np.ndarray, names) -> None:
-    """Row-major CSV with the label names as header; integer matrices stay integer."""
+    """Row-major CSV with the label names as header; integer matrices stay integer.
+
+    The text is `format_csv_row`'s (`str` of each int, `repr` of each
+    float), but label statistics are mostly zeros, so only a row's nonzero
+    cells are formatted and every other cell is the one zero text. A float
+    is zero by its bits, so -0.0 keeps its own text.
+    """
     M = np.asarray(matrix)
-    if not np.issubdtype(M.dtype, np.integer):
-        M = M.astype(np.float64, copy=False)
+    if np.issubdtype(M.dtype, np.integer):
+        zero, bits = "0", M
+    else:
+        M = np.ascontiguousarray(M, dtype=np.float64)
+        zero, bits = "0.0", M.view(np.int64)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        for row in M:
-            fh.write(format_csv_row(row) + "\n")
+        for row, row_bits in zip(M, bits):
+            nz = np.flatnonzero(row_bits)
+            cells = [zero] * row.size
+            for j, text in zip(nz.tolist(), map(repr, row[nz].tolist())):
+                cells[j] = text
+            fh.write(",".join(cells) + "\n")

@@ -70,7 +70,7 @@ def _fixed_terms(counts: np.ndarray, wcfg: WeightingConfig):
     """(f(X), the mask of zero cells, log X): the parts of the objective the counts fix."""
     X = np.asarray(counts, dtype=np.float64)
     mask = X > 0
-    logX = np.where(mask, np.log(np.where(mask, X, 1.0)), 0.0)
+    logX = np.log(X, out=np.zeros_like(X), where=mask)
     return weight_matrix(X, wcfg), ~mask, logX
 
 

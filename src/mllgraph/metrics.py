@@ -208,14 +208,34 @@ def format_report_json(report: MetricsReport) -> str:
     return json.dumps(percentages(report.as_dict()), indent=2) + "\n"
 
 
+_SCORE_BLOCK_ROWS = 256  # rows whose target text is made in one step
+
+
+def _target_texts(targets: np.ndarray) -> list:
+    """The "0,1,..." text of each row of a uint8 0/1 block, made as one byte buffer."""
+    n, C = targets.shape
+    buf = np.full((n, 2 * C), ord(","), dtype=np.uint8)
+    buf[:, 0::2] = targets + ord("0")
+    text = buf.tobytes().decode("ascii")
+    w = 2 * C
+    return [text[i * w:(i + 1) * w - 1] for i in range(n)]
+
+
 def write_score_csv(path, table: ScoreTable, ids, names) -> None:
-    """Scores plus targets, one sample per row; re-read by read_score_csv."""
+    """Scores plus targets, one sample per row; re-read by read_score_csv.
+
+    Scores are `format_csv_row` text. Targets are 0/1 (`ScoreTable`
+    guarantees it), so their text is made a block of rows at a time.
+    """
     if len(ids) != table.n or len(names) != table.n_classes:
         raise ValueError("ids/names do not match the score table")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id," + ",".join(names) + "," + ",".join(f"target:{n}" for n in names) + "\n")
-        for sid, srow, trow in zip(ids, table.scores, table.targets):
-            fh.write(f"{sid},{format_csv_row(srow)},{format_csv_row(trow)}\n")
+        for start in range(0, table.n, _SCORE_BLOCK_ROWS):
+            block = slice(start, start + _SCORE_BLOCK_ROWS)
+            targets = _target_texts(table.targets[block])
+            for sid, srow, trow in zip(ids[block], table.scores[block], targets):
+                fh.write(f"{sid},{format_csv_row(srow)},{trow}\n")
 
 
 def read_score_csv(path, threshold: float = 0.5):

@@ -10,8 +10,12 @@ from __future__ import annotations
 import math
 
 
-def oracle_metrics(scores, targets, threshold: float = 0.5, sp_indices=None) -> dict:
-    """All ten report metrics as plain fractions, computed with bare loops."""
+def oracle_metrics(scores, targets, threshold: float = 0.5, sp_indices=None, sp_mode: str = "exact") -> dict:
+    """All ten report metrics as plain fractions, computed with bare loops.
+
+    sp_mode "exact" counts a sample toward SP_ACC when every plane bit is
+    predicted right; "argmax" when its top-scoring plane is a true one.
+    """
     scores = [[float(v) for v in row] for row in scores]
     targets = [[int(v) for v in row] for row in targets]
     n = len(scores)
@@ -59,11 +63,18 @@ def oracle_metrics(scores, targets, threshold: float = 0.5, sp_indices=None) -> 
     if sp_indices is None:
         sp_indices = list(range(C))
     sp_indices = [int(i) for i in sp_indices]
-    sp_exact = 0
-    for i in range(n):
-        if all(pred[i][c] == targets[i][c] for c in sp_indices):
-            sp_exact += 1
-    sp_acc = sp_exact / n
+    if not sp_indices:
+        raise ValueError("sp_indices must name at least one class")
+    if sp_mode == "exact":
+        sp_correct = 0
+        for i in range(n):
+            if all(pred[i][c] == targets[i][c] for c in sp_indices):
+                sp_correct += 1
+    elif sp_mode == "argmax":
+        sp_correct = sum(_argmax_plane_correct(scores[i], targets[i], pred[i], sp_indices) for i in range(n))
+    else:
+        raise ValueError(f"unknown sp_mode: {sp_mode!r}")
+    sp_acc = sp_correct / n
 
     ap_values = []
     for c in range(C):
@@ -86,6 +97,21 @@ def oracle_metrics(scores, targets, threshold: float = 0.5, sp_indices=None) -> 
         "CR": cr,
         "CF1": cf1,
     }
+
+
+def _argmax_plane_correct(scores, targets, pred, sp_indices) -> bool:
+    """One sample under the argmax SP_ACC rule.
+
+    With a true plane, the first of the top-scoring planes must be true;
+    without one, no plane may be predicted.
+    """
+    if not any(targets[c] == 1 for c in sp_indices):
+        return not any(pred[c] == 1 for c in sp_indices)
+    top = sp_indices[0]
+    for c in sp_indices[1:]:
+        if scores[c] > scores[top]:
+            top = c
+    return targets[top] == 1
 
 
 def oracle_average_precision(scores, targets) -> float:

@@ -388,18 +388,21 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     best = None
     trace = []
     for epoch in range(1, cfg.epochs + 1):
+        # the epoch's order gathered once; each batch is a slice (a view) of it
         perm = rng_batches.permutation(n)
+        Xep, Yep = Xtr[perm], Ytr[perm]
+        Lep = contrast_labels[perm] if contrast_labels is not None else None
         loss_sum = 0.0
         for bstart in range(0, n, cfg.batch_size):
-            batch = perm[bstart:bstart + cfg.batch_size]
-            reps, ecache = encode(Xtr[batch], enc)
+            batch = slice(bstart, bstart + cfg.batch_size)
+            reps, ecache = encode(Xep[batch], enc)
             K, hcache = head.forward(BZ, bhat)
             scores = reps @ K.T
-            mll, d_scores = mll_loss_and_grad(scores, Ytr[batch])
+            mll, d_scores = mll_loss_and_grad(scores, Yep[batch])
             d_reps = d_scores @ K
             total = mll
             if variant.contrastive_mode != "none":
-                closs, d_reps_c = contrastive_loss_and_grad(reps, contrast_labels[batch], cfg.loss)
+                closs, d_reps_c = contrastive_loss_and_grad(reps, Lep[batch], cfg.loss)
                 total = mll + cfg.loss.lam * closs
                 d_reps = d_reps + cfg.loss.lam * d_reps_c
             if not math.isfinite(total):
@@ -407,7 +410,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
             sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, bhat))
-            loss_sum += total * batch.size
+            loss_sum += total * reps.shape[0]
         val_reps, _ = encode(Xval, enc)
         K, _ = head.forward(BZ, bhat)
         probs = sigmoid(val_reps @ K.T)

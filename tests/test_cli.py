@@ -305,6 +305,24 @@ def test_metrics_oracle_agrees_with_eval_output(work, capsys):
     assert "all metrics agree with the oracle" in out
 
 
+def test_metrics_oracle_verifies_argmax_reports(work, tmp_path, capsys):
+    out = tmp_path / "argmax"
+    assert main(["eval", "--checkpoint", str(work / "crc" / "checkpoint.mllg"),
+                 "--data", str(work / "synth" / "dataset.jsonl"), "--out", str(out),
+                 "--sp-mode", "argmax"]) == 0
+    report = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    exact = json.loads((work / "eval" / "metrics.json").read_text(encoding="utf-8"))
+    assert report["SP_ACC"] != exact["SP_ACC"]  # the two rules disagree on this data
+    check = ["metrics-oracle", "--scores", str(out / "scores.csv"), "--report", str(out / "metrics.json"),
+             "--vocabulary", str(out / "vocabulary.json")]
+    capsys.readouterr()
+    assert main(check + ["--sp-mode", "argmax"]) == 0
+    assert "all metrics agree with the oracle" in capsys.readouterr().out
+    assert main(check) == 1
+    assert "SP_ACC: MISMATCH" in capsys.readouterr().out
+    assert main(check + ["--sp-mode", "top1"]) == 2
+
+
 def test_metrics_oracle_skips_sp_acc_without_vocabulary(work, capsys):
     code = main([
         "metrics-oracle",

@@ -109,6 +109,16 @@ def test_weight_matrix_matches_scalar():
             assert W[i, j] == pytest.approx(weight(X[i, j], cfg), abs=1e-15)
 
 
+def test_weight_matrix_bit_equal_to_masked_power():
+    # mostly zeros, with counts on both sides of x_max
+    rng = np.random.default_rng(5)
+    X = np.where(rng.random((60, 60)) < 0.1, rng.integers(1, 400, (60, 60)), 0)
+    Xf = (X + X.T).astype(np.float64)
+    for cfg in (WeightingConfig(), WeightingConfig(x_max=7, exponent=0.5), WeightingConfig(exponent=1.0)):
+        want = np.where(Xf > 0, np.minimum(Xf / cfg.x_max, 1.0) ** cfg.exponent, 0.0)
+        assert weight_matrix(Xf, cfg).tobytes() == want.tobytes()
+
+
 def test_weighting_config_validation():
     with pytest.raises(ValueError, match="x_max"):
         WeightingConfig(x_max=0)

@@ -21,26 +21,47 @@ def ref_row(row) -> str:
 
 
 def test_write_matrix_csv_bytes(tmp_path):
-    counts = np.array([[0, 7, 2 ** 62], [7, 1, 0], [2 ** 62, 0, 3]], dtype=np.int64)
-    for M, names in ((EDGE_FLOATS, ["a", "b", "c", "d"]), (counts, ["a", "b", "c"])):
-        path = tmp_path / "m.csv"
+    rng = np.random.default_rng(7)
+    # the 1000-class benchmark's correlation matrix is about 1.3% nonzero
+    sparse = rng.random((1000, 1000)) < 0.013
+    cases = [
+        EDGE_FLOATS,
+        np.zeros((3, 5)),  # all-zero rows
+        rng.random((3, 5)) + 0.5,  # rows without zeros
+        np.array([[0.0, -0.0, 0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, 0.0, 0.0]]),
+        np.array([[0.0, 5e-324, 0.0, -5e-324, 0.0], [5e-324, 0.0, 0.0, 0.0, 5e-324]]),
+        np.asfortranarray(rng.random((3, 5)) * (rng.random((3, 5)) < 0.3)),  # not C-contiguous
+        np.where(sparse, rng.random((1000, 1000)), 0.0),
+        np.array([[0, 7, 2 ** 62], [7, 1, 0], [2 ** 62, 0, 3]], dtype=np.int64),
+        np.array([[0, 2 ** 62 - 1, 0, -(2 ** 62)], [2 ** 62 + 1, 0, 0, 0], [0, 0, 0, 0]], dtype=np.int64),
+        np.zeros((2, 4), dtype=np.int32),
+        np.where(sparse, rng.integers(1, 2 ** 40, (1000, 1000)), 0),
+    ]
+    path = tmp_path / "m.csv"
+    for M in cases:
+        names = [f"c{j}" for j in range(M.shape[1])]
         write_matrix_csv(path, M, names)
         want = ",".join(names) + "\n" + "".join(ref_row(r) + "\n" for r in M)
         assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_write_score_csv_bytes(tmp_path):
-    targets = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=np.uint8)
-    table = ScoreTable(UNIT_FLOATS, targets)
-    names = ["SLAP", "CF", "x", "y"]
+    rng = np.random.default_rng(9)
+    tables = [ScoreTable(UNIT_FLOATS, np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=np.uint8))]
+    # 1000 classes; then more rows than one block of target text
+    for n, C in ((6, 1000), (600, 3)):
+        targets = (rng.random((n, C)) < 0.01).astype(np.uint8)
+        targets[0] = 0  # an all-zero row
+        targets[-1] = 1  # an all-one row
+        tables.append(ScoreTable(rng.random((n, C)), targets))
     path = tmp_path / "scores.csv"
-    write_score_csv(path, table, ["s0", "s1"], names)
-    want = "id," + ",".join(names) + "," + ",".join(f"target:{n}" for n in names) + "\n"
-    want += "".join(
-        f"{sid},{ref_row(s)},{ref_row(t)}\n"
-        for sid, s, t in zip(["s0", "s1"], table.scores, table.targets)
-    )
-    assert path.read_bytes() == want.encode("utf-8")
+    for table in tables:
+        ids = [f"s{i}" for i in range(table.n)]
+        names = [f"c{j}" for j in range(table.n_classes)]
+        write_score_csv(path, table, ids, names)
+        want = "id," + ",".join(names) + "," + ",".join(f"target:{n}" for n in names) + "\n"
+        want += "".join(f"{sid},{ref_row(s)},{ref_row(t)}\n" for sid, s, t in zip(ids, table.scores, table.targets))
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_write_embeddings_csv_bytes(tmp_path):

@@ -78,6 +78,16 @@ def test_gradients_match_numeric_small_case():
         assert max_rel_err(getattr(grads, block), numeric) < 1e-6
 
 
+def test_fixed_log_counts_bit_equal_to_masked_log():
+    rng = np.random.default_rng(6)
+    X = np.where(rng.random((60, 60)) < 0.1, rng.integers(1, 400, (60, 60)), 0)
+    X = (X + X.T).astype(np.float64)
+    F, zero, logX = _fixed_terms(X, WeightingConfig())
+    assert np.array_equal(zero, X == 0)
+    want = np.where(X > 0, np.log(np.where(X > 0, X, 1.0)), 0.0)
+    assert logX.tobytes() == want.tobytes()
+
+
 def test_train_glove_records_initial_loss_and_length():
     rng = np.random.default_rng(1)
     counts = rng.integers(0, 50, (5, 5)).astype(float)

@@ -179,9 +179,16 @@ def test_sp_argmax_accuracy_matches_loop_reference():
         table = ScoreTable(scores, targets, threshold=float(rng.choice([0.0, 0.5, 1.0])))
         sp = np.sort(rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False))
         assert sp_argmax_accuracy(table, sp) == loop_sp_argmax_accuracy(table, sp)
+        assert oracle_metrics(scores, targets, table.threshold, sp, "argmax")["SP_ACC"] == loop_sp_argmax_accuracy(table, sp)
     # tied top scores: the lowest tied index decides
     table = ScoreTable(np.array([[0.7, 0.7], [0.7, 0.7]]), np.array([[0, 1], [1, 0]]))
     assert sp_argmax_accuracy(table, [0, 1]) == loop_sp_argmax_accuracy(table, [0, 1]) == 0.5
+    assert oracle_metrics(table.scores, table.targets, 0.5, [0, 1], "argmax")["SP_ACC"] == 0.5
+    with pytest.raises(ValueError, match="sp_mode"):
+        oracle_metrics(table.scores, table.targets, 0.5, [0, 1], "top1")
+    for mode in ("exact", "argmax"):  # both raise, as compute_report does
+        with pytest.raises(ValueError, match="at least one class"):
+            oracle_metrics(table.scores, table.targets, 0.5, [], mode)
 
 
 def average_precision(scores, targets):
