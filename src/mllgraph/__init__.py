@@ -18,19 +18,17 @@ from .corpus import (
 )
 from .cooccur import (
     AdjacencyConfig,
-    CooccurrenceMatrix,
-    NormalizedCorrelation,
     WeightingConfig,
     build_adjacency,
     build_cooccurrence,
     normalize_adjacency,
 )
-from .glove import EmbeddingMatrix, GloveConfig, train_glove
+from .glove import GloveConfig, train_glove
 from .graph import GcnLayer, GcnStack, gcn_forward, init_gcn_stack, propagate
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
-from .relabel import ClusterModel, KMeansResult, kmeans, relabel
+from .relabel import KMeansResult, kmeans, relabel
 from .losses import LossConfig
-from .metrics import MetricsReport, ScoreTable, compute_report
+from .metrics import ScoreTable, compute_report
 from .trainer import (
     Checkpoint,
     TrainConfig,
@@ -45,11 +43,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjacencyConfig",
     "Checkpoint",
-    "ClusterModel",
-    "CooccurrenceMatrix",
     "Dataset",
     "DatasetFormatError",
-    "EmbeddingMatrix",
     "EncoderConfig",
     "EncoderParams",
     "GcnLayer",
@@ -58,8 +53,6 @@ __all__ = [
     "KMeansResult",
     "LabelVocabulary",
     "LossConfig",
-    "MetricsReport",
-    "NormalizedCorrelation",
     "ScoreTable",
     "SyntheticConfig",
     "TrainConfig",

@@ -40,7 +40,7 @@ from .metrics import (
     write_score_csv,
 )
 from .oracle import oracle_metrics
-from .relabel import ClusterModel, write_assignments_csv, write_centroids_csv
+from .relabel import write_assignments_csv, write_centroids_csv
 from .seeding import stage_seed
 from .trainer import (
     CheckpointError,
@@ -92,6 +92,15 @@ def default_run_config() -> dict:
     }
 
 
+def _override(default, value, where: str):
+    """`value` in place of `default`; a section (an object) takes only an object, merged into it."""
+    if not isinstance(default, dict):
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
+    return merge_config(default, value, where + ".")
+
+
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
     """Recursive merge that rejects keys absent from the defaults."""
     out = copy.deepcopy(base)
@@ -99,10 +108,7 @@ def merge_config(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = merge_config(base[key], value, where + ".")
-        else:
-            out[key] = value
+        out[key] = _override(base[key], value, where)
     return out
 
 
@@ -122,7 +128,7 @@ def apply_set(cfg: dict, expr: str) -> None:
         node = node[p]
     if not isinstance(node, dict) or parts[-1] not in node:
         raise ConfigError(f"unknown config key: {key}")
-    node[parts[-1]] = value
+    node[parts[-1]] = _override(node[parts[-1]], value, key)
 
 
 def resolve_config(args) -> dict:
@@ -151,9 +157,9 @@ def resolve_config(args) -> dict:
 
 
 def build_synthetic_config(cfg: dict) -> SyntheticConfig:
-    data = dict(cfg["synthetic"])
+    data = dict(cfg["synthetic"], seed=stage_seed(cfg["seed"], "synthetic"))
     try:
-        return SyntheticConfig(**data, seed=stage_seed(cfg["seed"], "synthetic"))
+        return config_from_dict(SyntheticConfig, data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"synthetic: {exc}") from exc
 
@@ -249,7 +255,7 @@ def cmd_train(args) -> int:
     _write_config_snapshot(cfg, out)
     vocab.save(out / "vocabulary.json")
 
-    write_matrix_csv(out / "cooccurrence.csv", result.cooccurrence.counts, vocab.names)
+    write_matrix_csv(out / "cooccurrence.csv", result.cooccurrence, vocab.names)
     if cp.correlation is not None:
         write_matrix_csv(out / "correlation.csv", cp.correlation, vocab.names)
     write_embeddings_csv(out / "embeddings.csv", cp.embeddings, vocab.names)
@@ -261,18 +267,18 @@ def cmd_train(args) -> int:
         fh.write("epoch,train_loss,val_exact_match\n")
         for r in result.trace:
             fh.write(f"{r.epoch},{r.train_loss!r},{r.val_exact_match!r}\n")
-    if result.relabeled is not None:
-        write_assignments_csv(out / "sample_clusters.csv", result.relabeled)
-        write_centroids_csv(out / "centroids.csv", result.kmeans_result.model)
+    if result.assignments is not None:
+        write_assignments_csv(out / "sample_clusters.csv", train.ids, result.assignments)
+        write_centroids_csv(out / "centroids.csv", result.kmeans_result.centroids)
 
     for split, name in ((val, "val"), (test, "test")):
         if len(split) == 0:
             continue
         table = score_dataset(cp, split, threshold)
-        report = compute_report(table, vocab.sp_indices, sp_mode)
-        (out / f"metrics_{name}.json").write_text(format_report_json(report), encoding="utf-8")
+        values, _ = compute_report(table, vocab.sp_indices, sp_mode)
+        (out / f"metrics_{name}.json").write_text(format_report_json(values), encoding="utf-8")
         write_score_csv(out / f"scores_{name}.csv", table, split.ids, vocab.names)
-        scaled = percentages(report.as_dict())
+        scaled = percentages(values)
         print(f"{name}: " + " ".join(f"{k}={scaled[k]}" for k in ("MLL_ACC", "SP_ACC", "mAP", "HL")))
 
     print(f"best epoch {cp.epoch} (val exact-match {result.trace[cp.epoch - 1].val_exact_match:.4f})")
@@ -287,15 +293,15 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = score_dataset(cp, dataset, args.threshold)
-    report = compute_report(table, cp.vocabulary.sp_indices, args.sp_mode)
-    (out / "metrics.json").write_text(format_report_json(report), encoding="utf-8")
+    values, per_class_ap = compute_report(table, cp.vocabulary.sp_indices, args.sp_mode)
+    (out / "metrics.json").write_text(format_report_json(values), encoding="utf-8")
     write_score_csv(out / "scores.csv", table, dataset.ids, cp.vocabulary.names)
     cp.vocabulary.save(out / "vocabulary.json")
     with open(out / "per_class_ap.csv", "w", encoding="utf-8") as fh:
         fh.write("name,ap\n")
-        for name, ap in zip(cp.vocabulary.names, report.per_class_ap):
+        for name, ap in zip(cp.vocabulary.names, per_class_ap):
             fh.write(f"{name},{'' if np.isnan(ap) else repr(float(ap))}\n")
-    scaled = percentages(report.as_dict())
+    scaled = percentages(values)
     print(" ".join(f"{k}={scaled[k]}" for k in METRIC_KEYS))
     print(f"artifacts in {out}")
     return 0
@@ -327,7 +333,7 @@ def cmd_export(args) -> int:
     elif args.what == "clusters":
         if cp.centroids is None:
             raise ConfigError("checkpoint stores no cluster model (non-CRC variant)")
-        write_centroids_csv(out / "centroids.csv", ClusterModel(cp.centroids))
+        write_centroids_csv(out / "centroids.csv", cp.centroids)
     elif args.what == "projection":
         proj, axes, mean = _pca_projection(cp.embeddings)
         with open(out / "projection.csv", "w", encoding="utf-8") as fh:
@@ -349,9 +355,16 @@ def cmd_metrics_oracle(args) -> int:
     _check_scoring(args.threshold, args.sp_mode)
     _, names, table = read_score_csv(args.scores, args.threshold)
     reported = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    if not isinstance(reported, dict):
+        raise ConfigError(f"report must be a JSON object, got {type(reported).__name__}")
     missing = [k for k in METRIC_KEYS if k not in reported]
     if missing:
         raise ConfigError(f"report lacks keys: {missing}")
+    not_numbers = [
+        k for k in METRIC_KEYS if isinstance(reported[k], bool) or not isinstance(reported[k], (int, float))
+    ]
+    if not_numbers:
+        raise ConfigError(f"report values are not numbers: {not_numbers}")
     sp_indices = None
     if args.vocabulary:
         vocab = LabelVocabulary.load(args.vocabulary)

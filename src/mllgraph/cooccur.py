@@ -9,25 +9,10 @@ import numpy as np
 from .corpus import Dataset
 
 
-@dataclass(frozen=True)
-class CooccurrenceMatrix:
-    """Symmetric label co-occurrence counts; the diagonal holds class totals."""
+def build_cooccurrence(dataset: Dataset) -> np.ndarray:
+    """Count joint label occurrences: the (C, C) int64 X = Y^T Y over the 0/1 label matrix.
 
-    counts: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.counts, dtype=np.int64)
-        if X.ndim != 2 or X.shape[0] != X.shape[1]:
-            raise ValueError("co-occurrence counts must be square")
-        if np.any(X < 0):
-            raise ValueError("co-occurrence counts must be nonnegative")
-        if not np.array_equal(X, X.T):
-            raise ValueError("co-occurrence counts must be symmetric")
-        object.__setattr__(self, "counts", X)
-
-
-def build_cooccurrence(dataset: Dataset) -> CooccurrenceMatrix:
-    """Count joint label occurrences: X = Y^T Y over the 0/1 label matrix.
+    X is symmetric and nonnegative, and its diagonal holds the class totals.
 
     The product runs in float64 so that it goes through BLAS (an integer
     matmul does not); it is exact because every partial sum is an integer
@@ -36,7 +21,7 @@ def build_cooccurrence(dataset: Dataset) -> CooccurrenceMatrix:
     if len(dataset) == 0:
         raise ValueError("cannot build co-occurrence counts from an empty dataset")
     Y = dataset.labels_matrix().astype(np.float64)
-    return CooccurrenceMatrix((Y.T @ Y).astype(np.int64))
+    return (Y.T @ Y).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -84,9 +69,9 @@ class AdjacencyConfig:
             raise ValueError(f"unknown adjacency mode: {self.mode!r}")
 
 
-def conditional_probabilities(X: CooccurrenceMatrix) -> np.ndarray:
-    """P[i, j] = X_ij / N_i off the diagonal; rows of never-seen classes are zero."""
-    counts = X.counts.astype(np.float64)
+def conditional_probabilities(X: np.ndarray) -> np.ndarray:
+    """P[i, j] = X_ij / N_i off the diagonal of the counts X; rows of never-seen classes are zero."""
+    counts = X.astype(np.float64)
     N = np.diagonal(counts).copy()
     P = np.zeros_like(counts)
     nz = N > 0
@@ -95,7 +80,7 @@ def conditional_probabilities(X: CooccurrenceMatrix) -> np.ndarray:
     return P
 
 
-def build_adjacency(X: CooccurrenceMatrix, cfg: AdjacencyConfig) -> np.ndarray:
+def build_adjacency(X: np.ndarray, cfg: AdjacencyConfig) -> np.ndarray:
     P = conditional_probabilities(X)
     if cfg.mode == "conditional":
         A = P.copy()
@@ -111,22 +96,7 @@ def build_adjacency(X: CooccurrenceMatrix, cfg: AdjacencyConfig) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NormalizedCorrelation:
-    """Symmetrically normalized adjacency ready for graph propagation."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        B = np.asarray(self.matrix, dtype=np.float64)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError("correlation matrix must be square")
-        if not np.all(np.isfinite(B)):
-            raise ValueError("correlation matrix must be finite")
-        object.__setattr__(self, "matrix", B)
-
-
-def normalize_adjacency(A: np.ndarray) -> NormalizedCorrelation:
+def normalize_adjacency(A: np.ndarray) -> np.ndarray:
     """D^(-1/2) A D^(-1/2) with D the row-sum degree matrix.
 
     Zero-sum rows stay zero off the diagonal and get a unit self-loop so
@@ -144,7 +114,7 @@ def normalize_adjacency(A: np.ndarray) -> NormalizedCorrelation:
     B = inv_sqrt[:, None] * A * inv_sqrt[None, :]
     for i in np.flatnonzero(~nz):
         B[i, i] = 1.0
-    return NormalizedCorrelation(B)
+    return B
 
 
 def write_matrix_csv(path, matrix: np.ndarray, names) -> None:

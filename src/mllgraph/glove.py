@@ -45,21 +45,6 @@ class EmbeddingParams:
     b_ctx: np.ndarray
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Final per-class embeddings: the sum of main and context vectors."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        Z = np.asarray(self.vectors, dtype=np.float64)
-        if Z.ndim != 2 or Z.shape[1] < 2:
-            raise ValueError("embeddings must be (C, d) with d >= 2")
-        if not np.all(np.isfinite(Z)):
-            raise ValueError("embeddings must be finite")
-        object.__setattr__(self, "vectors", Z)
-
-
 class GloveDivergenceError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"objective became non-finite at epoch {epoch}")
@@ -104,7 +89,7 @@ def _gradients(params: EmbeddingParams, E: np.ndarray) -> EmbeddingParams:
 
 @dataclass
 class GloveResult:
-    embedding: EmbeddingMatrix
+    embedding: np.ndarray  # (C, d) label embeddings, the sum of main and context vectors
     loss_trace: np.ndarray  # loss_trace[0] is the pre-training objective
     params: EmbeddingParams
 
@@ -147,8 +132,10 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
         trace[t], E = _loss_and_residual_grad(params, *terms)
         if not np.isfinite(trace[t]):
             raise GloveDivergenceError(t)
-    Z = EmbeddingMatrix(params.w + params.w_ctx)
-    return GloveResult(embedding=Z, loss_trace=trace, params=params)
+    # Z is finite: a non-finite w or w~ row with a nonzero cell (its diagonal
+    # at least) makes that epoch's loss non-finite, and a row without one has
+    # a zero gradient, so it keeps its init
+    return GloveResult(embedding=params.w + params.w_ctx, loss_trace=trace, params=params)
 
 
 def write_embeddings_csv(path, vectors: np.ndarray, names) -> None:

@@ -161,28 +161,12 @@ def mean_average_precision(table: ScoreTable):
     return float(np.mean(per_class[scorable])), per_class
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    sp_acc: float
-    mll_acc: float
-    map: float
-    hl: float
-    op: float
-    orec: float
-    of1: float
-    cp: float
-    cr: float
-    cf1: float
-    per_class_ap: np.ndarray
+def compute_report(table: ScoreTable, sp_indices, sp_mode: str = "exact"):
+    """All Table-style metrics in one pass over a score table.
 
-    def as_dict(self) -> dict:
-        vals = (self.sp_acc, self.mll_acc, self.map, self.hl, self.op,
-                self.orec, self.of1, self.cp, self.cr, self.cf1)
-        return dict(zip(METRIC_KEYS, (float(v) for v in vals)))
-
-
-def compute_report(table: ScoreTable, sp_indices, sp_mode: str = "exact") -> MetricsReport:
-    """All Table-style metrics in one pass over a score table."""
+    Returns (values, per-class AP): `values` maps each of METRIC_KEYS, in
+    that order, to its fraction; the AP is NaN for classes without positives.
+    """
     if sp_mode not in SP_MODES:
         raise ValueError(f"unknown sp_mode: {sp_mode!r}")
     if sp_mode == "exact":
@@ -192,10 +176,8 @@ def compute_report(table: ScoreTable, sp_indices, sp_mode: str = "exact") -> Met
     mll_acc = exact_match(table)
     mp, per_class = mean_average_precision(table)
     op, orec, of1, cp, cr, cf1 = overall_and_perclass(table)
-    return MetricsReport(
-        sp_acc=sp_acc, mll_acc=mll_acc, map=mp, hl=hamming_loss(table),
-        op=op, orec=orec, of1=of1, cp=cp, cr=cr, cf1=cf1, per_class_ap=per_class,
-    )
+    values = (sp_acc, mll_acc, mp, hamming_loss(table), op, orec, of1, cp, cr, cf1)
+    return dict(zip(METRIC_KEYS, values)), per_class
 
 
 def percentages(fractions: dict) -> dict:
@@ -203,9 +185,9 @@ def percentages(fractions: dict) -> dict:
     return {k: round(v * 100.0, 2) for k, v in fractions.items()}
 
 
-def format_report_json(report: MetricsReport) -> str:
-    """Percentages rounded to two decimals, keys in canonical order."""
-    return json.dumps(percentages(report.as_dict()), indent=2) + "\n"
+def format_report_json(values: dict) -> str:
+    """Percentages rounded to two decimals, keys in the order `values` holds them."""
+    return json.dumps(percentages(values), indent=2) + "\n"
 
 
 _SCORE_BLOCK_ROWS = 256  # rows whose target text is made in one step

@@ -11,33 +11,12 @@ from .corpus import Dataset, format_csv_row
 
 
 @dataclass(frozen=True)
-class ClusterModel:
-    centroids: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.centroids, dtype=np.float64)
-        if M.ndim != 2 or M.shape[0] < 1:
-            raise ValueError("centroids must be a nonempty (N, d) matrix")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("centroids must be finite")
-        object.__setattr__(self, "centroids", M)
-
-
-@dataclass(frozen=True)
 class KMeansResult:
-    model: ClusterModel
+    centroids: np.ndarray  # (n_clusters, d)
     assignments: np.ndarray
     inertia: float
     objective_trace: np.ndarray  # end-of-iteration objective, non-increasing
     n_iter: int
-
-
-@dataclass(frozen=True)
-class RelabeledDataset:
-    """Per-sample surrogate cluster labels in dataset order."""
-
-    sample_ids: tuple
-    assignments: np.ndarray
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -104,7 +83,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float)
         if shift < tol:
             break
     return KMeansResult(
-        model=ClusterModel(centroids),
+        centroids=centroids,
         assignments=assign,
         inertia=trace[-1],
         objective_trace=np.asarray(trace),
@@ -130,31 +109,27 @@ def kmeans(points: np.ndarray, n_clusters: int, *, seed: int = 0, max_iter: int 
     return _lloyd(pts, centroids, max_iter, tol)
 
 
-def relabel(dataset: Dataset, vectors: np.ndarray, model: ClusterModel) -> RelabeledDataset:
-    """Assign each sample the cluster nearest its mean positive-label embedding."""
+def relabel(dataset: Dataset, vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each sample's cluster, in dataset order: the centroid nearest its mean positive-label embedding."""
     Z = np.asarray(vectors, dtype=np.float64)
-    C, d = dataset.vocabulary.size, model.centroids.shape[1]
+    C, d = dataset.vocabulary.size, centroids.shape[1]
     if Z.shape != (C, d):
         raise ValueError(f"embeddings {Z.shape} do not match {C} label bits and centroid width {d}")
     Y = dataset.labels
     means = (Y @ Z) / Y.sum(axis=1, keepdims=True)  # every sample has a label bit
-    D2 = _squared_distances(means, model.centroids)
-    assign = D2.argmin(axis=1)  # ties resolve to the lowest cluster index
-    return RelabeledDataset(
-        sample_ids=dataset.ids,
-        assignments=assign.astype(np.int64),
-    )
+    D2 = _squared_distances(means, centroids)
+    return D2.argmin(axis=1).astype(np.int64)  # ties resolve to the lowest cluster index
 
 
-def write_assignments_csv(path, relabeled: RelabeledDataset) -> None:
+def write_assignments_csv(path, ids, assignments: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id,cluster\n")
-        for sid, c in zip(relabeled.sample_ids, relabeled.assignments.tolist()):
+        for sid, c in zip(ids, assignments.tolist()):
             fh.write(f"{sid},{c}\n")
 
 
-def write_centroids_csv(path, model: ClusterModel) -> None:
+def write_centroids_csv(path, centroids: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cluster," + ",".join(f"c{j}" for j in range(model.centroids.shape[1])) + "\n")
-        for k, row in enumerate(model.centroids):
+        fh.write("cluster," + ",".join(f"c{j}" for j in range(centroids.shape[1])) + "\n")
+        for k, row in enumerate(centroids):
             fh.write(f"{k},{format_csv_row(row)}\n")

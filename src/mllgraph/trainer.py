@@ -20,7 +20,6 @@ import numpy as np
 
 from .cooccur import (
     AdjacencyConfig,
-    CooccurrenceMatrix,
     WeightingConfig,
     build_adjacency,
     build_cooccurrence,
@@ -38,7 +37,7 @@ from .losses import (
     sigmoid,
 )
 from .metrics import ScoreTable, exact_match
-from .relabel import KMeansResult, RelabeledDataset, kmeans, relabel
+from .relabel import kmeans, relabel
 from .seeding import stage_rng, stage_seed
 
 _VARIANT_FLAGS = {
@@ -120,19 +119,25 @@ def config_from_dict(cls, data, where: str = ""):
     """Inverse of `dataclasses.asdict` for the config dataclasses.
 
     Nested config sections are rebuilt recursively; absent keys keep their
-    defaults and unknown keys are rejected.
+    defaults and unknown keys are rejected. An `int` field takes only an
+    integer (not a bool), a `float` field an integer or a float; `where` is
+    the dotted path of `data`, which the errors name.
     """
-    where = where or cls.__name__
     if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
+        raise ValueError(f"{where or cls.__name__}: expected an object, got {type(data).__name__}")
     types = typing.get_type_hints(cls)
     unknown = sorted(set(data) - set(types))
     if unknown:
-        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+        raise ValueError(f"{where or cls.__name__}: unknown key {unknown[0]!r}")
     kwargs = {}
     for key, value in data.items():
-        if dataclasses.is_dataclass(types[key]):
-            value = config_from_dict(types[key], value, key)
+        path, kind = f"{where}.{key}" if where else key, types[key]
+        if dataclasses.is_dataclass(kind):
+            value = config_from_dict(kind, value, path)
+        elif kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{path}: expected an integer, got {type(value).__name__}")
+        elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"{path}: expected a number, got {type(value).__name__}")
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -203,7 +208,7 @@ class GcnHead:
     @staticmethod
     def graph(X, cfg: AdjacencyConfig) -> np.ndarray:
         """The normalized label-correlation matrix B-hat built from the counts."""
-        return normalize_adjacency(build_adjacency(X, cfg)).matrix
+        return normalize_adjacency(build_adjacency(X, cfg))
 
     @staticmethod
     def graph_input(Z, B) -> np.ndarray:
@@ -276,9 +281,9 @@ class PipelineResult:
     checkpoint: Checkpoint
     trace: list
     glove_loss_trace: np.ndarray
-    cooccurrence: CooccurrenceMatrix
-    relabeled: object        # RelabeledDataset or None
-    kmeans_result: object    # KMeansResult or None
+    cooccurrence: np.ndarray  # (C, C) int64 label co-occurrence counts of the train split
+    assignments: object       # (n_train,) int64 surrogate cluster labels or None
+    kmeans_result: object     # KMeansResult or None
 
 
 class _MomentumSGD:
@@ -337,15 +342,14 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     # phase 1: statistics, embeddings, correlation, surrogate labels
     X = build_cooccurrence(train)
-    glove_res = train_glove(X.counts, cfg.glove, cfg.weighting, seed=stage_seed(cfg.seed, "glove_init"))
-    Z = glove_res.embedding.vectors
+    glove_res = train_glove(X, cfg.glove, cfg.weighting, seed=stage_seed(cfg.seed, "glove_init"))
+    Z = glove_res.embedding
     Head = head_type(variant)
     bhat = Head.graph(X, cfg.adjacency)
 
-    relabeled = None
     km = None
+    assignments = None
     contrast_labels = None
-    centroids = None
     if variant.contrastive_mode == "cluster_relabeled":
         km = kmeans(
             Z,
@@ -354,9 +358,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
             max_iter=cfg.kmeans_max_iter,
             tol=cfg.kmeans_tol,
         )
-        relabeled = relabel(train, Z, km.model)
-        contrast_labels = relabeled.assignments
-        centroids = km.model.centroids
+        contrast_labels = assignments = relabel(train, Z, km.centroids)
     elif variant.contrastive_mode == "vanilla":
         contrast_labels = vanilla_contrast_labels(train)
 
@@ -429,7 +431,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         head=best_head,
         embeddings=Z.copy(),
         correlation=bhat.copy() if bhat is not None else None,
-        centroids=centroids.copy() if centroids is not None else None,
+        centroids=km.centroids.copy() if km is not None else None,
         epoch=best_epoch,
     )
     return PipelineResult(
@@ -437,7 +439,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         trace=trace,
         glove_loss_trace=glove_res.loss_trace,
         cooccurrence=X,
-        relabeled=relabeled,
+        assignments=assignments,
         kmeans_result=km,
     )
 
@@ -593,7 +595,10 @@ def _checkpoint_from_header(header: dict, r: _Reader) -> Checkpoint:
                 f"tensor {meta['name']!r}: {nbytes} bytes for shape {meta['shape']}"
             )
         blob = r.take(nbytes)
-        tensors[meta["name"]] = np.frombuffer(blob, dtype="<f8").reshape(meta["shape"]).copy()
+        arr = np.frombuffer(blob, dtype="<f8").reshape(meta["shape"]).copy()
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointFormatError(f"tensor {meta['name']!r} holds non-finite values")
+        tensors[meta["name"]] = arr
     if len(r.data) - r.pos != 4:
         raise CheckpointFormatError("trailing bytes after the tensor payload")
 

@@ -207,20 +207,20 @@ def test_criterion_2_metric_oracle_equivalence():
         n_sp = int(rng.integers(1, C + 1))
         sp_indices = list(range(n_sp))
         table = ScoreTable(scores, targets, threshold)
-        got = compute_report(table, sp_indices).as_dict()
+        got, _ = compute_report(table, sp_indices)
         want = oracle_metrics(scores, targets, threshold, sp_indices)
         worst = max(worst, max(abs(got[k] - want[k]) for k in METRIC_KEYS))
 
     # hand-checkable values: micro-F1 2/3, Hamming loss 1/2, AP 5/6
     of1 = compute_report(
         ScoreTable(np.array([[0.9, 0.9], [0.9, 0.1]]), np.array([[1, 0], [1, 1]])), [0]
-    ).of1
+    )[0]["OF1"]
     hl = compute_report(
         ScoreTable(np.array([[0.9, 0.1], [0.9, 0.1]]), np.array([[1, 1], [0, 0]])), [0]
-    ).hl
+    )[0]["HL"]
     ap = compute_report(
         ScoreTable(np.array([[0.9], [0.8], [0.7]]), np.array([[1], [0], [1]])), [0]
-    ).map
+    )[0]["mAP"]
     hand_ok = (
         of1 == pytest.approx(2.0 / 3.0, abs=1e-12)
         and hl == pytest.approx(0.5, abs=1e-12)
@@ -285,7 +285,7 @@ def test_criterion_3_embedding_semantics():
             WeightingConfig(),
             seed=seed,
         )
-        Z = res.embedding.vectors
+        Z = res.embedding
         ratio = float(res.loss_trace[-1] / res.loss_trace[0])
         co = _cosine(Z[0], Z[1])
         apart = _cosine(Z[2], Z[3])
@@ -372,7 +372,7 @@ def test_criterion_5_benchmark_ordering():
         for v in variants:
             res = run_pipeline(train, val, VariantSpec.from_name(v), TrainConfig(seed=seed))
             table = score_dataset(res.checkpoint, test)
-            accs[v].append(compute_report(table, test.vocabulary.sp_indices).mll_acc * 100.0)
+            accs[v].append(compute_report(table, test.vocabulary.sp_indices)[0]["MLL_ACC"] * 100.0)
     means = {v: float(np.mean(accs[v])) for v in variants}
     gap = means["MLL-GCN-CRC"] - means["Single-MLL"]
     chain = means["MLL-GCN-CRC"] >= means["MLL-GCN"] >= means["Single-MLL"]

@@ -9,7 +9,7 @@ from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report, format_report_json, write_score_csv
 from mllgraph.trainer import LinearHead, load_checkpoint
 
-from test_trainer import read_header, with_header, with_shapes, with_tensors
+from test_trainer import read_header, with_header, with_shapes, with_tensors, with_value
 
 SMALL_SETS = [
     "--set", "synthetic.n_samples=120",
@@ -144,6 +144,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     listy.write_text("[1, 2]", encoding="utf-8")
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(listy)]) == 2
     capsys.readouterr()
+    # a number in place of a section, and a wrongly typed value, name the key
+    section = tmp_path / "section.json"
+    section.write_text('{"train": 3}', encoding="utf-8")
+    assert main(["train", "--out", str(tmp_path / "x"), "--config", str(section)]) == 2
+    assert "error: train: expected an object, got int" in capsys.readouterr().err
+    for expr, message in (
+        ("synthetic=5", "synthetic: expected an object, got int"),
+        ("train=3", "train: expected an object, got int"),
+        ("data=1", "data: expected an object, got int"),
+        ("metrics=1", "metrics: expected an object, got int"),
+        ("train.epochs=1.5", "epochs: expected an integer, got float"),
+        ("train.epochs=true", "epochs: expected an integer, got bool"),
+        ("train.batch_size=2.5", "batch_size: expected an integer, got float"),
+        ("train.learning_rate=\"0.1\"", "learning_rate: expected a number, got str"),
+        ("glove.d=4.0", "glove.d: expected an integer, got float"),
+        ("kmeans.n_clusters=2.0", "n_clusters: expected an integer, got float"),
+        ("synthetic.n_samples=250.5", "synthetic: n_samples: expected an integer, got float"),
+    ):
+        assert main(["train", "--out", str(tmp_path / "x"), "--set", expr]) == 2, expr
+        assert message in capsys.readouterr().err, expr
 
 
 def test_train_requires_vocabulary_with_external_data(tmp_path):
@@ -293,6 +313,25 @@ def test_eval_and_export_reject_misshapen_tensors(work, tmp_path, capsys):
         assert not (tmp_path / f"export_{name}").exists()
 
 
+def test_eval_and_export_reject_non_finite_tensors(work, tmp_path, capsys):
+    raw = (work / "crc" / "checkpoint.mllg").read_bytes()
+    data = str(work / "synth" / "dataset.jsonl")
+    for name, targets in (("embeddings", ("embeddings", "correlation", "projection")),
+                          ("correlation", ("correlation", "embeddings")),
+                          ("centroids", ("clusters",)),
+                          ("encoder.0.weight", ("embeddings",))):
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(with_value(raw, name, float("nan")))
+        assert main(["eval", "--checkpoint", str(path), "--data", data,
+                     "--out", str(tmp_path / f"eval_{name}")]) == 1
+        for what in targets:
+            assert main(["export", "--checkpoint", str(path), "--what", what,
+                         "--out", str(tmp_path / f"export_{name}_{what}")]) == 1
+            assert not (tmp_path / f"export_{name}_{what}").exists()
+        err = capsys.readouterr().err
+        assert err.count(f"error: tensor {name!r} holds non-finite values") == 1 + len(targets)
+
+
 def test_metrics_oracle_agrees_with_eval_output(work, capsys):
     code = main([
         "metrics-oracle",
@@ -342,8 +381,8 @@ def test_metrics_oracle_agrees_at_a_rounding_tie(tmp_path, capsys):
     rng = np.random.default_rng(126)
     n, C = int(rng.integers(2, 30)), int(rng.integers(8, 60))
     table = ScoreTable(rng.random((n, C)), rng.integers(0, 2, (n, C)))
-    report = compute_report(table, list(range(C)))
-    (tmp_path / "metrics.json").write_text(format_report_json(report), encoding="utf-8")
+    values, _ = compute_report(table, list(range(C)))
+    (tmp_path / "metrics.json").write_text(format_report_json(values), encoding="utf-8")
     write_score_csv(tmp_path / "scores.csv", table, [f"s{i}" for i in range(n)], [f"c{j}" for j in range(C)])
     code = main(["metrics-oracle", "--scores", str(tmp_path / "scores.csv"),
                  "--report", str(tmp_path / "metrics.json")])
@@ -376,6 +415,21 @@ def test_metrics_oracle_rejects_incomplete_report(work, tmp_path):
         "--scores", str(work / "eval" / "scores.csv"),
         "--report", str(partial),
     ]) == 2
+
+
+def test_metrics_oracle_rejects_report_that_is_not_an_object_of_numbers(work, tmp_path, capsys):
+    for name, text, message in (
+        ("list", json.dumps(list(METRIC_KEYS)), "report must be a JSON object, got list"),
+        ("nulls", json.dumps(dict.fromkeys(METRIC_KEYS)), "report values are not numbers"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        assert main([
+            "metrics-oracle",
+            "--scores", str(work / "eval" / "scores.csv"),
+            "--report", str(path),
+        ]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_metrics_oracle_rejects_wrong_vocabulary(work, tmp_path):

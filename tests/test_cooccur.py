@@ -3,7 +3,6 @@ import pytest
 
 from mllgraph.cooccur import (
     AdjacencyConfig,
-    CooccurrenceMatrix,
     WeightingConfig,
     build_adjacency,
     build_cooccurrence,
@@ -36,7 +35,7 @@ def test_build_cooccurrence_matches_hand_count():
         [1, 2, 1],
         [3, 1, 3],
     ])
-    assert np.array_equal(X.counts, expected)
+    assert np.array_equal(X, expected)
 
 
 def test_build_cooccurrence_matches_integer_product():
@@ -46,7 +45,7 @@ def test_build_cooccurrence_matches_integer_product():
         Y = (rng.random((n, C)) < rng.uniform(0.05, 0.9)).astype(np.uint8)
         Y[np.flatnonzero(Y.sum(axis=1) == 0), 0] = 1
         data = Dataset(vocab, [f"s{i}" for i in range(n)], ["p"] * n, np.zeros((n, 1)), Y)
-        X = build_cooccurrence(data).counts
+        X = build_cooccurrence(data)
         assert X.dtype == np.int64
         Yi = Y.astype(np.int64)
         assert np.array_equal(X, Yi.T @ Yi)
@@ -56,15 +55,6 @@ def test_build_cooccurrence_rejects_empty():
     ds = Dataset(LabelVocabulary((("A", "SP"), ("B", "SP"))), [], [], np.zeros((0, 0)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="empty dataset"):
         build_cooccurrence(ds)
-
-
-def test_cooccurrence_matrix_validation():
-    with pytest.raises(ValueError, match="square"):
-        CooccurrenceMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        CooccurrenceMatrix(np.array([[1, -1], [-1, 1]]))
-    with pytest.raises(ValueError, match="symmetric"):
-        CooccurrenceMatrix(np.array([[1, 2], [3, 1]]))
 
 
 # ----------------------------------------------------------------- weighting
@@ -129,7 +119,7 @@ def test_weighting_config_validation():
 # ----------------------------------------------------------------- adjacency
 
 def test_conditional_probabilities_hand_case():
-    X = CooccurrenceMatrix(np.array([[10, 5, 0], [5, 8, 0], [0, 0, 4]]))
+    X = np.array([[10, 5, 0], [5, 8, 0], [0, 0, 4]])
     P = conditional_probabilities(X)
     assert P[0, 1] == pytest.approx(0.5)
     assert P[1, 0] == pytest.approx(5 / 8)
@@ -138,13 +128,13 @@ def test_conditional_probabilities_hand_case():
 
 
 def test_conditional_probabilities_zero_count_class():
-    X = CooccurrenceMatrix(np.array([[0, 0], [0, 3]]))
+    X = np.array([[0, 0], [0, 3]])
     P = conditional_probabilities(X)
     assert np.all(P[0] == 0.0)
 
 
 def test_build_adjacency_binarized_hand_case():
-    X = CooccurrenceMatrix(np.array([[10, 5, 0], [5, 8, 0], [0, 0, 4]]))
+    X = np.array([[10, 5, 0], [5, 8, 0], [0, 0, 4]])
     A = build_adjacency(X, AdjacencyConfig(threshold=0.4, reweight=0.2))
     # classes 0 and 1 are each other's only neighbor; class 2 is isolated
     assert A[0, 1] == pytest.approx(0.2)
@@ -161,14 +151,14 @@ def test_build_adjacency_spreads_reweight_over_neighbors():
         [6, 0, 10, 0],
         [0, 0, 0, 2],
     ])
-    A = build_adjacency(CooccurrenceMatrix(counts), AdjacencyConfig(threshold=0.5, reweight=0.2))
+    A = build_adjacency(counts, AdjacencyConfig(threshold=0.5, reweight=0.2))
     assert A[0, 1] == pytest.approx(0.1)
     assert A[0, 2] == pytest.approx(0.1)
     assert A[0].sum() == pytest.approx(1.0)
 
 
 def test_build_adjacency_conditional_mode():
-    X = CooccurrenceMatrix(np.array([[10, 5], [5, 8]]))
+    X = np.array([[10, 5], [5, 8]])
     A = build_adjacency(X, AdjacencyConfig(mode="conditional"))
     assert A[0, 1] == pytest.approx(0.5)
     assert A[1, 0] == pytest.approx(5 / 8)
@@ -188,14 +178,14 @@ def test_adjacency_config_validation():
 
 def test_normalize_adjacency_hand_case():
     A = np.array([[0.8, 0.2], [0.2, 0.8]])
-    B = normalize_adjacency(A).matrix
+    B = normalize_adjacency(A)
     # degrees are 1.0, so normalization leaves the matrix unchanged
     assert np.allclose(B, A)
 
 
 def test_normalize_adjacency_uses_inverse_sqrt_degrees():
     A = np.array([[0.0, 2.0], [2.0, 2.0]])
-    B = normalize_adjacency(A).matrix
+    B = normalize_adjacency(A)
     d = np.array([2.0, 4.0])
     expected = A / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
     assert np.allclose(B, expected)
@@ -203,7 +193,7 @@ def test_normalize_adjacency_uses_inverse_sqrt_degrees():
 
 def test_normalize_adjacency_isolated_row_keeps_identity():
     A = np.array([[0.0, 0.0], [0.0, 3.0]])
-    B = normalize_adjacency(A).matrix
+    B = normalize_adjacency(A)
     assert B[0, 0] == 1.0
     assert B[0, 1] == 0.0
 

@@ -5,7 +5,7 @@ import numpy as np
 from mllgraph.cooccur import write_matrix_csv
 from mllgraph.glove import write_embeddings_csv
 from mllgraph.metrics import ScoreTable, write_score_csv
-from mllgraph.relabel import ClusterModel, RelabeledDataset, write_assignments_csv, write_centroids_csv
+from mllgraph.relabel import write_assignments_csv, write_centroids_csv
 
 # values whose shortest repr is easy to get wrong: signed zero, the smallest
 # subnormal, a huge magnitude, and a decimal with no exact binary form
@@ -75,12 +75,12 @@ def test_write_embeddings_csv_bytes(tmp_path):
 
 def test_cluster_writers_bytes(tmp_path):
     cpath = tmp_path / "centroids.csv"
-    write_centroids_csv(cpath, ClusterModel(EDGE_FLOATS))
+    write_centroids_csv(cpath, EDGE_FLOATS)
     want = "cluster,c0,c1,c2,c3\n" + "".join(f"{k},{ref_row(r)}\n" for k, r in enumerate(EDGE_FLOATS))
     assert cpath.read_bytes() == want.encode("utf-8")
 
     assignments = np.array([3, 0, 2 ** 40], dtype=np.int64)
     apath = tmp_path / "assignments.csv"
-    write_assignments_csv(apath, RelabeledDataset(("a", "b", "c"), assignments))
+    write_assignments_csv(apath, ("a", "b", "c"), assignments)
     want = "id,cluster\n" + "".join(f"{sid},{int(c)}\n" for sid, c in zip("abc", assignments))
     assert apath.read_bytes() == want.encode("utf-8")

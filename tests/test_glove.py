@@ -6,7 +6,6 @@ import pytest
 
 from mllgraph.cooccur import WeightingConfig
 from mllgraph.glove import (
-    EmbeddingMatrix,
     EmbeddingParams,
     GloveConfig,
     _fixed_terms,
@@ -105,7 +104,7 @@ def test_train_glove_records_initial_loss_and_length():
         b_ctx=init_rng.uniform(-s, s, 5),
     )
     assert res.loss_trace[0] == pytest.approx(glove_loss(init, counts, WeightingConfig()), rel=1e-12)
-    assert res.embedding.vectors.shape == (5, 4)
+    assert res.embedding.shape == (5, 4)
 
 
 def reference_train_glove(counts, cfg, wcfg, seed):
@@ -153,7 +152,7 @@ def test_train_glove_is_bit_equal_to_reference_loop():
         assert np.array_equal(res.loss_trace, trace)
         for k in ("w", "w_ctx", "b", "b_ctx"):
             assert np.array_equal(getattr(res.params, k), getattr(params, k))
-        assert np.array_equal(res.embedding.vectors, params.w + params.w_ctx)
+        assert np.array_equal(res.embedding, params.w + params.w_ctx)
 
 
 def test_train_glove_is_deterministic():
@@ -161,14 +160,14 @@ def test_train_glove_is_deterministic():
     cfg = GloveConfig(d=4, epochs=20)
     a = train_glove(counts, cfg, WeightingConfig(), seed=7)
     b = train_glove(counts, cfg, WeightingConfig(), seed=7)
-    assert np.array_equal(a.embedding.vectors, b.embedding.vectors)
+    assert np.array_equal(a.embedding, b.embedding)
     assert np.array_equal(a.loss_trace, b.loss_trace)
 
 
 def test_train_glove_final_vectors_are_sum_of_main_and_context():
     counts = np.array([[40.0, 12.0], [12.0, 30.0]])
     res = train_glove(counts, GloveConfig(d=4, epochs=5), WeightingConfig(), seed=0)
-    assert np.allclose(res.embedding.vectors, res.params.w + res.params.w_ctx)
+    assert np.allclose(res.embedding, res.params.w + res.params.w_ctx)
 
 
 def test_train_glove_reduces_loss_on_random_instances():
@@ -194,13 +193,6 @@ def test_glove_config_validation():
         GloveConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="beta"):
         GloveConfig(beta1=1.0)
-
-
-def test_embedding_matrix_validation():
-    with pytest.raises(ValueError, match="finite"):
-        EmbeddingMatrix(np.array([[1.0, np.inf]]))
-    with pytest.raises(ValueError, match="d >= 2"):
-        EmbeddingMatrix(np.ones((3, 1)))
 
 
 def read_embeddings_csv(path):

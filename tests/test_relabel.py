@@ -4,7 +4,6 @@ import pytest
 from mllgraph import diagnostics
 from mllgraph.corpus import Dataset, LabelVocabulary, SyntheticConfig, generate_synthetic, synthetic_vocabulary
 from mllgraph.relabel import (
-    ClusterModel,
     _lloyd,
     _squared_distances,
     kmeans,
@@ -20,12 +19,12 @@ def test_mean_embedding_hand_case():
     labels = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
     ds = Dataset(vocab, ["s0", "s1", "s2"], ["p", "p", "p"], np.zeros((3, 1)), labels)
     Z = np.array([[1.0, 0.0], [3.0, 4.0], [0.0, 2.0]])
-    model = ClusterModel(np.array([[0.5, 1.0], [3.0, 4.0], [4.0 / 3.0, 2.0]]))
-    assert relabel(ds, Z, model).assignments.tolist() == [0, 1, 2]
+    centroids = np.array([[0.5, 1.0], [3.0, 4.0], [4.0 / 3.0, 2.0]])
+    assert relabel(ds, Z, centroids).tolist() == [0, 1, 2]
     with pytest.raises(ValueError, match="empty label set"):
         Dataset(vocab, ["s0"], ["p"], np.zeros((1, 1)), np.array([[0, 0, 0]]))
     with pytest.raises(ValueError, match="label bits"):
-        relabel(ds, Z[:2], model)
+        relabel(ds, Z[:2], centroids)
 
 
 def test_kmeans_input_validation():
@@ -42,7 +41,7 @@ def test_kmeans_is_deterministic():
     pts = np.random.default_rng(1).random((30, 3))
     a = kmeans(pts, 4, seed=9)
     b = kmeans(pts, 4, seed=9)
-    assert np.array_equal(a.model.centroids, b.model.centroids)
+    assert np.array_equal(a.centroids, b.centroids)
     assert np.array_equal(a.assignments, b.assignments)
     assert a.inertia == b.inertia
 
@@ -68,9 +67,9 @@ def test_two_blob_recovery():
     second_half = set(res.assignments[20:].tolist())
     assert len(first_half) == 1 and len(second_half) == 1
     assert first_half != second_half
-    order = np.argsort(res.model.centroids[:, 0])
-    assert np.allclose(res.model.centroids[order[0]], a.mean(axis=0), atol=0.05)
-    assert np.allclose(res.model.centroids[order[1]], b.mean(axis=0), atol=0.05)
+    order = np.argsort(res.centroids[:, 0])
+    assert np.allclose(res.centroids[order[0]], a.mean(axis=0), atol=0.05)
+    assert np.allclose(res.centroids[order[1]], b.mean(axis=0), atol=0.05)
 
 
 def test_lloyd_repairs_empty_clusters():
@@ -102,13 +101,6 @@ def test_singleton_clusters_reachable():
     assert res.inertia == pytest.approx(0.0)
 
 
-def test_cluster_model_validation():
-    with pytest.raises(ValueError, match="nonempty"):
-        ClusterModel(np.zeros((0, 3)))
-    with pytest.raises(ValueError, match="finite"):
-        ClusterModel(np.array([[np.nan, 0.0]]))
-
-
 def _tiny_dataset():
     vocab = synthetic_vocabulary(2, 2)
     labels = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1]])
@@ -118,17 +110,15 @@ def _tiny_dataset():
 def test_relabel_assigns_nearest_centroid():
     ds = _tiny_dataset()
     Z = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 0.0], [6.0, 0.0]])
-    model = ClusterModel(np.array([[1.0, 0.0], [5.0, 0.0]]))
-    out = relabel(ds, Z, model)
+    out = relabel(ds, Z, np.array([[1.0, 0.0], [5.0, 0.0]]))
     # Sample means along x: (0+2)/2=1, (4+6)/2=5, (0+6)/2=3 (tie -> cluster 0).
-    assert out.assignments.tolist() == [0, 1, 0]
-    assert out.sample_ids == ("s0", "s1", "s2")
+    assert out.tolist() == [0, 1, 0]
 
 
-def relabel_loop_reference(dataset, vectors, model):
+def relabel_loop_reference(dataset, vectors, centroids):
     """Reference: the per-sample loop relabel replaced, one mean of the set label rows per sample."""
     means = np.stack([vectors[np.flatnonzero(bits)].mean(axis=0) for bits in dataset.labels])
-    return _squared_distances(means, model.centroids).argmin(axis=1)
+    return _squared_distances(means, centroids).argmin(axis=1)
 
 
 def test_relabel_matches_loop_reference():
@@ -138,28 +128,27 @@ def test_relabel_matches_loop_reference():
                 n_samples=300, sp_count=sp_count, as_count=as_count, feature_dim=4, seed=seed,
             ))
             Z = np.random.default_rng(seed).standard_normal((sp_count + as_count, d))
-            model = kmeans(Z, n_clusters, seed=seed).model
-            got = relabel(ds, Z, model).assignments
+            centroids = kmeans(Z, n_clusters, seed=seed).centroids
+            got = relabel(ds, Z, centroids)
             assert got.dtype == np.int64
-            assert np.array_equal(got, relabel_loop_reference(ds, Z, model))
+            assert np.array_equal(got, relabel_loop_reference(ds, Z, centroids))
 
 
 def test_relabel_rejects_width_mismatch():
     ds = _tiny_dataset()
-    model = ClusterModel(np.array([[0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="width"):
-        relabel(ds, np.zeros((4, 2)), model)
+        relabel(ds, np.zeros((4, 2)), np.array([[0.0, 0.0, 0.0]]))
 
 
 def test_cluster_csv_writers(tmp_path):
     ds = _tiny_dataset()
     Z = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 0.0], [6.0, 0.0]])
-    model = ClusterModel(np.array([[1.0, 0.5], [5.0, -0.25]]))
-    out = relabel(ds, Z, model)
+    centroids = np.array([[1.0, 0.5], [5.0, -0.25]])
+    out = relabel(ds, Z, centroids)
     apath = tmp_path / "assignments.csv"
     cpath = tmp_path / "centroids.csv"
-    write_assignments_csv(apath, out)
-    write_centroids_csv(cpath, model)
+    write_assignments_csv(apath, ds.ids, out)
+    write_centroids_csv(cpath, centroids)
     alines = apath.read_text(encoding="utf-8").splitlines()
     assert alines[0] == "id,cluster"
     assert alines[1] == "s0,0"

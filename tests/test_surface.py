@@ -68,6 +68,20 @@ def test_every_public_name_is_reached_from_the_package():
     assert set(ALLOWED_UNREFERENCED) <= defined, set(ALLOWED_UNREFERENCED) - defined
 
 
+def test_every_export_is_defined_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {
+        f"mllgraph.{module}.{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    stale = [
+        name for name in mllgraph.__all__
+        if f"{getattr(getattr(mllgraph, name, None), '__module__', None)}.{name}" not in defined
+    ]
+    assert stale == [], f"names in mllgraph.__all__ that no package module defines: {stale}"
+
+
 def test_every_tracer_hook_finds_its_function():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)

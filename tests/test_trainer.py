@@ -89,6 +89,19 @@ def with_shapes(raw: bytes, shapes: dict, **header_changes) -> bytes:
     return with_header(raw, dict(header, tensors=metas, **header_changes))
 
 
+def with_value(raw: bytes, name: str, value: float) -> bytes:
+    """Checkpoint bytes with the first element of the named tensor set to `value`, with a valid CRC."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    pos = 12 + n
+    for meta in read_header(raw)["tensors"]:
+        (size,) = struct.unpack("<Q", raw[pos:pos + 8])
+        if meta["name"] == name:
+            body = raw[:pos + 8] + struct.pack("<d", value) + raw[pos + 16:-4]
+            return body + struct.pack("<I", zlib.crc32(body))
+        pos += 8 + size
+    raise KeyError(name)
+
+
 def small_train_config(**overrides) -> TrainConfig:
     base = dict(
         epochs=3,
@@ -236,8 +249,8 @@ def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
     assert isinstance(cp.head, LinearHead)
     assert cp.head.weights.shape == (train.vocabulary.size, 16)
     assert cp.correlation is None and cp.centroids is None
-    assert res.relabeled is None and res.kmeans_result is None
-    assert np.array_equal(res.cooccurrence.counts, build_cooccurrence(train).counts)
+    assert res.assignments is None and res.kmeans_result is None
+    assert np.array_equal(res.cooccurrence, build_cooccurrence(train))
     assert res.glove_loss_trace.shape == (31,)
     K = classifier_matrix(cp)
     assert K.shape == (train.vocabulary.size, 16)
@@ -250,8 +263,8 @@ def test_pipeline_gcn_crc_artifacts(crc_result, small_splits):
     assert [l.weights.shape for l in cp.head.stack.layers] == [(8, 8), (8, 16)]
     assert cp.correlation.shape == (train.vocabulary.size, train.vocabulary.size)
     assert cp.centroids.shape == (4, 8)
-    assert crc_result.relabeled is not None
-    assert crc_result.relabeled.assignments.shape == (len(train),)
+    assert crc_result.assignments is not None
+    assert crc_result.assignments.shape == (len(train),)
     assert crc_result.kmeans_result is not None
     assert classifier_matrix(cp).shape == (train.vocabulary.size, 16)
 
@@ -310,9 +323,9 @@ def test_score_and_evaluate(crc_result, small_splits):
     table = score_dataset(crc_result.checkpoint, test)
     assert table.scores.shape == (len(test), test.vocabulary.size)
     assert np.all(table.scores >= 0.0) and np.all(table.scores <= 1.0)
-    report = compute_report(table, test.vocabulary.sp_indices)
-    assert 0.0 <= report.mll_acc <= 1.0
-    assert 0.0 <= report.map <= 1.0
+    values, _ = compute_report(table, test.vocabulary.sp_indices)
+    assert 0.0 <= values["MLL_ACC"] <= 1.0
+    assert 0.0 <= values["mAP"] <= 1.0
     with pytest.raises(ValueError, match="does not match"):
         score_dataset(crc_result.checkpoint, empty_dataset(synthetic_vocabulary(2, 2)))
     with pytest.raises(ValueError, match="empty"):
@@ -377,6 +390,8 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
         ("shape_type", dict(header, tensors=[dict(header["tensors"][0], shape="9x8")]),
          "malformed header"),
         ("kind", wrong_kind, "does not match variant MLL-GCN-CRC"),
+        ("epochs_type", dict(header, config=dict(header["config"], epochs=1.5)),
+         "epochs: expected an integer, got float"),
     ):
         path = tmp_path / f"{name}.mllg"
         path.write_bytes(with_header(raw, bad))
@@ -411,6 +426,17 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
         path.write_bytes(data)
         with pytest.raises(CheckpointFormatError, match=match):
             load_checkpoint(path)
+
+    # A checksummed tensor must hold finite values only.
+    for name, value in (("embeddings", np.nan), ("correlation", np.nan), ("centroids", np.nan),
+                        ("encoder.0.weight", np.inf)):
+        path = tmp_path / f"non_finite_{name}.mllg"
+        path.write_bytes(with_value(raw, name, value))
+        with pytest.raises(CheckpointFormatError, match=f"tensor '{name}' holds non-finite values"):
+            load_checkpoint(path)
+    finite = tmp_path / "finite.mllg"
+    finite.write_bytes(with_value(raw, "embeddings", 0.25))
+    assert load_checkpoint(finite).embeddings[0, 0] == 0.25
 
     # ... and each tensor with the shape training gives it for the header's
     # vocabulary (9 classes) and config (d = 8, 4 clusters, widths 8 and 16).
@@ -511,7 +537,7 @@ def test_phase_one_tensors_are_read_only_in_phase_two(small_splits, monkeypatch,
         return glove[-1]
 
     def writing_forward(BZ, B, stack):
-        arrays = {"embeddings": glove[0].embedding.vectors, "correlation": B, "propagated": BZ}
+        arrays = {"embeddings": glove[0].embedding, "correlation": B, "propagated": BZ}
         arrays[target][0, 0] += 1.0
         return real_forward(BZ, B, stack)
 
