@@ -151,7 +151,8 @@ def resolve_config(args) -> dict:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
         cfg["out_dir"] = args.out
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    seed = cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
     return cfg
 
@@ -177,7 +178,11 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 def _check_scoring(threshold, sp_mode, names=("--threshold", "--sp-mode")):
     """(threshold, sp_mode) once both are valid; `names` label the two in the error."""
-    if not isinstance(threshold, (int, float)) or not 0.0 <= float(threshold) <= 1.0:
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, (int, float))
+        or not 0.0 <= float(threshold) <= 1.0
+    ):
         raise ConfigError(f"{names[0]} must lie within [0, 1]")
     if sp_mode not in SP_MODES:
         raise ConfigError(f"{names[1]} must be 'exact' or 'argmax'")

@@ -9,11 +9,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    layer_widths: tuple = (16, 32)
+    layer_widths: tuple[int, ...] = (16, 32)
     slope: float = 0.2
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(self.layer_widths)
         object.__setattr__(self, "layer_widths", widths)
         if not widths or any(w < 1 for w in widths):
             raise ValueError("layer_widths must be positive")
@@ -63,15 +63,16 @@ def init_encoder(input_dim: int, cfg: EncoderConfig, *, seed: int = 0) -> Encode
 
 @dataclass
 class EncodeCache:
-    inputs: list
-    preacts: list
+    inputs: list   # each layer's input
+    slopes: list   # each hidden layer's rectifier factor: 1 where z >= 0, else the slope
 
 
 def encode(features: np.ndarray, params: EncoderParams):
     """Map an (n, F) batch of features to (n, D) representations.
 
-    Hidden layers use the leaky rectifier, the last layer is linear.
-    Returns (representations, cache) with the cache feeding encoder_gradients.
+    Hidden layers use the leaky rectifier z * f with f = 1 where z >= 0 and
+    the slope elsewhere; the last layer is linear. Returns (representations,
+    cache) with the cache feeding encoder_gradients.
     """
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2:
@@ -80,16 +81,16 @@ def encode(features: np.ndarray, params: EncoderParams):
         raise ValueError(f"feature length {h.shape[1]} != encoder input {params.input_dim}")
     n_layers = len(params.weights)
     inputs = []
-    preacts = []
+    slopes = []
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        z = h @ W + b
-        preacts.append(z)
-        if i == n_layers - 1:
-            h = z
-        else:
-            h = np.where(z >= 0, z, params.slope * z)
-    return h, EncodeCache(inputs, preacts)
+        h = h @ W
+        h += b
+        if i < n_layers - 1:
+            f = np.where(h >= 0, 1.0, params.slope)
+            slopes.append(f)
+            h *= f
+    return h, EncodeCache(inputs, slopes)
 
 
 def encoder_gradients(upstream: np.ndarray, cache: EncodeCache, params: EncoderParams):
@@ -104,7 +105,7 @@ def encoder_gradients(upstream: np.ndarray, cache: EncodeCache, params: EncoderP
     dbs = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
-            dh = np.where(cache.preacts[i] >= 0, dh, dh * params.slope)
+            dh *= cache.slopes[i]  # dh is the fresh product of the layer above
         dWs[i] = cache.inputs[i].T @ dh
         dbs[i] = dh.sum(axis=0)
         if i:

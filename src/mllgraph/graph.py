@@ -59,22 +59,10 @@ def init_gcn_stack(dims, *, slope: float = 0.2, seed: int = 0) -> GcnStack:
     return GcnStack(layers)
 
 
-def _activate(H: np.ndarray, layer: GcnLayer) -> np.ndarray:
-    if layer.activation == "identity":
-        return H
-    return np.where(H >= 0, H, layer.slope * H)
-
-
-def _activation_backward(dG: np.ndarray, H: np.ndarray, layer: GcnLayer) -> np.ndarray:
-    if layer.activation == "identity":
-        return dG
-    return np.where(H >= 0, dG, dG * layer.slope)
-
-
 @dataclass
 class GcnCache:
     propagated: list = field(default_factory=list)  # B G per layer, needed for dW
-    preacts: list = field(default_factory=list)
+    slopes: list = field(default_factory=list)      # leaky factor per layer, None for identity
 
 
 def propagate(embeddings: np.ndarray, correlation: np.ndarray) -> np.ndarray:
@@ -101,27 +89,30 @@ def gcn_forward(propagated: np.ndarray, correlation: np.ndarray, stack: GcnStack
     for i, layer in enumerate(stack.layers):
         if i:
             M = B @ G
-        H = M @ layer.weights
         cache.propagated.append(M)
-        cache.preacts.append(H)
-        G = _activate(H, layer)
+        G = M @ layer.weights
+        f = None
+        if layer.activation == "leaky":
+            f = np.where(G >= 0, 1.0, layer.slope)
+            G *= f
+        cache.slopes.append(f)
     return G, cache
 
 
 def gcn_gradients(upstream: np.ndarray, cache: GcnCache, correlation: np.ndarray, stack: GcnStack):
-    """Backpropagate d(loss)/d(classifier); returns (per-layer dW, d(B Z)).
+    """Backpropagate d(loss)/d(classifier); returns (per-layer dW, dH0).
 
-    d(embeddings) is B.T @ d(B Z); training keeps Z frozen and skips it.
+    dH0 is d(first layer's preactivation); d(B Z) is dH0 @ W0.T and
+    d(embeddings) is B.T @ d(B Z), which training keeps frozen and skips.
     """
     B = np.asarray(correlation, dtype=np.float64)
     dG = np.asarray(upstream, dtype=np.float64)
     n_layers = len(stack.layers)
     dWs = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
-        layer = stack.layers[i]
-        dH = _activation_backward(dG, cache.preacts[i], layer)
+        f = cache.slopes[i]
+        dH = dG if f is None else dG * f
         dWs[i] = cache.propagated[i].T @ dH
-        dM = dH @ layer.weights.T
         if i:
-            dG = B.T @ dM
-    return dWs, dM
+            dG = B.T @ (dH @ stack.layers[i].weights.T)
+    return dWs, dH

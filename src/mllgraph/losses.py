@@ -58,59 +58,100 @@ def mll_loss_and_grad(scores: np.ndarray, targets: np.ndarray):
 
 
 def _unit_rows(X: np.ndarray):
+    """(X with unit rows, the norms divided by, the zero-norm rows or None).
+
+    A zero row stays zero: it is divided by 1 and then masked.
+    """
     norms = np.sqrt((X * X).sum(axis=1))  # what np.linalg.norm(X, axis=1) computes
     zero = norms == 0.0
-    if zero.any():
-        diagnostics.record("contrastive_zero_norm", int(zero.sum()))
+    if not zero.any():
+        return X / norms[:, None], norms, None
+    diagnostics.record("contrastive_zero_norm", int(zero.sum()))
     safe = np.where(zero, 1.0, norms)
     U = X / safe[:, None]
     U[zero] = 0.0
     return U, safe, zero
 
 
-def _pair_terms(labels: np.ndarray, cfg: LossConfig):
-    pos = labels[:, None] == labels[None, :]
+@dataclass(frozen=True)
+class PairTerms:
+    """The label-only part of one batch's contrastive term.
+
+    pos and neg mark the ordered same-label (off-diagonal) and
+    different-label pairs; pull and push are alpha and beta times their
+    pair weights; G is the constant dL/dS, 2 push on neg, -2 pull on pos
+    and 0 on the diagonal.
+    """
+
+    pos: np.ndarray
+    neg: np.ndarray
+    pull: float
+    push: float
+    G: np.ndarray
+
+
+def _stacked_pair_terms(labels: np.ndarray, cfg: LossConfig) -> list:
+    """PairTerms of each row of a (k, b) label array, built as (k, b, b) stacks."""
+    k, b = labels.shape
+    pos = labels[:, :, None] == labels[:, None, :]
     neg = ~pos
-    np.fill_diagonal(pos, False)
+    diag = np.arange(b)
+    pos[:, diag, diag] = False
     if cfg.contrastive_normalization == "pair_mean":
-        n_pos = np.count_nonzero(pos)
-        n_neg = np.count_nonzero(neg)
-        w_pos = 1.0 / n_pos if n_pos else 0.0
-        w_neg = 1.0 / n_neg if n_neg else 0.0
+        n_pos = np.count_nonzero(pos, axis=(1, 2))
+        n_neg = np.count_nonzero(neg, axis=(1, 2))
+        w_pos = np.divide(1.0, n_pos, out=np.zeros(k), where=n_pos > 0)
+        w_neg = np.divide(1.0, n_neg, out=np.zeros(k), where=n_neg > 0)
     else:
-        w_pos = w_neg = 1.0
-    return pos, neg, w_pos, w_neg
+        w_pos = w_neg = np.ones(k)
+    pull = cfg.alpha * w_pos
+    push = cfg.beta * w_neg
+    G = np.where(neg, (2.0 * push)[:, None, None], (2.0 * -pull)[:, None, None])
+    G[:, diag, diag] = 0.0
+    return [PairTerms(pos[i], neg[i], float(pull[i]), float(push[i]), G[i]) for i in range(k)]
 
 
-def contrastive_loss_and_grad(representations: np.ndarray, labels: np.ndarray, cfg: LossConfig):
+def epoch_pair_terms(labels: np.ndarray, batch_size: int, cfg: LossConfig) -> list:
+    """PairTerms of each batch labels[j * batch_size:(j + 1) * batch_size], in order.
+
+    The full batches are built as one stack, a shorter last batch on its own.
+    """
+    labels = np.asarray(labels)
+    n_full = len(labels) // batch_size
+    cut = n_full * batch_size
+    terms = _stacked_pair_terms(labels[:cut].reshape(n_full, batch_size), cfg)
+    if cut < len(labels):
+        terms += _stacked_pair_terms(labels[None, cut:], cfg)
+    return terms
+
+
+def contrastive_loss_and_grad(representations: np.ndarray, terms: PairTerms):
     """(loss, d loss / d representations): pull same-label pairs together, push different-label pairs apart.
 
     Over ordered within-batch pairs: alpha (1 - cos) on same-label pairs and
     beta (1 + cos) on different-label pairs, either summed raw or averaged
-    per pair group. A batch of fewer than two samples contributes 0; a
-    zero-norm row has cosine 0 with every row and gets a zero gradient.
+    per pair group, as `terms` (from `epoch_pair_terms`) carry them. A batch
+    of fewer than two samples contributes 0; a zero-norm row has cosine 0
+    with every row and gets a zero gradient.
     """
     X = np.asarray(representations, dtype=np.float64)
-    labels = np.asarray(labels)
     n = X.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError("one label per representation required")
+    if terms.G.shape != (n, n):
+        raise ValueError(
+            f"one label per representation required: pair terms for {terms.G.shape[0]} labels, "
+            f"{n} representations"
+        )
     if n < 2:
         diagnostics.record("contrastive_undersized_batch")
         return 0.0, np.zeros_like(X)
     U, safe, zero = _unit_rows(X)
     S = U @ U.T
     np.minimum(np.maximum(S, -1.0, out=S), 1.0, out=S)  # np.clip(S, -1, 1) in place
-    pos, neg, w_pos, w_neg = _pair_terms(labels, cfg)
-    loss = float(
-        cfg.alpha * w_pos * (1.0 - S[pos]).sum() + cfg.beta * w_neg * (1.0 + S[neg]).sum()
-    )
-    # loss is linear in the similarity entries: dL/dS_ij = G_ij is a constant
-    # per pair kind and 0 on the diagonal. G is symmetric, so the (G + G.T) U
-    # of the chain rule is 2 G U, exactly.
-    G = np.where(neg, 2.0 * (cfg.beta * w_neg), 2.0 * (-cfg.alpha * w_pos))
-    np.fill_diagonal(G, 0.0)
-    dU = G @ U
+    loss = float(terms.pull * (1.0 - S[terms.pos]).sum() + terms.push * (1.0 + S[terms.neg]).sum())
+    # loss is linear in the similarity entries, so dL/dS is the constant G.
+    # G is symmetric, so the (G + G.T) U of the chain rule is 2 G U, exactly.
+    dU = terms.G @ U
     dX = (dU - (U * dU).sum(axis=1)[:, None] * U) / safe[:, None]
-    dX[zero] = 0.0
+    if zero is not None:
+        dX[zero] = 0.0
     return loss, dX

@@ -33,6 +33,7 @@ from .losses import (
     CONTRASTIVE_MODES,
     LossConfig,
     contrastive_loss_and_grad,
+    epoch_pair_terms,
     mll_loss_and_grad,
     sigmoid,
 )
@@ -115,13 +116,18 @@ class TrainingDivergedError(RuntimeError):
         self.batch = batch
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_dict(cls, data, where: str = ""):
     """Inverse of `dataclasses.asdict` for the config dataclasses.
 
     Nested config sections are rebuilt recursively; absent keys keep their
     defaults and unknown keys are rejected. An `int` field takes only an
-    integer (not a bool), a `float` field an integer or a float; `where` is
-    the dotted path of `data`, which the errors name.
+    integer (not a bool), a `float` field an integer or a float, and a
+    `tuple[int, ...]` field a list of integers; `where` is the dotted path
+    of `data`, which the errors name.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where or cls.__name__}: expected an object, got {type(data).__name__}")
@@ -134,8 +140,12 @@ def config_from_dict(cls, data, where: str = ""):
         path, kind = f"{where}.{key}" if where else key, types[key]
         if dataclasses.is_dataclass(kind):
             value = config_from_dict(kind, value, path)
-        elif kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        elif kind is int and not _is_int(value):
             raise ValueError(f"{path}: expected an integer, got {type(value).__name__}")
+        elif kind == tuple[int, ...] and not (
+            isinstance(value, (list, tuple)) and all(map(_is_int, value))
+        ):
+            raise ValueError(f"{path}: expected a list of integers, got {json.dumps(value)}")
         elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"{path}: expected a number, got {type(value).__name__}")
         kwargs[key] = value
@@ -390,12 +400,16 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     best = None
     trace = []
     for epoch in range(1, cfg.epochs + 1):
-        # the epoch's order gathered once; each batch is a slice (a view) of it
+        # the epoch's order gathered once; each batch is a slice (a view) of
+        # it, and the contrastive pair terms of every batch are built up front
         perm = rng_batches.permutation(n)
         Xep, Yep = Xtr[perm], Ytr[perm]
-        Lep = contrast_labels[perm] if contrast_labels is not None else None
+        pair_terms = (
+            epoch_pair_terms(contrast_labels[perm], cfg.batch_size, cfg.loss)
+            if contrast_labels is not None else None
+        )
         loss_sum = 0.0
-        for bstart in range(0, n, cfg.batch_size):
+        for k, bstart in enumerate(range(0, n, cfg.batch_size)):
             batch = slice(bstart, bstart + cfg.batch_size)
             reps, ecache = encode(Xep[batch], enc)
             K, hcache = head.forward(BZ, bhat)
@@ -404,11 +418,11 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
             d_reps = d_scores @ K
             total = mll
             if variant.contrastive_mode != "none":
-                closs, d_reps_c = contrastive_loss_and_grad(reps, Lep[batch], cfg.loss)
+                closs, d_reps_c = contrastive_loss_and_grad(reps, pair_terms[k])
                 total = mll + cfg.loss.lam * closs
                 d_reps = d_reps + cfg.loss.lam * d_reps_c
             if not math.isfinite(total):
-                raise TrainingDivergedError(epoch, bstart // cfg.batch_size)
+                raise TrainingDivergedError(epoch, k)
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
             sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, bhat))

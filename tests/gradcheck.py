@@ -35,3 +35,13 @@ def max_rel_err(analytic, numeric):
 def away_from_kinks(preacts, margin=1e-3):
     """True when every pre-activation is safely away from the rectifier kink."""
     return all(np.all(np.abs(z) > margin) for z in preacts)
+
+
+def encoder_hidden_preacts(cache, params):
+    """Each hidden encoder layer's preactivation, recomputed from its cached input."""
+    return [x @ W + b for x, W, b in zip(cache.inputs[:-1], params.weights, params.biases)]
+
+
+def gcn_hidden_preacts(cache, stack):
+    """Each hidden GCN layer's preactivation, recomputed from its cached B G."""
+    return [M @ layer.weights for M, layer in zip(cache.propagated[:-1], stack.layers)]

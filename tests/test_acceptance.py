@@ -28,7 +28,7 @@ from mllgraph.glove import (
     train_glove,
 )
 from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
-from mllgraph.losses import LossConfig, contrastive_loss_and_grad, mll_loss_and_grad
+from mllgraph.losses import LossConfig, contrastive_loss_and_grad, epoch_pair_terms, mll_loss_and_grad
 from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report
 from mllgraph.oracle import oracle_metrics
 from mllgraph.relabel import kmeans
@@ -42,7 +42,13 @@ from mllgraph.trainer import (
     score_dataset,
 )
 
-from gradcheck import away_from_kinks, max_rel_err, numeric_gradient
+from gradcheck import (
+    away_from_kinks,
+    encoder_hidden_preacts,
+    gcn_hidden_preacts,
+    max_rel_err,
+    numeric_gradient,
+)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -95,7 +101,7 @@ def _graph_path_gradcheck(rng) -> float:
         Z = rng.standard_normal((C, d))
         stack = init_gcn_stack((d, d, D), seed=int(rng.integers(100_000)))
         _, cache = gcn_forward(propagate(Z, B), B, stack)
-        if away_from_kinks(cache.preacts[:-1]):
+        if away_from_kinks(gcn_hidden_preacts(cache, stack)):
             break
 
     def path_loss(Zv, stack_v):
@@ -105,8 +111,8 @@ def _graph_path_gradcheck(rng) -> float:
     K, cache = gcn_forward(propagate(Z, B), B, stack)
     _, d_scores = mll_loss_and_grad(reps @ K.T, targets)
     dK = d_scores.T @ reps
-    dWs, dBZ = gcn_gradients(dK, cache, B, stack)
-    dZ = B.T @ dBZ
+    dWs, dH0 = gcn_gradients(dK, cache, B, stack)
+    dZ = B.T @ (dH0 @ stack.layers[0].weights.T)   # d(B Z) = dH0 W0^T
 
     worst = max_rel_err(dZ, numeric_gradient(lambda Zv: path_loss(Zv, stack), Z))
     for li in range(2):
@@ -132,7 +138,7 @@ def _encoder_path_gradcheck(rng) -> float:
         X = rng.standard_normal((n, D_in))
         params = init_encoder(D_in, EncoderConfig(layer_widths=widths), seed=int(rng.integers(100_000)))
         _, cache = encode(X, params)
-        if away_from_kinks(cache.preacts[:-1]):
+        if away_from_kinks(encoder_hidden_preacts(cache, params)):
             break
 
     def path_loss(params_, Xv):
@@ -165,8 +171,9 @@ def _contrastive_gradcheck(rng, norm: str) -> float:
     cfg = LossConfig(contrastive_normalization=norm)
     X = rng.standard_normal((n, d))
     labels = rng.integers(0, max(2, n // 2), n)
-    _, grad = contrastive_loss_and_grad(X, labels, cfg)
-    numeric = numeric_gradient(lambda Xv: contrastive_loss_and_grad(Xv, labels, cfg)[0], X)
+    (terms,) = epoch_pair_terms(labels, n, cfg)
+    _, grad = contrastive_loss_and_grad(X, terms)
+    numeric = numeric_gradient(lambda Xv: contrastive_loss_and_grad(Xv, terms)[0], X)
     return max_rel_err(grad, numeric)
 
 
@@ -464,10 +471,10 @@ def test_criterion_7_contrastive_scale_invariance():
             n = int(rng.integers(2, 9))
             d = int(rng.integers(2, 7))
             X = rng.standard_normal((n, d)) * float(rng.uniform(0.1, 10.0))
-            labels = rng.integers(0, 3, n)
-            base = contrastive_loss_and_grad(X, labels, cfg)[0]
+            (terms,) = epoch_pair_terms(rng.integers(0, 3, n), n, cfg)
+            base = contrastive_loss_and_grad(X, terms)[0]
             for c in (0.5, 3.0):
-                worst = max(worst, abs(contrastive_loss_and_grad(c * X, labels, cfg)[0] - base))
+                worst = max(worst, abs(contrastive_loss_and_grad(c * X, terms)[0] - base))
     elapsed = time.time() - start
     ok = worst <= 1e-10
     _report(

@@ -161,9 +161,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("glove.d=4.0", "glove.d: expected an integer, got float"),
         ("kmeans.n_clusters=2.0", "n_clusters: expected an integer, got float"),
         ("synthetic.n_samples=250.5", "synthetic: n_samples: expected an integer, got float"),
+        ("encoder.layer_widths=[8.7,16]", "encoder.layer_widths: expected a list of integers, got [8.7, 16]"),
+        ("encoder.layer_widths=[8,true]", "encoder.layer_widths: expected a list of integers, got [8, true]"),
+        ("encoder.layer_widths=16", "encoder.layer_widths: expected a list of integers, got 16"),
+        ("metrics.threshold=true", "metrics.threshold: must lie within [0, 1]"),
+        ("seed=true", "seed: must be a nonnegative integer"),
     ):
         assert main(["train", "--out", str(tmp_path / "x"), "--set", expr]) == 2, expr
         assert message in capsys.readouterr().err, expr
+    # a bool is not an integer seed for synth either, and nothing is written
+    assert main(["synth", "--out", str(tmp_path / "s"), "--set", "seed=true"]) == 2
+    assert "error: seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_train_requires_vocabulary_with_external_data(tmp_path):

@@ -9,7 +9,7 @@ from mllgraph.encoder import (
     init_encoder,
 )
 
-from gradcheck import away_from_kinks, max_rel_err, numeric_gradient
+from gradcheck import away_from_kinks, encoder_hidden_preacts, max_rel_err, numeric_gradient
 
 
 def test_config_defaults_and_validation():
@@ -20,6 +20,7 @@ def test_config_defaults_and_validation():
         EncoderConfig(layer_widths=())
     with pytest.raises(ValueError, match="layer_widths"):
         EncoderConfig(layer_widths=(8, 0))
+    assert EncoderConfig(layer_widths=[8, 16]).layer_widths == (8, 16)   # a JSON list
     with pytest.raises(ValueError, match="slope"):
         EncoderConfig(slope=-0.1)
     with pytest.raises(ValueError):
@@ -110,7 +111,7 @@ def test_gradients_match_numeric():
                 D_in, EncoderConfig(layer_widths=(4, 3)), seed=int(rng.integers(10_000))
             )
             _, cache = encode(X, params)
-            if away_from_kinks(cache.preacts[:-1]):
+            if away_from_kinks(encoder_hidden_preacts(cache, params)):
                 break
 
         def loss_for(params_):

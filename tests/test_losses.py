@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from mllgraph import diagnostics
-from mllgraph.losses import LossConfig, contrastive_loss_and_grad, mll_loss_and_grad, sigmoid
+from mllgraph.losses import (
+    LossConfig,
+    contrastive_loss_and_grad,
+    epoch_pair_terms,
+    mll_loss_and_grad,
+    sigmoid,
+)
 
 from gradcheck import max_rel_err, numeric_gradient
 
@@ -33,8 +39,14 @@ def mll_loss(scores, targets):
     return mll_loss_and_grad(scores, targets)[0]
 
 
+def batch_terms(labels, cfg):
+    """The pair terms of `labels` as one batch."""
+    (terms,) = epoch_pair_terms(labels, len(labels), cfg)
+    return terms
+
+
 def contrastive_loss(representations, labels, cfg):
-    return contrastive_loss_and_grad(representations, labels, cfg)[0]
+    return contrastive_loss_and_grad(representations, batch_terms(labels, cfg))[0]
 
 
 def test_mll_loss_hand_values():
@@ -93,7 +105,7 @@ def test_contrastive_hand_case_both_normalizations():
 
 def test_contrastive_undersized_batch_is_zero():
     before = diagnostics.count("contrastive_undersized_batch")
-    loss, grad = contrastive_loss_and_grad(np.ones((1, 4)), np.array([0]), LossConfig())
+    loss, grad = contrastive_loss_and_grad(np.ones((1, 4)), batch_terms(np.array([0]), LossConfig()))
     assert loss == 0.0
     assert np.all(grad == 0.0)
     assert diagnostics.count("contrastive_undersized_batch") == before + 1
@@ -101,7 +113,7 @@ def test_contrastive_undersized_batch_is_zero():
 
 def test_contrastive_rejects_label_count_mismatch():
     with pytest.raises(ValueError, match="one label per"):
-        contrastive_loss_and_grad(np.ones((3, 2)), np.array([0, 1]), LossConfig())
+        contrastive_loss_and_grad(np.ones((3, 2)), batch_terms(np.array([0, 1]), LossConfig()))
 
 
 def test_contrastive_scale_invariance():
@@ -130,7 +142,7 @@ def test_contrastive_gradient_matches_numeric():
         for _ in range(5):
             X = rng.standard_normal((5, 3))
             labels = rng.integers(0, 3, 5)
-            _, grad = contrastive_loss_and_grad(X, labels, cfg)
+            _, grad = contrastive_loss_and_grad(X, batch_terms(labels, cfg))
             numeric = numeric_gradient(lambda Xv: contrastive_loss(Xv, labels, cfg), X)
             assert max_rel_err(grad, numeric) < 1e-6
 
@@ -139,6 +151,6 @@ def test_contrastive_zero_row_gets_zero_gradient():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 0, 1])
     before = diagnostics.count("contrastive_zero_norm")
-    _, grad = contrastive_loss_and_grad(X, labels, LossConfig())
+    _, grad = contrastive_loss_and_grad(X, batch_terms(labels, LossConfig()))
     assert np.all(grad[0] == 0.0)
     assert diagnostics.count("contrastive_zero_norm") >= before + 1

@@ -2,18 +2,26 @@
 
 Each fast form must give the same bits as its reference: the sigmoid and
 BCE sharing one exp(-|s|), the contrastive term with 2 G in place of
-G + G.T, the leaky-rectifier and identity backward passes, the encoder
-backward stopping at the first layer's dz, the GCN with B Z computed
-once, and momentum SGD over one flat buffer.
+G + G.T, its pair terms built once per epoch instead of once per batch,
+the leaky rectifier as a multiply by a factor cached in the forward pass,
+the encoder backward stopping at the first layer's dz, the GCN with B Z
+computed once and its backward stopping at the first layer's dH, and
+momentum SGD over one flat buffer.
 """
 
 import numpy as np
 import pytest
 
 from mllgraph import diagnostics
-from mllgraph.encoder import EncoderConfig, encode, encoder_gradients, init_encoder
-from mllgraph.graph import gcn_forward, gcn_gradients, init_gcn_stack, propagate
-from mllgraph.losses import LossConfig, contrastive_loss_and_grad, mll_loss_and_grad, sigmoid
+from mllgraph.encoder import EncoderConfig, EncoderParams, encode, encoder_gradients, init_encoder
+from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
+from mllgraph.losses import (
+    LossConfig,
+    contrastive_loss_and_grad,
+    epoch_pair_terms,
+    mll_loss_and_grad,
+    sigmoid,
+)
 from mllgraph.trainer import _MomentumSGD
 
 
@@ -72,7 +80,19 @@ def contrastive_loss_and_grad_reference(representations, labels, cfg):
     return loss, dX
 
 
-def encoder_gradients_reference(upstream, cache, params):
+def encode_reference(x, params):
+    """Representations, per-layer inputs and preactivations, with the rectifier as np.where."""
+    h = np.asarray(x, dtype=np.float64)
+    inputs, preacts = [], []
+    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
+        z = h @ W + b
+        preacts.append(z)
+        h = z if i == len(params.weights) - 1 else np.where(z >= 0, z, params.slope * z)
+    return h, inputs, preacts
+
+
+def encoder_gradients_reference(upstream, inputs, preacts, params):
     """Per-layer dW, db and d(features), with the rectifier mask as a multiply."""
     dh = np.asarray(upstream, dtype=np.float64)
     n_layers = len(params.weights)
@@ -82,8 +102,8 @@ def encoder_gradients_reference(upstream, cache, params):
         if i == n_layers - 1:
             dz = dh
         else:
-            dz = dh * np.where(cache.preacts[i] >= 0, 1.0, params.slope)
-        dWs[i] = cache.inputs[i].T @ dz
+            dz = dh * np.where(preacts[i] >= 0, 1.0, params.slope)
+        dWs[i] = inputs[i].T @ dz
         dbs[i] = dz.sum(axis=0)
         dh = dz @ params.weights[i].T
     return dWs, dbs, dh
@@ -172,6 +192,85 @@ def test_mll_loss_and_grad_matches_reference():
         assert_same_bits(grad, ref_grad)
 
 
+def pair_terms_reference(labels, cfg):
+    """One batch's (pos, neg, w_pos, w_neg, G) as each batch used to build them."""
+    pos = labels[:, None] == labels[None, :]
+    neg = ~pos
+    np.fill_diagonal(pos, False)
+    if cfg.contrastive_normalization == "pair_mean":
+        n_pos = np.count_nonzero(pos)
+        n_neg = np.count_nonzero(neg)
+        w_pos = 1.0 / n_pos if n_pos else 0.0
+        w_neg = 1.0 / n_neg if n_neg else 0.0
+    else:
+        w_pos = w_neg = 1.0
+    G = np.where(neg, 2.0 * (cfg.beta * w_neg), 2.0 * (-cfg.alpha * w_pos))
+    np.fill_diagonal(G, 0.0)
+    return pos, neg, w_pos, w_neg, G
+
+
+def batch_terms(labels, cfg):
+    """The pair terms of `labels` as one batch."""
+    (terms,) = epoch_pair_terms(labels, len(labels), cfg)
+    return terms
+
+
+def _epoch_label_cases(rng):
+    for n, b in ((64, 32), (70, 32), (65, 32), (66, 32), (31, 32), (1, 32), (2, 32),
+                 (9, 3), (10, 3), (5, 1), (7, 2)):
+        yield f"random n={n} b={b}", rng.permutation(rng.integers(0, 4, n)), b
+        yield f"random order n={n} b={b}", rng.permutation(np.arange(n) % 3), b
+        yield f"all equal n={n} b={b}", np.full(n, 2), b
+        yield f"all distinct n={n} b={b}", rng.permutation(n), b
+
+
+@pytest.mark.parametrize("cfg", [
+    LossConfig(),
+    LossConfig(contrastive_normalization="raw_sum"),
+    LossConfig(alpha=0.0, beta=1.3, contrastive_normalization="raw_sum"),
+    LossConfig(alpha=2.0, beta=0.0),
+], ids=["pair_mean", "raw_sum", "no_pull", "no_push"])
+def test_epoch_pair_terms_match_per_batch_construction(cfg):
+    rng = np.random.default_rng(7)
+    for what, labels, b in _epoch_label_cases(rng):
+        terms = epoch_pair_terms(labels, b, cfg)
+        starts = range(0, len(labels), b)
+        assert len(terms) == len(starts), what
+        for t, start in zip(terms, starts):
+            pos, neg, w_pos, w_neg, G = pair_terms_reference(labels[start:start + b], cfg)
+            assert_same_bits(t.pos, pos, what)
+            assert_same_bits(t.neg, neg, what)
+            assert_same_bits(np.float64(t.pull), np.float64(cfg.alpha * w_pos), what)
+            assert_same_bits(np.float64(t.push), np.float64(cfg.beta * w_neg), what)
+            assert_same_bits(t.G, G, what)
+
+
+@pytest.mark.parametrize("norm", ["pair_mean", "raw_sum"])
+def test_epoch_pair_terms_drive_the_loss_like_per_batch_labels(norm):
+    """A pass over an epoch's batches, tail of 1 and of 2 included, gives the reference bits and counts."""
+    cfg = LossConfig(contrastive_normalization=norm)
+    rng = np.random.default_rng(8)
+    for n, b in ((65, 32), (66, 32), (70, 32), (64, 32)):
+        X = rng.standard_normal((n, 5))
+        X[3] = 0.0
+        for labels in (rng.integers(0, 3, n), np.zeros(n, int), np.arange(n)):
+            terms = epoch_pair_terms(labels, b, cfg)
+            for k, start in enumerate(range(0, n, b)):
+                batch = slice(start, start + b)
+                before = diagnostics.snapshot()
+                loss, grad = contrastive_loss_and_grad(X[batch], terms[k])
+                mid = diagnostics.snapshot()
+                ref_loss, ref_grad = contrastive_loss_and_grad_reference(X[batch], labels[batch], cfg)
+                after = diagnostics.snapshot()
+                assert_same_bits(np.float64(loss), np.float64(ref_loss))
+                assert_same_bits(grad, ref_grad)
+                for key in set(after) | set(before):
+                    assert mid.get(key, 0) - before.get(key, 0) == after.get(key, 0) - mid.get(key, 0)
+                if n - start == 1:
+                    assert mid.get("contrastive_undersized_batch", 0) == (
+                        before.get("contrastive_undersized_batch", 0) + 1)
+
+
 def _contrastive_cases(rng):
     for n in (1, 2, 3, 17, 32):
         for d in (1, 4, 32):
@@ -196,7 +295,7 @@ def test_contrastive_loss_and_grad_matches_reference(cfg):
     rng = np.random.default_rng(2)
     for what, X, labels in _contrastive_cases(rng):
         before = diagnostics.snapshot()
-        loss, grad = contrastive_loss_and_grad(X, labels, cfg)
+        loss, grad = contrastive_loss_and_grad(X, batch_terms(labels, cfg))
         mid = diagnostics.snapshot()
         ref_loss, ref_grad = contrastive_loss_and_grad_reference(X, labels, cfg)
         after = diagnostics.snapshot()
@@ -214,13 +313,45 @@ def test_encoder_backward_matches_reference():
     features[4] = -0.0
     for x in (features, features[:1]):
         reps, cache = encode(x, params)
+        ref_reps, inputs, preacts = encode_reference(x, params)
+        assert_same_bits(reps, ref_reps)
+        for got, want in zip(cache.inputs, inputs):
+            assert_same_bits(got, want)
         upstream = rng.standard_normal(np.shape(reps))
         dWs, dbs, dz0 = encoder_gradients(upstream, cache, params)
-        ref_dWs, ref_dbs, ref_dh = encoder_gradients_reference(upstream, cache, params)
+        ref_dWs, ref_dbs, ref_dh = encoder_gradients_reference(upstream, inputs, preacts, params)
         for got, want in zip(dWs + dbs, ref_dWs + ref_dbs):
             assert_same_bits(got, want)
         assert dz0.shape == (x.shape[0], 16)
         assert_same_bits(dz0 @ params.weights[0].T, ref_dh)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 3.0])
+def test_cached_leaky_factor_matches_where_at_edge_values(slope):
+    """z * f and dh * f against np.where at zero, tiny, huge, +-inf and NaN preactivations.
+
+    Each layer has one weight of 1, so the preactivations are the inputs as
+    the product gives them (it turns -0 into +0).
+    """
+    x = np.array(EDGES + [np.nan, -np.nan]).reshape(-1, 1)
+    upstream = np.array(EDGES[::-1] + [1.0, -np.nan]).reshape(-1, 1)
+    one = np.ones((1, 1))
+    with np.errstate(invalid="ignore", over="ignore"):   # inf * 0, 3e308, on both sides
+        # encoder: one leaky hidden layer, then a linear layer
+        params = EncoderParams([one, one], [np.zeros(1), np.zeros(1)], slope)
+        _, cache = encode(x, params)
+        z = encode_reference(x, params)[2][0]
+        assert_same_bits(cache.inputs[1], np.where(z >= 0, z, slope * z))
+        _, _, dz0 = encoder_gradients(upstream, cache, params)
+        dh = upstream @ one.T                # through the linear layer
+        assert_same_bits(dz0, np.where(z >= 0, dh, dh * slope))
+        # GCN: one leaky layer over the given B Z
+        stack = GcnStack([GcnLayer(one, "leaky", slope)])
+        K, gcache = gcn_forward(x, np.eye(len(x)), stack)
+        H = x @ one
+        assert_same_bits(K, np.where(H >= 0, H, slope * H))
+        _, dH0 = gcn_gradients(upstream, gcache, np.eye(len(x)), stack)
+        assert_same_bits(dH0, np.where(H >= 0, upstream, upstream * slope))
 
 
 def test_gcn_with_propagation_once_matches_reference():
@@ -235,14 +366,14 @@ def test_gcn_with_propagation_once_matches_reference():
             K, cache = gcn_forward(BZ, B, stack)
             ref_K, propagated, preacts = gcn_forward_reference(Z, B, stack)
             assert_same_bits(K, ref_K)
-            for got, want in zip(cache.propagated + cache.preacts, propagated + preacts):
+            for got, want in zip(cache.propagated, propagated):
                 assert_same_bits(got, want)
             upstream = rng.standard_normal(K.shape)
-            dWs, dBZ = gcn_gradients(upstream, cache, B, stack)
+            dWs, dH0 = gcn_gradients(upstream, cache, B, stack)
             ref_dWs, ref_dZ = gcn_gradients_reference(upstream, preacts, propagated, B, stack)
             for got, want in zip(dWs, ref_dWs):
                 assert_same_bits(got, want)
-            assert_same_bits(B.T @ dBZ, ref_dZ)
+            assert_same_bits(B.T @ (dH0 @ stack.layers[0].weights.T), ref_dZ)
 
 
 def test_flat_momentum_sgd_matches_per_tensor_reference():

@@ -392,6 +392,9 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
         ("kind", wrong_kind, "does not match variant MLL-GCN-CRC"),
         ("epochs_type", dict(header, config=dict(header["config"], epochs=1.5)),
          "epochs: expected an integer, got float"),
+        ("widths_type", dict(header, config=dict(
+            header["config"], encoder=dict(header["config"]["encoder"], layer_widths=[8.0, 16]))),
+         "encoder.layer_widths: expected a list of integers"),
     ):
         path = tmp_path / f"{name}.mllg"
         path.write_bytes(with_header(raw, bad))

@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Run a fixed set of mllgraph CLI commands from one source tree and print the
+# sha256 of every file they write, console output included, one line per file
+# with paths relative to WORK_DIR.
+#
+#   tools/artifact_run.sh SRC_DIR WORK_DIR [EPOCHS] > manifest.txt
+#
+# SRC_DIR is the tree's `src` directory. WORK_DIR is emptied first. Two trees
+# that should write the same bytes must be run with the same absolute
+# WORK_DIR, since config.json records the corpus paths; run one, keep its
+# manifest, then run the other and compare the manifests. EPOCHS (default 3)
+# is the phase-2 epoch count of each `train`.
+set -euo pipefail
+
+src=$(cd "$1" && pwd)
+work=$2
+epochs=${3:-3}
+rm -rf "$work"
+mkdir -p "$work/console"
+work=$(cd "$work" && pwd)
+
+run() {
+    local name=$1
+    shift
+    PYTHONPATH="$src" python3 -m mllgraph.cli "$@" > "$work/console/$name.txt"
+}
+
+corpus=("--set" "data.dataset_path=$work/corpus/dataset.jsonl"
+        "--set" "data.vocabulary_path=$work/corpus/vocabulary.json")
+
+run synth synth --seed 4 --out "$work/corpus"
+for variant in Single-MLL MLL-CL MLL-CRC MLL-GCN MLL-GCN-CL MLL-GCN-CRC; do
+    run "train-$variant" train --seed 3 --variant "$variant" --out "$work/train/$variant" \
+        --set "train.epochs=$epochs" "${corpus[@]}"
+    for mode in exact argmax; do
+        run "eval-$variant-$mode" eval --checkpoint "$work/train/$variant/checkpoint.mllg" \
+            --data "$work/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/eval/$variant/$mode"
+    done
+done
+for what in embeddings correlation clusters projection; do
+    run "export-$what" export --checkpoint "$work/train/MLL-GCN-CRC/checkpoint.mllg" \
+        --what "$what" --out "$work/export/$what"
+done
+
+cd "$work"
+find . -type f | LC_ALL=C sort | xargs sha256sum
