@@ -194,7 +194,7 @@ def _check_ratios(cfg: dict):
     if (
         not isinstance(ratios, (list, tuple))
         or len(ratios) != 3
-        or any(not isinstance(r, (int, float)) or r < 0 for r in ratios)
+        or any(isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 <= r <= 1 for r in ratios)
         or abs(sum(float(r) for r in ratios) - 1.0) > 1e-9
     ):
         raise ConfigError("data.split_ratios: need three nonnegative numbers summing to 1")
@@ -219,9 +219,10 @@ def _write_config_snapshot(cfg: dict, out: Path) -> None:
 
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
+    syn = build_synthetic_config(cfg)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_synthetic(build_synthetic_config(cfg))
+    dataset = generate_synthetic(syn)
     save_dataset(dataset, out / "dataset.jsonl")
     dataset.vocabulary.save(out / "vocabulary.json")
     _write_config_snapshot(cfg, out)

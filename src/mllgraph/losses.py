@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +31,39 @@ class LossConfig:
             )
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+_SIGMOID_BLOCK = 1 << 16  # elements per row block of sigmoid's temporaries
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of each element, written into `out` (which may be x) when given.
+
+    It runs over blocks of rows of about _SIGMOID_BLOCK elements, so its
+    temporaries stay that size however large x is.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return _sigmoid_from(x, np.exp(-np.abs(x)))
+    if out is None:
+        out = np.empty_like(x)
+    elif out.shape != x.shape or out.dtype != np.float64:
+        raise ValueError(f"out {out.dtype} {out.shape} cannot hold sigmoid of float64 {x.shape}")
+    rows, out_rows = np.atleast_1d(x, out)  # a 0-d x is one row of one element
+    step = max(1, _SIGMOID_BLOCK // max(1, math.prod(rows.shape[1:])))
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        e = np.abs(rows[block])
+        np.negative(e, out=e)
+        _sigmoid_from(rows[block], np.exp(e, out=e), out_rows[block])
+    return out
 
 
-def _sigmoid_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """sigmoid(x) given e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e)."""
+def _sigmoid_from(x: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigmoid(x) into `out` given e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e).
+
+    out may be x itself: the sign of x is taken before out is written.
+    """
+    pos = x >= 0
     d = 1.0 + e
-    out = np.divide(e, d, out=np.empty_like(x))
-    np.divide(1.0, d, out=out, where=x >= 0)
+    np.divide(e, d, out=out)
+    np.divide(1.0, d, out=out, where=pos)
     return out
 
 
@@ -51,7 +75,7 @@ def mll_loss_and_grad(scores: np.ndarray, targets: np.ndarray):
         raise ValueError(f"scores {s.shape} and targets {y.shape} differ")
     e = np.exp(-np.abs(s))
     bce = np.maximum(s, 0.0) - s * y + np.log1p(e)
-    grad = _sigmoid_from(s, e)
+    grad = _sigmoid_from(s, e, np.empty_like(s))
     grad -= y
     grad /= s.size
     return float(bce.sum() / bce.size), grad  # bce.mean() without its wrapper

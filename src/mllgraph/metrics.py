@@ -26,15 +26,18 @@ class ScoreTable:
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=np.float64)
-        y = np.asarray(self.targets, dtype=np.uint8)
+        y = np.asarray(self.targets)
         if s.ndim != 2 or s.shape != y.shape:
-            raise ValueError(f"scores {s.shape} and targets {np.shape(self.targets)} must match as (n, C)")
+            raise ValueError(f"scores {s.shape} and targets {y.shape} must match as (n, C)")
         if s.shape[0] < 1:
             raise ValueError("score table must hold at least one sample")
-        if not np.all(np.isfinite(s)) or np.any(s < 0) or np.any(s > 1):
+        # reductions, so no (n, C) temporaries: NaN fails both comparisons,
+        # and the initial values let a table without columns pass as before
+        if not (s.min(initial=0.0) >= 0 and s.max(initial=1.0) <= 1):
             raise ValueError("scores must lie within [0, 1]")
-        raw = np.asarray(self.targets)
-        if not np.all((raw == 0) | (raw == 1)):
+        if y.dtype != np.uint8 and np.all((y == 0) | (y == 1)):
+            y = y.astype(np.uint8)
+        if y.dtype != np.uint8 or y.max(initial=0) > 1:
             raise ValueError("targets must be 0/1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie within [0, 1]")
@@ -127,24 +130,32 @@ def sp_argmax_accuracy(table: ScoreTable, sp_indices) -> float:
     return int(correct.sum()) / table.n
 
 
+_AP_BLOCK = 1 << 16  # cells per column block of _column_aps
+
+
 def _column_aps(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """AP of each column of (n, C) scores against 0/1 targets; NaN for a column without positives.
 
-    One stable sort ranks every column (descending score, ties by ascending
-    index). Each column's precisions at its positive ranks are averaged with
-    one `mean` over a contiguous slice, the reduction a column-by-column loop
-    made, so the bits are the same.
+    Blocks of whole columns, about _AP_BLOCK cells each, are ranked by one
+    stable sort (descending score, ties by ascending index), so the
+    temporaries stay that size. Each column's precisions at its positive
+    ranks are averaged with one `mean` over a contiguous slice, the
+    reduction a column-by-column loop made, so the bits are the same.
     """
     n, C = scores.shape
-    order = np.argsort(-scores, axis=0, kind="stable")
-    hits = np.take_along_axis(targets, order, axis=0).astype(np.float64)
-    cls, rank0 = np.nonzero(hits.T)  # column after column, ranks ascending
-    precision = np.cumsum(hits, axis=0)[rank0, cls] / (rank0 + 1)
-    counts = np.bincount(cls, minlength=C)
-    ends = np.cumsum(counts)
+    width = max(1, _AP_BLOCK // n)
     aps = np.full(C, np.nan)
-    for c in np.flatnonzero(counts).tolist():
-        aps[c] = precision[ends[c] - counts[c]:ends[c]].mean()
+    for start in range(0, C, width):
+        cols = slice(start, start + width)
+        order = np.argsort(-scores[:, cols], axis=0, kind="stable")
+        hits = np.take_along_axis(targets[:, cols], order, axis=0)
+        del order
+        cls, rank0 = np.nonzero(hits.T)  # column after column, ranks ascending
+        precision = np.cumsum(hits, axis=0, dtype=np.float64)[rank0, cls] / (rank0 + 1)
+        counts = np.bincount(cls, minlength=hits.shape[1])
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts).tolist():
+            aps[start + c] = precision[ends[c] - counts[c]:ends[c]].mean()
     return aps
 
 

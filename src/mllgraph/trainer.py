@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 import typing
 import zlib
 from dataclasses import dataclass, field
@@ -125,7 +126,7 @@ def config_from_dict(cls, data, where: str = ""):
 
     Nested config sections are rebuilt recursively; absent keys keep their
     defaults and unknown keys are rejected. An `int` field takes only an
-    integer (not a bool), a `float` field an integer or a float, and a
+    integer (not a bool), a `float` field an integer or a finite float, and a
     `tuple[int, ...]` field a list of integers; `where` is the dotted path
     of `data`, which the errors name.
     """
@@ -148,6 +149,8 @@ def config_from_dict(cls, data, where: str = ""):
             raise ValueError(f"{path}: expected a list of integers, got {json.dumps(value)}")
         elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"{path}: expected a number, got {type(value).__name__}")
+        elif kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, an int past float range
+            raise ValueError(f"{path}: expected a finite number, got {json.dumps(value)[:40]}")
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -427,10 +430,8 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
             sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, bhat))
             loss_sum += total * reps.shape[0]
-        val_reps, _ = encode(Xval, enc)
         K, _ = head.forward(BZ, bhat)
-        probs = sigmoid(val_reps @ K.T)
-        vm = exact_match(ScoreTable(probs, Yval, 0.5))
+        vm = exact_match(_score_table(Xval, enc, K, Yval, 0.5))
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
             best_match = vm
@@ -458,6 +459,20 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     )
 
 
+def _score_table(features, enc: EncoderParams, K, targets, threshold: float) -> ScoreTable:
+    """sigmoid(encode(features) K^T) against the targets, with one (n, C) array alive.
+
+    The encoder's cache goes as soon as `encode` returns, the
+    representations once the scores are formed in the table, and the
+    probabilities then overwrite the scores.
+    """
+    reps = encode(features, enc)[0]
+    scores = np.empty((len(reps), len(K)))
+    np.matmul(reps, K.T, out=scores)
+    del reps
+    return ScoreTable(sigmoid(scores, out=scores), targets, threshold)
+
+
 def classifier_matrix(cp: Checkpoint) -> np.ndarray:
     """The (C, D) classifier the checkpoint scores with."""
     K, _ = cp.head.forward(cp.head.graph_input(cp.embeddings, cp.correlation), cp.correlation)
@@ -469,9 +484,8 @@ def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> S
         raise ValueError("dataset vocabulary does not match the checkpoint")
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
-    reps, _ = encode(dataset.features_matrix(), cp.encoder_params)
-    probs = sigmoid(reps @ classifier_matrix(cp).T)
-    return ScoreTable(probs, dataset.labels_matrix(), threshold)
+    features, targets = dataset.features_matrix(), dataset.labels_matrix()
+    return _score_table(features, cp.encoder_params, classifier_matrix(cp), targets, threshold)
 
 
 # ---------------------------------------------------------------------------

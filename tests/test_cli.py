@@ -166,12 +166,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("encoder.layer_widths=16", "encoder.layer_widths: expected a list of integers, got 16"),
         ("metrics.threshold=true", "metrics.threshold: must lie within [0, 1]"),
         ("seed=true", "seed: must be a nonnegative integer"),
+        # non-finite numbers and bool ratios stop at the boundary, not in training
+        ("kmeans.tol=NaN", "kmeans_tol: expected a finite number, got NaN"),
+        ("loss.alpha=NaN", "loss.alpha: expected a finite number, got NaN"),
+        ("glove.learning_rate=Infinity", "glove.learning_rate: expected a finite number, got Infinity"),
+        ("train.momentum=-Infinity", "momentum: expected a finite number, got -Infinity"),
+        ("loss.beta=1" + "0" * 400, "loss.beta: expected a finite number, got 1000000000"),
+        ("synthetic.noise_sigma=NaN", "synthetic: noise_sigma: expected a finite number, got NaN"),
+        ("data.split_ratios=[NaN,0.5,0.5]", "data.split_ratios: need three nonnegative numbers"),
+        ("data.split_ratios=[Infinity,0,0]", "data.split_ratios: need three nonnegative numbers"),
+        ("data.split_ratios=[true,false,false]", "data.split_ratios: need three nonnegative numbers"),
     ):
         assert main(["train", "--out", str(tmp_path / "x"), "--set", expr]) == 2, expr
         assert message in capsys.readouterr().err, expr
-    # a bool is not an integer seed for synth either, and nothing is written
+    # a bool is not an integer seed for synth either, nor is NaN a noise level,
+    # and nothing is written
     assert main(["synth", "--out", str(tmp_path / "s"), "--set", "seed=true"]) == 2
     assert "error: seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert main(["synth", "--out", str(tmp_path / "s"), "--set", "synthetic.noise_sigma=NaN"]) == 2
+    assert "error: synthetic: noise_sigma: expected a finite number, got NaN" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 

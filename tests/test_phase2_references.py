@@ -1,12 +1,13 @@
-"""The phase-2 step against its earlier, plainer forms, kept here as references.
+"""The phase-2 step and scoring against their earlier, plainer forms, kept here as references.
 
 Each fast form must give the same bits as its reference: the sigmoid and
-BCE sharing one exp(-|s|), the contrastive term with 2 G in place of
-G + G.T, its pair terms built once per epoch instead of once per batch,
-the leaky rectifier as a multiply by a factor cached in the forward pass,
-the encoder backward stopping at the first layer's dz, the GCN with B Z
-computed once and its backward stopping at the first layer's dH, and
-momentum SGD over one flat buffer.
+BCE sharing one exp(-|s|), the sigmoid over row blocks and in place, the
+contrastive term with 2 G in place of G + G.T, its pair terms built once
+per epoch instead of once per batch, the leaky rectifier as a multiply by
+a factor cached in the forward pass, the encoder backward stopping at the
+first layer's dz, the GCN with B Z computed once and its backward stopping
+at the first layer's dH, momentum SGD over one flat buffer, per-class AP
+over column blocks, and the score table's checks by reductions.
 """
 
 import numpy as np
@@ -16,12 +17,14 @@ from mllgraph import diagnostics
 from mllgraph.encoder import EncoderConfig, EncoderParams, encode, encoder_gradients, init_encoder
 from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
 from mllgraph.losses import (
+    _SIGMOID_BLOCK,
     LossConfig,
     contrastive_loss_and_grad,
     epoch_pair_terms,
     mll_loss_and_grad,
     sigmoid,
 )
+from mllgraph.metrics import _AP_BLOCK, ScoreTable, _column_aps
 from mllgraph.trainer import _MomentumSGD
 
 
@@ -32,6 +35,16 @@ def sigmoid_reference(x):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid_whole_array_reference(x):
+    """The sigmoid over the whole array at once, with full-size temporaries."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.divide(e, d, out=np.empty_like(x))
+    np.divide(1.0, d, out=out, where=x >= 0)
     return out
 
 
@@ -173,6 +186,59 @@ def test_sigmoid_matches_reference():
     cases += [np.array(v) for v in EDGES]          # 0-d inputs
     for x in cases:
         assert_same_bits(sigmoid(x), sigmoid_reference(x))
+
+
+SIGMOID_EDGES = EDGES + [np.nan, -np.nan, 2.2e-308, -2.2e-308, 4e-320, -4e-320,
+                         700.0, -700.0]
+
+
+def _sigmoid_block_cases(rng):
+    """Inputs whose row count falls just below, at and above multiples of the row block."""
+    values = np.array(SIGMOID_EDGES)
+    for width in (1, 39, 1000):
+        rows = _SIGMOID_BLOCK // width
+        for n in (rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1):
+            x = rng.standard_normal((n, width)) * 40.0
+            x.flat[rng.integers(0, x.size, values.size)] = values
+            yield f"{n} x {width}", x
+    for n in (_SIGMOID_BLOCK - 1, _SIGMOID_BLOCK, _SIGMOID_BLOCK + 1):
+        yield f"{n}", rng.standard_normal(n) * 800.0
+    yield "row wider than a block", rng.standard_normal((3, _SIGMOID_BLOCK + 5)) * 40.0
+    yield "3-d", rng.standard_normal((_SIGMOID_BLOCK // 12 + 1, 3, 4)) * 40.0
+
+
+def test_blocked_sigmoid_matches_whole_array_form():
+    """Row blocks, `out` and in place give today's bits, NaN and the block edges included."""
+    rng = np.random.default_rng(9)
+    for what, x in _sigmoid_block_cases(rng):
+        want = sigmoid_whole_array_reference(x)
+        assert_same_bits(sigmoid(x), want, what)
+        assert np.array_equal(want, sigmoid_reference(x), equal_nan=True), what
+        out = np.full_like(x, 7.0)
+        assert sigmoid(x, out=out) is out
+        assert_same_bits(out, want, what)
+        y = x.copy()
+        assert sigmoid(y, out=y) is y
+        assert_same_bits(y, want, what)
+        if x.ndim == 2:                           # non-contiguous inputs, and in place on them
+            for view in (x[:, ::2], x[::3], x.T):
+                assert_same_bits(sigmoid(view), sigmoid_whole_array_reference(view), what)
+            z = x.copy()
+            view = z[:, ::2]
+            want = sigmoid_whole_array_reference(view)
+            sigmoid(view, out=view)
+            assert_same_bits(view, want, what)
+            assert_same_bits(z[:, 1::2], x[:, 1::2], what)   # the other columns untouched
+    for v in SIGMOID_EDGES:                       # 0-d, in place as well
+        x = np.array(v)
+        assert_same_bits(sigmoid(x), sigmoid_whole_array_reference(x))
+        y = x.copy()
+        sigmoid(y, out=y)
+        assert_same_bits(y, sigmoid_whole_array_reference(x))
+    with pytest.raises(ValueError, match="cannot hold"):
+        sigmoid(np.zeros((2, 3)), out=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="cannot hold"):
+        sigmoid(np.zeros(3), out=np.zeros(3, dtype=np.float32))
 
 
 def test_mll_loss_and_grad_matches_reference():
@@ -394,3 +460,105 @@ def test_flat_momentum_sgd_matches_per_tensor_reference():
             assert_same_bits(got, want)
     for p, original in zip(start, originals):    # the buffer holds copies
         assert_same_bits(p, original)
+
+
+def column_aps_reference(scores, targets):
+    """AP of each column, all columns ranked by one stable sort of the whole array."""
+    n, C = scores.shape
+    order = np.argsort(-scores, axis=0, kind="stable")
+    hits = np.take_along_axis(targets, order, axis=0).astype(np.float64)
+    cls, rank0 = np.nonzero(hits.T)
+    precision = np.cumsum(hits, axis=0)[rank0, cls] / (rank0 + 1)
+    counts = np.bincount(cls, minlength=C)
+    ends = np.cumsum(counts)
+    aps = np.full(C, np.nan)
+    for c in np.flatnonzero(counts).tolist():
+        aps[c] = precision[ends[c] - counts[c]:ends[c]].mean()
+    return aps
+
+
+def _ap_cases(rng):
+    for n in (1, 2, 7, 270, 1000, _AP_BLOCK // 3 + 1):
+        width = max(1, _AP_BLOCK // n)          # columns in one block
+        for C in sorted({1, 3, width - 1, width, width + 1, 2 * width + 5} - {0}):
+            if n * C > 3 * _AP_BLOCK:
+                continue
+            scores = rng.random((n, C))
+            scores[:, ::4] = np.round(scores[:, ::4], 1)   # ties
+            targets = (rng.random((n, C)) < 0.3).astype(np.uint8)
+            targets[:, 0] = 0                               # an all-zero column
+            if C > 2:
+                scores[:, 1] = 0.5                          # a constant column
+                targets[:, 2] = 1
+            yield f"{n} x {C}", scores, targets
+    yield "one column wider than a block", rng.random((_AP_BLOCK + 3, 2)), np.ones((_AP_BLOCK + 3, 2), np.uint8)
+
+
+def test_column_block_aps_match_whole_array_sort():
+    rng = np.random.default_rng(10)
+    for what, scores, targets in _ap_cases(rng):
+        assert_same_bits(_column_aps(scores, targets), column_aps_reference(scores, targets), what)
+
+
+def score_table_reference(scores, targets, threshold=0.5):
+    """(scores, targets) as ScoreTable stored them, checked elementwise with full-size masks."""
+    s = np.asarray(scores, dtype=np.float64)
+    with np.errstate(invalid="ignore"):          # the cast of -1.0 or NaN targets
+        y = np.asarray(targets, dtype=np.uint8)
+    if s.ndim != 2 or s.shape != y.shape:
+        raise ValueError(f"scores {s.shape} and targets {np.shape(targets)} must match as (n, C)")
+    if s.shape[0] < 1:
+        raise ValueError("score table must hold at least one sample")
+    if not np.all(np.isfinite(s)) or np.any(s < 0) or np.any(s > 1):
+        raise ValueError("scores must lie within [0, 1]")
+    raw = np.asarray(targets)
+    if not np.all((raw == 0) | (raw == 1)):
+        raise ValueError("targets must be 0/1")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie within [0, 1]")
+    return s, y
+
+
+def _table_cases(rng):
+    good_s = rng.random((6, 4))
+    good_y = (rng.random((6, 4)) < 0.5).astype(np.uint8)
+    yield "valid", good_s, good_y, 0.5
+    yield "edges 0 and 1", np.array([[0.0, 1.0, -0.0], [1.0, 0.0, 0.5]]), good_y[:2, :3], 0.5
+    yield "no columns", np.zeros((3, 0)), np.zeros((3, 0), np.uint8), 0.5
+    for bad in (np.nan, np.inf, -np.inf, -1e-300, -0.5, 1.0000000000000002, 3.0):
+        for pos in ((0, 0), (5, 3), (2, 1)):
+            s = good_s.copy()
+            s[pos] = bad
+            yield f"score {bad} at {pos}", s, good_y, 0.5
+    s = good_s.copy()
+    s[1, 1], s[4, 2] = np.nan, -1.0
+    yield "NaN and negative", s, good_y, 0.5
+    for dtype, values in ((np.uint8, (2, 255)), (np.int64, (2, -1)), (np.int32, (2, -1)),
+                          (np.float64, (2.0, 0.5, -1.0, np.nan)), (bool, ())):
+        yield f"valid {np.dtype(dtype)} targets", good_s, good_y.astype(dtype), 0.5
+        for bad in values:
+            for pos in ((0, 0), (5, 3)):
+                y = good_y.astype(dtype)
+                y[pos] = bad
+                yield f"target {bad} in {np.dtype(dtype)} at {pos}", good_s, y, 0.5
+    yield "list targets", good_s.tolist(), good_y.tolist(), 0.5
+    yield "shape mismatch", good_s, good_y[:, :3], 0.5
+    yield "one-d", good_s[0], good_y[0], 0.5
+    yield "no rows", np.zeros((0, 4)), np.zeros((0, 4)), 0.5
+    yield "bad score and bad target", np.full((2, 2), 2.0), np.full((2, 2), 3), 0.5
+    yield "bad threshold", good_s, good_y, 1.5
+
+
+def test_score_table_checks_by_reductions_match_elementwise_checks():
+    rng = np.random.default_rng(11)
+    for what, scores, targets, threshold in _table_cases(rng):
+        try:
+            want = score_table_reference(scores, targets, threshold)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                ScoreTable(scores, targets, threshold)
+            assert str(err.value) == str(exc), what
+            continue
+        table = ScoreTable(scores, targets, threshold)
+        assert_same_bits(table.scores, want[0], what)
+        assert_same_bits(table.targets, want[1], what)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -332,6 +333,28 @@ def test_score_and_evaluate(crc_result, small_splits):
         score_dataset(crc_result.checkpoint, empty_dataset(small_splits[0].vocabulary))
 
 
+def test_scoring_and_report_hold_a_bounded_working_set():
+    """score_dataset plus compute_report at 10 000 x 39 peak below 2.5 float64 score tables.
+
+    The table itself is one; encoding, the sigmoid, the table's checks and
+    the per-class AP may add only temporaries of bounded size.
+    """
+    data = generate_synthetic(SyntheticConfig(n_samples=10000, seed=2))
+    train, val, _ = split_by_subject(data, (0.1, 0.05, 0.85), seed=0)
+    cfg = TrainConfig(epochs=1, glove=GloveConfig(epochs=16))
+    cp = run_pipeline(train, val, VariantSpec.from_name("MLL-GCN"), cfg).checkpoint
+    tracemalloc.start()
+    try:
+        table = score_dataset(cp, data)
+        for mode in ("exact", "argmax"):
+            compute_report(table, cp.vocabulary.sp_indices, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.scores.shape == (10000, 39)
+    assert peak < 2.5 * table.scores.nbytes, f"peak {peak} bytes for a {table.scores.nbytes}-byte table"
+
+
 def test_checkpoint_roundtrip_is_bit_exact(crc_result, tmp_path):
     path = tmp_path / "model.mllg"
     save_checkpoint(crc_result.checkpoint, path)
@@ -395,6 +418,9 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
         ("widths_type", dict(header, config=dict(
             header["config"], encoder=dict(header["config"]["encoder"], layer_widths=[8.0, 16]))),
          "encoder.layer_widths: expected a list of integers"),
+        ("nan_config", dict(header, config=dict(
+            header["config"], loss=dict(header["config"]["loss"], alpha=float("nan")))),
+         "loss.alpha: expected a finite number, got NaN"),
     ):
         path = tmp_path / f"{name}.mllg"
         path.write_bytes(with_header(raw, bad))

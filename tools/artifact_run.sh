@@ -9,7 +9,10 @@
 # that should write the same bytes must be run with the same absolute
 # WORK_DIR, since config.json records the corpus paths; run one, keep its
 # manifest, then run the other and compare the manifests. EPOCHS (default 3)
-# is the phase-2 epoch count of each `train`.
+# is the phase-2 epoch count of each `train`. Besides the default 39-class
+# corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
+# trained on as MLL-GCN-CRC with 16 GloVe epochs and evaluated in both SP
+# modes.
 set -euo pipefail
 
 src=$(cd "$1" && pwd)
@@ -27,6 +30,8 @@ run() {
 
 corpus=("--set" "data.dataset_path=$work/corpus/dataset.jsonl"
         "--set" "data.vocabulary_path=$work/corpus/vocabulary.json")
+wide=("--set" "data.dataset_path=$work/wide/corpus/dataset.jsonl"
+      "--set" "data.vocabulary_path=$work/wide/corpus/vocabulary.json")
 
 run synth synth --seed 4 --out "$work/corpus"
 for variant in Single-MLL MLL-CL MLL-CRC MLL-GCN MLL-GCN-CL MLL-GCN-CRC; do
@@ -40,6 +45,16 @@ done
 for what in embeddings correlation clusters projection; do
     run "export-$what" export --checkpoint "$work/train/MLL-GCN-CRC/checkpoint.mllg" \
         --what "$what" --out "$work/export/$what"
+done
+
+# 1000 classes: per-class AP then runs over many column blocks
+run synth-wide synth --seed 4 --out "$work/wide/corpus" --set synthetic.sp_count=250 \
+    --set synthetic.as_count=750 --set synthetic.n_samples=1000
+run train-wide train --seed 3 --variant MLL-GCN-CRC --out "$work/wide/train" \
+    --set "train.epochs=$epochs" --set glove.epochs=16 "${wide[@]}"
+for mode in exact argmax; do
+    run "eval-wide-$mode" eval --checkpoint "$work/wide/train/checkpoint.mllg" \
+        --data "$work/wide/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/wide/eval/$mode"
 done
 
 cd "$work"
