@@ -24,8 +24,7 @@ from .cooccur import (
     normalize_adjacency,
 )
 from .glove import GloveConfig, train_glove
-from .graph import GcnLayer, GcnStack, gcn_forward, init_gcn_stack, propagate
-from .encoder import EncoderConfig, EncoderParams, encode, init_encoder
+from .layers import EncoderConfig, LayerStack, encode, gcn_forward, init_encoder, propagate
 from .relabel import KMeansResult, kmeans, relabel
 from .losses import LossConfig
 from .metrics import ScoreTable, compute_report
@@ -46,12 +45,10 @@ __all__ = [
     "Dataset",
     "DatasetFormatError",
     "EncoderConfig",
-    "EncoderParams",
-    "GcnLayer",
-    "GcnStack",
     "GloveConfig",
     "KMeansResult",
     "LabelVocabulary",
+    "LayerStack",
     "LossConfig",
     "ScoreTable",
     "SyntheticConfig",
@@ -65,7 +62,6 @@ __all__ = [
     "gcn_forward",
     "generate_synthetic",
     "init_encoder",
-    "init_gcn_stack",
     "kmeans",
     "load_checkpoint",
     "load_dataset",

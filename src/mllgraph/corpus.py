@@ -15,6 +15,11 @@ from .seeding import stage_rng
 KIND_PLANE = "SP"
 KIND_STRUCTURE = "AS"
 _VALID_KINDS = (KIND_PLANE, KIND_STRUCTURE)
+# What the CSV artifacts cannot carry in a label name or a sample id: the
+# comma, and every character `str.splitlines` breaks a line at. A name must
+# also not start with the prefix that marks a score file's target columns.
+_CSV_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_TARGET_PREFIX = "target:"
 
 # Built-in class names: ten plane classes, twenty-four named anatomical
 # structures, padded with AS25..AS29 placeholders so the default benchmark
@@ -48,9 +53,14 @@ class LabelVocabulary:
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate label names: {dup}")
-        for name, kind in entries:
+        for i, (name, kind) in enumerate(entries):
             if kind not in _VALID_KINDS:
                 raise ValueError(f"label {name!r} has invalid kind {kind!r}")
+            if not _CSV_BREAKS.isdisjoint(name) or name.startswith(_TARGET_PREFIX):
+                raise DatasetFormatError(
+                    f"vocabulary entry {i}: label name {name!r} holds a comma or a line break "
+                    f"or starts with {_TARGET_PREFIX!r}, which the CSV artifacts cannot carry"
+                )
 
     @property
     def size(self) -> int:
@@ -266,6 +276,10 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
             for key in ("id", "subject_id", "features", "labels"):
                 if key not in rec:
                     raise bad(f"missing key {key!r}")
+            sid = str(rec["id"])
+            if not _CSV_BREAKS.isdisjoint(sid):
+                raise bad(f"sample id {sid!r} holds a comma or a line break, "
+                          "which the CSV artifacts cannot carry")
             feats = rec["features"]
             names = rec["labels"]
             if not isinstance(feats, list) or not _NUMBER_TYPES.issuperset(map(type, feats)):
@@ -285,7 +299,7 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
                 label_cols.append([index[name] for name in names])
             except KeyError as exc:  # the first unknown name
                 raise bad(f"unknown label name {exc.args[0]!r}") from None
-            ids.append(str(rec["id"]))
+            ids.append(sid)
             subjects.append(str(rec["subject_id"]))
             rows.append(feats)
             linenos.append(lineno)

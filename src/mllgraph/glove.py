@@ -8,6 +8,7 @@ import numpy as np
 
 from .cooccur import WeightingConfig, weight_matrix
 from .corpus import format_csv_row
+from .layers import block_views
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,40 @@ def _loss_and_residual_grad(params: EmbeddingParams, F, zero, logX):
     return loss, E
 
 
-def _gradients(params: EmbeddingParams, E: np.ndarray) -> EmbeddingParams:
-    return EmbeddingParams(
-        w=E @ params.w_ctx,
-        w_ctx=E.T @ params.w,
-        b=E.sum(axis=1),
-        b_ctx=E.sum(axis=0),
-    )
+def _epoch_loss(params: EmbeddingParams, F, zero, logX, R, E) -> float:
+    """`_loss_and_residual_grad` into the preallocated (C, C) buffers R and E.
+
+    The zero cells are not masked: f(X) is 0 there, so while R is finite
+    E is +-0 and f(X) R^2 is +0, which leaves the loss and the gradients
+    as the masked form gives them. Only a non-finite R in a zero cell can
+    make the sum non-finite on its own, so a non-finite loss is evaluated
+    again in the masked form, whose E then replaces this one; that form
+    also raises the floating-point warnings, which this one keeps quiet.
+    """
+    with np.errstate(all="ignore"):
+        np.matmul(params.w, params.w_ctx.T, out=R)
+        R += params.b[:, None]
+        R += params.b_ctx[None, :]
+        R -= logX
+        np.multiply(F, R, out=E)
+        R *= E
+        loss = float(np.sum(R))
+        E *= 2.0
+    if not np.isfinite(loss):
+        loss, masked = _loss_and_residual_grad(params, F, zero, logX)
+        E[...] = masked
+    return loss
+
+
+def _gradients(params: EmbeddingParams, E: np.ndarray, out=None) -> EmbeddingParams:
+    """d loss / d params from E = d loss / d R, into `out`'s arrays when given."""
+    if out is None:
+        out = EmbeddingParams(**{k: np.empty_like(v) for k, v in vars(params).items()})
+    np.matmul(E, params.w_ctx, out=out.w)
+    np.matmul(E.T, params.w, out=out.w_ctx)
+    np.sum(E, axis=1, out=out.b)
+    np.sum(E, axis=0, out=out.b_ctx)
+    return out
 
 
 @dataclass
@@ -98,38 +126,50 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     """Full-batch Adam fit of the weighted log-bilinear objective; `seed` drives the init.
 
     One evaluation per epoch: the residual at the parameters of epoch t
-    gives both loss_trace[t] and the gradient of step t + 1.
+    gives both loss_trace[t] and the gradient of step t + 1. Parameters,
+    gradients and both moments are one flat buffer each, so each Adam
+    operation runs once over all four blocks.
     """
     if np.ndim(counts) != 2 or np.shape(counts)[0] != np.shape(counts)[1]:
         raise ValueError("counts must be square")
     C = np.shape(counts)[0]
     rng = np.random.default_rng(seed)
     s = cfg.init_scale
-    params = EmbeddingParams(
-        w=rng.uniform(-s, s, (C, cfg.d)),
-        w_ctx=rng.uniform(-s, s, (C, cfg.d)),
-        b=rng.uniform(-s, s, C),
-        b_ctx=rng.uniform(-s, s, C),
-    )
-    blocks = ("w", "w_ctx", "b", "b_ctx")
-    m = {k: np.zeros_like(getattr(params, k)) for k in blocks}
-    v = {k: np.zeros_like(getattr(params, k)) for k in blocks}
+    shapes = ((C, cfg.d), (C, cfg.d), (C,), (C,))
+    flat = np.concatenate([rng.uniform(-s, s, shape).ravel() for shape in shapes])
+    grad = np.empty_like(flat)
+    params = EmbeddingParams(*block_views(flat, shapes))
+    grads = EmbeddingParams(*block_views(grad, shapes))
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    step = np.empty_like(flat)
+    denom = np.empty_like(flat)
     terms = _fixed_terms(counts, wcfg)
+    R = np.empty((C, C))
+    E = np.empty((C, C))
     trace = np.empty(cfg.epochs + 1)
-    trace[0], E = _loss_and_residual_grad(params, *terms)
+    trace[0] = _epoch_loss(params, *terms, R, E)
     if not np.isfinite(trace[0]):
         raise GloveDivergenceError(0)
     for t in range(1, cfg.epochs + 1):
-        grads = _gradients(params, E)
-        del E  # free it before the next call allocates its own
-        for k in blocks:
-            g = getattr(grads, k)
-            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
-            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
-            m_hat = m[k] / (1.0 - cfg.beta1 ** t)
-            v_hat = v[k] / (1.0 - cfg.beta2 ** t)
-            getattr(params, k)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        trace[t], E = _loss_and_residual_grad(params, *terms)
+        _gradients(params, E, out=grads)
+        # m <- b1 m + (1 - b1) g and v <- b2 v + ((1 - b2) g) g
+        np.multiply(grad, 1.0 - cfg.beta1, out=step)
+        m *= cfg.beta1
+        m += step
+        np.multiply(grad, 1.0 - cfg.beta2, out=step)
+        step *= grad
+        v *= cfg.beta2
+        v += step
+        # p <- p - lr m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
+        step *= cfg.learning_rate
+        np.divide(v, 1.0 - cfg.beta2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        step /= denom
+        flat -= step
+        trace[t] = _epoch_loss(params, *terms, R, E)
         if not np.isfinite(trace[t]):
             raise GloveDivergenceError(t)
     # Z is finite: a non-finite w or w~ row with a nonzero cell (its diagonal

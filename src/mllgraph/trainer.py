@@ -27,9 +27,19 @@ from .cooccur import (
     normalize_adjacency,
 )
 from .corpus import Dataset, LabelVocabulary
-from .encoder import EncoderConfig, EncoderParams, encode, encoder_gradients, init_encoder
 from .glove import GloveConfig, train_glove
-from .graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
+from .layers import (
+    EncoderConfig,
+    LayerStack,
+    block_views,
+    encode,
+    encoder_gradients,
+    gcn_forward,
+    gcn_gradients,
+    init_encoder,
+    init_stack,
+    propagate,
+)
 from .losses import (
     CONTRASTIVE_MODES,
     LossConfig,
@@ -207,16 +217,22 @@ class LinearHead:
 
 
 class GcnHead:
-    """ML-GCN head: graph convolutions map the label embeddings to K."""
+    """ML-GCN head: graph convolutions map the label embeddings to K.
+
+    The stack is always two bias-free layers, leaky then linear, at slope
+    0.2; the checkpoint header records that pattern as `gcn_layers`.
+    """
 
     kind = "gcn"
+    slope = 0.2
+    layers = [{"activation": "leaky", "slope": slope}, {"activation": "identity", "slope": slope}]
 
-    def __init__(self, stack: GcnStack):
+    def __init__(self, stack: LayerStack):
         self.stack = stack
 
     @classmethod
     def init(cls, n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> "GcnHead":
-        return cls(init_gcn_stack((embed_dim, embed_dim, rep_dim), slope=0.2, seed=seed))
+        return cls(init_stack((embed_dim, embed_dim, rep_dim), slope=cls.slope, seed=seed))
 
     @staticmethod
     def graph(X, cfg: AdjacencyConfig) -> np.ndarray:
@@ -230,12 +246,11 @@ class GcnHead:
 
     @property
     def params(self) -> list:
-        return [layer.weights for layer in self.stack.layers]
+        return list(self.stack.weights)
 
     @params.setter
     def params(self, values) -> None:
-        for layer, W in zip(self.stack.layers, values, strict=True):
-            layer.weights = W
+        self.stack = LayerStack(list(values), slope=self.stack.slope)
 
     def forward(self, BZ, B):
         return gcn_forward(BZ, B, self.stack)
@@ -244,22 +259,22 @@ class GcnHead:
         return gcn_gradients(dK, cache, B, self.stack)[0]
 
     def copy(self) -> "GcnHead":
-        return GcnHead(GcnStack([
-            GcnLayer(l.weights.copy(), l.activation, l.slope) for l in self.stack.layers
-        ]))
+        return GcnHead(self.stack.copy())
 
     def tensors(self) -> list:
-        return [(f"gcn.{i}.weight", l.weights) for i, l in enumerate(self.stack.layers)]
+        return [(f"gcn.{i}.weight", W) for i, W in enumerate(self.stack.weights)]
 
     def header_entry(self) -> list:
-        return [{"activation": l.activation, "slope": l.slope} for l in self.stack.layers]
+        return self.layers
 
     @classmethod
     def from_checkpoint(cls, tensors: dict, entry) -> "GcnHead":
-        return cls(GcnStack([
-            GcnLayer(tensors[f"gcn.{i}.weight"], meta["activation"], meta["slope"])
-            for i, meta in enumerate(entry)
-        ]))
+        if entry != cls.layers:
+            raise CheckpointFormatError(
+                f"gcn_layers {json.dumps(entry)} do not match the {json.dumps(cls.layers)} "
+                "stack the GCN head trains"
+            )
+        return cls(LayerStack([tensors[f"gcn.{i}.weight"] for i in range(len(entry))], slope=cls.slope))
 
 
 def head_type(variant: VariantSpec):
@@ -274,7 +289,7 @@ class Checkpoint:
     variant: VariantSpec
     config: TrainConfig
     vocabulary: LabelVocabulary
-    encoder_params: EncoderParams
+    encoder_params: LayerStack
     head: object                      # head_type(variant)
     embeddings: np.ndarray            # frozen phase-1 label embeddings
     correlation: object               # (C, C) ndarray or None
@@ -308,11 +323,7 @@ class _MomentumSGD:
 
     def __init__(self, params, learning_rate: float, momentum: float):
         self.flat = np.concatenate([p.ravel() for p in params])
-        self.params = []
-        offset = 0
-        for p in params:
-            self.params.append(self.flat[offset:offset + p.size].reshape(p.shape))
-            offset += p.size
+        self.params = block_views(self.flat, [p.shape for p in params])
         self.velocity = np.zeros_like(self.flat)
         self.learning_rate = learning_rate
         self.momentum = momentum
@@ -334,10 +345,6 @@ def vanilla_contrast_labels(dataset: Dataset) -> np.ndarray:
     Y = dataset.labels_matrix()
     bits = np.concatenate([Y[:, dataset.vocabulary.sp_indices], np.ones((len(Y), 1), Y.dtype)], axis=1)
     return np.argmax(bits, axis=1).astype(np.int64)
-
-
-def _snapshot_encoder(enc: EncoderParams) -> EncoderParams:
-    return EncoderParams([W.copy() for W in enc.weights], [b.copy() for b in enc.biases], enc.slope)
 
 
 def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainConfig) -> PipelineResult:
@@ -389,7 +396,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     )
     n_enc = len(enc.weights)
     sgd = _MomentumSGD(enc.weights + enc.biases + head.params, cfg.learning_rate, cfg.momentum)
-    enc = EncoderParams(sgd.params[:n_enc], sgd.params[n_enc:2 * n_enc], enc.slope)
+    enc = LayerStack(sgd.params[:n_enc], sgd.params[n_enc:2 * n_enc], enc.slope)
     head.params = sgd.params[2 * n_enc:]
     rng_batches = stage_rng(cfg.seed, "batches")
 
@@ -435,7 +442,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
             best_match = vm
-            best = (epoch, _snapshot_encoder(enc), head.copy())
+            best = (epoch, enc.copy(), head.copy())
 
     best_epoch, best_enc, best_head = best
     checkpoint = Checkpoint(
@@ -459,7 +466,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     )
 
 
-def _score_table(features, enc: EncoderParams, K, targets, threshold: float) -> ScoreTable:
+def _score_table(features, enc: LayerStack, K, targets, threshold: float) -> ScoreTable:
     """sigmoid(encode(features) K^T) against the targets, with one (n, C) array alive.
 
     The encoder's cache goes as soon as `encode` returns, the
@@ -639,7 +646,7 @@ def _checkpoint_from_header(header: dict, r: _Reader) -> Checkpoint:
     config = config_from_dict(TrainConfig, header["config"])
     vocab = LabelVocabulary(tuple((e["name"], e["kind"]) for e in header["vocabulary"]))
     n_enc = len(config.encoder.layer_widths)
-    enc = EncoderParams(
+    enc = LayerStack(
         [tensors[f"encoder.{i}.weight"] for i in range(n_enc)],
         [tensors[f"encoder.{i}.bias"] for i in range(n_enc)],
         header["encoder_slope"],

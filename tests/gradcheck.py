@@ -44,4 +44,4 @@ def encoder_hidden_preacts(cache, params):
 
 def gcn_hidden_preacts(cache, stack):
     """Each hidden GCN layer's preactivation, recomputed from its cached B G."""
-    return [M @ layer.weights for M, layer in zip(cache.propagated[:-1], stack.layers)]
+    return [M @ W for M, W in zip(cache.inputs[:-1], stack.weights)]

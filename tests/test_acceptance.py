@@ -18,7 +18,6 @@ import pytest
 from mllgraph.cli import main
 from mllgraph.cooccur import WeightingConfig
 from mllgraph.corpus import SyntheticConfig, generate_synthetic, split_by_subject
-from mllgraph.encoder import EncoderConfig, encode, encoder_gradients, init_encoder
 from mllgraph.glove import (
     EmbeddingParams,
     GloveConfig,
@@ -27,7 +26,17 @@ from mllgraph.glove import (
     _loss_and_residual_grad,
     train_glove,
 )
-from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
+from mllgraph.layers import (
+    EncoderConfig,
+    LayerStack,
+    encode,
+    encoder_gradients,
+    gcn_forward,
+    gcn_gradients,
+    init_encoder,
+    init_stack,
+    propagate,
+)
 from mllgraph.losses import LossConfig, contrastive_loss_and_grad, epoch_pair_terms, mll_loss_and_grad
 from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report
 from mllgraph.oracle import oracle_metrics
@@ -99,7 +108,7 @@ def _graph_path_gradcheck(rng) -> float:
     targets = rng.integers(0, 2, (n, C)).astype(float)
     while True:
         Z = rng.standard_normal((C, d))
-        stack = init_gcn_stack((d, d, D), seed=int(rng.integers(100_000)))
+        stack = init_stack((d, d, D), seed=int(rng.integers(100_000)))
         _, cache = gcn_forward(propagate(Z, B), B, stack)
         if away_from_kinks(gcn_hidden_preacts(cache, stack)):
             break
@@ -112,18 +121,15 @@ def _graph_path_gradcheck(rng) -> float:
     _, d_scores = mll_loss_and_grad(reps @ K.T, targets)
     dK = d_scores.T @ reps
     dWs, dH0 = gcn_gradients(dK, cache, B, stack)
-    dZ = B.T @ (dH0 @ stack.layers[0].weights.T)   # d(B Z) = dH0 W0^T
+    dZ = B.T @ (dH0 @ stack.weights[0].T)   # d(B Z) = dH0 W0^T
 
     worst = max_rel_err(dZ, numeric_gradient(lambda Zv: path_loss(Zv, stack), Z))
     for li in range(2):
         def f(W, _li=li):
-            layers = [
-                GcnLayer(W if i == _li else l.weights, l.activation, l.slope)
-                for i, l in enumerate(stack.layers)
-            ]
-            return path_loss(Z, GcnStack(layers))
+            weights = [W if i == _li else w for i, w in enumerate(stack.weights)]
+            return path_loss(Z, LayerStack(weights, slope=stack.slope))
 
-        worst = max(worst, max_rel_err(dWs[li], numeric_gradient(f, stack.layers[li].weights)))
+        worst = max(worst, max_rel_err(dWs[li], numeric_gradient(f, stack.weights[li])))
     return worst
 
 
@@ -363,9 +369,10 @@ def test_criterion_4_kmeans_convergence():
 # criterion 5: on the default synthetic benchmark (2000 samples, 10 planes +
 # 29 structures, ~45/27/28 subject split, d = D = 32, 100 epochs), averaged
 # over root seeds 0-2, the full variant's exact-match must exceed the plain
-# single-head baseline by >= 2 percentage points, with the graph-only
-# variant expected in between (the endpoint gap alone decides if the middle
-# ordering falls inside noise)
+# single-head baseline by >= 2 percentage points, and the graph-only variant
+# must match or beat that baseline on the mean (over seeds 0-11 it wins by
+# +1.99 pp in 11 of 12). CRC >= GCN, whose margin falls inside the seed
+# noise, is printed only.
 # --------------------------------------------------------------------------
 
 
@@ -382,16 +389,17 @@ def test_criterion_5_benchmark_ordering():
             accs[v].append(compute_report(table, test.vocabulary.sp_indices)[0]["MLL_ACC"] * 100.0)
     means = {v: float(np.mean(accs[v])) for v in variants}
     gap = means["MLL-GCN-CRC"] - means["Single-MLL"]
-    chain = means["MLL-GCN-CRC"] >= means["MLL-GCN"] >= means["Single-MLL"]
+    graph_helps = means["MLL-GCN"] >= means["Single-MLL"]
+    crc_helps = means["MLL-GCN-CRC"] >= means["MLL-GCN"]
     elapsed = time.time() - start
-    ok = gap >= 2.0 and elapsed < 1800.0
+    ok = gap >= 2.0 and graph_helps and elapsed < 1800.0
     _report(
         5,
         "benchmark ordering",
         ok,
         f"mean MLL_ACC: " + " ".join(f"{v}={means[v]:.2f}" for v in variants)
-        + f"; endpoint gap {gap:+.2f}pp (needs >= 2.00); middle ordering holds: {chain}; "
-        f"{elapsed:.0f}s",
+        + f"; endpoint gap {gap:+.2f}pp (needs >= 2.00); MLL-GCN >= Single-MLL: {graph_helps} "
+        f"(needed); MLL-GCN-CRC >= MLL-GCN: {crc_helps} (not checked); {elapsed:.0f}s",
     )
     assert ok, means
 

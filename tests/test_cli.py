@@ -130,6 +130,37 @@ def test_train_and_eval_reject_integer_beyond_float_range(work, tmp_path, capsys
     assert "error: line 5: feature value too large for a float" in capsys.readouterr().err
 
 
+def test_train_and_eval_reject_names_and_ids_the_csv_files_cannot_carry(work, tmp_path, capsys):
+    synth = work / "synth"
+    vocab = json.loads((synth / "vocabulary.json").read_text(encoding="utf-8"))
+    vocab[1]["name"] = "L,AP"
+    bad_vocab = tmp_path / "vocabulary.json"
+    bad_vocab.write_text(json.dumps(vocab), encoding="utf-8")
+    capsys.readouterr()
+    assert main([
+        "train", "--out", str(tmp_path / "t"), *SMALL_SETS,
+        "--set", f"data.dataset_path={synth / 'dataset.jsonl'}",
+        "--set", f"data.vocabulary_path={bad_vocab}",
+    ]) == 1
+    assert "error: vocabulary entry 1: label name 'L,AP' holds a comma" in capsys.readouterr().err
+    lines = (synth / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[4])
+    lines[4] = json.dumps(dict(rec, id="img,7"))
+    data = tmp_path / "ids.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main([
+        "train", "--out", str(tmp_path / "t"), *SMALL_SETS,
+        "--set", f"data.dataset_path={data}",
+        "--set", f"data.vocabulary_path={synth / 'vocabulary.json'}",
+    ]) == 1
+    assert "error: line 5: sample id 'img,7' holds a comma" in capsys.readouterr().err
+    assert main([
+        "eval", "--checkpoint", str(work / "crc" / "checkpoint.mllg"),
+        "--data", str(data), "--out", str(tmp_path / "e"),
+    ]) == 1
+    assert "error: line 5: sample id 'img,7' holds a comma" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "x"), "--set", "synthetic.rho=1"]) == 2
     assert main(["synth", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2

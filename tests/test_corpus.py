@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ def test_vocabulary_load_rejects_bad_entry(tmp_path):
     path.write_text('[{"name": "A"}]', encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="entry 0"):
         LabelVocabulary.load(path)
+    # a name the CSV artifacts cannot carry as a column, in the file and in memory
+    for bad in ("L,AP", "L\nAP", "L\rAP", "L\u2028AP", "target:x"):
+        path.write_text(json.dumps([{"name": "A", "kind": "SP"}, {"name": bad, "kind": "AS"}]),
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=re.escape(f"entry 1: label name {bad!r}")):
+            LabelVocabulary.load(path)
+        with pytest.raises(DatasetFormatError, match="cannot carry"):
+            LabelVocabulary((("A", "SP"), (bad, "AS")))
+    assert LabelVocabulary((("A", "SP"), ("x:target:", "AS"))).size == 2
 
 
 def test_default_vocabulary_shape():
@@ -224,6 +234,14 @@ def test_load_dataset_reports_line_numbers(tmp_path):
     ])
     with pytest.raises(DatasetFormatError, match="line 2"):
         load_dataset(path, small_vocab())
+    # a sample id the CSV artifacts cannot carry in a row
+    for bad in ("img,7", "img\n7", "img\r7", "img\x857"):
+        path = write_lines(tmp_path, [
+            json.dumps({"id": "a", "subject_id": "p", "features": [1.0], "labels": ["A"]}),
+            json.dumps({"id": bad, "subject_id": "p", "features": [1.0], "labels": ["A"]}),
+        ])
+        with pytest.raises(DatasetFormatError, match=re.escape(f"line 2: sample id {bad!r} holds a comma")):
+            load_dataset(path, small_vocab())
 
 
 def test_load_dataset_rejects_unknown_label(tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mllgraph.encoder import (
+from mllgraph.layers import (
     EncoderConfig,
-    EncoderParams,
+    LayerStack,
     encode,
     encoder_gradients,
     init_encoder,
@@ -50,11 +50,11 @@ def test_init_rejects_bad_input_dim():
 
 def test_params_validation():
     with pytest.raises(ValueError, match="matching weight/bias"):
-        EncoderParams([np.ones((2, 3))], [])
+        LayerStack([np.ones((2, 3))], [])
     with pytest.raises(ValueError, match="bias"):
-        EncoderParams([np.ones((2, 3))], [np.zeros(2)])
+        LayerStack([np.ones((2, 3))], [np.zeros(2)])
     with pytest.raises(ValueError, match="width mismatch"):
-        EncoderParams(
+        LayerStack(
             [np.ones((2, 3)), np.ones((4, 2))],
             [np.zeros(3), np.zeros(2)],
         )
@@ -63,14 +63,14 @@ def test_params_validation():
 def test_single_linear_layer_is_affine_map():
     W = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
     b = np.array([0.25, -0.75])
-    params = EncoderParams([W], [b])
+    params = LayerStack([W], [b])
     x = np.array([[1.0, -2.0, 4.0]])
     out, _ = encode(x, params)
     assert np.allclose(out, x @ W + b)
 
 
 def test_hidden_layers_use_leaky_rectifier():
-    params = EncoderParams(
+    params = LayerStack(
         [np.array([[1.0]]), np.array([[1.0]])],
         [np.zeros(1), np.zeros(1)],
         slope=0.2,
@@ -125,11 +125,11 @@ def test_gradients_match_numeric():
         for li in range(2):
             def f_w(W, _li=li):
                 ws = [W if i == _li else w for i, w in enumerate(params.weights)]
-                return loss_for(EncoderParams(ws, params.biases, params.slope))
+                return loss_for(LayerStack(ws, params.biases, params.slope))
 
             def f_b(b, _li=li):
                 bs = [b if i == _li else x for i, x in enumerate(params.biases)]
-                return loss_for(EncoderParams(params.weights, bs, params.slope))
+                return loss_for(LayerStack(params.weights, bs, params.slope))
 
             assert max_rel_err(dWs[li], numeric_gradient(f_w, params.weights[li])) < 1e-6
             assert max_rel_err(dbs[li], numeric_gradient(f_b, params.biases[li])) < 1e-6

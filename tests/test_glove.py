@@ -8,6 +8,7 @@ from mllgraph.cooccur import WeightingConfig
 from mllgraph.glove import (
     EmbeddingParams,
     GloveConfig,
+    _epoch_loss,
     _fixed_terms,
     _gradients,
     _loss_and_residual_grad,
@@ -142,17 +143,47 @@ def reference_train_glove(counts, cfg, wcfg, seed):
 
 def test_train_glove_is_bit_equal_to_reference_loop():
     rng = np.random.default_rng(9)
+    cases = []
     for C, d, epochs in ((2, 2, 1), (6, 3, 25), (30, 8, 40)):
         counts = rng.integers(0, 150, (C, C))
-        counts = np.triu(counts) + np.triu(counts, 1).T  # int64 with zero cells
+        cases.append((np.triu(counts) + np.triu(counts, 1).T, d, epochs))  # int64 with zero cells
+    # all-zero rows and mostly empty cells, which the fit leaves unmasked
+    for C, d, epochs in ((40, 6, 30), (120, 8, 12)):
+        counts = np.where(rng.random((C, C)) < 0.05, rng.integers(1, 300, (C, C)), 0)
+        counts = np.triu(counts) + np.triu(counts, 1).T
+        counts[[3, C // 2]] = 0
+        counts[:, [3, C // 2]] = 0
+        assert np.mean(counts == 0) >= 0.8
+        cases.append((counts, d, epochs))
+    for counts, d, epochs in cases:
+        C = len(counts)
         cfg = GloveConfig(d=d, epochs=epochs, learning_rate=0.01)
         wcfg = WeightingConfig(x_max=50.0)
         res = train_glove(counts, cfg, wcfg, seed=C)
         trace, params = reference_train_glove(counts, cfg, wcfg, seed=C)
-        assert np.array_equal(res.loss_trace, trace)
+        assert res.loss_trace.tobytes() == trace.tobytes()
         for k in ("w", "w_ctx", "b", "b_ctx"):
-            assert np.array_equal(getattr(res.params, k), getattr(params, k))
-        assert np.array_equal(res.embedding, params.w + params.w_ctx)
+            assert getattr(res.params, k).tobytes() == getattr(params, k).tobytes()
+        assert res.embedding.tobytes() == (params.w + params.w_ctx).tobytes()
+
+
+def test_epoch_loss_masks_an_overflowing_empty_cell():
+    """Only the empty cell (0, 1) overflows: the masked loss and E, not a divergence."""
+    counts = np.array([[5.0, 0.0], [0.0, 5.0]])
+    params = EmbeddingParams(
+        w=np.array([[1e200, 0.0], [0.0, 1.0]]),
+        w_ctx=np.array([[0.0, 1.0], [1e200, 0.0]]),
+        b=np.zeros(2),
+        b_ctx=np.zeros(2),
+    )
+    terms = _fixed_terms(counts, WeightingConfig())
+    R, E = np.empty((2, 2)), np.empty((2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):   # w w~^T is inf at (0, 1)
+        want_loss, want_E = _loss_and_residual_grad(params, *terms)
+        loss = _epoch_loss(params, *terms, R, E)
+    assert np.isfinite(want_loss)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert E.tobytes() == want_E.tobytes()
 
 
 def test_train_glove_is_deterministic():

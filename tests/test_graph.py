@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from mllgraph.graph import (
-    GcnLayer,
-    GcnStack,
+from mllgraph.layers import (
+    LayerStack,
     gcn_forward,
     gcn_gradients,
-    init_gcn_stack,
+    init_stack,
     propagate,
 )
 
@@ -14,38 +13,33 @@ from gradcheck import away_from_kinks, gcn_hidden_preacts, max_rel_err, numeric_
 
 
 def test_init_stack_shapes_and_activations():
-    stack = init_gcn_stack((6, 5, 4), seed=0)
-    assert [l.weights.shape for l in stack.layers] == [(6, 5), (5, 4)]
-    assert [l.activation for l in stack.layers] == ["leaky", "identity"]
+    stack = init_stack((6, 5, 4), seed=0)
+    assert [W.shape for W in stack.weights] == [(6, 5), (5, 4)]
+    assert stack.biases is None and stack.slope == 0.2
     assert stack.input_dim == 6
 
 
 def test_init_stack_respects_fan_in_bounds():
-    stack = init_gcn_stack((16, 8), seed=1)
+    stack = init_stack((16, 8), seed=1)
     bound = 1.0 / np.sqrt(16)
-    W = stack.layers[0].weights
+    W = stack.weights[0]
     assert np.all(np.abs(W) <= bound)
 
 
 def test_init_stack_is_deterministic():
-    a = init_gcn_stack((4, 3), seed=5)
-    b = init_gcn_stack((4, 3), seed=5)
-    assert np.array_equal(a.layers[0].weights, b.layers[0].weights)
+    a = init_stack((4, 3), seed=5)
+    b = init_stack((4, 3), seed=5)
+    assert np.array_equal(a.weights[0], b.weights[0])
 
 
 def test_init_stack_needs_two_dims():
     with pytest.raises(ValueError, match="input and output"):
-        init_gcn_stack((4,))
+        init_stack((4,))
 
 
 def test_stack_rejects_width_mismatch():
     with pytest.raises(ValueError, match="width mismatch"):
-        GcnStack([GcnLayer(np.ones((3, 4))), GcnLayer(np.ones((5, 2)))])
-
-
-def test_layer_rejects_unknown_activation():
-    with pytest.raises(ValueError, match="activation"):
-        GcnLayer(np.ones((2, 2)), activation="relu")
+        LayerStack([np.ones((3, 4)), np.ones((5, 2))])
 
 
 def test_single_identity_layer_is_plain_propagation():
@@ -53,26 +47,23 @@ def test_single_identity_layer_is_plain_propagation():
     Z = rng.standard_normal((4, 3))
     B = rng.random((4, 4))
     W = rng.standard_normal((3, 2))
-    stack = GcnStack([GcnLayer(W, "identity")])
+    stack = LayerStack([W])
     K, cache = gcn_forward(propagate(Z, B), B, stack)
     assert np.allclose(K, B @ Z @ W)
-    assert np.allclose(cache.propagated[0], B @ Z)
+    assert np.allclose(cache.inputs[0], B @ Z)
 
 
 def test_leaky_activation_between_layers():
     Z = np.array([[1.0], [-1.0]])
     B = np.eye(2)
-    stack = GcnStack([
-        GcnLayer(np.array([[1.0]]), "leaky", slope=0.2),
-        GcnLayer(np.array([[1.0]]), "identity"),
-    ])
+    stack = LayerStack([np.array([[1.0]]), np.array([[1.0]])], slope=0.2)
     K, _ = gcn_forward(propagate(Z, B), B, stack)
     assert K[0, 0] == pytest.approx(1.0)
     assert K[1, 0] == pytest.approx(-0.2)
 
 
 def test_forward_validates_shapes():
-    stack = init_gcn_stack((3, 2), seed=0)
+    stack = init_stack((3, 2), seed=0)
     with pytest.raises(ValueError, match="correlation"):
         propagate(np.ones((4, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="correlation"):
@@ -89,7 +80,7 @@ def test_gradients_match_numeric():
         upstream = rng.standard_normal((C, D))
         while True:
             Z = rng.standard_normal((C, d))
-            stack = init_gcn_stack((d, 3, D), seed=int(rng.integers(10_000)))
+            stack = init_stack((d, 3, D), seed=int(rng.integers(10_000)))
             _, cache = gcn_forward(propagate(Z, B), B, stack)
             if away_from_kinks(gcn_hidden_preacts(cache, stack)):
                 break
@@ -100,17 +91,14 @@ def test_gradients_match_numeric():
 
         K, cache = gcn_forward(propagate(Z, B), B, stack)
         dWs, dH0 = gcn_gradients(upstream, cache, B, stack)
-        dZ = B.T @ (dH0 @ stack.layers[0].weights.T)
+        dZ = B.T @ (dH0 @ stack.weights[0].T)
 
         for li in range(2):
             def f(W, _li=li):
-                layers = [
-                    GcnLayer(W if i == _li else l.weights, l.activation, l.slope)
-                    for i, l in enumerate(stack.layers)
-                ]
-                return loss_for(GcnStack(layers))
+                weights = [W if i == _li else w for i, w in enumerate(stack.weights)]
+                return loss_for(LayerStack(weights, slope=stack.slope))
 
-            numeric = numeric_gradient(f, stack.layers[li].weights)
+            numeric = numeric_gradient(f, stack.weights[li])
             assert max_rel_err(dWs[li], numeric) < 1e-6
 
         def f_z(Zx):

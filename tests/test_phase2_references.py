@@ -10,12 +10,23 @@ at the first layer's dH, momentum SGD over one flat buffer, per-class AP
 over column blocks, and the score table's checks by reductions.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mllgraph import diagnostics
-from mllgraph.encoder import EncoderConfig, EncoderParams, encode, encoder_gradients, init_encoder
-from mllgraph.graph import GcnLayer, GcnStack, gcn_forward, gcn_gradients, init_gcn_stack, propagate
+from mllgraph.layers import (
+    EncoderConfig,
+    LayerStack,
+    encode,
+    encoder_gradients,
+    gcn_forward,
+    gcn_gradients,
+    init_encoder,
+    init_stack,
+    propagate,
+)
 from mllgraph.losses import (
     _SIGMOID_BLOCK,
     LossConfig,
@@ -149,6 +160,15 @@ def gcn_gradients_reference(upstream, preacts, propagated, B, stack):
         dWs[i] = propagated[i].T @ dH
         dG = B.T @ (dH @ layer.weights.T)
     return dWs, dG
+
+
+def gcn_layers(stack):
+    """The GCN stack as the references read it: layers with weights, activation and slope."""
+    last = len(stack.weights) - 1
+    return SimpleNamespace(layers=[
+        SimpleNamespace(weights=W, activation="identity" if i == last else "leaky", slope=stack.slope)
+        for i, W in enumerate(stack.weights)
+    ])
 
 
 class MomentumSGDReference:
@@ -404,20 +424,25 @@ def test_cached_leaky_factor_matches_where_at_edge_values(slope):
     one = np.ones((1, 1))
     with np.errstate(invalid="ignore", over="ignore"):   # inf * 0, 3e308, on both sides
         # encoder: one leaky hidden layer, then a linear layer
-        params = EncoderParams([one, one], [np.zeros(1), np.zeros(1)], slope)
+        params = LayerStack([one, one], [np.zeros(1), np.zeros(1)], slope)
         _, cache = encode(x, params)
         z = encode_reference(x, params)[2][0]
         assert_same_bits(cache.inputs[1], np.where(z >= 0, z, slope * z))
         _, _, dz0 = encoder_gradients(upstream, cache, params)
         dh = upstream @ one.T                # through the linear layer
         assert_same_bits(dz0, np.where(z >= 0, dh, dh * slope))
-        # GCN: one leaky layer over the given B Z
-        stack = GcnStack([GcnLayer(one, "leaky", slope)])
-        K, gcache = gcn_forward(x, np.eye(len(x)), stack)
-        H = x @ one
-        assert_same_bits(K, np.where(H >= 0, H, slope * H))
-        _, dH0 = gcn_gradients(upstream, gcache, np.eye(len(x)), stack)
-        assert_same_bits(dH0, np.where(H >= 0, upstream, upstream * slope))
+        # GCN: one leaky layer over the given B Z, then a linear layer; each
+        # value is its own one-class graph, so B = 1 multiplies no other row
+        stack = LayerStack([one, one], slope=slope)
+        B = np.ones((1, 1))
+        for xi, ui in zip(x, upstream):
+            xi, ui = xi.reshape(1, 1), ui.reshape(1, 1)
+            _, gcache = gcn_forward(xi, B, stack)
+            H = xi @ one
+            assert_same_bits(gcache.inputs[1], B @ np.where(H >= 0, H, slope * H))
+            _, dH0 = gcn_gradients(ui, gcache, B, stack)
+            dG = B.T @ (ui @ one.T)          # through the linear layer
+            assert_same_bits(dH0, np.where(H >= 0, dG, dG * slope))
 
 
 def test_gcn_with_propagation_once_matches_reference():
@@ -426,20 +451,20 @@ def test_gcn_with_propagation_once_matches_reference():
         B = rng.random((C, C)) / C + np.eye(C)
         Z = rng.standard_normal((C, d))
         Z[0] = 0.0                         # zero preactivations in every layer
-        stack = init_gcn_stack((d, d, D), seed=int(rng.integers(1000)))
+        stack = init_stack((d, d, D), seed=int(rng.integers(1000)))
         BZ = propagate(Z, B)
         for _ in range(2):                 # the same B Z serves every batch
             K, cache = gcn_forward(BZ, B, stack)
-            ref_K, propagated, preacts = gcn_forward_reference(Z, B, stack)
+            ref_K, propagated, preacts = gcn_forward_reference(Z, B, gcn_layers(stack))
             assert_same_bits(K, ref_K)
-            for got, want in zip(cache.propagated, propagated):
+            for got, want in zip(cache.inputs, propagated):
                 assert_same_bits(got, want)
             upstream = rng.standard_normal(K.shape)
             dWs, dH0 = gcn_gradients(upstream, cache, B, stack)
-            ref_dWs, ref_dZ = gcn_gradients_reference(upstream, preacts, propagated, B, stack)
+            ref_dWs, ref_dZ = gcn_gradients_reference(upstream, preacts, propagated, B, gcn_layers(stack))
             for got, want in zip(dWs, ref_dWs):
                 assert_same_bits(got, want)
-            assert_same_bits(B.T @ (dH0 @ stack.layers[0].weights.T), ref_dZ)
+            assert_same_bits(B.T @ (dH0 @ stack.weights[0].T), ref_dZ)
 
 
 def test_flat_momentum_sgd_matches_per_tensor_reference():

@@ -17,7 +17,7 @@ from mllgraph.corpus import (
     split_by_subject,
     synthetic_vocabulary,
 )
-from mllgraph.encoder import EncoderConfig
+from mllgraph.layers import EncoderConfig
 from mllgraph.glove import GloveConfig
 from mllgraph.metrics import compute_report
 from mllgraph.trainer import (
@@ -261,7 +261,7 @@ def test_pipeline_gcn_crc_artifacts(crc_result, small_splits):
     train, _, _ = small_splits
     cp = crc_result.checkpoint
     assert isinstance(cp.head, GcnHead)
-    assert [l.weights.shape for l in cp.head.stack.layers] == [(8, 8), (8, 16)]
+    assert [W.shape for W in cp.head.params] == [(8, 8), (8, 16)]
     assert cp.correlation.shape == (train.vocabulary.size, train.vocabulary.size)
     assert cp.centroids.shape == (4, 8)
     assert crc_result.assignments is not None
@@ -485,6 +485,10 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
             config, encoder=dict(config["encoder"], layer_widths=[8, 32])))),
          r"encoder.1.weight\[8, 32\]"),
         ("one_gcn_layer", with_header(raw, dict(header, gcn_layers=one_layer)), "do not match"),
+        ("swapped_gcn_layers", with_header(raw, dict(header, gcn_layers=header["gcn_layers"][::-1])),
+         "gcn_layers .* do not match"),
+        ("gcn_slope", with_header(raw, dict(header, gcn_layers=[
+            dict(layer, slope=0.3) for layer in header["gcn_layers"]])), "gcn_layers .* do not match"),
         ("flat_encoder_weight", with_shapes(raw, {"encoder.0.weight": [128]}), "malformed header"),
     ):
         path = tmp_path / f"{name}.mllg"
