@@ -154,6 +154,11 @@ def resolve_config(args) -> dict:
     seed = cfg["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
+    if not isinstance(cfg["out_dir"], str):
+        raise ConfigError(f"out_dir: expected a string, got {json.dumps(cfg['out_dir'])}")
+    for key in ("dataset_path", "vocabulary_path"):
+        if not isinstance(cfg["data"][key], (str, type(None))):
+            raise ConfigError(f"data.{key}: expected a string or null, got {json.dumps(cfg['data'][key])}")
     return cfg
 
 

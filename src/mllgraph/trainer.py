@@ -9,6 +9,7 @@ classifier with momentum SGD while everything from phase 1 stays frozen.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -169,6 +170,8 @@ class LinearHead:
     """Independent per-class rows: the classifier K is the parameter itself."""
 
     kind = "linear"
+    layers = None  # the checkpoint header's gcn_layers
+    names = ("classifier",)  # checkpoint names of `params`, in order
 
     def __init__(self, weights: np.ndarray):
         self.weights = weights
@@ -205,15 +208,14 @@ class LinearHead:
     def copy(self) -> "LinearHead":
         return LinearHead(self.weights.copy())
 
-    def tensors(self) -> list:
-        return [("classifier", self.weights)]
-
-    def header_entry(self):
-        return None
+    @staticmethod
+    def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
+        """The shapes of `params` for these widths."""
+        return [[n_classes, rep_dim]]
 
     @classmethod
-    def from_checkpoint(cls, tensors: dict, entry) -> "LinearHead":
-        return cls(tensors["classifier"])
+    def from_checkpoint(cls, tensors: dict) -> "LinearHead":
+        return cls(*[tensors[name] for name in cls.names])
 
 
 class GcnHead:
@@ -226,6 +228,7 @@ class GcnHead:
     kind = "gcn"
     slope = 0.2
     layers = [{"activation": "leaky", "slope": slope}, {"activation": "identity", "slope": slope}]
+    names = ("gcn.0.weight", "gcn.1.weight")
 
     def __init__(self, stack: LayerStack):
         self.stack = stack
@@ -261,20 +264,13 @@ class GcnHead:
     def copy(self) -> "GcnHead":
         return GcnHead(self.stack.copy())
 
-    def tensors(self) -> list:
-        return [(f"gcn.{i}.weight", W) for i, W in enumerate(self.stack.weights)]
-
-    def header_entry(self) -> list:
-        return self.layers
+    @staticmethod
+    def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
+        return [[embed_dim, embed_dim], [embed_dim, rep_dim]]
 
     @classmethod
-    def from_checkpoint(cls, tensors: dict, entry) -> "GcnHead":
-        if entry != cls.layers:
-            raise CheckpointFormatError(
-                f"gcn_layers {json.dumps(entry)} do not match the {json.dumps(cls.layers)} "
-                "stack the GCN head trains"
-            )
-        return cls(LayerStack([tensors[f"gcn.{i}.weight"] for i in range(len(entry))], slope=cls.slope))
+    def from_checkpoint(cls, tensors: dict) -> "GcnHead":
+        return cls(LayerStack([tensors[name] for name in cls.names], slope=cls.slope))
 
 
 def head_type(variant: VariantSpec):
@@ -401,7 +397,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     rng_batches = stage_rng(cfg.seed, "batches")
 
     Xtr = train.features_matrix()
-    Ytr = train.labels_matrix().astype(np.float64)
+    Ytr = train.labels_matrix()
     Xval = val.features_matrix()
     Yval = val.labels_matrix()
     n = len(train)
@@ -530,6 +526,57 @@ class CheckpointChecksumError(CheckpointError):
     pass
 
 
+def checkpoint_header(variant: VariantSpec, config: TrainConfig, vocabulary: LabelVocabulary,
+                      input_dim: int, epoch: int) -> dict:
+    """The header a save of a checkpoint with these fields writes: every tensor's
+    name and shape follow from the variant, vocabulary size, config and encoder
+    input (feature) width, and `encoder_slope` is the config's."""
+    Head = head_type(variant)
+    C, d = vocabulary.size, config.glove.d
+    shapes = [("embeddings", [C, d])]
+    if variant.use_gcn:
+        shapes.append(("correlation", [C, C]))
+    if variant.contrastive_mode == "cluster_relabeled":
+        shapes.append(("centroids", [config.n_clusters, d]))
+    widths = [input_dim, *config.encoder.layer_widths]
+    for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
+        shapes += [(f"encoder.{i}.weight", [w_in, w_out]), (f"encoder.{i}.bias", [w_out])]
+    shapes += zip(Head.names, Head.shapes(C, d, config.encoder.output_dim))
+    return {
+        "variant": variant.name,
+        "classifier_kind": Head.kind,
+        "epoch": epoch,
+        "config": dataclasses.asdict(config),
+        "vocabulary": [{"name": n, "kind": k} for n, k in vocabulary.entries],
+        "encoder_slope": config.encoder.slope,
+        "gcn_layers": Head.layers,
+        "tensors": [{"name": name, "shape": shape, "dtype": "<f8"} for name, shape in shapes],
+    }
+
+
+_ABSENT = object()  # a header key or list item that one of two headers lacks
+
+
+def _canonical(value) -> str:
+    """JSON text as a save writes it (sorted keys, no spaces); 'nothing' for an absent entry."""
+    return "nothing" if value is _ABSENT else json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _first_difference(stored, rebuilt, path: str = "") -> str:
+    """'<path>: the file has <value>, a save writes <value>' where two unequal headers first
+    differ. Keys go in sorted order, lists of objects item by item, each shown by the "name"
+    a save writes in it (a tensor's, a vocabulary entry's) or its index; other lists whole."""
+    if isinstance(stored, dict) and isinstance(rebuilt, dict):
+        items = [(f"{path}.{key}" if path else key, stored.get(key, _ABSENT), rebuilt.get(key, _ABSENT))
+                 for key in sorted(set(stored) | set(rebuilt))]
+    elif isinstance(stored, list) and isinstance(rebuilt, list) and any(isinstance(v, dict) for v in rebuilt):
+        pairs = enumerate(itertools.zip_longest(stored, rebuilt, fillvalue=_ABSENT))
+        items = [(f"{path}[{y.get('name', i) if isinstance(y, dict) else i}]", x, y) for i, (x, y) in pairs]
+    else:
+        return f"{path}: the file has {_canonical(stored)[:80]}, a save writes {_canonical(rebuilt)[:80]}"
+    return next(_first_difference(x, y, where) for where, x, y in items if _canonical(x) != _canonical(y))
+
+
 def _tensor_entries(cp: Checkpoint):
     entries = [("embeddings", cp.embeddings)]
     if cp.correlation is not None:
@@ -539,24 +586,16 @@ def _tensor_entries(cp: Checkpoint):
     for i, (W, b) in enumerate(zip(cp.encoder_params.weights, cp.encoder_params.biases)):
         entries.append((f"encoder.{i}.weight", W))
         entries.append((f"encoder.{i}.bias", b))
-    return entries + cp.head.tensors()
+    return entries + list(zip(cp.head.names, cp.head.params))
 
 
 def checkpoint_bytes(cp: Checkpoint) -> bytes:
+    header = checkpoint_header(cp.variant, cp.config, cp.vocabulary, cp.encoder_params.input_dim, cp.epoch)
     entries = [(name, np.ascontiguousarray(arr, dtype=np.float64)) for name, arr in _tensor_entries(cp)]
-    header = {
-        "variant": cp.variant.name,
-        "classifier_kind": cp.head.kind,
-        "epoch": cp.epoch,
-        "config": dataclasses.asdict(cp.config),
-        "vocabulary": [{"name": n, "kind": k} for n, k in cp.vocabulary.entries],
-        "encoder_slope": cp.encoder_params.slope,
-        "gcn_layers": cp.head.header_entry(),
-        "tensors": [
-            {"name": name, "shape": list(arr.shape), "dtype": "<f8"} for name, arr in entries
-        ],
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tensors = [{"name": name, "shape": list(arr.shape), "dtype": "<f8"} for name, arr in entries]
+    if tensors != header["tensors"] or cp.encoder_params.slope != cp.config.encoder.slope:
+        raise ValueError("checkpoint tensors or encoder slope do not match its variant, vocabulary and config")
+    header_bytes = _canonical(header).encode("utf-8")
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", FORMAT_VERSION)
@@ -575,34 +614,30 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
         fh.write(checkpoint_bytes(cp))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointTruncatedError(
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.data)}"
-            )
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint, accepting it only if its header is, as canonical
+    JSON, the one a save of its own contents writes: `checkpoint_header` of
+    the variant, config, vocabulary, epoch and encoder input width it holds."""
     with open(path, "rb") as fh:
         data = fh.read()
-    r = _Reader(data)
-    magic = r.take(4)
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise CheckpointTruncatedError(f"needed {n} bytes at offset {pos}, file has {len(data)}")
+        pos += n
+        return data[pos - n:pos]
+
+    magic = take(4)
     if magic != MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
-    version = struct.unpack("<I", r.take(4))[0]
+    version = struct.unpack("<I", take(4))[0]
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(version)
-    header_len = struct.unpack("<I", r.take(4))[0]
-    header_bytes = r.take(header_len)
-    if len(data) - r.pos < 4:
+    header_len = struct.unpack("<I", take(4))[0]
+    header_bytes = take(header_len)
+    if len(data) - pos < 4:
         raise CheckpointTruncatedError("missing checksum footer")
     # verify integrity before trusting any parsed structure
     stored_crc = struct.unpack("<I", data[-4:])[0]
@@ -610,99 +645,52 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointChecksumError("checksum mismatch; the file is corrupted")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise CheckpointFormatError(f"unreadable header: {exc}") from exc
 
     # the header passed the checksum but may still lack keys or mistype them
     try:
-        return _checkpoint_from_header(header, r)
+        variant = VariantSpec.from_name(header["variant"])
+        config = config_from_dict(TrainConfig, header["config"])
+        vocab = LabelVocabulary(tuple((e["name"], e["kind"]) for e in header["vocabulary"]))
+        epoch = header["epoch"]
+        input_dim = next((t["shape"][0] for t in header["tensors"] if t["name"] == "encoder.0.weight"), None)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CheckpointFormatError(f"malformed header: {type(exc).__name__}: {exc}") from exc
+    if not (_is_int(epoch) and 1 <= epoch <= config.epochs):
+        raise CheckpointFormatError(f"epoch {_canonical(epoch)[:40]} is not an integer in [1, {config.epochs}]")
+    if not (_is_int(input_dim) and input_dim >= 1):
+        raise CheckpointFormatError(
+            f"encoder.0.weight: input width {_canonical(input_dim)[:40]} is not a positive integer"
+        )
+    expected = checkpoint_header(variant, config, vocab, input_dim, epoch)
+    if _canonical(header) != _canonical(expected):
+        where = _first_difference(header, expected)
+        raise CheckpointFormatError(f"header differs from the one a save writes at {where}")
 
-
-def _checkpoint_from_header(header: dict, r: _Reader) -> Checkpoint:
     tensors = {}
-    for meta in header["tensors"]:
-        nbytes = struct.unpack("<Q", r.take(8))[0]
-        expected = int(np.prod(meta["shape"], dtype=np.int64)) * 8
-        if nbytes != expected:
-            raise CheckpointFormatError(
-                f"tensor {meta['name']!r}: {nbytes} bytes for shape {meta['shape']}"
-            )
-        blob = r.take(nbytes)
-        arr = np.frombuffer(blob, dtype="<f8").reshape(meta["shape"]).copy()
+    for meta in expected["tensors"]:
+        name, shape = meta["name"], meta["shape"]
+        nbytes = struct.unpack("<Q", take(8))[0]
+        if nbytes != math.prod(shape) * 8:
+            raise CheckpointFormatError(f"tensor {name!r}: {nbytes} bytes for shape {shape}")
+        arr = np.frombuffer(take(nbytes), dtype="<f8").reshape(shape).copy()
         if not np.all(np.isfinite(arr)):
-            raise CheckpointFormatError(f"tensor {meta['name']!r} holds non-finite values")
-        tensors[meta["name"]] = arr
-    if len(r.data) - r.pos != 4:
+            raise CheckpointFormatError(f"tensor {name!r} holds non-finite values")
+        tensors[name] = arr
+    if len(data) - pos != 4:
         raise CheckpointFormatError("trailing bytes after the tensor payload")
 
-    variant = VariantSpec.from_name(header["variant"])
-    Head = head_type(variant)
-    if header["classifier_kind"] != Head.kind:
-        raise CheckpointFormatError(
-            f"classifier_kind {header['classifier_kind']!r} does not match variant {variant.name}"
-        )
-    config = config_from_dict(TrainConfig, header["config"])
-    vocab = LabelVocabulary(tuple((e["name"], e["kind"]) for e in header["vocabulary"]))
     n_enc = len(config.encoder.layer_widths)
-    enc = LayerStack(
-        [tensors[f"encoder.{i}.weight"] for i in range(n_enc)],
-        [tensors[f"encoder.{i}.bias"] for i in range(n_enc)],
-        header["encoder_slope"],
-    )
-    cp = Checkpoint(
+    enc = [[tensors[f"encoder.{i}.{part}"] for i in range(n_enc)] for part in ("weight", "bias")]
+    return Checkpoint(
         variant=variant,
         config=config,
         vocabulary=vocab,
-        encoder_params=enc,
-        head=Head.from_checkpoint(tensors, header["gcn_layers"]),
+        encoder_params=LayerStack(*enc, config.encoder.slope),
+        head=head_type(variant).from_checkpoint(tensors),
         embeddings=tensors["embeddings"],
-        correlation=tensors["correlation"] if Head is GcnHead else None,
-        centroids=tensors["centroids"] if variant.contrastive_mode == "cluster_relabeled" else None,
-        epoch=int(header["epoch"]),
+        correlation=tensors.get("correlation"),
+        centroids=tensors.get("centroids"),
+        epoch=epoch,
     )
-    # the file must hold exactly the tensors a save of this variant writes,
-    # each with the shape training gives it
-    stored = [meta["name"] for meta in header["tensors"]]
-    entries = [(name, list(arr.shape)) for name, arr in _tensor_entries(cp)]
-    if stored != [name for name, _ in entries]:
-        raise CheckpointFormatError(
-            f"tensors {stored} do not match the {[name for name, _ in entries]} "
-            f"that variant {variant.name} stores"
-        )
-    expected = _saved_tensor_shapes(variant, config, vocab, enc.input_dim)
-    if entries != expected:
-        raise CheckpointFormatError(
-            f"tensor shapes {_shape_list(entries)} do not match the {_shape_list(expected)} "
-            f"that variant {variant.name} stores for {vocab.size} classes with this config"
-        )
-    return cp
-
-
-def _saved_tensor_shapes(variant: VariantSpec, config: TrainConfig, vocab: LabelVocabulary,
-                         input_dim: int) -> list:
-    """(name, shape) of each tensor a save of this variant writes, in order.
-
-    The shapes are those training builds from the vocabulary and config;
-    the encoder's input (feature) width is the one the header does not fix.
-    """
-    Head = head_type(variant)
-    C, d = vocab.size, config.glove.d
-    crc = variant.contrastive_mode == "cluster_relabeled"
-    stand_in = Checkpoint(
-        variant=variant,
-        config=config,
-        vocabulary=vocab,
-        encoder_params=init_encoder(input_dim, config.encoder),
-        head=Head.init(C, d, config.encoder.output_dim, seed=0),
-        embeddings=np.empty((C, d)),
-        correlation=np.empty((C, C)) if Head is GcnHead else None,
-        centroids=np.empty((config.n_clusters, d)) if crc else None,
-        epoch=0,
-    )
-    return [(name, list(arr.shape)) for name, arr in _tensor_entries(stand_in)]
-
-
-def _shape_list(entries) -> str:
-    return ", ".join(f"{name}{shape}" for name, shape in entries)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report, format_report_json, write_score_csv
 from mllgraph.trainer import LinearHead, load_checkpoint
 
-from test_trainer import read_header, with_header, with_shapes, with_tensors, with_value
+from test_trainer import (
+    LINEAR_GCN_LAYERS,
+    header_edits,
+    read_header,
+    with_header,
+    with_shapes,
+    with_tensors,
+    with_value,
+)
 
 SMALL_SETS = [
     "--set", "synthetic.n_samples=120",
@@ -217,6 +226,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "s"), "--set", "synthetic.noise_sigma=NaN"]) == 2
     assert "error: synthetic: noise_sigma: expected a finite number, got NaN" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+    # the output directory and the corpus paths must be strings (a path may be null)
+    out = str(tmp_path / "s")
+    for args, message in (
+        (["synth", "--set", "out_dir=5"], "out_dir: expected a string, got 5"),
+        (["synth", "--set", "out_dir=null"], "out_dir: expected a string, got null"),
+        (["train", "--set", "out_dir=[1]"], "out_dir: expected a string, got [1]"),
+        (["train", "--out", out, "--set", "data.dataset_path=5", "--set", "data.vocabulary_path=7"],
+         "data.dataset_path: expected a string or null, got 5"),
+        (["train", "--out", out, "--set", f"data.dataset_path={out}.jsonl", "--set", "data.vocabulary_path=7"],
+         "data.vocabulary_path: expected a string or null, got 7"),
+        (["synth", "--out", out, "--set", "data.vocabulary_path=false"],
+         "data.vocabulary_path: expected a string or null, got false"),
+    ):
+        assert main(args) == 2, args
+        assert capsys.readouterr().err == f"error: {message}\n", args
+    assert not (tmp_path / "s").exists()
 
 
 def test_train_requires_vocabulary_with_external_data(tmp_path):
@@ -347,7 +372,7 @@ def test_eval_and_export_reject_missing_variant_tensors(work, tmp_path, capsys):
         assert main(["export", "--checkpoint", str(path), "--what", what,
                      "--out", str(tmp_path / f"export_{dropped}")]) == 1
         err = capsys.readouterr().err
-        assert err.count("error: malformed header") == 2 and dropped in err
+        assert err.count("error: header differs from the one a save writes at tensors[") == 2 and dropped in err
 
 
 def test_eval_and_export_reject_misshapen_tensors(work, tmp_path, capsys):
@@ -362,8 +387,27 @@ def test_eval_and_export_reject_misshapen_tensors(work, tmp_path, capsys):
         assert main(["export", "--checkpoint", str(path), "--what", name,
                      "--out", str(tmp_path / f"export_{name}")]) == 1
         err = capsys.readouterr().err
-        assert err.count("error: tensor shapes") == 2 and name in err
+        assert err.count(f"error: header differs from the one a save writes at tensors[{name}].shape") == 2
         assert not (tmp_path / f"export_{name}").exists()
+
+
+def test_eval_and_export_reject_header_edits(work, tmp_path, capsys):
+    raw = (work / "crc" / "checkpoint.mllg").read_bytes()
+    single = (work / "single" / "checkpoint.mllg").read_bytes()
+    layers, layers_match = LINEAR_GCN_LAYERS
+    edits = [(name, with_header(raw, bad), match) for name, bad, match in header_edits(read_header(raw))]
+    edits.append(("linear_gcn_layers", with_header(single, dict(read_header(single), gcn_layers=layers)),
+                  layers_match))
+    data = str(work / "synth" / "dataset.jsonl")
+    for name, edited, match in edits:
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(edited)
+        assert main(["eval", "--checkpoint", str(path), "--data", data,
+                     "--out", str(tmp_path / f"eval_{name}")]) == 1, name
+        assert main(["export", "--checkpoint", str(path), "--what", "embeddings",
+                     "--out", str(tmp_path / f"export_{name}")]) == 1, name
+        assert len(re.findall(f"^error: .*{match}", capsys.readouterr().err, re.MULTILINE)) == 2, name
+        assert not (tmp_path / f"eval_{name}").exists() and not (tmp_path / f"export_{name}").exists()
 
 
 def test_eval_and_export_reject_non_finite_tensors(work, tmp_path, capsys):

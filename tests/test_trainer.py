@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 import tracemalloc
 import zlib
@@ -101,6 +102,42 @@ def with_value(raw: bytes, name: str, value: float) -> bytes:
             return body + struct.pack("<I", zlib.crc32(body))
         pos += 8 + size
     raise KeyError(name)
+
+
+def header_edits(header: dict) -> list:
+    """(name, edited header, message pattern) for edits of a checksummed
+    MLL-GCN-CRC header, trained with `small_train_config`, that a save of the
+    edited header's own contents would not write; each message names the
+    key where the edit sits."""
+    config, vocab, tensors = header["config"], header["vocabulary"], header["tensors"]
+
+    def with_tensor(name, **changes):
+        return dict(header, tensors=[dict(t, **changes) if t["name"] == name else t for t in tensors])
+
+    return [
+        ("encoder_slope", dict(header, encoder_slope=0.7), "encoder_slope: the file has 0.7, a save writes 0.2"),
+        ("big_endian", with_tensor("embeddings", dtype=">f8"),
+         r'tensors\[embeddings\]\.dtype: the file has ">f8", a save writes "<f8"'),
+        ("int8", with_tensor("encoder.0.bias", dtype="|i1"), r'tensors\[encoder.0.bias\]\.dtype: the file has "\|i1"'),
+        ("epoch_float", dict(header, epoch=2.5), r"epoch 2.5 is not an integer in \[1, 3\]"),
+        ("epoch_bool", dict(header, epoch=True), r"epoch true is not an integer in \[1, 3\]"),
+        ("epoch_zero", dict(header, epoch=0), r"epoch 0 is not an integer in \[1, 3\]"),
+        ("epoch_past_run", dict(header, epoch=4), r"epoch 4 is not an integer in \[1, 3\]"),
+        ("config_key_removed", dict(header, config={k: v for k, v in config.items() if k != "kmeans_tol"}),
+         "config.kmeans_tol: the file has nothing, a save writes 1e-06"),
+        ("vocabulary_extra_key", dict(header, vocabulary=[dict(vocab[0], color="red")] + vocab[1:]),
+         rf'vocabulary\[{re.escape(vocab[0]["name"])}\]\.color: the file has "red", a save writes nothing'),
+        ("vocabulary_int_name", dict(header, vocabulary=[dict(vocab[0], name=7)] + vocab[1:]),
+         r'vocabulary\[7\]\.name: the file has 7, a save writes "7"'),
+        ("extra_key", dict(header, note="hand-edited"), 'note: the file has "hand-edited", a save writes nothing'),
+        ("zero_input_width", with_tensor("encoder.0.weight", shape=[0, 8]),
+         "encoder.0.weight: input width 0 is not a positive integer"),
+    ]
+
+
+# a GCN layer list on a linear-head checkpoint, whose header holds null there
+LINEAR_GCN_LAYERS = ([{"activation": "relu", "slope": 9}],
+                     r'gcn_layers: the file has \[\{"activation":"relu","slope":9\}\], a save writes null')
 
 
 def small_train_config(**overrides) -> TrainConfig:
@@ -355,21 +392,42 @@ def test_scoring_and_report_hold_a_bounded_working_set():
     assert peak < 2.5 * table.scores.nbytes, f"peak {peak} bytes for a {table.scores.nbytes}-byte table"
 
 
-def test_checkpoint_roundtrip_is_bit_exact(crc_result, tmp_path):
+@pytest.fixture(scope="module")
+def variant_results(small_splits, crc_result):
+    train, val, _ = small_splits
+    return {
+        name: crc_result if name == "MLL-GCN-CRC"
+        else run_pipeline(train, val, VariantSpec.from_name(name), small_train_config())
+        for name in VARIANT_NAMES
+    }
+
+
+@pytest.mark.parametrize("name", VARIANT_NAMES)
+def test_checkpoint_roundtrip_is_bit_exact(variant_results, name, tmp_path):
+    cp = variant_results[name].checkpoint
     path = tmp_path / "model.mllg"
-    save_checkpoint(crc_result.checkpoint, path)
+    save_checkpoint(cp, path)
     raw = path.read_bytes()
     loaded = load_checkpoint(path)
     assert checkpoint_bytes(loaded) == raw
-    assert loaded.variant.name == "MLL-GCN-CRC"
-    assert loaded.epoch == crc_result.checkpoint.epoch
-    assert np.array_equal(loaded.embeddings, crc_result.checkpoint.embeddings)
-    assert np.array_equal(
-        classifier_matrix(loaded), classifier_matrix(crc_result.checkpoint)
-    )
+    assert loaded.variant.name == name
+    assert loaded.epoch == cp.epoch
+    assert np.array_equal(loaded.embeddings, cp.embeddings)
+    assert np.array_equal(classifier_matrix(loaded), classifier_matrix(cp))
 
 
-def test_checkpoint_rejects_corruption(crc_result, tmp_path):
+def test_checkpoint_save_rejects_tensors_its_header_does_not_describe(crc_result):
+    cp = crc_result.checkpoint
+    for bad in (
+        dataclasses.replace(cp, embeddings=cp.embeddings[:, :4]),
+        dataclasses.replace(cp, centroids=None),
+        dataclasses.replace(cp, encoder_params=dataclasses.replace(cp.encoder_params, slope=0.7)),
+    ):
+        with pytest.raises(ValueError, match="do not match its variant, vocabulary and config"):
+            checkpoint_bytes(bad)
+
+
+def test_checkpoint_rejects_corruption(crc_result, variant_results, tmp_path):
     raw = checkpoint_bytes(crc_result.checkpoint)
 
     bad_magic = tmp_path / "magic.mllg"
@@ -401,8 +459,17 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
     with pytest.raises(CheckpointChecksumError):
         load_checkpoint(tail_cut)
 
-    # A header that passes the checksum can still be malformed.
+    # A header that passes the checksum can still be malformed, nested too
+    # deep for the JSON parser or hold an integer past Python's digit limit.
     header = read_header(raw)
+    (n,) = struct.unpack("<I", raw[8:12])
+    for name, blob in (("nested", b"[" * 100_000 + b"]" * 100_000),
+                       ("long_int", b'{"epoch":1' + b"0" * 5000 + b"}")):
+        body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:-4]
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointFormatError, match="unreadable header"):
+            load_checkpoint(path)
     no_tensors = {k: v for k, v in header.items() if k != "tensors"}
     wrong_kind = dict(header, classifier_kind="linear")
     for name, bad, match in (
@@ -411,8 +478,8 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
         ("no_layers", {k: v for k, v in header.items() if k != "gcn_layers"}, "gcn_layers"),
         ("config_type", dict(header, config=[1, 2]), "expected an object"),
         ("shape_type", dict(header, tensors=[dict(header["tensors"][0], shape="9x8")]),
-         "malformed header"),
-        ("kind", wrong_kind, "does not match variant MLL-GCN-CRC"),
+         "encoder.0.weight"),
+        ("kind", wrong_kind, 'classifier_kind: the file has "linear", a save writes "gcn"'),
         ("epochs_type", dict(header, config=dict(header["config"], epochs=1.5)),
          "epochs: expected an integer, got float"),
         ("widths_type", dict(header, config=dict(
@@ -443,13 +510,13 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
         ("no_centroids", with_tensors(raw, without("centroids")), "centroids"),
         ("no_gcn_layer", with_tensors(raw, without("gcn.1.weight")), "gcn.1.weight"),
         ("no_encoder_bias", with_tensors(raw, without("encoder.1.bias")), "encoder.1.bias"),
-        ("extra", with_tensors(raw, names + [("extra", "centroids")]), "do not match"),
+        ("extra", with_tensors(raw, names + [("extra", "centroids")]), r'tensors\[9\]: the file has \{"dtype":"<f8","name":"extra"'),
         ("renamed", with_tensors(raw, [("other" if n == "centroids" else n, n) for n in names]),
          "centroids"),
-        ("reordered", with_tensors(raw, swapped), "do not match"),
-        ("centroids_in_gcn", with_tensors(raw, names, variant="MLL-GCN"), "do not match"),
+        ("reordered", with_tensors(raw, swapped), r'tensors\[encoder.0.weight\]\.name: the file has "encoder.0.bias"'),
+        ("centroids_in_gcn", with_tensors(raw, names, variant="MLL-GCN"), "centroids"),
         ("graph_in_crc", with_tensors(raw, linear, variant="MLL-CRC", classifier_kind="linear",
-                                      gcn_layers=None), "do not match"),
+                                      gcn_layers=None), "correlation"),
     ):
         path = tmp_path / f"{name}.mllg"
         path.write_bytes(data)
@@ -472,29 +539,45 @@ def test_checkpoint_rejects_corruption(crc_result, tmp_path):
     config = header["config"]
     one_layer = [header["gcn_layers"][0]]
     for name, data, match in (
-        ("correlation_shape", with_shapes(raw, {"correlation": [3, 27]}), r"correlation\[3, 27\]"),
-        ("embeddings_shape", with_shapes(raw, {"embeddings": [8, 9]}), r"embeddings\[8, 9\]"),
-        ("centroids_shape", with_shapes(raw, {"centroids": [2, 16]}), r"centroids\[2, 16\]"),
+        ("correlation_shape", with_shapes(raw, {"correlation": [3, 27]}),
+         r"tensors\[correlation\]\.shape: the file has \[3,27\], a save writes \[9,9\]"),
+        ("embeddings_shape", with_shapes(raw, {"embeddings": [8, 9]}), r"tensors\[embeddings\]\.shape"),
+        ("centroids_shape", with_shapes(raw, {"centroids": [2, 16]}), r"tensors\[centroids\]\.shape"),
         ("gcn_shapes", with_shapes(raw, {"gcn.0.weight": [4, 16], "gcn.1.weight": [16, 8]}),
-         r"gcn.0.weight\[4, 16\]"),
+         r"tensors\[gcn.0.weight\]\.shape: the file has \[4,16\]"),
         ("glove_d", with_header(raw, dict(header, config=dict(config, glove=dict(config["glove"], d=4)))),
-         r"embeddings\[9, 4\]"),
+         r"tensors\[embeddings\]\.shape: the file has \[9,8\], a save writes \[9,4\]"),
         ("n_clusters", with_header(raw, dict(header, config=dict(config, n_clusters=2))),
-         r"centroids\[2, 8\]"),
+         r"tensors\[centroids\]\.shape: the file has \[4,8\], a save writes \[2,8\]"),
         ("encoder_widths", with_header(raw, dict(header, config=dict(
             config, encoder=dict(config["encoder"], layer_widths=[8, 32])))),
-         r"encoder.1.weight\[8, 32\]"),
-        ("one_gcn_layer", with_header(raw, dict(header, gcn_layers=one_layer)), "do not match"),
+         r"tensors\[encoder.1.weight\]\.shape: the file has \[8,16\], a save writes \[8,32\]"),
+        ("one_gcn_layer", with_header(raw, dict(header, gcn_layers=one_layer)),
+         r"gcn_layers\[1\]: the file has nothing"),
         ("swapped_gcn_layers", with_header(raw, dict(header, gcn_layers=header["gcn_layers"][::-1])),
-         "gcn_layers .* do not match"),
+         r"gcn_layers\[0\]\.activation"),
         ("gcn_slope", with_header(raw, dict(header, gcn_layers=[
-            dict(layer, slope=0.3) for layer in header["gcn_layers"]])), "gcn_layers .* do not match"),
-        ("flat_encoder_weight", with_shapes(raw, {"encoder.0.weight": [128]}), "malformed header"),
+            dict(layer, slope=0.3) for layer in header["gcn_layers"]])), r"gcn_layers\[0\]\.slope"),
+        ("flat_encoder_weight", with_shapes(raw, {"encoder.0.weight": [128]}),
+         r"tensors\[encoder.0.weight\]\.shape: the file has \[128\]"),
     ):
         path = tmp_path / f"{name}.mllg"
         path.write_bytes(data)
         with pytest.raises(CheckpointFormatError, match=match):
             load_checkpoint(path)
+
+    # A header loads only if it is the one a save of its own contents writes.
+    for name, bad, match in header_edits(header):
+        path = tmp_path / f"edit_{name}.mllg"
+        path.write_bytes(with_header(raw, bad))
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+    linear_raw = checkpoint_bytes(variant_results["MLL-CL"].checkpoint)
+    layers, match = LINEAR_GCN_LAYERS
+    path = tmp_path / "linear_gcn_layers.mllg"
+    path.write_bytes(with_header(linear_raw, dict(read_header(linear_raw), gcn_layers=layers)))
+    with pytest.raises(CheckpointFormatError, match=match):
+        load_checkpoint(path)
 
 
 def test_checkpoint_roundtrip_linear_head(small_splits, tmp_path):
