@@ -149,13 +149,15 @@ def resolve_config(args) -> dict:
         cfg["variant"] = args.variant
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         cfg["out_dir"] = args.out
     seed = cfg["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
     if not isinstance(cfg["out_dir"], str):
         raise ConfigError(f"out_dir: expected a string, got {json.dumps(cfg['out_dir'])}")
+    if not cfg["out_dir"]:
+        raise ConfigError("out_dir: must not be empty")
     for key in ("dataset_path", "vocabulary_path"):
         if not isinstance(cfg["data"][key], (str, type(None))):
             raise ConfigError(f"data.{key}: expected a string or null, got {json.dumps(cfg['data'][key])}")

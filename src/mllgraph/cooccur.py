@@ -9,19 +9,28 @@ import numpy as np
 from .corpus import Dataset
 
 
+# Below this many rows the label product runs in float32: every partial sum
+# of Y^T Y is then an integer below 2^24, which float32 holds exactly.
+_FLOAT32_EXACT_ROWS = 2 ** 24
+
+
 def build_cooccurrence(dataset: Dataset) -> np.ndarray:
     """Count joint label occurrences: the (C, C) int64 X = Y^T Y over the 0/1 label matrix.
 
     X is symmetric and nonnegative, and its diagonal holds the class totals.
 
-    The product runs in float64 so that it goes through BLAS (an integer
-    matmul does not); it is exact because every partial sum is an integer
-    no larger than the sample count, far below 2^53.
+    The product runs in floating point so that it goes through BLAS (an
+    integer matmul does not). Every partial sum is an integer no larger
+    than the row count n, so it is exact in float32 while n is below
+    `_FLOAT32_EXACT_ROWS` and in float64 (exact below 2^53) from there on.
     """
     if len(dataset) == 0:
         raise ValueError("cannot build co-occurrence counts from an empty dataset")
-    Y = dataset.labels_matrix().astype(np.float64)
-    return (Y.T @ Y).astype(np.int64)
+    Y = dataset.labels_matrix()
+    Y = Y.astype(np.float32 if len(Y) < _FLOAT32_EXACT_ROWS else np.float64)
+    product = Y.T @ Y
+    del Y  # the float labels go before the int64 result is made
+    return product.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -39,11 +48,18 @@ class WeightingConfig:
 
 
 def weight_matrix(counts: np.ndarray, cfg: WeightingConfig) -> np.ndarray:
-    X = np.asarray(counts, dtype=np.float64)
+    """f(X) = min(X / x_max, 1)^exponent on the positive counts, 0.0 on the others.
+
+    Integer counts are divided as they are, without a float copy. The zero
+    cells (and NaN ones) keep the 0.0 the buffer starts with.
+    """
+    X = np.asarray(counts)
     if np.any(X < 0):
         raise ValueError("counts must be nonnegative")
-    # the power only over the nonzero counts; the zero cells keep the 0.0 of `out`
-    return np.power(np.minimum(X / cfg.x_max, 1.0), cfg.exponent, out=np.zeros_like(X), where=X > 0)
+    positive = X > 0
+    W = np.divide(X, cfg.x_max, out=np.zeros(X.shape), where=positive)
+    np.minimum(W, 1.0, out=W)
+    return np.power(W, cfg.exponent, out=W, where=positive)
 
 
 @dataclass(frozen=True)
@@ -70,37 +86,42 @@ class AdjacencyConfig:
 
 
 def conditional_probabilities(X: np.ndarray) -> np.ndarray:
-    """P[i, j] = X_ij / N_i off the diagonal of the counts X; rows of never-seen classes are zero."""
-    counts = X.astype(np.float64)
-    N = np.diagonal(counts).copy()
-    P = np.zeros_like(counts)
-    nz = N > 0
-    P[nz] = counts[nz] / N[nz, None]
+    """P[i, j] = X_ij / N_i off the diagonal of the counts X; rows of never-seen classes are zero.
+
+    The integer counts are divided straight into the one float64 result.
+    """
+    X = np.asarray(X)
+    N = np.diagonal(X)[:, None]
+    P = np.divide(X, N, out=np.zeros(X.shape), where=N > 0)
     np.fill_diagonal(P, 0.0)
     return P
 
 
 def build_adjacency(X: np.ndarray, cfg: AdjacencyConfig) -> np.ndarray:
-    P = conditional_probabilities(X)
+    """The adjacency of `cfg.mode`, built in the buffer of the conditional probabilities.
+
+    Binarized, a kept cell holds reweight / (its row's count of kept
+    cells): the same bits as spreading reweight * 1.0 over that count.
+    """
+    A = conditional_probabilities(X)
     if cfg.mode == "conditional":
-        A = P.copy()
         np.fill_diagonal(A, 1.0)
         return A
-    A = (P >= cfg.threshold).astype(np.float64)
-    np.fill_diagonal(A, 0.0)
-    row_sums = A.sum(axis=1)
-    out = np.zeros_like(A)
-    nz = row_sums > 0
-    out[nz] = cfg.reweight * A[nz] / row_sums[nz, None]
-    np.fill_diagonal(out, 1.0 - cfg.reweight)
-    return out
+    keep = A >= cfg.threshold
+    np.fill_diagonal(keep, False)
+    kept = keep.sum(axis=1)
+    share = cfg.reweight / np.maximum(kept, 1)  # rows without a kept cell take no share
+    np.multiply(keep, share[:, None], out=A)
+    np.fill_diagonal(A, 1.0 - cfg.reweight)
+    return A
 
 
 def normalize_adjacency(A: np.ndarray) -> np.ndarray:
-    """D^(-1/2) A D^(-1/2) with D the row-sum degree matrix.
+    """D^(-1/2) A D^(-1/2) with D the row-sum degree matrix, as one new array.
 
-    Zero-sum rows stay zero off the diagonal and get a unit self-loop so
-    isolated classes pass through the propagation unchanged.
+    Each cell is (d_i A_ij) d_j. Zero-sum rows stay zero off the diagonal
+    and get a unit self-loop so isolated classes pass through the
+    propagation unchanged.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -111,9 +132,10 @@ def normalize_adjacency(A: np.ndarray) -> np.ndarray:
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    B = inv_sqrt[:, None] * A * inv_sqrt[None, :]
-    for i in np.flatnonzero(~nz):
-        B[i, i] = 1.0
+    B = np.multiply(inv_sqrt[:, None], A)
+    B *= inv_sqrt[None, :]
+    isolated = np.flatnonzero(~nz)
+    B[isolated, isolated] = 1.0
     return B
 
 

@@ -269,7 +269,7 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
                 raise bad(f"invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
                 raise bad("record must be a JSON object")

@@ -53,10 +53,13 @@ class GloveDivergenceError(RuntimeError):
 
 
 def _fixed_terms(counts: np.ndarray, wcfg: WeightingConfig):
-    """(f(X), the mask of zero cells, log X): the parts of the objective the counts fix."""
-    X = np.asarray(counts, dtype=np.float64)
+    """(f(X), the mask of zero cells, log X): the parts of the objective the counts fix.
+
+    Integer counts are read as they are; neither term makes a float copy of them.
+    """
+    X = np.asarray(counts)
     mask = X > 0
-    logX = np.log(X, out=np.zeros_like(X), where=mask)
+    logX = np.log(X, out=np.zeros(X.shape), where=mask)
     return weight_matrix(X, wcfg), ~mask, logX
 
 

@@ -589,29 +589,41 @@ def _tensor_entries(cp: Checkpoint):
     return entries + list(zip(cp.head.names, cp.head.params))
 
 
-def checkpoint_bytes(cp: Checkpoint) -> bytes:
+def _checkpoint_chunks(cp: Checkpoint):
+    """The file a save of `cp` writes, as byte chunks: magic, version and header, then each
+    tensor's length and little-endian payload (a view of the tensor, not a copy), then the
+    CRC-32. Raises ValueError before the first chunk if the tensors or encoder slope are not
+    the ones the header describes."""
     header = checkpoint_header(cp.variant, cp.config, cp.vocabulary, cp.encoder_params.input_dim, cp.epoch)
     entries = [(name, np.ascontiguousarray(arr, dtype=np.float64)) for name, arr in _tensor_entries(cp)]
     tensors = [{"name": name, "shape": list(arr.shape), "dtype": "<f8"} for name, arr in entries]
     if tensors != header["tensors"] or cp.encoder_params.slope != cp.config.encoder.slope:
         raise ValueError("checkpoint tensors or encoder slope do not match its variant, vocabulary and config")
     header_bytes = _canonical(header).encode("utf-8")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += struct.pack("<I", len(header_bytes))
-    out += header_bytes
+    chunks = [MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes]
     for _, arr in entries:
-        blob = arr.astype("<f8", copy=False).tobytes(order="C")
-        out += struct.pack("<Q", len(blob))
-        out += blob
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+        payload = memoryview(arr.astype("<f8", copy=False)).cast("B")
+        chunks += [struct.pack("<Q", payload.nbytes), payload]
+    return _with_crc32(chunks)
+
+
+def _with_crc32(chunks):
+    """The chunks, then the CRC-32 of all of them, computed as they go out."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield struct.pack("<I", crc)
+
+
+def checkpoint_bytes(cp: Checkpoint) -> bytes:
+    return b"".join(_checkpoint_chunks(cp))
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
+    chunks = _checkpoint_chunks(cp)  # a checkpoint its header does not describe raises before the file opens
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(cp))
+        fh.writelines(chunks)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -619,17 +631,17 @@ def load_checkpoint(path) -> Checkpoint:
     JSON, the one a save of its own contents writes: `checkpoint_header` of
     the variant, config, vocabulary, epoch and encoder input width it holds."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())  # its slices are views: the CRC and the tensors read it in place
     pos = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(data):
             raise CheckpointTruncatedError(f"needed {n} bytes at offset {pos}, file has {len(data)}")
         pos += n
         return data[pos - n:pos]
 
-    magic = take(4)
+    magic = bytes(take(4))
     if magic != MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
     version = struct.unpack("<I", take(4))[0]
@@ -644,7 +656,7 @@ def load_checkpoint(path) -> Checkpoint:
     if zlib.crc32(data[:-4]) != stored_crc:
         raise CheckpointChecksumError("checksum mismatch; the file is corrupted")
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
+        header = json.loads(str(header_bytes, "utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise CheckpointFormatError(f"unreadable header: {exc}") from exc
 

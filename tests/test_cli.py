@@ -170,7 +170,7 @@ def test_train_and_eval_reject_names_and_ids_the_csv_files_cannot_carry(work, tm
     assert "error: line 5: sample id 'img,7' holds a comma" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert main(["synth", "--out", str(tmp_path / "x"), "--set", "synthetic.rho=1"]) == 2
     assert main(["synth", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
     assert main(["train", "--out", str(tmp_path / "x"), "--variant", "MLL-MEGA"]) == 2
@@ -242,6 +242,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(args) == 2, args
         assert capsys.readouterr().err == f"error: {message}\n", args
     assert not (tmp_path / "s").exists()
+    # an empty output directory is refused, not taken as the working directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for args in (["synth", "--set", "out_dir="], ["synth", "--out", ""], ["train", "--set", "out_dir="]):
+        assert main(args) == 2, args
+        assert capsys.readouterr().err == "error: out_dir: must not be empty\n", args
+    assert list(cwd.iterdir()) == []
 
 
 def test_train_requires_vocabulary_with_external_data(tmp_path):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mllgraph import cooccur
 from mllgraph.cooccur import (
     AdjacencyConfig,
     WeightingConfig,
@@ -49,6 +52,50 @@ def test_build_cooccurrence_matches_integer_product():
         assert X.dtype == np.int64
         Yi = Y.astype(np.int64)
         assert np.array_equal(X, Yi.T @ Yi)
+
+
+def random_label_dataset(n, C, density, seed):
+    rng = np.random.default_rng(seed)
+    vocab = LabelVocabulary(tuple((f"c{j}", "AS") for j in range(C)))
+    Y = (rng.random((n, C)) < density).astype(np.uint8)
+    Y[:, 0] = 1
+    return Dataset(vocab, [f"s{i}" for i in range(n)], ["p"] * n, np.zeros((n, 1)), Y)
+
+
+def test_build_cooccurrence_float64_fallback_gives_the_same_counts(monkeypatch):
+    """At or above the module's row bound the product runs in float64, below it in float32."""
+    data = random_label_dataset(300, 40, 0.3, seed=9)
+    casts = []
+
+    class Labels(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            casts.append(np.dtype(dtype))
+            return np.asarray(self).astype(dtype, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "labels_matrix", lambda self: self.labels.view(Labels))
+    counts = {}
+    for bound in (len(data) + 1, len(data), 1):
+        monkeypatch.setattr(cooccur, "_FLOAT32_EXACT_ROWS", bound)
+        counts[bound] = build_cooccurrence(data)
+    assert casts == [np.float32, np.float64, np.float64]
+    Yi = data.labels.astype(np.int64)
+    for X in counts.values():
+        assert X.dtype == np.int64 and np.array_equal(X, Yi.T @ Yi)
+
+
+def test_build_cooccurrence_peak_memory():
+    """At 1000 classes the counts peak below the int64 result, one float32 (C, C)
+    product and the labels in float32; a float64 product and labels are more."""
+    n, C = 450, 1000
+    data = random_label_dataset(n, C, 0.01, seed=4)
+    tracemalloc.start()
+    try:
+        X = build_cooccurrence(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.dtype == np.int64
+    assert peak < 8 * C * C + 4 * C * C + 4 * n * C, f"peak {peak} bytes"
 
 
 def test_build_cooccurrence_rejects_empty():

@@ -234,6 +234,14 @@ def test_load_dataset_reports_line_numbers(tmp_path):
     ])
     with pytest.raises(DatasetFormatError, match="line 2"):
         load_dataset(path, small_vocab())
+    # JSON that the parser refuses past a limit: an integer longer than
+    # Python's digit limit, and arrays nested deeper than its recursion limit
+    first = json.dumps({"id": "a", "subject_id": "p", "features": [1.0], "labels": ["A"]})
+    for bad in ('{"id": "b", "subject_id": "p", "features": [1' + "0" * 5000 + '], "labels": ["A"]}',
+                '{"id": "b", "subject_id": "p", "features": ' + "[" * 100_000 + "]" * 100_000 + "}"):
+        path = write_lines(tmp_path, [first, bad])
+        with pytest.raises(DatasetFormatError, match=re.escape("line 2: invalid JSON (")):
+            load_dataset(path, small_vocab())
     # a sample id the CSV artifacts cannot carry in a row
     for bad in ("img,7", "img\n7", "img\r7", "img\x857"):
         path = write_lines(tmp_path, [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mllgraph import trainer
-from mllgraph.cooccur import build_cooccurrence
+from mllgraph.cooccur import AdjacencyConfig, build_cooccurrence
 from mllgraph.corpus import (
     Dataset,
     LabelVocabulary,
@@ -18,11 +18,12 @@ from mllgraph.corpus import (
     split_by_subject,
     synthetic_vocabulary,
 )
-from mllgraph.layers import EncoderConfig
+from mllgraph.layers import EncoderConfig, init_encoder
 from mllgraph.glove import GloveConfig
 from mllgraph.metrics import compute_report
 from mllgraph.trainer import (
     VARIANT_NAMES,
+    Checkpoint,
     CheckpointChecksumError,
     CheckpointFormatError,
     CheckpointTruncatedError,
@@ -392,6 +393,60 @@ def test_scoring_and_report_hold_a_bounded_working_set():
     assert peak < 2.5 * table.scores.nbytes, f"peak {peak} bytes for a {table.scores.nbytes}-byte table"
 
 
+WIDE = 1000  # classes of the 1000-class benchmark corpus
+
+
+def wide_counts(n: int = 450, seed: int = 4) -> np.ndarray:
+    """(WIDE, WIDE) int64 co-occurrence counts of n samples with about 1% of the labels set."""
+    Y = (np.random.default_rng(seed).random((n, WIDE)) < 0.01).astype(np.int64)
+    Y[:, 0] = 1
+    return Y.T @ Y
+
+
+@pytest.mark.parametrize("mode", ("binarized", "conditional"))
+def test_gcn_graph_peaks_at_two_and_a_quarter_matrices(mode):
+    """B-hat at 1000 classes holds no more than 2.25 float64 (C, C) arrays above
+    the counts: the adjacency, B-hat beside it and a boolean mask."""
+    X = wide_counts()
+    tracemalloc.start()
+    try:
+        bhat = GcnHead.graph(X, AdjacencyConfig(mode=mode))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bhat.shape == (WIDE, WIDE)
+    assert peak <= 2.25 * WIDE * WIDE * 8, f"peak {peak / (WIDE * WIDE * 8):.2f} (C, C) float64 arrays"
+
+
+def test_checkpoint_save_writes_the_tensors_without_copying_them(tmp_path):
+    """A 1000-class MLL-GCN-CRC checkpoint (8 MB of B-hat alone) saves in under
+    1 MiB of allocations, and the file is the bytes `checkpoint_bytes` joins."""
+    cfg = TrainConfig()
+    rng = np.random.default_rng(3)
+    cp = Checkpoint(
+        variant=VariantSpec.from_name("MLL-GCN-CRC"),
+        config=cfg,
+        vocabulary=synthetic_vocabulary(250, 750),
+        encoder_params=init_encoder(16, cfg.encoder, seed=1),
+        head=GcnHead.init(WIDE, cfg.glove.d, cfg.encoder.output_dim, seed=2),
+        embeddings=rng.standard_normal((WIDE, cfg.glove.d)),
+        correlation=GcnHead.graph(wide_counts(), cfg.adjacency),
+        centroids=rng.standard_normal((cfg.n_clusters, cfg.glove.d)),
+        epoch=1,
+    )
+    path = tmp_path / "wide.mllg"
+    tracemalloc.start()
+    try:
+        save_checkpoint(cp, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak} bytes"
+    raw = path.read_bytes()
+    assert raw == checkpoint_bytes(cp)
+    assert checkpoint_bytes(load_checkpoint(path)) == raw
+
+
 @pytest.fixture(scope="module")
 def variant_results(small_splits, crc_result):
     train, val, _ = small_splits
@@ -408,16 +463,21 @@ def test_checkpoint_roundtrip_is_bit_exact(variant_results, name, tmp_path):
     path = tmp_path / "model.mllg"
     save_checkpoint(cp, path)
     raw = path.read_bytes()
+    assert checkpoint_bytes(cp) == raw
     loaded = load_checkpoint(path)
     assert checkpoint_bytes(loaded) == raw
+    # each tensor is its own aligned, writable array, not a view of the file's bytes
+    for arr in (loaded.embeddings, *loaded.encoder_params.weights, *loaded.head.params):
+        assert arr.flags.owndata and arr.flags.aligned and arr.flags.writeable
     assert loaded.variant.name == name
     assert loaded.epoch == cp.epoch
     assert np.array_equal(loaded.embeddings, cp.embeddings)
     assert np.array_equal(classifier_matrix(loaded), classifier_matrix(cp))
 
 
-def test_checkpoint_save_rejects_tensors_its_header_does_not_describe(crc_result):
+def test_checkpoint_save_rejects_tensors_its_header_does_not_describe(crc_result, tmp_path):
     cp = crc_result.checkpoint
+    path = tmp_path / "bad.mllg"
     for bad in (
         dataclasses.replace(cp, embeddings=cp.embeddings[:, :4]),
         dataclasses.replace(cp, centroids=None),
@@ -425,6 +485,9 @@ def test_checkpoint_save_rejects_tensors_its_header_does_not_describe(crc_result
     ):
         with pytest.raises(ValueError, match="do not match its variant, vocabulary and config"):
             checkpoint_bytes(bad)
+        with pytest.raises(ValueError, match="do not match its variant, vocabulary and config"):
+            save_checkpoint(bad, path)
+        assert not path.exists()
 
 
 def test_checkpoint_rejects_corruption(crc_result, variant_results, tmp_path):
@@ -454,6 +517,10 @@ def test_checkpoint_rejects_corruption(crc_result, variant_results, tmp_path):
     truncated.write_bytes(raw[:20])
     with pytest.raises(CheckpointTruncatedError):
         load_checkpoint(truncated)
+    (n,) = struct.unpack("<I", raw[8:12])
+    truncated.write_bytes(raw[:12 + n + 2])
+    with pytest.raises(CheckpointTruncatedError, match="missing checksum footer"):
+        load_checkpoint(truncated)
     tail_cut = tmp_path / "tail.mllg"
     tail_cut.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CheckpointChecksumError):
@@ -462,7 +529,6 @@ def test_checkpoint_rejects_corruption(crc_result, variant_results, tmp_path):
     # A header that passes the checksum can still be malformed, nested too
     # deep for the JSON parser or hold an integer past Python's digit limit.
     header = read_header(raw)
-    (n,) = struct.unpack("<I", raw[8:12])
     for name, blob in (("nested", b"[" * 100_000 + b"]" * 100_000),
                        ("long_int", b'{"epoch":1' + b"0" * 5000 + b"}")):
         body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:-4]

@@ -9,8 +9,10 @@
 # that should write the same bytes must be run with the same absolute
 # WORK_DIR, since config.json records the corpus paths; run one, keep its
 # manifest, then run the other and compare the manifests. EPOCHS (default 3)
-# is the phase-2 epoch count of each `train`. Besides the default 39-class
-# corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
+# is the phase-2 epoch count of each `train`. On the default 39-class corpus
+# every variant trains at the defaults, and MLL-GCN once more with the
+# conditional adjacency and once with a non-default weighting and threshold.
+# Besides that corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
 # trained on as MLL-GCN-CRC with 16 GloVe epochs and evaluated in both SP
 # modes.
 set -euo pipefail
@@ -42,6 +44,13 @@ for variant in Single-MLL MLL-CL MLL-CRC MLL-GCN MLL-GCN-CL MLL-GCN-CRC; do
             --data "$work/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/eval/$variant/$mode"
     done
 done
+# off the defaults: the conditional adjacency, and a binarized one at another
+# threshold over a non-default count weighting
+run train-MLL-GCN-conditional train --seed 3 --variant MLL-GCN --out "$work/train/MLL-GCN-conditional" \
+    --set "train.epochs=$epochs" --set adjacency.mode=conditional "${corpus[@]}"
+run train-MLL-GCN-weighting train --seed 3 --variant MLL-GCN --out "$work/train/MLL-GCN-weighting" \
+    --set "train.epochs=$epochs" --set weighting.x_max=7 --set weighting.exponent=0.5 \
+    --set adjacency.threshold=0.25 "${corpus[@]}"
 for what in embeddings correlation clusters projection; do
     run "export-$what" export --checkpoint "$work/train/MLL-GCN-CRC/checkpoint.mllg" \
         --what "$what" --out "$work/export/$what"
