@@ -17,30 +17,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .cooccur import write_matrix_csv
+from .artifacts import (
+    read_score_csv,
+    write_assignments_csv,
+    write_centroids_csv,
+    write_embeddings_csv,
+    write_matrix_csv,
+    write_rows,
+    write_score_csv,
+)
 from .corpus import (
     Dataset,
     DatasetFormatError,
     LabelVocabulary,
     SyntheticConfig,
-    format_csv_row,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split_by_subject,
 )
-from .glove import GloveDivergenceError, write_embeddings_csv
-from .metrics import (
-    METRIC_KEYS,
-    SP_MODES,
-    compute_report,
-    format_report_json,
-    percentages,
-    read_score_csv,
-    write_score_csv,
-)
+from .glove import GloveDivergenceError
+from .metrics import METRIC_KEYS, SP_MODES, compute_report, format_report_json, percentages
 from .oracle import oracle_metrics
-from .relabel import write_assignments_csv, write_centroids_csv
 from .seeding import stage_seed
 from .trainer import (
     CheckpointError,
@@ -218,6 +216,22 @@ def _obtain_dataset(cfg: dict) -> Dataset:
     return generate_synthetic(build_synthetic_config(cfg))
 
 
+def _out_path(out: str) -> Path:
+    """eval's and export's --out; an empty one would be the working directory."""
+    if not out:
+        raise ConfigError("--out: must not be empty")
+    return Path(out)
+
+
+def _write_report(out: Path, suffix: str, cp, dataset: Dataset, threshold: float, sp_mode: str):
+    """Score `dataset` and write metrics<suffix>.json and scores<suffix>.csv; returns the report."""
+    table = score_dataset(cp, dataset, threshold)
+    values, per_class_ap = compute_report(table, cp.vocabulary.sp_indices, sp_mode)
+    (out / f"metrics{suffix}.json").write_text(format_report_json(values), encoding="utf-8")
+    write_score_csv(out / f"scores{suffix}.csv", table, dataset.ids, cp.vocabulary.names)
+    return values, per_class_ap
+
+
 def _write_config_snapshot(cfg: dict, out: Path) -> None:
     (out / "config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -272,14 +286,10 @@ def cmd_train(args) -> int:
     if cp.correlation is not None:
         write_matrix_csv(out / "correlation.csv", cp.correlation, vocab.names)
     write_embeddings_csv(out / "embeddings.csv", cp.embeddings, vocab.names)
-    with open(out / "glove_trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for i, v in enumerate(result.glove_loss_trace):
-            fh.write(f"{i},{float(v)!r}\n")
-    with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_exact_match\n")
-        for r in result.trace:
-            fh.write(f"{r.epoch},{r.train_loss!r},{r.val_exact_match!r}\n")
+    glove_trace = result.glove_loss_trace
+    write_rows(out / "glove_trace.csv", ("epoch", "loss"), range(len(glove_trace)), glove_trace[:, None])
+    write_rows(out / "trace.csv", ("epoch", "train_loss", "val_exact_match"), [r.epoch for r in result.trace],
+               np.array([(r.train_loss, r.val_exact_match) for r in result.trace]))
     if result.assignments is not None:
         write_assignments_csv(out / "sample_clusters.csv", train.ids, result.assignments)
         write_centroids_csv(out / "centroids.csv", result.kmeans_result.centroids)
@@ -287,10 +297,7 @@ def cmd_train(args) -> int:
     for split, name in ((val, "val"), (test, "test")):
         if len(split) == 0:
             continue
-        table = score_dataset(cp, split, threshold)
-        values, _ = compute_report(table, vocab.sp_indices, sp_mode)
-        (out / f"metrics_{name}.json").write_text(format_report_json(values), encoding="utf-8")
-        write_score_csv(out / f"scores_{name}.csv", table, split.ids, vocab.names)
+        values, _ = _write_report(out, f"_{name}", cp, split, threshold, sp_mode)
         scaled = percentages(values)
         print(f"{name}: " + " ".join(f"{k}={scaled[k]}" for k in ("MLL_ACC", "SP_ACC", "mAP", "HL")))
 
@@ -301,19 +308,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_scoring(args.threshold, args.sp_mode)
+    out = _out_path(args.out)
     cp = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data, cp.vocabulary)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = score_dataset(cp, dataset, args.threshold)
-    values, per_class_ap = compute_report(table, cp.vocabulary.sp_indices, args.sp_mode)
-    (out / "metrics.json").write_text(format_report_json(values), encoding="utf-8")
-    write_score_csv(out / "scores.csv", table, dataset.ids, cp.vocabulary.names)
+    values, per_class_ap = _write_report(out, "", cp, dataset, args.threshold, args.sp_mode)
     cp.vocabulary.save(out / "vocabulary.json")
-    with open(out / "per_class_ap.csv", "w", encoding="utf-8") as fh:
-        fh.write("name,ap\n")
-        for name, ap in zip(cp.vocabulary.names, per_class_ap):
-            fh.write(f"{name},{'' if np.isnan(ap) else repr(float(ap))}\n")
+    write_rows(out / "per_class_ap.csv", ("name", "ap"), cp.vocabulary.names, per_class_ap[:, None])
     scaled = percentages(values)
     print(" ".join(f"{k}={scaled[k]}" for k in METRIC_KEYS))
     print(f"artifacts in {out}")
@@ -333,33 +334,25 @@ def _pca_projection(Z: np.ndarray):
 
 
 def cmd_export(args) -> int:
+    out = _out_path(args.out)
     cp = load_checkpoint(args.checkpoint)
-    out = Path(args.out)
+    if args.what == "correlation" and cp.correlation is None:
+        raise ConfigError("checkpoint stores no correlation matrix (non-graph variant)")
+    if args.what == "clusters" and cp.centroids is None:
+        raise ConfigError("checkpoint stores no cluster model (non-CRC variant)")
     out.mkdir(parents=True, exist_ok=True)
     names = cp.vocabulary.names
     if args.what == "embeddings":
         write_embeddings_csv(out / "embeddings.csv", cp.embeddings, names)
     elif args.what == "correlation":
-        if cp.correlation is None:
-            raise ConfigError("checkpoint stores no correlation matrix (non-graph variant)")
         write_matrix_csv(out / "correlation.csv", cp.correlation, names)
     elif args.what == "clusters":
-        if cp.centroids is None:
-            raise ConfigError("checkpoint stores no cluster model (non-CRC variant)")
         write_centroids_csv(out / "centroids.csv", cp.centroids)
-    elif args.what == "projection":
+    else:  # projection, the last of the parser's choices
         proj, axes, mean = _pca_projection(cp.embeddings)
-        with open(out / "projection.csv", "w", encoding="utf-8") as fh:
-            fh.write("name,pc1,pc2\n")
-            for name, row in zip(names, proj):
-                fh.write(f"{name},{float(row[0])!r},{float(row[1])!r}\n")
-        with open(out / "projection_axes.csv", "w", encoding="utf-8") as fh:
-            fh.write("component," + ",".join(f"e{j}" for j in range(axes.shape[1])) + "\n")
-            fh.write(f"mean,{format_csv_row(mean)}\n")
-            for j in range(axes.shape[0]):
-                fh.write(f"pc{j + 1},{format_csv_row(axes[j])}\n")
-    else:
-        raise ConfigError(f"unknown export target: {args.what!r}")
+        write_rows(out / "projection.csv", ("name", "pc1", "pc2"), names, proj)
+        write_rows(out / "projection_axes.csv", ["component"] + [f"e{j}" for j in range(axes.shape[1])],
+                   ["mean"] + [f"pc{j + 1}" for j in range(len(axes))], [mean, *axes])
     print(f"artifacts in {out}")
     return 0
 

@@ -137,27 +137,3 @@ def normalize_adjacency(A: np.ndarray) -> np.ndarray:
     isolated = np.flatnonzero(~nz)
     B[isolated, isolated] = 1.0
     return B
-
-
-def write_matrix_csv(path, matrix: np.ndarray, names) -> None:
-    """Row-major CSV with the label names as header; integer matrices stay integer.
-
-    The text is `format_csv_row`'s (`str` of each int, `repr` of each
-    float), but label statistics are mostly zeros, so only a row's nonzero
-    cells are formatted and every other cell is the one zero text. A float
-    is zero by its bits, so -0.0 keeps its own text.
-    """
-    M = np.asarray(matrix)
-    if np.issubdtype(M.dtype, np.integer):
-        zero, bits = "0", M
-    else:
-        M = np.ascontiguousarray(M, dtype=np.float64)
-        zero, bits = "0.0", M.view(np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row, row_bits in zip(M, bits):
-            nz = np.flatnonzero(row_bits)
-            cells = [zero] * row.size
-            for j, text in zip(nz.tolist(), map(repr, row[nz].tolist())):
-                cells[j] = text
-            fh.write(",".join(cells) + "\n")

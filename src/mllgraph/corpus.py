@@ -10,16 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import CSV_BREAKS, TARGET_PREFIX
 from .seeding import stage_rng
 
 KIND_PLANE = "SP"
 KIND_STRUCTURE = "AS"
 _VALID_KINDS = (KIND_PLANE, KIND_STRUCTURE)
-# What the CSV artifacts cannot carry in a label name or a sample id: the
-# comma, and every character `str.splitlines` breaks a line at. A name must
-# also not start with the prefix that marks a score file's target columns.
-_CSV_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
-_TARGET_PREFIX = "target:"
 
 # Built-in class names: ten plane classes, twenty-four named anatomical
 # structures, padded with AS25..AS29 placeholders so the default benchmark
@@ -56,10 +52,10 @@ class LabelVocabulary:
         for i, (name, kind) in enumerate(entries):
             if kind not in _VALID_KINDS:
                 raise ValueError(f"label {name!r} has invalid kind {kind!r}")
-            if not _CSV_BREAKS.isdisjoint(name) or name.startswith(_TARGET_PREFIX):
+            if not CSV_BREAKS.isdisjoint(name) or name.startswith(TARGET_PREFIX):
                 raise DatasetFormatError(
                     f"vocabulary entry {i}: label name {name!r} holds a comma or a line break "
-                    f"or starts with {_TARGET_PREFIX!r}, which the CSV artifacts cannot carry"
+                    f"or starts with {TARGET_PREFIX!r}, which the CSV artifacts cannot carry"
                 )
 
     @property
@@ -277,7 +273,7 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
                 if key not in rec:
                     raise bad(f"missing key {key!r}")
             sid = str(rec["id"])
-            if not _CSV_BREAKS.isdisjoint(sid):
+            if not CSV_BREAKS.isdisjoint(sid):
                 raise bad(f"sample id {sid!r} holds a comma or a line break, "
                           "which the CSV artifacts cannot carry")
             feats = rec["features"]
@@ -308,17 +304,6 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
     flush()
     n = len(ids)
     return Dataset(vocabulary, ids, subjects, features[:n], labels[:n])
-
-
-def format_csv_row(values: np.ndarray) -> str:
-    """One CSV row from a 1-D int or float array: `str` of each int, `repr` of each float.
-
-    `repr` of a Python float is the shortest text that reads back to the
-    same bits. The row is converted with one `tolist()` call rather than
-    element by element; callers pass one row at a time so that a whole
-    matrix is never held as Python objects.
-    """
-    return ",".join(map(repr, values.tolist()))
 
 
 def save_dataset(dataset: Dataset, path) -> None:

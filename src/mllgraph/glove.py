@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cooccur import WeightingConfig, weight_matrix
-from .corpus import format_csv_row
 from .layers import block_views
 
 
@@ -179,11 +178,3 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     # at least) makes that epoch's loss non-finite, and a row without one has
     # a zero gradient, so it keeps its init
     return GloveResult(embedding=params.w + params.w_ctx, loss_trace=trace, params=params)
-
-
-def write_embeddings_csv(path, vectors: np.ndarray, names) -> None:
-    Z = np.asarray(vectors, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name," + ",".join(f"e{j}" for j in range(Z.shape[1])) + "\n")
-        for name, row in zip(names, Z):
-            fh.write(f"{name},{format_csv_row(row)}\n")

@@ -5,12 +5,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics
-from .corpus import format_csv_row
 
 METRIC_KEYS = ("SP_ACC", "MLL_ACC", "mAP", "HL", "OP", "OR", "OF1", "CP", "CR", "CF1")
 SP_MODES = ("exact", "argmax")  # SP_ACC by exact match on the plane bits, or by the top plane
@@ -58,15 +56,10 @@ def binarize(table: ScoreTable) -> np.ndarray:
     return (table.scores > table.threshold).astype(np.uint8)
 
 
-def _safe_ratio(num: float, den: float, event: str) -> float:
-    if den == 0:
-        diagnostics.record(event)
-        return 0.0
-    return num / den
-
-
-def _safe_ratios(num: np.ndarray, den: np.ndarray, event: str) -> np.ndarray:
-    """num / den per element, 0 where den is 0; each such element is counted."""
+def _safe_ratios(num, den, event: str) -> np.ndarray:
+    """num / den per element (or of two scalars), 0 where den is 0; each such element is counted."""
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
     zero = den == 0
     n_zero = int(np.count_nonzero(zero))
     if n_zero:
@@ -74,60 +67,21 @@ def _safe_ratios(num: np.ndarray, den: np.ndarray, event: str) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=~zero)
 
 
-def overall_and_perclass(table: ScoreTable):
-    """(OP, OR, OF1, CP, CR, CF1); every 0/0 is defined as 0 and counted."""
-    pred = binarize(table).astype(bool)
-    tgt = table.targets.astype(bool)
-    tp = (pred & tgt).sum(axis=0).astype(np.float64)
-    fp = (pred & ~tgt).sum(axis=0).astype(np.float64)
-    fn = (~pred & tgt).sum(axis=0).astype(np.float64)
-    op = _safe_ratio(tp.sum(), tp.sum() + fp.sum(), "overall_precision_zero_division")
-    orec = _safe_ratio(tp.sum(), tp.sum() + fn.sum(), "overall_recall_zero_division")
-    of1 = _safe_ratio(2.0 * op * orec, op + orec, "overall_f1_zero_division")
-    # exactly rounded means, as the oracle takes them, so a round-half tie rounds alike in both
-    cp = math.fsum(_safe_ratios(tp, tp + fp, "perclass_precision_zero_division").tolist()) / tp.size
-    cr = math.fsum(_safe_ratios(tp, tp + fn, "perclass_recall_zero_division").tolist()) / tp.size
-    cf1 = _safe_ratio(2.0 * cp * cr, cp + cr, "perclass_f1_zero_division")
-    return float(op), float(orec), float(of1), float(cp), float(cr), cf1
+def _precision_recall_f1(tp, fp, fn, scope: str):
+    """(P, R, F1) of (k,) counts; every 0/0 is 0 and counted as a `<scope>_*_zero_division` event.
 
-
-def hamming_loss(table: ScoreTable) -> float:
-    pred = binarize(table)
-    return float(np.mean(pred != table.targets))
-
-
-def exact_match(table: ScoreTable, restrict=None) -> float:
-    """Fraction of samples whose binarized prediction matches every target bit.
-
-    restrict limits the comparison to the given class indices (used for the
-    plane-only accuracy); it must be nonempty when provided.
+    P and R are the exactly rounded means of the k ratios, as the oracle
+    takes them, so a round-half tie rounds alike in both; summed counts
+    (k = 1) give the overall values.
     """
-    pred = binarize(table)
-    tgt = table.targets
-    if restrict is not None:
-        idx = np.asarray(restrict, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("restrict must name at least one class")
-        pred = pred[:, idx]
-        tgt = tgt[:, idx]
-    return float(np.mean(np.all(pred == tgt, axis=1)))
+    p = math.fsum(_safe_ratios(tp, tp + fp, scope + "_precision_zero_division").tolist()) / tp.size
+    r = math.fsum(_safe_ratios(tp, tp + fn, scope + "_recall_zero_division").tolist()) / tp.size
+    return p, r, float(_safe_ratios(2.0 * p * r, p + r, scope + "_f1_zero_division"))
 
 
-def sp_argmax_accuracy(table: ScoreTable, sp_indices) -> float:
-    """Alternative plane accuracy: top-scoring plane must be a true plane bit.
-
-    Samples without any positive plane bit count as correct only when the
-    binarized plane predictions are all zero.
-    """
-    idx = np.asarray(sp_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("sp_indices must name at least one class")
-    targets = table.targets[:, idx]
-    top = np.argmax(table.scores[:, idx], axis=1)  # ties resolve to the lowest index
-    hit = targets[np.arange(table.n), top] == 1
-    no_plane_predicted = ~binarize(table)[:, idx].any(axis=1)
-    correct = np.where(targets.any(axis=1), hit, no_plane_predicted)
-    return int(correct.sum()) / table.n
+def exact_match(table: ScoreTable) -> float:
+    """Fraction of samples whose binarized prediction matches every target bit."""
+    return float(np.mean(np.all(binarize(table) == table.targets, axis=1)))
 
 
 _AP_BLOCK = 1 << 16  # cells per column block of _column_aps
@@ -173,21 +127,37 @@ def mean_average_precision(table: ScoreTable):
 
 
 def compute_report(table: ScoreTable, sp_indices, sp_mode: str = "exact"):
-    """All Table-style metrics in one pass over a score table.
+    """All Table-style metrics from one binarized prediction of a score table.
 
     Returns (values, per-class AP): `values` maps each of METRIC_KEYS, in
     that order, to its fraction; the AP is NaN for classes without positives.
+    SP_ACC counts a sample whose plane bits (`sp_indices`) are all predicted
+    right, or under sp_mode "argmax" whose top-scoring plane (the first on a
+    tie) is a true one; a sample without a true plane then counts when no
+    plane is predicted.
     """
     if sp_mode not in SP_MODES:
         raise ValueError(f"unknown sp_mode: {sp_mode!r}")
+    sp = np.asarray(sp_indices, dtype=np.int64)
+    if sp.size == 0:
+        raise ValueError("sp_indices must name at least one class")
+    n = table.n
+    pred = binarize(table)
+    wrong = pred != table.targets
     if sp_mode == "exact":
-        sp_acc = exact_match(table, restrict=sp_indices)
+        sp_correct = n - int(np.count_nonzero(wrong[:, sp].any(axis=1)))
     else:
-        sp_acc = sp_argmax_accuracy(table, sp_indices)
-    mll_acc = exact_match(table)
+        planes = table.targets[:, sp]
+        hit = planes[np.arange(n), np.argmax(table.scores[:, sp], axis=1)] == 1
+        sp_correct = int(np.where(planes.any(axis=1), hit, ~pred[:, sp].any(axis=1)).sum())
+    mll_correct = n - int(np.count_nonzero(wrong.any(axis=1)))
     mp, per_class = mean_average_precision(table)
-    op, orec, of1, cp, cr, cf1 = overall_and_perclass(table)
-    values = (sp_acc, mll_acc, mp, hamming_loss(table), op, orec, of1, cp, cr, cf1)
+    tp = np.bitwise_and(pred, table.targets).sum(axis=0, dtype=np.int64)
+    fp = pred.sum(axis=0, dtype=np.int64) - tp
+    fn = table.targets.sum(axis=0, dtype=np.int64) - tp
+    overall = _precision_recall_f1(*(c.sum(keepdims=True) for c in (tp, fp, fn)), "overall")
+    per_class_prf = _precision_recall_f1(tp, fp, fn, "perclass")
+    values = (sp_correct / n, mll_correct / n, mp, float(np.mean(wrong)), *overall, *per_class_prf)
     return dict(zip(METRIC_KEYS, values)), per_class
 
 
@@ -199,56 +169,3 @@ def percentages(fractions: dict) -> dict:
 def format_report_json(values: dict) -> str:
     """Percentages rounded to two decimals, keys in the order `values` holds them."""
     return json.dumps(percentages(values), indent=2) + "\n"
-
-
-_SCORE_BLOCK_ROWS = 256  # rows whose target text is made in one step
-
-
-def _target_texts(targets: np.ndarray) -> list:
-    """The "0,1,..." text of each row of a uint8 0/1 block, made as one byte buffer."""
-    n, C = targets.shape
-    buf = np.full((n, 2 * C), ord(","), dtype=np.uint8)
-    buf[:, 0::2] = targets + ord("0")
-    text = buf.tobytes().decode("ascii")
-    w = 2 * C
-    return [text[i * w:(i + 1) * w - 1] for i in range(n)]
-
-
-def write_score_csv(path, table: ScoreTable, ids, names) -> None:
-    """Scores plus targets, one sample per row; re-read by read_score_csv.
-
-    Scores are `format_csv_row` text. Targets are 0/1 (`ScoreTable`
-    guarantees it), so their text is made a block of rows at a time.
-    """
-    if len(ids) != table.n or len(names) != table.n_classes:
-        raise ValueError("ids/names do not match the score table")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id," + ",".join(names) + "," + ",".join(f"target:{n}" for n in names) + "\n")
-        for start in range(0, table.n, _SCORE_BLOCK_ROWS):
-            block = slice(start, start + _SCORE_BLOCK_ROWS)
-            targets = _target_texts(table.targets[block])
-            for sid, srow, trow in zip(ids[block], table.scores[block], targets):
-                fh.write(f"{sid},{format_csv_row(srow)},{trow}\n")
-
-
-def read_score_csv(path, threshold: float = 0.5):
-    """Returns (ids, names, ScoreTable) from write_score_csv output."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError("empty score file")
-    header = lines[0].split(",")
-    try:
-        first_target = next(i for i, h in enumerate(header) if h.startswith("target:"))
-    except StopIteration:
-        raise ValueError("score file lacks target columns") from None
-    names = header[1:first_target]
-    ids = []
-    scores = []
-    targets = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        ids.append(parts[0])
-        scores.append([float(v) for v in parts[1:first_target]])
-        targets.append([int(v) for v in parts[first_target:]])
-    table = ScoreTable(np.asarray(scores), np.asarray(targets), threshold)
-    return ids, names, table

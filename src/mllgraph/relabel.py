@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .corpus import Dataset, format_csv_row
+from .corpus import Dataset
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,3 @@ def relabel(dataset: Dataset, vectors: np.ndarray, centroids: np.ndarray) -> np.
     means = (Y @ Z) / Y.sum(axis=1, keepdims=True)  # every sample has a label bit
     D2 = _squared_distances(means, centroids)
     return D2.argmin(axis=1).astype(np.int64)  # ties resolve to the lowest cluster index
-
-
-def write_assignments_csv(path, ids, assignments: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,cluster\n")
-        for sid, c in zip(ids, assignments.tolist()):
-            fh.write(f"{sid},{c}\n")
-
-
-def write_centroids_csv(path, centroids: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cluster," + ",".join(f"c{j}" for j in range(centroids.shape[1])) + "\n")
-        for k, row in enumerate(centroids):
-            fh.write(f"{k},{format_csv_row(row)}\n")

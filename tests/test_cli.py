@@ -7,7 +7,8 @@ import pytest
 
 from mllgraph.cli import ConfigError, apply_set, default_run_config, main, merge_config
 from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
-from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report, format_report_json, write_score_csv
+from mllgraph.artifacts import write_score_csv
+from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report, format_report_json
 from mllgraph.trainer import LinearHead, load_checkpoint
 
 from test_trainer import (
@@ -249,6 +250,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     for args in (["synth", "--set", "out_dir="], ["synth", "--out", ""], ["train", "--set", "out_dir="]):
         assert main(args) == 2, args
         assert capsys.readouterr().err == "error: out_dir: must not be empty\n", args
+    # eval and export refuse it too, before the (here missing) checkpoint is read
+    missing = str(tmp_path / "missing.mllg")
+    for args in (["eval", "--checkpoint", missing, "--data", str(tmp_path / "missing.jsonl"), "--out", ""],
+                 ["export", "--checkpoint", missing, "--what", "embeddings", "--out", ""]):
+        assert main(args) == 2, args
+        assert capsys.readouterr().err == "error: --out: must not be empty\n", args
     assert list(cwd.iterdir()) == []
 
 
@@ -351,6 +358,12 @@ def test_export_rejects_missing_tensors(work, tmp_path):
                  "--out", str(tmp_path / "a")]) == 2
     assert main(["export", "--checkpoint", single, "--what", "clusters",
                  "--out", str(tmp_path / "b")]) == 2
+    # a refused export creates no output directory; MLL-GCN has a graph but no clusters
+    assert main(["train", "--out", str(tmp_path / "gcn"), "--variant", "MLL-GCN", *SMALL_SETS]) == 0
+    for ckpt, what in ((single, "correlation"), (str(tmp_path / "gcn" / "checkpoint.mllg"), "clusters")):
+        assert main(["export", "--checkpoint", ckpt, "--what", what, "--out", str(tmp_path / "nodir" / "sub")]) == 2
+        assert not (tmp_path / "nodir").exists(), what
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_export_rejects_malformed_header(work, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mllgraph import cooccur
+from mllgraph.artifacts import write_matrix_csv
 from mllgraph.cooccur import (
     AdjacencyConfig,
     WeightingConfig,
@@ -12,7 +13,6 @@ from mllgraph.cooccur import (
     conditional_probabilities,
     normalize_adjacency,
     weight_matrix,
-    write_matrix_csv,
 )
 from mllgraph.corpus import Dataset, LabelVocabulary
 

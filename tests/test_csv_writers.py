@@ -1,11 +1,19 @@
-"""Byte-level checks of the matrix CSV writers against a per-element reference."""
+"""Byte-level checks of the CSV artifacts against a per-element reference."""
 
 import numpy as np
 
-from mllgraph.cooccur import write_matrix_csv
-from mllgraph.glove import write_embeddings_csv
-from mllgraph.metrics import ScoreTable, write_score_csv
-from mllgraph.relabel import write_assignments_csv, write_centroids_csv
+from mllgraph import cli
+from mllgraph.artifacts import (
+    write_assignments_csv,
+    write_centroids_csv,
+    write_embeddings_csv,
+    write_matrix_csv,
+    write_score_csv,
+)
+from mllgraph.metrics import ScoreTable
+from mllgraph.trainer import load_checkpoint
+
+from test_cli import SMALL_SETS
 
 # values whose shortest repr is easy to get wrong: signed zero, the smallest
 # subnormal, a huge magnitude, and a decimal with no exact binary form
@@ -14,10 +22,10 @@ UNIT_FLOATS = np.array([[-0.0, 5e-324, 0.1, 1.0], [0.0, 1 / 3, 0.5, 1 - 2 ** -53
 
 
 def ref_row(row) -> str:
-    """Reference: one str(int(v)) or repr(float(v)) per NumPy scalar."""
+    """Reference: one str(int(v)) or repr(float(v)) per NumPy scalar, an empty cell for NaN."""
     if np.issubdtype(row.dtype, np.integer):
         return ",".join(str(int(v)) for v in row)
-    return ",".join(repr(float(v)) for v in row)
+    return ",".join("" if np.isnan(v) else repr(float(v)) for v in row)
 
 
 def test_write_matrix_csv_bytes(tmp_path):
@@ -84,3 +92,47 @@ def test_cluster_writers_bytes(tmp_path):
     write_assignments_csv(apath, ("a", "b", "c"), assignments)
     want = "id,cluster\n" + "".join(f"{sid},{int(c)}\n" for sid, c in zip("abc", assignments))
     assert apath.read_bytes() == want.encode("utf-8")
+
+
+def test_command_row_artifacts_bytes(tmp_path, monkeypatch):
+    """glove_trace.csv, trace.csv, per_class_ap.csv and the projection files of the commands."""
+    seen = {}
+
+    def run_pipeline(*args):
+        seen["result"] = cli_run_pipeline(*args)
+        return seen["result"]
+
+    def compute_report(*args):
+        values, per_class = cli_compute_report(*args)
+        per_class[1] = np.nan  # a class without positives
+        seen["ap"] = per_class
+        return values, per_class
+
+    cli_run_pipeline, cli_compute_report = cli.run_pipeline, cli.compute_report
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    monkeypatch.setattr(cli, "compute_report", compute_report)
+    assert cli.main(["synth", "--out", str(tmp_path / "synth"), *SMALL_SETS]) == 0
+    assert cli.main(["train", "--out", str(tmp_path / "train"), *SMALL_SETS]) == 0
+    ckpt = str(tmp_path / "train" / "checkpoint.mllg")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--data", str(tmp_path / "synth" / "dataset.jsonl"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    assert cli.main(["export", "--checkpoint", ckpt, "--what", "projection", "--out", str(tmp_path / "proj")]) == 0
+
+    result = seen["result"]
+    cp = load_checkpoint(ckpt)
+    names = cp.vocabulary.names
+    proj, axes, mean = cli._pca_projection(cp.embeddings)
+    want = {
+        "train/glove_trace.csv": "epoch,loss\n" + "".join(
+            f"{i},{ref_row(np.array([v]))}\n" for i, v in enumerate(result.glove_loss_trace)),
+        "train/trace.csv": "epoch,train_loss,val_exact_match\n" + "".join(
+            f"{r.epoch},{ref_row(np.array([r.train_loss, r.val_exact_match]))}\n" for r in result.trace),
+        "eval/per_class_ap.csv": "name,ap\n" + "".join(
+            f"{n},{ref_row(seen['ap'][c:c + 1])}\n" for c, n in enumerate(names)),
+        "proj/projection.csv": "name,pc1,pc2\n" + "".join(f"{n},{ref_row(r)}\n" for n, r in zip(names, proj)),
+        "proj/projection_axes.csv": "component," + ",".join(f"e{j}" for j in range(axes.shape[1])) + "\n"
+        + f"mean,{ref_row(mean)}\n" + "".join(f"pc{j + 1},{ref_row(a)}\n" for j, a in enumerate(axes)),
+    }
+    assert "\n" + names[1] + ",\n" in want["eval/per_class_ap.csv"]
+    for name, text in want.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mllgraph.artifacts import write_embeddings_csv
 from mllgraph.cooccur import WeightingConfig
 from mllgraph.glove import (
     EmbeddingParams,
@@ -13,7 +14,6 @@ from mllgraph.glove import (
     _gradients,
     _loss_and_residual_grad,
     train_glove,
-    write_embeddings_csv,
 )
 
 from gradcheck import max_rel_err, numeric_gradient

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mllgraph import diagnostics
+from mllgraph import diagnostics, metrics
+from mllgraph.artifacts import read_score_csv, write_score_csv
+from mllgraph.cli import main
 from mllgraph.metrics import (
     METRIC_KEYS,
     ScoreTable,
@@ -11,14 +13,13 @@ from mllgraph.metrics import (
     compute_report,
     exact_match,
     format_report_json,
-    hamming_loss,
     mean_average_precision,
-    overall_and_perclass,
-    read_score_csv,
-    sp_argmax_accuracy,
-    write_score_csv,
 )
 from mllgraph.oracle import oracle_average_precision, oracle_metrics
+
+ZERO_DIVISION_EVENTS = tuple(
+    f"{scope}_{ratio}_zero_division" for scope in ("overall", "perclass") for ratio in ("precision", "recall", "f1")
+)
 
 
 def test_score_table_validation():
@@ -36,34 +37,44 @@ def test_score_table_validation():
         ScoreTable(np.array([[0.2, 0.8]]), np.array([[0, 1]]), threshold=1.5)
 
 
-def test_binarize_is_strict():
+def test_binarize_is_strict(monkeypatch):
     table = ScoreTable(np.array([[0.5, 0.50001, 0.49]]), np.array([[0, 0, 0]]))
     assert binarize(table).tolist() == [[0, 1, 0]]
+    # compute_report derives all ten values from one binarized prediction
+    calls = []
+    monkeypatch.setattr(metrics, "binarize", lambda t: calls.append(t) or binarize(t))
+    for mode in ("exact", "argmax"):
+        calls.clear()
+        compute_report(table, [0, 2], mode)
+        assert calls == [table], mode
 
 
 def test_of1_hand_case():
     # Predictions fire on three cells: tp=2, fp=1, fn=1 -> OF1 = 2/3.
     scores = np.array([[0.9, 0.9], [0.9, 0.1]])
     targets = np.array([[1, 0], [1, 1]])
-    op, orec, of1, _, _, _ = overall_and_perclass(ScoreTable(scores, targets))
-    assert op == pytest.approx(2.0 / 3.0)
-    assert orec == pytest.approx(2.0 / 3.0)
-    assert of1 == pytest.approx(2.0 / 3.0)
+    report, _ = compute_report(ScoreTable(scores, targets), [0])
+    assert report["OP"] == pytest.approx(2.0 / 3.0)
+    assert report["OR"] == pytest.approx(2.0 / 3.0)
+    assert report["OF1"] == pytest.approx(2.0 / 3.0)
 
 
 def test_hamming_loss_hand_case():
     scores = np.array([[0.9, 0.1], [0.9, 0.1]])
     targets = np.array([[1, 1], [0, 0]])
-    assert hamming_loss(ScoreTable(scores, targets)) == pytest.approx(0.5)
+    assert compute_report(ScoreTable(scores, targets), [0])[0]["HL"] == pytest.approx(0.5)
 
 
 def test_zero_division_conventions_count():
     # No predicted positives and no true positives at all.
     table = ScoreTable(np.array([[0.1, 0.1]]), np.array([[0, 0]]))
-    before = diagnostics.count("overall_precision_zero_division")
-    op, orec, of1, cp, cr, cf1 = overall_and_perclass(table)
-    assert (op, orec, of1, cp, cr, cf1) == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert diagnostics.count("overall_precision_zero_division") == before + 1
+    before = diagnostics.snapshot()
+    report, _ = compute_report(table, [0])
+    assert [report[k] for k in ("OP", "OR", "OF1", "CP", "CR", "CF1")] == [0.0] * 6
+    after = diagnostics.snapshot()
+    # one 0/0 each overall, one per class for P and R, one for CF1
+    want = dict(zip(ZERO_DIVISION_EVENTS, (1, 1, 1, 2, 2, 1)))
+    assert {k: after.get(k, 0) - before.get(k, 0) for k in ZERO_DIVISION_EVENTS} == want
 
 
 def overall_and_perclass_reference(table):
@@ -91,8 +102,37 @@ def overall_and_perclass_reference(table):
     return float(op), float(orec), float(of1), float(cp), float(cr), cf1
 
 
-def test_overall_and_perclass_matches_loop_reference():
-    rng = np.random.default_rng(7)
+def sp_argmax_accuracy_reference(table, sp_indices):
+    """The vectorized plane accuracy compute_report took over: top plane true, or no plane at all."""
+    idx = np.asarray(sp_indices, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("sp_indices must name at least one class")
+    targets = table.targets[:, idx]
+    top = np.argmax(table.scores[:, idx], axis=1)
+    hit = targets[np.arange(table.n), top] == 1
+    no_plane_predicted = ~binarize(table)[:, idx].any(axis=1)
+    correct = np.where(targets.any(axis=1), hit, no_plane_predicted)
+    return int(correct.sum()) / table.n
+
+
+def report_reference(table, sp_indices, sp_mode):
+    """The helper composition compute_report replaced, each helper binarizing the table again."""
+    idx = np.asarray(sp_indices, dtype=np.int64)
+    if sp_mode == "exact":
+        if idx.size == 0:
+            raise ValueError("restrict must name at least one class")
+        sp_acc = float(np.mean(np.all(binarize(table)[:, idx] == table.targets[:, idx], axis=1)))
+    else:
+        sp_acc = sp_argmax_accuracy_reference(table, idx)
+    mll_acc = float(np.mean(np.all(binarize(table) == table.targets, axis=1)))
+    mp, per_class = mean_average_precision(table)
+    hl = float(np.mean(binarize(table) != table.targets))
+    values = (sp_acc, mll_acc, mp, hl, *overall_and_perclass_reference(table))
+    return dict(zip(METRIC_KEYS, values)), per_class
+
+
+def random_report_tables(rng):
+    """Score tables with scores on the threshold, empty columns and every 0/0 case."""
     tables = []
     for n, C in ((1, 1), (1, 5), (6, 4), (40, 39), (25, 300)):
         for _ in range(3):
@@ -102,25 +142,56 @@ def test_overall_and_perclass_matches_loop_reference():
             scores[:, cols[::2]] = 0.1      # nothing predicted: precision 0/0
             targets[:, cols[::3]] = 0       # no positives: recall 0/0 (both where they meet)
             tables.append(ScoreTable(scores, targets))
+            # a coarse grid puts scores on the threshold and ties the top planes
+            grid = rng.integers(0, 5, (n, C)) / 4.0
+            tables.append(ScoreTable(grid, targets, threshold=float(rng.choice([0.0, 0.25, 0.5, 1.0]))))
     tables.append(ScoreTable(np.full((3, 4), 0.2), np.zeros((3, 4))))   # every ratio 0/0
-    for table in tables:
-        before = diagnostics.snapshot()
-        got = overall_and_perclass(table)
-        mid = diagnostics.snapshot()
-        want = overall_and_perclass_reference(table)
-        after = diagnostics.snapshot()
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        for key in set(after) | set(before):
-            assert mid.get(key, 0) - before.get(key, 0) == after.get(key, 0) - mid.get(key, 0)
+    tables.append(ScoreTable(np.full((3, 4), 0.5), np.zeros((3, 4))))   # every score on the threshold
+    tables.append(ScoreTable(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[0, 1], [1, 0]])))  # tp = 0: F1 0/0
+    return tables
+
+
+def test_overall_and_perclass_matches_loop_reference():
+    """compute_report equals the composition of the helpers it replaced, counters included."""
+    rng = np.random.default_rng(7)
+    fired = set()
+    for table in random_report_tables(rng):
+        sp_sets = [np.sort(rng.choice(table.n_classes, size=int(rng.integers(1, table.n_classes + 1)),
+                                      replace=False)), np.arange(table.n_classes), []]
+        for sp, mode in [(sp, mode) for sp in sp_sets for mode in ("exact", "argmax")]:
+            before = diagnostics.snapshot()
+            try:
+                got = compute_report(table, sp, mode)
+            except ValueError as exc:
+                got = exc
+            mid = diagnostics.snapshot()
+            try:
+                want = report_reference(table, sp, mode)
+            except ValueError as exc:
+                want = exc
+            after = diagnostics.snapshot()
+            if len(sp) == 0:  # an empty plane set is refused either way
+                assert isinstance(got, ValueError) and isinstance(want, ValueError)
+                assert "at least one class" in str(got)
+                continue
+            assert got[0] == want[0]
+            assert np.array(list(got[0].values())).tobytes() == np.array(list(want[0].values())).tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            for key in set(after) | set(before):
+                assert mid.get(key, 0) - before.get(key, 0) == after.get(key, 0) - mid.get(key, 0), key
+                if mid.get(key, 0) > before.get(key, 0):
+                    fired.add(key)
+    assert set(ZERO_DIVISION_EVENTS) <= fired
 
 
 def test_perclass_zero_division_records_no_zero_counts():
     diagnostics.reset()
-    overall_and_perclass(ScoreTable(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[1, 0], [0, 1]])))
+    compute_report(ScoreTable(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([[1, 0], [0, 1]])), [0])
     assert diagnostics.snapshot() == {}
-    overall_and_perclass(ScoreTable(np.array([[0.9, 0.1], [0.1, 0.1]]), np.array([[1, 0], [0, 0]])))
+    compute_report(ScoreTable(np.array([[0.9, 0.1], [0.1, 0.1]]), np.array([[1, 0], [0, 0]])), [0])
     assert diagnostics.snapshot() == {
         "perclass_precision_zero_division": 1, "perclass_recall_zero_division": 1,
+        "map_class_without_positives": 1,
     }
 
 
@@ -129,10 +200,11 @@ def test_exact_match_and_restrict():
     targets = np.array([[1, 0, 1], [1, 0, 0]])
     table = ScoreTable(scores, targets)
     assert exact_match(table) == pytest.approx(0.5)
-    assert exact_match(table, restrict=[0]) == pytest.approx(1.0)
-    assert exact_match(table, restrict=[1, 2]) == pytest.approx(0.5)
+    assert compute_report(table, [0])[0]["SP_ACC"] == pytest.approx(1.0)
+    assert compute_report(table, [1, 2])[0]["SP_ACC"] == pytest.approx(0.5)
+    assert compute_report(table, [0, 1, 2])[0]["MLL_ACC"] == pytest.approx(0.5)
     with pytest.raises(ValueError, match="at least one class"):
-        exact_match(table, restrict=[])
+        compute_report(table, [])
 
 
 def test_sp_argmax_accuracy():
@@ -146,14 +218,14 @@ def test_sp_argmax_accuracy():
     )
     targets = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 0, 1]])
     table = ScoreTable(scores, targets)
-    acc = sp_argmax_accuracy(table, sp_indices=[0, 1])
+    acc = compute_report(table, sp_indices=[0, 1], sp_mode="argmax")[0]["SP_ACC"]
     assert acc == pytest.approx(0.5)
     with pytest.raises(ValueError, match="at least one class"):
-        sp_argmax_accuracy(table, sp_indices=[])
+        compute_report(table, sp_indices=[], sp_mode="argmax")
 
 
 def loop_sp_argmax_accuracy(table, sp_indices):
-    """Reference: the per-sample loop sp_argmax_accuracy replaced."""
+    """Reference: the per-sample loop the vectorized plane accuracy replaced."""
     idx = np.asarray(sp_indices, dtype=np.int64)
     scores = table.scores[:, idx]
     targets = table.targets[:, idx]
@@ -177,11 +249,11 @@ def test_sp_argmax_accuracy_matches_loop_reference():
         targets[: n // 3, :] = 0  # samples with no plane at all
         table = ScoreTable(scores, targets, threshold=float(rng.choice([0.0, 0.5, 1.0])))
         sp = np.sort(rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False))
-        assert sp_argmax_accuracy(table, sp) == loop_sp_argmax_accuracy(table, sp)
+        assert compute_report(table, sp, "argmax")[0]["SP_ACC"] == loop_sp_argmax_accuracy(table, sp)
         assert oracle_metrics(scores, targets, table.threshold, sp, "argmax")["SP_ACC"] == loop_sp_argmax_accuracy(table, sp)
     # tied top scores: the lowest tied index decides
     table = ScoreTable(np.array([[0.7, 0.7], [0.7, 0.7]]), np.array([[0, 1], [1, 0]]))
-    assert sp_argmax_accuracy(table, [0, 1]) == loop_sp_argmax_accuracy(table, [0, 1]) == 0.5
+    assert compute_report(table, [0, 1], "argmax")[0]["SP_ACC"] == loop_sp_argmax_accuracy(table, [0, 1]) == 0.5
     assert oracle_metrics(table.scores, table.targets, 0.5, [0, 1], "argmax")["SP_ACC"] == 0.5
     with pytest.raises(ValueError, match="sp_mode"):
         oracle_metrics(table.scores, table.targets, 0.5, [0, 1], "top1")
@@ -341,8 +413,41 @@ def test_score_csv_roundtrip(tmp_path):
         write_score_csv(path, table, ids=["a"], names=["SLAP", "CF"])
 
 
-def test_read_score_csv_rejects_malformed(tmp_path):
+def test_read_score_csv_rejects_malformed(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("id,a,b\nrow,0.5,0.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="target columns"):
         read_score_csv(path)
+    # only what write_score_csv writes is read: any other file names its bad
+    # line, and metrics-oracle exits 1 rather than checking a misread table
+    table = ScoreTable(np.array([[0.25, 0.75, 0.5], [1.0, 0.0, 0.125]]), np.array([[0, 1, 1], [1, 0, 0]]))
+    write_score_csv(path, table, ["r0", "r1"], ["a", "b", "c"])
+    good = path.read_text(encoding="utf-8")
+    report = tmp_path / "metrics.json"
+    report.write_text(format_report_json(compute_report(table, [0, 1, 2])[0]), encoding="utf-8")
+    check = ["metrics-oracle", "--scores", str(path), "--report", str(report)]
+    assert main(check) == 0
+    header, row0, row1 = good.splitlines()
+    for text, message in (
+        ("", "line 1: the header"),
+        ("id,a,b,c,target:a,target:c,target:b\n" + row0 + "\n" + row1 + "\n", "line 1: the header"),
+        (header + ",target:extra\n" + row0 + "\n" + row1 + "\n", "line 1: the header"),
+        ("id,target:a\nr0,0.5\n", "line 1: the header"),
+        (header + "\n" + row0 + ",1\n" + row1 + "\n", "line 2: 8 cells, not 7"),
+        (header + "\n" + row0 + "\n" + row1[:-2] + "\n", "line 3: 6 cells, not 7"),
+        (header + "\n" + row0 + "\n\n" + row1 + "\n", "line 3: 1 cells, not 7"),
+        (header + "\n" + row0 + "\n" + row1 + "\n\n", "line 4: 1 cells, not 7"),
+        (header + "\n" + row0.replace("0.25", "abc") + "\n" + row1 + "\n", "line 2: could not convert"),
+        (header + "\n" + row0.replace("0.25", "") + "\n" + row1 + "\n", "line 2: could not convert"),
+        (header + "\n" + row0.replace("0.25", "nan") + "\n" + row1 + "\n", "line 2: a score is not a number in"),
+        (header + "\n" + row0 + "\n" + row1.replace("1.0", "1.5") + "\n", "line 3: a score is not a number in"),
+        (header + "\n" + row0 + "\n" + row1[:-1] + "2\n", "line 3: a target is not 0 or 1"),
+        (header + "\n" + row0 + "\n" + row1[:-1] + "01\n", "line 3: a target is not 0 or 1"),
+        (header + "\n" + row0 + "\n" + row1[:-1] + " 0\n", "line 3: a target is not 0 or 1"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_score_csv(path)
+        capsys.readouterr()
+        assert main(check) == 1, text
+        assert capsys.readouterr().err.startswith(f"error: {message}"), text

@@ -3,14 +3,8 @@ import pytest
 
 from mllgraph import diagnostics
 from mllgraph.corpus import Dataset, LabelVocabulary, SyntheticConfig, generate_synthetic, synthetic_vocabulary
-from mllgraph.relabel import (
-    _lloyd,
-    _squared_distances,
-    kmeans,
-    relabel,
-    write_assignments_csv,
-    write_centroids_csv,
-)
+from mllgraph.artifacts import write_assignments_csv, write_centroids_csv
+from mllgraph.relabel import _lloyd, _squared_distances, kmeans, relabel
 
 
 def test_mean_embedding_hand_case():

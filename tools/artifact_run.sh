@@ -14,7 +14,9 @@
 # conditional adjacency and once with a non-default weighting and threshold.
 # Besides that corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
 # trained on as MLL-GCN-CRC with 16 GloVe epochs and evaluated in both SP
-# modes.
+# modes. `metrics-oracle` rechecks every eval report and the 1000-class
+# train's two reports from their score files (with the report's SP mode and
+# vocabulary); a disagreement or an unreadable score file stops the script.
 set -euo pipefail
 
 src=$(cd "$1" && pwd)
@@ -30,6 +32,12 @@ run() {
     PYTHONPATH="$src" python3 -m mllgraph.cli "$@" > "$work/console/$name.txt"
 }
 
+# oracle NAME DIR MODE REPORT SCORES: recheck DIR/REPORT against DIR/SCORES
+oracle() {
+    run "oracle-$1" metrics-oracle --scores "$2/$5" --report "$2/$4" --sp-mode "$3" \
+        --vocabulary "$2/vocabulary.json"
+}
+
 corpus=("--set" "data.dataset_path=$work/corpus/dataset.jsonl"
         "--set" "data.vocabulary_path=$work/corpus/vocabulary.json")
 wide=("--set" "data.dataset_path=$work/wide/corpus/dataset.jsonl"
@@ -42,6 +50,7 @@ for variant in Single-MLL MLL-CL MLL-CRC MLL-GCN MLL-GCN-CL MLL-GCN-CRC; do
     for mode in exact argmax; do
         run "eval-$variant-$mode" eval --checkpoint "$work/train/$variant/checkpoint.mllg" \
             --data "$work/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/eval/$variant/$mode"
+        oracle "eval-$variant-$mode" "$work/eval/$variant/$mode" "$mode" metrics.json scores.csv
     done
 done
 # off the defaults: the conditional adjacency, and a binarized one at another
@@ -61,9 +70,13 @@ run synth-wide synth --seed 4 --out "$work/wide/corpus" --set synthetic.sp_count
     --set synthetic.as_count=750 --set synthetic.n_samples=1000
 run train-wide train --seed 3 --variant MLL-GCN-CRC --out "$work/wide/train" \
     --set "train.epochs=$epochs" --set glove.epochs=16 "${wide[@]}"
+for split in val test; do
+    oracle "train-wide-$split" "$work/wide/train" exact "metrics_$split.json" "scores_$split.csv"
+done
 for mode in exact argmax; do
     run "eval-wide-$mode" eval --checkpoint "$work/wide/train/checkpoint.mllg" \
         --data "$work/wide/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/wide/eval/$mode"
+    oracle "eval-wide-$mode" "$work/wide/eval/$mode" "$mode" metrics.json scores.csv
 done
 
 cd "$work"
