@@ -28,7 +28,6 @@ from .artifacts import (
 )
 from .corpus import (
     Dataset,
-    DatasetFormatError,
     LabelVocabulary,
     SyntheticConfig,
     generate_synthetic,
@@ -36,13 +35,11 @@ from .corpus import (
     save_dataset,
     split_by_subject,
 )
-from .glove import GloveDivergenceError
 from .metrics import METRIC_KEYS, SP_MODES, compute_report, format_report_json, percentages
 from .oracle import oracle_metrics
 from .seeding import stage_seed
 from .trainer import (
     CheckpointError,
-    TrainingDivergedError,
     VariantSpec,
     VARIANT_NAMES,
     TrainConfig,
@@ -116,7 +113,7 @@ def apply_set(cfg: dict, expr: str) -> None:
     key, _, raw = expr.partition("=")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, too many digits, too deep: the plain string
         value = raw
     node = cfg
     parts = key.split(".")
@@ -136,7 +133,7 @@ def resolve_config(args) -> dict:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -277,22 +274,22 @@ def cmd_train(args) -> int:
     print(f"split sizes: train {len(train)} / val {len(val)} / test {len(test)}")
 
     result = run_pipeline(train, val, variant, tcfg)
-    cp = result.checkpoint
+    cp, phase1 = result.checkpoint, result.phase1
     save_checkpoint(cp, out / "checkpoint.mllg")
     _write_config_snapshot(cfg, out)
     vocab.save(out / "vocabulary.json")
 
-    write_matrix_csv(out / "cooccurrence.csv", result.cooccurrence, vocab.names)
-    if cp.correlation is not None:
-        write_matrix_csv(out / "correlation.csv", cp.correlation, vocab.names)
-    write_embeddings_csv(out / "embeddings.csv", cp.embeddings, vocab.names)
-    glove_trace = result.glove_loss_trace
+    write_matrix_csv(out / "cooccurrence.csv", phase1.cooccurrence, vocab.names)
+    if phase1.correlation is not None:
+        write_matrix_csv(out / "correlation.csv", phase1.correlation, vocab.names)
+    write_embeddings_csv(out / "embeddings.csv", phase1.embeddings, vocab.names)
+    glove_trace = phase1.glove_loss_trace
     write_rows(out / "glove_trace.csv", ("epoch", "loss"), range(len(glove_trace)), glove_trace[:, None])
     write_rows(out / "trace.csv", ("epoch", "train_loss", "val_exact_match"), [r.epoch for r in result.trace],
                np.array([(r.train_loss, r.val_exact_match) for r in result.trace]))
-    if result.assignments is not None:
-        write_assignments_csv(out / "sample_clusters.csv", train.ids, result.assignments)
-        write_centroids_csv(out / "centroids.csv", result.kmeans_result.centroids)
+    if phase1.centroids is not None:
+        write_assignments_csv(out / "sample_clusters.csv", train.ids, phase1.contrast_labels)
+        write_centroids_csv(out / "centroids.csv", phase1.centroids)
 
     for split, name in ((val, "val"), (test, "test")):
         if len(split) == 0:
@@ -360,7 +357,10 @@ def cmd_export(args) -> int:
 def cmd_metrics_oracle(args) -> int:
     _check_scoring(args.threshold, args.sp_mode)
     _, names, table = read_score_csv(args.scores, args.threshold)
-    reported = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        reported = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
+        raise ConfigError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(reported, dict):
         raise ConfigError(f"report must be a JSON object, got {type(reported).__name__}")
     missing = [k for k in METRIC_KEYS if k not in reported]
@@ -457,10 +457,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetFormatError, CheckpointError, TrainingDivergedError, GloveDivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (CheckpointError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

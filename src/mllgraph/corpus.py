@@ -90,14 +90,15 @@ class LabelVocabulary:
     def load(cls, path) -> "LabelVocabulary":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
             raise DatasetFormatError(f"vocabulary file is not valid JSON: {exc}") from exc
         if not isinstance(payload, list):
             raise DatasetFormatError("vocabulary file must hold a JSON list")
         entries = []
         for i, item in enumerate(payload):
-            if not isinstance(item, dict) or "name" not in item or "kind" not in item:
-                raise DatasetFormatError(f"vocabulary entry {i}: expected {{name, kind}}")
+            if not (isinstance(item, dict) and isinstance(item.get("name"), str)
+                    and isinstance(item.get("kind"), str)):
+                raise DatasetFormatError(f"vocabulary entry {i}: expected {{name, kind}} strings")
             entries.append((item["name"], item["kind"]))
         try:
             return cls(tuple(entries))
@@ -379,7 +380,7 @@ class SyntheticConfig:
             a = np.asarray(arr, dtype=np.float64)
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-            if np.any(a < 0) or np.any(a > 1):
+            if not np.all((a >= 0) & (a <= 1)):  # NaN fails both
                 raise ValueError(f"{name} entries must be probabilities within [0, 1]")
 
 
@@ -404,6 +405,13 @@ def default_background_profile(as_count: int) -> np.ndarray:
     return np.full(as_count, 0.08, dtype=np.float64)
 
 
+def _structure_profile(config: SyntheticConfig) -> np.ndarray:
+    """The config's structure profile as float64, or the default one if it gives none."""
+    if config.structure_profile is None:
+        return default_structure_profile(config.sp_count, config.as_count)
+    return np.asarray(config.structure_profile, dtype=np.float64)
+
+
 def class_prototypes(config: SyntheticConfig) -> np.ndarray:
     """Fixed per-class feature prototypes, (sp_count + as_count, feature_dim).
 
@@ -416,11 +424,7 @@ def class_prototypes(config: SyntheticConfig) -> np.ndarray:
     protos = rng.standard_normal((C, config.feature_dim))
     rho = config.prototype_correlation
     if rho > 0.0:
-        profile = (
-            np.asarray(config.structure_profile, dtype=np.float64)
-            if config.structure_profile is not None
-            else default_structure_profile(config.sp_count, config.as_count)
-        )
+        profile = _structure_profile(config)
         shared = rng.standard_normal((config.sp_count, config.feature_dim))
         owner = np.argmax(profile, axis=0)  # ties -> lowest plane index
         for k in range(config.as_count):
@@ -432,11 +436,7 @@ def class_prototypes(config: SyntheticConfig) -> np.ndarray:
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """Sample a planted-dependency corpus; shares byte-identical results per config."""
     vocab = synthetic_vocabulary(config.sp_count, config.as_count)
-    profile = (
-        np.asarray(config.structure_profile, dtype=np.float64)
-        if config.structure_profile is not None
-        else default_structure_profile(config.sp_count, config.as_count)
-    )
+    profile = _structure_profile(config)
     background = (
         np.asarray(config.background_profile, dtype=np.float64)
         if config.background_profile is not None

@@ -181,23 +181,14 @@ class LinearHead:
         bound = 1.0 / np.sqrt(rep_dim)
         return cls(np.random.default_rng(seed).uniform(-bound, bound, (n_classes, rep_dim)))
 
-    @staticmethod
-    def graph(X, cfg: AdjacencyConfig):
-        """The correlation matrix this head propagates over: none."""
-        return None
-
-    @staticmethod
-    def graph_input(Z, B):
-        """The frozen input `forward` reads: none."""
-        return None
+    @classmethod
+    def from_params(cls, params) -> "LinearHead":
+        """The head whose `params` are these arrays (held, not copied)."""
+        return cls(*params)
 
     @property
     def params(self) -> list:
         return [self.weights]
-
-    @params.setter
-    def params(self, values) -> None:
-        (self.weights,) = values
 
     def forward(self, BZ, B):
         return self.weights, None
@@ -205,17 +196,10 @@ class LinearHead:
     def backward(self, dK, cache, B) -> list:
         return [dK]
 
-    def copy(self) -> "LinearHead":
-        return LinearHead(self.weights.copy())
-
     @staticmethod
     def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
         """The shapes of `params` for these widths."""
         return [[n_classes, rep_dim]]
-
-    @classmethod
-    def from_checkpoint(cls, tensors: dict) -> "LinearHead":
-        return cls(*[tensors[name] for name in cls.names])
 
 
 class GcnHead:
@@ -237,23 +221,13 @@ class GcnHead:
     def init(cls, n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> "GcnHead":
         return cls(init_stack((embed_dim, embed_dim, rep_dim), slope=cls.slope, seed=seed))
 
-    @staticmethod
-    def graph(X, cfg: AdjacencyConfig) -> np.ndarray:
-        """The normalized label-correlation matrix B-hat built from the counts."""
-        return normalize_adjacency(build_adjacency(X, cfg))
-
-    @staticmethod
-    def graph_input(Z, B) -> np.ndarray:
-        """B-hat Z, the frozen input `forward` reads."""
-        return propagate(Z, B)
+    @classmethod
+    def from_params(cls, params) -> "GcnHead":
+        return cls(LayerStack(list(params), slope=cls.slope))
 
     @property
     def params(self) -> list:
         return list(self.stack.weights)
-
-    @params.setter
-    def params(self, values) -> None:
-        self.stack = LayerStack(list(values), slope=self.stack.slope)
 
     def forward(self, BZ, B):
         return gcn_forward(BZ, B, self.stack)
@@ -261,16 +235,9 @@ class GcnHead:
     def backward(self, dK, cache, B) -> list:
         return gcn_gradients(dK, cache, B, self.stack)[0]
 
-    def copy(self) -> "GcnHead":
-        return GcnHead(self.stack.copy())
-
     @staticmethod
     def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
         return [[embed_dim, embed_dim], [embed_dim, rep_dim]]
-
-    @classmethod
-    def from_checkpoint(cls, tensors: dict) -> "GcnHead":
-        return cls(LayerStack([tensors[name] for name in cls.names], slope=cls.slope))
 
 
 def head_type(variant: VariantSpec):
@@ -300,14 +267,23 @@ class EpochRecord:
     val_exact_match: float
 
 
+@dataclass(frozen=True)
+class Phase1:
+    """What phase 1 fixes before phase 2 trains: every array is read-only."""
+
+    cooccurrence: np.ndarray      # (C, C) int64 label co-occurrence counts of the train split
+    glove_loss_trace: np.ndarray  # the GloVe loss at init and after each epoch
+    embeddings: np.ndarray        # (C, d) label embeddings Z
+    correlation: object           # (C, C) B-hat, or None without the GCN head
+    centroids: object             # (n_clusters, d) k-means centroids, or None without cluster relabeling
+    contrast_labels: object       # (n_train,) int64 contrastive class, or None without a contrastive term
+
+
 @dataclass
 class PipelineResult:
-    checkpoint: Checkpoint
+    checkpoint: Checkpoint  # shares the phase-1 record's arrays
     trace: list
-    glove_loss_trace: np.ndarray
-    cooccurrence: np.ndarray  # (C, C) int64 label co-occurrence counts of the train split
-    assignments: object       # (n_train,) int64 surrogate cluster labels or None
-    kmeans_result: object     # KMeansResult or None
+    phase1: Phase1
 
 
 class _MomentumSGD:
@@ -343,48 +319,58 @@ def vanilla_contrast_labels(dataset: Dataset) -> np.ndarray:
     return np.argmax(bits, axis=1).astype(np.int64)
 
 
+def fit_phase1(train: Dataset, variant: VariantSpec, cfg: TrainConfig) -> Phase1:
+    """Phase 1 on the train split: counts, GloVe embeddings, and what the variant adds.
+
+    B-hat for the GCN head; k-means centroids over Z and each sample's
+    nearest one for cluster relabeling; the plane buckets for vanilla
+    contrast. Each stage draws from its own seed, derived from cfg.seed.
+    """
+    X = build_cooccurrence(train)
+    glove_res = train_glove(X, cfg.glove, cfg.weighting, seed=stage_seed(cfg.seed, "glove_init"))
+    Z = glove_res.embedding
+    bhat = normalize_adjacency(build_adjacency(X, cfg.adjacency)) if variant.use_gcn else None
+    centroids = contrast_labels = None
+    if variant.contrastive_mode == "cluster_relabeled":
+        centroids = kmeans(
+            Z,
+            cfg.n_clusters,
+            seed=stage_seed(cfg.seed, "kmeans"),
+            max_iter=cfg.kmeans_max_iter,
+            tol=cfg.kmeans_tol,
+        ).centroids
+        contrast_labels = relabel(train, Z, centroids)
+    elif variant.contrastive_mode == "vanilla":
+        contrast_labels = vanilla_contrast_labels(train)
+    phase1 = Phase1(X, glove_res.loss_trace, Z, bhat, centroids, contrast_labels)
+    for arr in vars(phase1).values():
+        if arr is not None:
+            arr.setflags(write=False)
+    return phase1
+
+
 def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainConfig) -> PipelineResult:
     """Run both phases and return the best-validation checkpoint.
 
-    Per-stage randomness is derived from cfg.seed through fixed stage
-    indices, so e.g. the k-means seed never shifts the batch order. The
-    retained checkpoint is the earliest epoch with the highest validation
-    exact-match.
+    Phase 2 trains the encoder and the head under momentum SGD against the
+    read-only phase-1 record; an in-place write to any of its arrays, or to
+    B-hat Z, raises. Per-stage randomness is derived from cfg.seed through
+    fixed stage indices, so e.g. the k-means seed never shifts the batch
+    order. The retained checkpoint is the earliest epoch with the highest
+    validation exact-match.
     """
     if train.vocabulary != val.vocabulary:
         raise ValueError("train and val must share one vocabulary")
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and val must be nonempty")
 
-    # phase 1: statistics, embeddings, correlation, surrogate labels
-    X = build_cooccurrence(train)
-    glove_res = train_glove(X, cfg.glove, cfg.weighting, seed=stage_seed(cfg.seed, "glove_init"))
-    Z = glove_res.embedding
+    phase1 = fit_phase1(train, variant, cfg)
+    bhat, contrast_labels = phase1.correlation, phase1.contrast_labels
+    BZ = None  # B-hat Z, the GCN head's frozen input, formed once
+    if bhat is not None:
+        BZ = propagate(phase1.embeddings, bhat)
+        BZ.setflags(write=False)
     Head = head_type(variant)
-    bhat = Head.graph(X, cfg.adjacency)
-
-    km = None
-    assignments = None
-    contrast_labels = None
-    if variant.contrastive_mode == "cluster_relabeled":
-        km = kmeans(
-            Z,
-            cfg.n_clusters,
-            seed=stage_seed(cfg.seed, "kmeans"),
-            max_iter=cfg.kmeans_max_iter,
-            tol=cfg.kmeans_tol,
-        )
-        contrast_labels = assignments = relabel(train, Z, km.centroids)
-    elif variant.contrastive_mode == "vanilla":
-        contrast_labels = vanilla_contrast_labels(train)
-
-    # phase 2: encoder + classifier under momentum SGD. The phase-1 tensors
-    # and the head's input built from them are made read-only, so an
-    # in-place write to them raises.
-    BZ = Head.graph_input(Z, bhat)
-    for frozen in (Z, bhat, BZ):
-        if frozen is not None:
-            frozen.setflags(write=False)
     enc = init_encoder(train.feature_dim, cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
     head = Head.init(
         train.vocabulary.size, cfg.glove.d, cfg.encoder.output_dim,
@@ -393,7 +379,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     n_enc = len(enc.weights)
     sgd = _MomentumSGD(enc.weights + enc.biases + head.params, cfg.learning_rate, cfg.momentum)
     enc = LayerStack(sgd.params[:n_enc], sgd.params[n_enc:2 * n_enc], enc.slope)
-    head.params = sgd.params[2 * n_enc:]
+    head = Head.from_params(sgd.params[2 * n_enc:])
     rng_batches = stage_rng(cfg.seed, "batches")
 
     Xtr = train.features_matrix()
@@ -438,7 +424,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
             best_match = vm
-            best = (epoch, enc.copy(), head.copy())
+            best = (epoch, enc.copy(), Head.from_params([p.copy() for p in head.params]))
 
     best_epoch, best_enc, best_head = best
     checkpoint = Checkpoint(
@@ -447,19 +433,12 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         vocabulary=train.vocabulary,
         encoder_params=best_enc,
         head=best_head,
-        embeddings=Z.copy(),
-        correlation=bhat.copy() if bhat is not None else None,
-        centroids=km.centroids.copy() if km is not None else None,
+        embeddings=phase1.embeddings,
+        correlation=bhat,
+        centroids=phase1.centroids,
         epoch=best_epoch,
     )
-    return PipelineResult(
-        checkpoint=checkpoint,
-        trace=trace,
-        glove_loss_trace=glove_res.loss_trace,
-        cooccurrence=X,
-        assignments=assignments,
-        kmeans_result=km,
-    )
+    return PipelineResult(checkpoint=checkpoint, trace=trace, phase1=phase1)
 
 
 def _score_table(features, enc: LayerStack, K, targets, threshold: float) -> ScoreTable:
@@ -478,8 +457,8 @@ def _score_table(features, enc: LayerStack, K, targets, threshold: float) -> Sco
 
 def classifier_matrix(cp: Checkpoint) -> np.ndarray:
     """The (C, D) classifier the checkpoint scores with."""
-    K, _ = cp.head.forward(cp.head.graph_input(cp.embeddings, cp.correlation), cp.correlation)
-    return K
+    BZ = propagate(cp.embeddings, cp.correlation) if cp.correlation is not None else None
+    return cp.head.forward(BZ, cp.correlation)[0]
 
 
 def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:
@@ -695,12 +674,13 @@ def load_checkpoint(path) -> Checkpoint:
 
     n_enc = len(config.encoder.layer_widths)
     enc = [[tensors[f"encoder.{i}.{part}"] for i in range(n_enc)] for part in ("weight", "bias")]
+    Head = head_type(variant)
     return Checkpoint(
         variant=variant,
         config=config,
         vocabulary=vocab,
         encoder_params=LayerStack(*enc, config.encoder.slope),
-        head=head_type(variant).from_checkpoint(tensors),
+        head=Head.from_params([tensors[name] for name in Head.names]),
         embeddings=tensors["embeddings"],
         correlation=tensors.get("correlation"),
         centroids=tensors.get("centroids"),

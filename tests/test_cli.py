@@ -185,6 +185,21 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     listy.write_text("[1, 2]", encoding="utf-8")
     assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(listy)]) == 2
     capsys.readouterr()
+    # a config file nested too deep for the parser, or with an integer past
+    # Python's digit limit, is a config error too
+    for name, text in (("deep", "[" * 100_000), ("digits", '{"seed": 1' + "0" * 5000 + "}")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["synth", "--out", str(tmp_path / "x"), "--config", str(path)]) == 2, name
+        assert "error: config file is not valid JSON: " in capsys.readouterr().err, name
+    # a --set value that does not parse stays a string, which the typed check refuses
+    assert main(["synth", "--out", str(tmp_path / "x"), "--set", "seed=1" + "0" * 5000]) == 2
+    assert "error: seed: must be a nonnegative integer" in capsys.readouterr().err
+    # a NaN probability is not within [0, 1]
+    assert main(["synth", "--out", str(tmp_path / "x"), "--set", "synthetic.sp_count=2",
+                 "--set", "synthetic.as_count=3", "--set", "synthetic.background_profile=[NaN,NaN,NaN]"]) == 2
+    assert "background_profile entries must be probabilities within [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     # a number in place of a section, and a wrongly typed value, name the key
     section = tmp_path / "section.json"
     section.write_text('{"train": 3}', encoding="utf-8")
@@ -539,6 +554,9 @@ def test_metrics_oracle_rejects_report_that_is_not_an_object_of_numbers(work, tm
     for name, text, message in (
         ("list", json.dumps(list(METRIC_KEYS)), "report must be a JSON object, got list"),
         ("nulls", json.dumps(dict.fromkeys(METRIC_KEYS)), "report values are not numbers"),
+        ("cut", '{"SP_ACC": 1', "report is not valid JSON: "),
+        ("deep", "[" * 100_000, "report is not valid JSON: "),
+        ("digits", '{"SP_ACC": 1' + "0" * 5000 + "}", "report is not valid JSON: "),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(text, encoding="utf-8")

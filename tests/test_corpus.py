@@ -73,9 +73,10 @@ def test_vocabulary_save_load_roundtrip(tmp_path):
 
 def test_vocabulary_load_rejects_bad_json(tmp_path):
     path = tmp_path / "vocab.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match="not valid JSON"):
-        LabelVocabulary.load(path)
+    for text in ("{not json", "[" * 100_000, '[{"name": "A", "kind": "SP", "n": 1' + "0" * 5000 + "}]"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="not valid JSON"):
+            LabelVocabulary.load(path)
 
 
 def test_vocabulary_load_rejects_non_list(tmp_path):
@@ -90,6 +91,13 @@ def test_vocabulary_load_rejects_bad_entry(tmp_path):
     path.write_text('[{"name": "A"}]', encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="entry 0"):
         LabelVocabulary.load(path)
+    # a name or kind that is not a string is not turned into text
+    for entries, where in (([{"name": None, "kind": "SP"}, {"name": "B", "kind": "AS"}], 0),
+                           ([{"name": "A", "kind": "SP"}, {"name": 5, "kind": "AS"}], 1),
+                           ([{"name": "A", "kind": "SP"}, {"name": "B", "kind": ["AS"]}], 1)):
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=f"entry {where}: expected {{name, kind}} strings"):
+            LabelVocabulary.load(path)
     # a name the CSV artifacts cannot carry as a column, in the file and in memory
     for bad in ("L,AP", "L\nAP", "L\rAP", "L\u2028AP", "target:x"):
         path.write_text(json.dumps([{"name": "A", "kind": "SP"}, {"name": bad, "kind": "AS"}]),
@@ -442,6 +450,11 @@ def test_synthetic_config_validation_messages():
         SyntheticConfig(structure_profile=np.ones((2, 2)))
     with pytest.raises(ValueError, match="background_profile"):
         SyntheticConfig(background_profile=np.full(29, 2.0))
+    for profile in ([np.nan] * 3, [0.5, np.nan, 0.5], [0.5, -0.0, np.inf]):
+        with pytest.raises(ValueError, match="background_profile entries must be probabilities"):
+            SyntheticConfig(sp_count=2, as_count=3, background_profile=profile)
+    with pytest.raises(ValueError, match="structure_profile entries must be probabilities"):
+        SyntheticConfig(sp_count=1, as_count=2, structure_profile=[[0.5, np.nan]])
 
 
 def test_default_structure_profile_plants_trios():

@@ -124,7 +124,7 @@ def test_command_row_artifacts_bytes(tmp_path, monkeypatch):
     proj, axes, mean = cli._pca_projection(cp.embeddings)
     want = {
         "train/glove_trace.csv": "epoch,loss\n" + "".join(
-            f"{i},{ref_row(np.array([v]))}\n" for i, v in enumerate(result.glove_loss_trace)),
+            f"{i},{ref_row(np.array([v]))}\n" for i, v in enumerate(result.phase1.glove_loss_trace)),
         "train/trace.csv": "epoch,train_loss,val_exact_match\n" + "".join(
             f"{r.epoch},{ref_row(np.array([r.train_loss, r.val_exact_match]))}\n" for r in result.trace),
         "eval/per_class_ap.csv": "name,ap\n" + "".join(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mllgraph import trainer
-from mllgraph.cooccur import AdjacencyConfig, build_cooccurrence
+from mllgraph.cooccur import AdjacencyConfig, build_adjacency, build_cooccurrence, normalize_adjacency
 from mllgraph.corpus import (
     Dataset,
     LabelVocabulary,
@@ -36,6 +36,7 @@ from mllgraph.trainer import (
     checkpoint_bytes,
     classifier_matrix,
     config_from_dict,
+    fit_phase1,
     load_checkpoint,
     run_pipeline,
     save_checkpoint,
@@ -288,9 +289,9 @@ def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
     assert isinstance(cp.head, LinearHead)
     assert cp.head.weights.shape == (train.vocabulary.size, 16)
     assert cp.correlation is None and cp.centroids is None
-    assert res.assignments is None and res.kmeans_result is None
-    assert np.array_equal(res.cooccurrence, build_cooccurrence(train))
-    assert res.glove_loss_trace.shape == (31,)
+    assert res.phase1.centroids is None and res.phase1.contrast_labels is None
+    assert np.array_equal(res.phase1.cooccurrence, build_cooccurrence(train))
+    assert res.phase1.glove_loss_trace.shape == (31,)
     K = classifier_matrix(cp)
     assert K.shape == (train.vocabulary.size, 16)
 
@@ -302,9 +303,8 @@ def test_pipeline_gcn_crc_artifacts(crc_result, small_splits):
     assert [W.shape for W in cp.head.params] == [(8, 8), (8, 16)]
     assert cp.correlation.shape == (train.vocabulary.size, train.vocabulary.size)
     assert cp.centroids.shape == (4, 8)
-    assert crc_result.assignments is not None
-    assert crc_result.assignments.shape == (len(train),)
-    assert crc_result.kmeans_result is not None
+    assert crc_result.phase1.contrast_labels.shape == (len(train),)
+    assert crc_result.phase1.centroids.shape == (4, 8)
     assert classifier_matrix(cp).shape == (train.vocabulary.size, 16)
 
 
@@ -405,12 +405,13 @@ def wide_counts(n: int = 450, seed: int = 4) -> np.ndarray:
 
 @pytest.mark.parametrize("mode", ("binarized", "conditional"))
 def test_gcn_graph_peaks_at_two_and_a_quarter_matrices(mode):
-    """B-hat at 1000 classes holds no more than 2.25 float64 (C, C) arrays above
-    the counts: the adjacency, B-hat beside it and a boolean mask."""
+    """B-hat at 1000 classes, as `fit_phase1` builds it, holds no more than 2.25
+    float64 (C, C) arrays above the counts: the adjacency, B-hat beside it and
+    a boolean mask."""
     X = wide_counts()
     tracemalloc.start()
     try:
-        bhat = GcnHead.graph(X, AdjacencyConfig(mode=mode))
+        bhat = normalize_adjacency(build_adjacency(X, AdjacencyConfig(mode=mode)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,7 +431,7 @@ def test_checkpoint_save_writes_the_tensors_without_copying_them(tmp_path):
         encoder_params=init_encoder(16, cfg.encoder, seed=1),
         head=GcnHead.init(WIDE, cfg.glove.d, cfg.encoder.output_dim, seed=2),
         embeddings=rng.standard_normal((WIDE, cfg.glove.d)),
-        correlation=GcnHead.graph(wide_counts(), cfg.adjacency),
+        correlation=normalize_adjacency(build_adjacency(wide_counts(), cfg.adjacency)),
         centroids=rng.standard_normal((cfg.n_clusters, cfg.glove.d)),
         epoch=1,
     )
@@ -455,6 +456,34 @@ def variant_results(small_splits, crc_result):
         else run_pipeline(train, val, VariantSpec.from_name(name), small_train_config())
         for name in VARIANT_NAMES
     }
+
+
+@pytest.mark.parametrize("name", VARIANT_NAMES)
+def test_phase1_record_holds_what_the_variant_trains_against(variant_results, small_splits, name):
+    """B-hat only for the GCN head, centroids only for cluster relabeling and
+    contrast labels only with a contrastive term, all read-only; run_pipeline
+    trains against the same record and its checkpoint holds those arrays."""
+    train, _, _ = small_splits
+    variant = VariantSpec.from_name(name)
+    phase1 = fit_phase1(train, variant, small_train_config())
+    assert (phase1.correlation is not None) == variant.use_gcn
+    assert (phase1.centroids is not None) == (variant.contrastive_mode == "cluster_relabeled")
+    assert (phase1.contrast_labels is not None) == (variant.contrastive_mode != "none")
+    for key, arr in vars(phase1).items():
+        assert arr is None or not arr.flags.writeable, key
+    assert phase1.cooccurrence.dtype == np.int64
+    assert phase1.embeddings.shape == (train.vocabulary.size, 8)
+    if phase1.contrast_labels is not None:
+        assert phase1.contrast_labels.dtype == np.int64 and phase1.contrast_labels.shape == (len(train),)
+
+    result = variant_results[name]
+    for key, arr in vars(phase1).items():
+        trained = getattr(result.phase1, key)
+        assert (arr is None and trained is None) or np.array_equal(arr, trained), key
+    cp = result.checkpoint
+    assert cp.embeddings is result.phase1.embeddings
+    assert cp.correlation is result.phase1.correlation
+    assert cp.centroids is result.phase1.centroids
 
 
 @pytest.mark.parametrize("name", VARIANT_NAMES)

@@ -12,6 +12,9 @@
 # is the phase-2 epoch count of each `train`. On the default 39-class corpus
 # every variant trains at the defaults, and MLL-GCN once more with the
 # conditional adjacency and once with a non-default weighting and threshold.
+# A second corpus is synthesized with prototype_correlation 0.3 (structure
+# prototypes mixed with their plane's shared direction), and one MLL-GCN-CRC
+# train runs with no data paths, on the corpus it synthesizes in-process.
 # Besides that corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
 # trained on as MLL-GCN-CRC with 16 GloVe epochs and evaluated in both SP
 # modes. `metrics-oracle` rechecks every eval report and the 1000-class
@@ -60,6 +63,10 @@ run train-MLL-GCN-conditional train --seed 3 --variant MLL-GCN --out "$work/trai
 run train-MLL-GCN-weighting train --seed 3 --variant MLL-GCN --out "$work/train/MLL-GCN-weighting" \
     --set "train.epochs=$epochs" --set weighting.x_max=7 --set weighting.exponent=0.5 \
     --set adjacency.threshold=0.25 "${corpus[@]}"
+# the shared-direction prototypes, and a train on the corpus it synthesizes itself
+run synth-ambiguous synth --seed 4 --out "$work/ambiguous" --set synthetic.prototype_correlation=0.3
+run train-synthesized train --seed 3 --variant MLL-GCN-CRC --out "$work/train/synthesized" \
+    --set "train.epochs=$epochs"
 for what in embeddings correlation clusters projection; do
     run "export-$what" export --checkpoint "$work/train/MLL-GCN-CRC/checkpoint.mllg" \
         --what "$what" --out "$work/export/$what"
