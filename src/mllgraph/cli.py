@@ -264,11 +264,10 @@ def cmd_train(args) -> int:
     )
     ratios = _check_ratios(cfg)
     tcfg = build_train_config(cfg)
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-
     # the splits hold copies of their rows, so the whole corpus is not kept beside them
     train, val, test = split_by_subject(_obtain_dataset(cfg), ratios, stage_seed(cfg["seed"], "split"))
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     vocab = train.vocabulary
     print(f"variant {variant.name}, seed {cfg['seed']}")
     print(f"split sizes: train {len(train)} / val {len(val)} / test {len(test)}")

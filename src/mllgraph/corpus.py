@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -196,9 +195,8 @@ class Dataset:
         return list(dict.fromkeys(self.subjects))
 
 
-# Samples per step of the JSONL reader and writer and of the noise draw:
-# enough to share the per-call cost, few enough that one block's Python
-# floats, strings and temporaries stay small beside the arrays.
+# Rows per draw of the synthetic noise: enough to share the per-call cost,
+# few enough that the draw's temporary stays small beside the features.
 _BLOCK_ROWS = 64
 # what json.loads gives for a JSON number (bool counts, as in isinstance(v, int))
 _NUMBER_TYPES = frozenset((int, float, bool))
@@ -210,54 +208,36 @@ def _line_count(path) -> int:
         return sum(c.count(b"\n") + c.count(b"\r") for c in iter(lambda: fh.read(1 << 16), b"")) + 1
 
 
-def _convert_rows(rows: list, linenos: list, ids: list, out: np.ndarray) -> None:
-    """Feature rows into `out` as float64, or the error of the first line with a bad value."""
-    try:
-        out[...] = np.array(rows, dtype=np.float64)
-        if np.isfinite(out).all():
-            return
-    except OverflowError:  # a JSON integer beyond float range
-        pass
-    for row, lineno, sid in zip(rows, linenos, ids):
-        try:
-            finite = np.isfinite(np.array(row, dtype=np.float64)).all()
-        except OverflowError:
-            raise DatasetFormatError(f"line {lineno}: feature value too large for a float") from None
-        if not finite:
-            raise DatasetFormatError(f"line {lineno}: sample {sid}: non-finite feature value")
-    raise AssertionError("the block failed but none of its rows did")
+def _first_non_finite(features: np.ndarray, line_of: dict) -> None:
+    """The error of the first row with a non-finite feature, if any; row j is `line_of`'s j-th id."""
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        sid, lineno = list(line_of.items())[np.argmin(finite)]
+        raise DatasetFormatError(f"line {lineno}: sample {sid}: non-finite feature value")
 
 
 def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
     """Parse a JSONL corpus against a vocabulary.
 
-    Each line holds {"id", "subject_id", "features", "labels"} with labels
-    given by name. Unknown labels, ragged feature lengths, empty label sets
+    Each line holds {"id", "subject_id", "features", "labels"}: a string id
+    and subject, and labels given by name. Non-string ids and subjects,
+    repeated ids, unknown labels, ragged feature lengths, empty label sets
     and non-finite or out-of-range feature values are rejected with the
-    number of the first offending line. Features are converted to float64
-    in blocks of lines, each checked before any later line's error is
-    reported. The feature and label matrices are allocated once, from the
-    file's line count, and filled block by block.
+    number of the first offending line. Each line is stored as it is read,
+    into feature and label matrices allocated once from the file's line
+    count; the stored features are checked for non-finite values before any
+    later line's error is reported, and once at the end.
     """
     index = vocabulary.index
-    ids, subjects = [], []
-    rows, linenos, label_cols = [], [], []  # the block of lines not yet converted
+    line_of = {}  # sample id -> its line number; in file order, the dataset's ids
+    subjects = []
     dim = None
     features = np.zeros((0, 0))
     labels = np.zeros((0, vocabulary.size), dtype=np.uint8)
 
-    def flush():
-        if rows:
-            start = len(ids) - len(rows)
-            _convert_rows(rows, linenos, ids[start:], features[start:len(ids)])
-            hit_rows = np.repeat(np.arange(start, len(ids)), list(map(len, label_cols)))
-            labels[hit_rows, list(chain.from_iterable(label_cols))] = 1
-            for block in (rows, linenos, label_cols):
-                block.clear()
-
     def bad(message):
-        """This line's error, once the earlier lines' features have passed their check."""
-        flush()
+        """This line's error, once the stored lines' features have passed their check."""
+        _first_non_finite(features[:len(subjects)], line_of)
         return DatasetFormatError(f"line {lineno}: {message}")
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -273,10 +253,15 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
             for key in ("id", "subject_id", "features", "labels"):
                 if key not in rec:
                     raise bad(f"missing key {key!r}")
-            sid = str(rec["id"])
+            for key in ("id", "subject_id"):
+                if not isinstance(rec[key], str):
+                    raise bad(f"{key} must be a string")
+            sid = rec["id"]
             if not CSV_BREAKS.isdisjoint(sid):
                 raise bad(f"sample id {sid!r} holds a comma or a line break, "
                           "which the CSV artifacts cannot carry")
+            if sid in line_of:
+                raise bad(f"sample id {sid!r} repeats line {line_of[sid]}")
             feats = rec["features"]
             names = rec["labels"]
             if not isinstance(feats, list) or not _NUMBER_TYPES.issuperset(map(type, feats)):
@@ -293,43 +278,32 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
             elif len(feats) != dim:
                 raise bad(f"feature length {len(feats)} != {dim} from line 1")
             try:
-                label_cols.append([index[name] for name in names])
+                cols = [index[name] for name in names]
             except KeyError as exc:  # the first unknown name
                 raise bad(f"unknown label name {exc.args[0]!r}") from None
-            ids.append(sid)
-            subjects.append(str(rec["subject_id"]))
-            rows.append(feats)
-            linenos.append(lineno)
-            if len(rows) == _BLOCK_ROWS:
-                flush()
-    flush()
-    n = len(ids)
-    return Dataset(vocabulary, ids, subjects, features[:n], labels[:n])
+            i = len(subjects)
+            try:
+                features[i] = feats
+            except OverflowError:  # a JSON integer beyond float range
+                raise bad("feature value too large for a float") from None
+            bits = labels[i]
+            for c in cols:
+                bits[c] = 1
+            line_of[sid] = lineno
+            subjects.append(rec["subject_id"])
+    n = len(subjects)
+    _first_non_finite(features[:n], line_of)
+    return Dataset(vocabulary, tuple(line_of), subjects, features[:n], labels[:n])
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the JSONL form; floats round-trip exactly through repr.
-
-    Features become Python floats a block of rows at a time, never as a
-    whole matrix.
-    """
+    """Write the JSONL form, one record per sample; floats round-trip exactly through repr."""
     names = dataset.vocabulary.names
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(dataset), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            bits = dataset.labels[block]
-            cols = np.nonzero(bits)[1].tolist()  # row after row
-            ends = np.cumsum(bits.sum(axis=1, dtype=np.int64)).tolist()
-            lines = []
-            begin = 0
-            for sid, subj, row, end in zip(
-                dataset.ids[block], dataset.subjects[block], dataset.features[block].tolist(), ends
-            ):
-                rec = {"id": sid, "subject_id": subj, "features": row,
-                       "labels": [names[c] for c in cols[begin:end]]}
-                lines.append(json.dumps(rec) + "\n")
-                begin = end
-            fh.write("".join(lines))
+        for sid, subj, row, bits in zip(dataset.ids, dataset.subjects, dataset.features, dataset.labels):
+            rec = {"id": sid, "subject_id": subj, "features": row.tolist(),
+                   "labels": [names[c] for c in np.flatnonzero(bits).tolist()]}
+            fh.write(json.dumps(rec) + "\n")
 
 
 @dataclass(frozen=True)
@@ -489,7 +463,7 @@ def split_by_subject(dataset: Dataset, ratios, seed: int):
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3:
         raise ValueError("ratios must have exactly 3 entries")
-    if any(r < 0 for r in ratios):
+    if not all(r >= 0 for r in ratios):  # NaN fails too
         raise ValueError("ratios must be nonnegative")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")

@@ -111,8 +111,8 @@ def test_synth_rerun_is_byte_identical(work, tmp_path):
 
 
 def test_synth_corpus_bytes_are_pinned(tmp_path):
-    # sha256 of the corpus as the per-sample writer produced it; 600 lines
-    # span more than one block of the block-wise writer
+    # sha256 of the corpus as the per-sample writer produced it; 600 samples
+    # span several blocks of the synthetic noise draw
     out = tmp_path / "pinned"
     assert main(["synth", "--seed", "0", "--out", str(out), *SMALL_SETS,
                  "--set", "synthetic.n_samples=600"]) == 0
@@ -258,6 +258,15 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert main(args) == 2, args
         assert capsys.readouterr().err == f"error: {message}\n", args
     assert not (tmp_path / "s").exists()
+    # train writes nothing when the corpus it would build or read is refused
+    for expr, message in (
+        ("synthetic.n_samples=0", "n_samples must be positive"),
+        ("synthetic.structure_profile=5", "structure_profile must have shape"),
+        (f"data.dataset_path={tmp_path / 'bad.json'}", "data.vocabulary_path: required"),
+    ):
+        assert main(["train", "--out", out, "--set", expr]) == 2, expr
+        assert message in capsys.readouterr().err, expr
+        assert not (tmp_path / "s").exists(), expr
     # an empty output directory is refused, not taken as the working directory
     cwd = tmp_path / "cwd"
     cwd.mkdir()

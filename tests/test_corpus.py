@@ -258,6 +258,29 @@ def test_load_dataset_reports_line_numbers(tmp_path):
         ])
         with pytest.raises(DatasetFormatError, match=re.escape(f"line 2: sample id {bad!r} holds a comma")):
             load_dataset(path, small_vocab())
+    # ids and subjects that are not strings, and a repeated id, which would
+    # otherwise load as their text: a null, a number, an object or a list
+    good = {"id": "a", "subject_id": "p", "features": [1.0], "labels": ["A"]}
+    for key, value in (("id", None), ("id", 5), ("id", {"a": 1}), ("id", ["a"]), ("id", True),
+                       ("subject_id", None), ("subject_id", 7), ("subject_id", [1]), ("subject_id", 1.5)):
+        path = write_lines(tmp_path, [json.dumps(good), json.dumps({**good, "id": "b", key: value})])
+        with pytest.raises(DatasetFormatError, match=re.escape(f"line 2: {key} must be a string")):
+            load_dataset(path, small_vocab())
+    path = write_lines(tmp_path, [json.dumps(good), json.dumps(dict(good, id="b")), "",
+                                  json.dumps(dict(good, subject_id="q"))])
+    with pytest.raises(DatasetFormatError, match=re.escape("line 4: sample id 'a' repeats line 1")):
+        load_dataset(path, small_vocab())
+    # ids null, null, 5 and {"a": 1} with the subject [1]: the first line is refused
+    path = write_lines(tmp_path, [json.dumps(dict(good, id=sid, subject_id=[1])) for sid in (None, None, 5, {"a": 1})])
+    with pytest.raises(DatasetFormatError, match=re.escape("line 1: id must be a string")):
+        load_dataset(path, small_vocab())
+    # the first bad line wins: a non-finite value before a repeated id or a
+    # non-string subject; on the last line it is reported with its line too
+    for later in ([dict(good, id="a")], [dict(good, id="c", subject_id=3)], []):
+        path = write_lines(tmp_path, [json.dumps(good), json.dumps(dict(good, id="b", features=[float("nan")])),
+                                      *map(json.dumps, later)])
+        with pytest.raises(DatasetFormatError, match="line 2: sample b: non-finite feature value"):
+            load_dataset(path, small_vocab())
 
 
 def test_load_dataset_rejects_unknown_label(tmp_path):
@@ -305,15 +328,15 @@ def test_load_dataset_rejects_integer_beyond_float_range(tmp_path):
 
 
 def test_load_dataset_reports_first_bad_line_within_a_block(tmp_path):
-    # a non-finite value is found when its block is converted; a structural
-    # error on a later line of the same block must not be reported first
+    # a non-finite value is found only when a later line fails or the file
+    # ends; a structural error on a later line must not be reported first
     lines = [record(i, [float(i), 1.0]) for i in range(1, 11)]
     lines[2] = record(3, [float("nan"), 1.0])          # line 3, written as NaN
     lines[6] = record(7, [1.0, 2.0], labels=["Q"])      # line 7: unknown label
     path = write_lines(tmp_path, lines)
     with pytest.raises(DatasetFormatError, match="line 3: sample r3: non-finite feature value"):
         load_dataset(path, small_vocab())
-    # an out-of-range integer before a non-finite value in the same block
+    # an out-of-range integer on the line before a non-finite value
     lines[1] = record(2, [1.0, 2.0]).replace("2.0", "9" * 400)
     path = write_lines(tmp_path, lines)
     with pytest.raises(DatasetFormatError, match="line 2: feature value too large"):
@@ -326,7 +349,7 @@ def test_load_dataset_reports_first_bad_line_within_a_block(tmp_path):
 
 
 def test_load_dataset_across_blocks(tmp_path):
-    n = 1100                                            # full blocks of lines and a partial one
+    n = 1100                                            # more than a thousand lines
     lines = [record(i, [i * 0.5, -float(i)], labels=("A", "x") if i % 3 else ("y",)) for i in range(n)]
     lines.insert(700, "   ")                           # a blank line is skipped but counted
     path = write_lines(tmp_path, lines)
@@ -336,7 +359,7 @@ def test_load_dataset_across_blocks(tmp_path):
     assert np.array_equal(ds.features, np.stack([np.arange(n) * 0.5, -np.arange(n, dtype=float)], axis=1))
     assert np.array_equal(ds.labels[:, 2], [1 if i % 3 else 0 for i in range(n)])
     assert np.array_equal(ds.labels[:, 3], [0 if i % 3 else 1 for i in range(n)])
-    lines[1000] = record(999, [float("-inf"), 0.0])    # file line 1001, in the third block
+    lines[1000] = record(999, [float("-inf"), 0.0])    # file line 1001, after the blank line
     lines[1050] = "{broken"
     path = write_lines(tmp_path, lines)
     with pytest.raises(DatasetFormatError, match="line 1001: sample r999: non-finite"):
@@ -368,23 +391,28 @@ def test_load_dataset_of_an_empty_file(tmp_path):
 
 
 def test_load_then_save_keeps_every_value(tmp_path):
-    # JSON ints and bools read as floats; -0.0, the smallest subnormal and
+    # JSON ints and bools read as floats, integers past 2**53 and past 64
+    # bits rounded as float() rounds them; -0.0, the smallest subnormal and
     # 1e300 keep their bits, and the writer gives json.dumps's text
+    big = (2**53 + 1, 2**64 + 1, -(2**70) - 1)
     path = tmp_path / "in.jsonl"
     path.write_text(
-        '{"id": "a", "subject_id": "p", "features": [3, true, -0.0, 5e-324, 1e300], "labels": ["y", "A"]}\n'
-        '{"id": "b\\u00e9", "subject_id": 7, "features": [false, -12, 0.1, -5e-324, -1e300], "labels": ["B"]}\n',
+        '{"id": "a", "subject_id": "p", "features": [3, true, -0.0, 5e-324, 1e300, %d, %d, %d], '
+        '"labels": ["y", "A"]}\n' % big +
+        '{"id": "b\\u00e9", "subject_id": "7", "features": [false, -12, 0.1, -5e-324, -1e300, 1, 2, 3], '
+        '"labels": ["B"]}\n',
         encoding="utf-8",
     )
     ds = load_dataset(path, small_vocab())
-    expected = np.array([[3.0, 1.0, -0.0, 5e-324, 1e300], [0.0, -12.0, 0.1, -5e-324, -1e300]])
+    rows = [[3.0, 1.0, -0.0, 5e-324, 1e300, *map(float, big)], [0.0, -12.0, 0.1, -5e-324, -1e300, 1.0, 2.0, 3.0]]
+    expected = np.array(rows)
     assert ds.features.tobytes() == expected.tobytes()
     assert ds.ids == ("a", "b\u00e9") and ds.subjects == ("p", "7")
     out = tmp_path / "out.jsonl"
     save_dataset(ds, out)
     records = [
-        {"id": "a", "subject_id": "p", "features": [3.0, 1.0, -0.0, 5e-324, 1e300], "labels": ["A", "y"]},
-        {"id": "b\u00e9", "subject_id": "7", "features": [0.0, -12.0, 0.1, -5e-324, -1e300], "labels": ["B"]},
+        {"id": "a", "subject_id": "p", "features": rows[0], "labels": ["A", "y"]},
+        {"id": "b\u00e9", "subject_id": "7", "features": rows[1], "labels": ["B"]},
     ]
     assert out.read_text(encoding="utf-8") == "".join(json.dumps(r) + "\n" for r in records)
     back = load_dataset(out, small_vocab())
@@ -694,6 +722,8 @@ def test_split_validates_ratios():
         split_by_subject(ds, (0.5, 0.5), seed=0)
     with pytest.raises(ValueError, match="nonnegative"):
         split_by_subject(ds, (1.2, -0.1, -0.1), seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        split_by_subject(ds, (float("nan"), 0.5, 0.5), seed=0)
     with pytest.raises(ValueError, match="sum to 1"):
         split_by_subject(ds, (0.5, 0.3, 0.3), seed=0)
 

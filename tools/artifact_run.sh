@@ -15,6 +15,10 @@
 # A second corpus is synthesized with prototype_correlation 0.3 (structure
 # prototypes mixed with their plane's shared direction), and one MLL-GCN-CRC
 # train runs with no data paths, on the corpus it synthesizes in-process.
+# The Single-MLL checkpoint is also evaluated on a corpus made by hand from
+# the default one, in forms its writer never gives: the first 300 lines, some
+# features as JSON integers (2**53 + 1 among them) and as true/false, CRLF
+# line endings and one blank line.
 # Besides that corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
 # trained on as MLL-GCN-CRC with 16 GloVe epochs and evaluated in both SP
 # modes. `metrics-oracle` rechecks every eval report and the 1000-class
@@ -56,6 +60,29 @@ for variant in Single-MLL MLL-CL MLL-CRC MLL-GCN MLL-GCN-CL MLL-GCN-CRC; do
         oracle "eval-$variant-$mode" "$work/eval/$variant/$mode" "$mode" metrics.json scores.csv
     done
 done
+# the hand-made corpus: integer and bool features, CRLF endings, a blank line
+mkdir -p "$work/handmade"
+python3 - "$work/corpus/dataset.jsonl" "$work/handmade/dataset.jsonl" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    records = [json.loads(next(fh)) for _ in range(300)]
+for i, rec in enumerate(records):
+    feats = rec["features"]
+    if i % 3 == 0:
+        feats[i % len(feats)] = round(feats[i % len(feats)])
+    if i % 7 == 0:
+        feats[(i + 1) % len(feats)] = i % 2 == 0
+records[5]["features"][0] = 2**53 + 1
+lines = [json.dumps(rec) for rec in records]
+lines.insert(150, "")
+with open(sys.argv[2], "w", encoding="utf-8", newline="") as fh:
+    fh.write("".join(line + "\r\n" for line in lines))
+PY
+run eval-handmade eval --checkpoint "$work/train/Single-MLL/checkpoint.mllg" \
+    --data "$work/handmade/dataset.jsonl" --sp-mode exact --out "$work/handmade/eval"
+oracle eval-handmade "$work/handmade/eval" exact metrics.json scores.csv
 # off the defaults: the conditional adjacency, and a binarized one at another
 # threshold over a non-default count weighting
 run train-MLL-GCN-conditional train --seed 3 --variant MLL-GCN --out "$work/train/MLL-GCN-conditional" \
