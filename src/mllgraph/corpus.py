@@ -40,8 +40,12 @@ class LabelVocabulary:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((str(n), str(k)) for n, k in self.entries)
+        entries = tuple((n, k) for n, k in self.entries)
         object.__setattr__(self, "entries", entries)
+        for i, (name, kind) in enumerate(entries):
+            if not (isinstance(name, str) and isinstance(kind, str)):
+                raise ValueError(f"vocabulary entry {i}: name and kind must be strings, "
+                                 f"got {type(name).__name__} and {type(kind).__name__}")
         if len(entries) < 2:
             raise ValueError("vocabulary needs at least 2 classes")
         names = [n for n, _ in entries]
@@ -117,11 +121,11 @@ def synthetic_vocabulary(sp_count: int, as_count: int) -> LabelVocabulary:
 class Dataset:
     """n samples sharing one vocabulary, held as columns.
 
-    `ids` and `subjects` are tuples of n strings, `features` an (n, F)
-    float64 matrix and `labels` an (n, C) uint8 matrix of 0/1 bits, C being
-    the vocabulary size. Both matrices are read-only and validated once, as
-    wholes; a sample with a non-finite feature or without any label bit is
-    rejected by its id.
+    `ids` and `subjects` are tuples of n strings, the ids distinct, as a
+    corpus file holds them; `features` an (n, F) float64 matrix and `labels`
+    an (n, C) uint8 matrix of 0/1 bits, C being the vocabulary size. Both
+    matrices are read-only and validated once, as wholes; a sample with a
+    non-finite feature or without any label bit is rejected by its id.
     """
 
     vocabulary: LabelVocabulary
@@ -131,11 +135,18 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(map(str, self.ids))
-        subjects = tuple(map(str, self.subjects))
+        ids, subjects = tuple(self.ids), tuple(self.subjects)
         n = len(ids)
         if len(subjects) != n:
             raise ValueError(f"{len(subjects)} subjects for {n} ids")
+        for name, values in (("ids", ids), ("subjects", subjects)):
+            i = next((i for i, v in enumerate(values) if not isinstance(v, str)), None)
+            if i is not None:
+                raise ValueError(f"{name}[{i}]: expected a string, got {type(values[i]).__name__}")
+        if len(set(ids)) != n:
+            first = {}
+            i = next(i for i, sid in enumerate(ids) if first.setdefault(sid, i) != i)
+            raise ValueError(f"ids[{i}]: sample id {ids[i]!r} repeats ids[{first[ids[i]]}]")
         shape_error = f"features must be an (n, F) matrix: one row of equal feature length per id ({n})"
         try:
             feats = np.asarray(self.features, dtype=np.float64)

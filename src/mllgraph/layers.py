@@ -3,7 +3,8 @@
 Both run h <- act(P(h) W + b) layer by layer, leaky between layers and
 linear last. The encoder, h(HW + b), has P the identity; the GCN head,
 h(B HW), has P = B before every layer after the first and no biases, since
-its first input B Z is computed once by `propagate`.
+its first input B Z is computed once by `propagate`. The head multiplies by
+B, and by B^T on the way back, through a `LabelGraph` built once from B.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class StackCache:
 
 
 def _forward(h: np.ndarray, stack: LayerStack, B=None):
-    """h <- act(P(h) W + b) per layer, P = B after the first layer when B is given."""
+    """h <- act(P(h) W + b) per layer, P = B after the first layer when the LabelGraph B is given."""
     last = len(stack.weights) - 1
     inputs = []
     slopes = []
@@ -101,7 +102,10 @@ def _forward(h: np.ndarray, stack: LayerStack, B=None):
 
 
 def _backward(upstream: np.ndarray, cache: StackCache, stack: LayerStack, B=None):
-    """(dW list, db list or None, dz0) from d(loss)/d(output); dz0 is d(first preactivation)."""
+    """(dW list, db list or None, dz0) from d(loss)/d(output); dz0 is d(first preactivation).
+
+    B is the LabelGraph the forward pass propagated through, if any.
+    """
     dh = np.asarray(upstream, dtype=np.float64)
     n_layers = len(stack.weights)
     dWs = [None] * n_layers
@@ -163,34 +167,137 @@ def encoder_gradients(upstream: np.ndarray, cache: StackCache, params: LayerStac
     return _backward(upstream, cache, params)
 
 
-def propagate(embeddings: np.ndarray, correlation: np.ndarray) -> np.ndarray:
-    """B Z, the first layer's propagated input; fixed while Z and B are."""
+# One gathered multiply-add costs about this many BLAS ones. Measured on a
+# 2-vCPU Xeon with one OpenBLAS thread, at D = 32, over the seed-1 1000-class
+# B-hat of the benchmark's wide-labels workload (12 843 non-zeros): gathering
+# every row took 1.69 ns per non-zero and column of H for B H and 1.39 ns for
+# B^T H, 25 and 20 times the dense products' 0.065 ns per multiply-add, and
+# over the same graph this cutoff gave the fastest B H plus B^T H. A row with
+# k non-zeros is gathered when k * _GATHER_COST < C: its k gathered terms then
+# cost less than the C that a BLAS product spends on it, zeros included. Every
+# row of the 39-class B-hat (k >= 4) stays dense.
+_GATHER_COST = 24
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The rows of one orientation of B, each on the path `LabelGraph` chose for it.
+
+    `dense` holds the rows one BLAS product covers, as one contiguous block;
+    each bucket (cols, vals) holds the m gathered rows with k non-zeros, as
+    their columns (m, k) and values (m, 1, k), buckets in increasing k and
+    rows in index order within each. `position` is each row's place in that
+    stacking of the products, dense rows first. When every row is dense,
+    `position` is None and `dense` is the matrix itself, so the product is
+    exactly `matrix @ H`.
+    """
+
+    dense: np.ndarray
+    buckets: tuple
+    position: object
+
+    @classmethod
+    def split(cls, M: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "_Rows":
+        """M's rows on their paths; (rows, cols, vals) are M's non-zeros in row-major order."""
+        C = len(M)
+        counts = np.bincount(rows, minlength=C)
+        gather = counts * _GATHER_COST < C
+        if not gather.any():
+            return cls(M, (), None)
+        starts = np.cumsum(counts) - counts  # where each row's non-zeros begin
+        dense_rows = np.flatnonzero(~gather)
+        gathered = np.flatnonzero(gather)
+        gathered = gathered[np.argsort(counts[gathered], kind="stable")]  # by k, then by index
+        ks, firsts = np.unique(counts[gathered], return_index=True)
+        buckets = []
+        for k, members in zip(ks, np.split(gathered, firsts[1:])):
+            at = starts[members, None] + np.arange(k)
+            buckets.append((cols[at], vals[at][:, None, :]))
+        position = np.empty(C, dtype=np.intp)
+        position[np.concatenate([dense_rows, gathered])] = np.arange(C)
+        paths = cls(np.ascontiguousarray(M[dense_rows]), tuple(buckets), position)
+        for arr in (paths.dense, paths.position, *(a for bucket in buckets for a in bucket)):
+            arr.setflags(write=False)
+        return paths
+
+    def __matmul__(self, H: np.ndarray) -> np.ndarray:
+        if self.position is None:
+            return self.dense @ H
+        stacked = np.empty((len(H), H.shape[1]))  # B is square
+        n = len(self.dense)
+        np.matmul(self.dense, H, out=stacked[:n])
+        for cols, vals in self.buckets:
+            m = len(cols)
+            np.matmul(vals, H[cols], out=stacked[n:n + m, None])
+            n += m
+        return stacked[self.position]
+
+
+class LabelGraph:
+    """B-hat as the GCN head's propagation operator: `graph @ H` is B H, `graph.T @ G` is B^T G.
+
+    Built once per graph, with each row of B and of B^T on the path the rule
+    at `_GATHER_COST` picks: gathered in one `vals @ H[cols]` batched product
+    per non-zero count, or in one BLAS product over the other rows. A
+    gathered sum rounds differently from BLAS's, by a few ulp; an orientation
+    with no gathered row multiplies by B itself, bit for bit, so B must not
+    change while the operator is in use. Every array it holds is read-only.
+    """
+
+    def __init__(self, correlation):
+        B = np.asarray(correlation, dtype=np.float64).view()
+        if B.ndim != 2 or B.shape[0] != B.shape[1]:
+            raise ValueError(f"correlation must be a square (C, C) matrix, got shape {B.shape}")
+        B.setflags(write=False)
+        self.shape = B.shape
+        C = len(B)
+        r, c = np.divmod(np.flatnonzero(B != 0), C)  # B's non-zeros in row-major order
+        v = B[r, c]
+        by_col = np.argsort(c * C + r)  # the same non-zeros in B^T's row-major order
+        self.rows = _Rows.split(B, r, c, v)
+        self.T = _Rows.split(B.T, c[by_col], r[by_col], v[by_col])
+
+    def __matmul__(self, H: np.ndarray) -> np.ndarray:
+        return self.rows @ H
+
+
+def _as_graph(correlation) -> LabelGraph:
+    """`correlation` itself if it is a LabelGraph, else the one built from that (C, C) array."""
+    return correlation if isinstance(correlation, LabelGraph) else LabelGraph(correlation)
+
+
+def propagate(embeddings: np.ndarray, correlation) -> np.ndarray:
+    """B Z, the first layer's propagated input; fixed while Z and B are.
+
+    `correlation` is a LabelGraph, or the (C, C) B one is built from.
+    """
     Z = np.asarray(embeddings, dtype=np.float64)
-    B = np.asarray(correlation, dtype=np.float64)
-    if Z.ndim != 2 or B.shape != (Z.shape[0], Z.shape[0]):
+    graph = _as_graph(correlation)
+    if Z.ndim != 2 or graph.shape != (Z.shape[0], Z.shape[0]):
         raise ValueError("embeddings must be (C, d) with a matching (C, C) correlation")
-    return B @ Z
+    return graph @ Z
 
 
-def gcn_forward(propagated: np.ndarray, correlation: np.ndarray, stack: LayerStack):
+def gcn_forward(propagated: np.ndarray, correlation, stack: LayerStack):
     """Run G <- act(B G W) through the stack from B Z = propagate(Z, B).
 
+    `correlation` is a LabelGraph, or the (C, C) B one is built from.
     Returns (classifier, cache).
     """
     M = np.asarray(propagated, dtype=np.float64)
-    B = np.asarray(correlation, dtype=np.float64)
-    if M.ndim != 2 or B.shape != (M.shape[0], M.shape[0]):
+    graph = _as_graph(correlation)
+    if M.ndim != 2 or graph.shape != (M.shape[0], M.shape[0]):
         raise ValueError("B Z must be (C, d) with a matching (C, C) correlation")
     if M.shape[1] != stack.input_dim:
         raise ValueError(f"B Z width {M.shape[1]} != stack input {stack.input_dim}")
-    return _forward(M, stack, B)
+    return _forward(M, stack, graph)
 
 
-def gcn_gradients(upstream: np.ndarray, cache: StackCache, correlation: np.ndarray, stack: LayerStack):
+def gcn_gradients(upstream: np.ndarray, cache: StackCache, correlation, stack: LayerStack):
     """Backpropagate d(loss)/d(classifier); returns (per-layer dW, dH0).
 
     dH0 is d(first layer's preactivation); d(B Z) is dH0 @ W0.T and
     d(embeddings) is B.T @ d(B Z), which training keeps frozen and skips.
     """
-    dWs, _, dH0 = _backward(upstream, cache, stack, np.asarray(correlation, dtype=np.float64))
+    dWs, _, dH0 = _backward(upstream, cache, stack, _as_graph(correlation))
     return dWs, dH0

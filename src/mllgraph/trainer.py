@@ -31,6 +31,7 @@ from .corpus import Dataset, LabelVocabulary
 from .glove import GloveConfig, train_glove
 from .layers import (
     EncoderConfig,
+    LabelGraph,
     LayerStack,
     block_views,
     encode,
@@ -190,10 +191,10 @@ class LinearHead:
     def params(self) -> list:
         return [self.weights]
 
-    def forward(self, BZ, B):
+    def forward(self, BZ, graph):
         return self.weights, None
 
-    def backward(self, dK, cache, B) -> list:
+    def backward(self, dK, cache, graph) -> list:
         return [dK]
 
     @staticmethod
@@ -229,11 +230,11 @@ class GcnHead:
     def params(self) -> list:
         return list(self.stack.weights)
 
-    def forward(self, BZ, B):
-        return gcn_forward(BZ, B, self.stack)
+    def forward(self, BZ, graph):
+        return gcn_forward(BZ, graph, self.stack)
 
-    def backward(self, dK, cache, B) -> list:
-        return gcn_gradients(dK, cache, B, self.stack)[0]
+    def backward(self, dK, cache, graph) -> list:
+        return gcn_gradients(dK, cache, graph, self.stack)[0]
 
     @staticmethod
     def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
@@ -353,11 +354,12 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     """Run both phases and return the best-validation checkpoint.
 
     Phase 2 trains the encoder and the head under momentum SGD against the
-    read-only phase-1 record; an in-place write to any of its arrays, or to
-    B-hat Z, raises. Per-stage randomness is derived from cfg.seed through
-    fixed stage indices, so e.g. the k-means seed never shifts the batch
-    order. The retained checkpoint is the earliest epoch with the highest
-    validation exact-match.
+    read-only phase-1 record; an in-place write to any of its arrays, to the
+    arrays of the LabelGraph built from B-hat, or to B-hat Z, raises.
+    Per-stage randomness is derived from cfg.seed through fixed stage
+    indices, so e.g. the k-means seed never shifts the batch order. The
+    retained checkpoint is the earliest epoch with the highest validation
+    exact-match.
     """
     if train.vocabulary != val.vocabulary:
         raise ValueError("train and val must share one vocabulary")
@@ -365,11 +367,8 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         raise ValueError("train and val must be nonempty")
 
     phase1 = fit_phase1(train, variant, cfg)
-    bhat, contrast_labels = phase1.correlation, phase1.contrast_labels
-    BZ = None  # B-hat Z, the GCN head's frozen input, formed once
-    if bhat is not None:
-        BZ = propagate(phase1.embeddings, bhat)
-        BZ.setflags(write=False)
+    contrast_labels = phase1.contrast_labels
+    graph, BZ = _graph_input(phase1.embeddings, phase1.correlation)
     Head = head_type(variant)
     enc = init_encoder(train.feature_dim, cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
     head = Head.init(
@@ -404,7 +403,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         for k, bstart in enumerate(range(0, n, cfg.batch_size)):
             batch = slice(bstart, bstart + cfg.batch_size)
             reps, ecache = encode(Xep[batch], enc)
-            K, hcache = head.forward(BZ, bhat)
+            K, hcache = head.forward(BZ, graph)
             scores = reps @ K.T
             mll, d_scores = mll_loss_and_grad(scores, Yep[batch])
             d_reps = d_scores @ K
@@ -417,9 +416,9 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
                 raise TrainingDivergedError(epoch, k)
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
-            sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, bhat))
+            sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, graph))
             loss_sum += total * reps.shape[0]
-        K, _ = head.forward(BZ, bhat)
+        K, _ = head.forward(BZ, graph)
         vm = exact_match(_score_table(Xval, enc, K, Yval, 0.5))
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
@@ -434,7 +433,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         encoder_params=best_enc,
         head=best_head,
         embeddings=phase1.embeddings,
-        correlation=bhat,
+        correlation=phase1.correlation,
         centroids=phase1.centroids,
         epoch=best_epoch,
     )
@@ -455,10 +454,21 @@ def _score_table(features, enc: LayerStack, K, targets, threshold: float) -> Sco
     return ScoreTable(sigmoid(scores, out=scores), targets, threshold)
 
 
+def _graph_input(embeddings, correlation):
+    """(the LabelGraph of B-hat, the read-only B-hat Z), the GCN head's frozen inputs, or
+    (None, None) without B-hat. Training and scoring both build them here, so they agree bit for bit."""
+    if correlation is None:
+        return None, None
+    graph = LabelGraph(correlation)
+    BZ = propagate(embeddings, graph)
+    BZ.setflags(write=False)
+    return graph, BZ
+
+
 def classifier_matrix(cp: Checkpoint) -> np.ndarray:
     """The (C, D) classifier the checkpoint scores with."""
-    BZ = propagate(cp.embeddings, cp.correlation) if cp.correlation is not None else None
-    return cp.head.forward(BZ, cp.correlation)[0]
+    graph, BZ = _graph_input(cp.embeddings, cp.correlation)
+    return cp.head.forward(BZ, graph)[0]
 
 
 def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:

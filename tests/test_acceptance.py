@@ -28,6 +28,7 @@ from mllgraph.glove import (
 )
 from mllgraph.layers import (
     EncoderConfig,
+    LabelGraph,
     LayerStack,
     encode,
     encoder_gradients,
@@ -58,6 +59,7 @@ from gradcheck import (
     max_rel_err,
     numeric_gradient,
 )
+from label_graphs import reweight_one_graph, sparse_label_graph
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -98,30 +100,33 @@ def _embedding_gradcheck(rng) -> float:
     return worst
 
 
-def _graph_path_gradcheck(rng) -> float:
-    C = int(rng.integers(2, 9))
+def _graph_path_gradcheck(rng, B=None) -> float:
+    """Worst relative error of the GCN path's gradients, over a random small dense B or the given one."""
+    C = int(rng.integers(2, 9)) if B is None else len(B)
     d = int(rng.integers(2, 6))
     D = int(rng.integers(2, 7))
     n = int(rng.integers(2, 9))
-    B = rng.random((C, C)) / C + np.eye(C)
+    if B is None:
+        B = rng.random((C, C)) / C + np.eye(C)
+    graph = LabelGraph(B)
     reps = rng.standard_normal((n, D))
     targets = rng.integers(0, 2, (n, C)).astype(float)
     while True:
         Z = rng.standard_normal((C, d))
         stack = init_stack((d, d, D), seed=int(rng.integers(100_000)))
-        _, cache = gcn_forward(propagate(Z, B), B, stack)
+        _, cache = gcn_forward(propagate(Z, graph), graph, stack)
         if away_from_kinks(gcn_hidden_preacts(cache, stack)):
             break
 
     def path_loss(Zv, stack_v):
-        K, _ = gcn_forward(propagate(Zv, B), B, stack_v)
+        K, _ = gcn_forward(propagate(Zv, graph), graph, stack_v)
         return mll_loss_and_grad(reps @ K.T, targets)[0]
 
-    K, cache = gcn_forward(propagate(Z, B), B, stack)
+    K, cache = gcn_forward(propagate(Z, graph), graph, stack)
     _, d_scores = mll_loss_and_grad(reps @ K.T, targets)
     dK = d_scores.T @ reps
-    dWs, dH0 = gcn_gradients(dK, cache, B, stack)
-    dZ = B.T @ (dH0 @ stack.weights[0].T)   # d(B Z) = dH0 W0^T
+    dWs, dH0 = gcn_gradients(dK, cache, graph, stack)
+    dZ = graph.T @ (dH0 @ stack.weights[0].T)   # d(B Z) = dH0 W0^T
 
     worst = max_rel_err(dZ, numeric_gradient(lambda Zv: path_loss(Zv, stack), Z))
     for li in range(2):
@@ -199,6 +204,19 @@ def test_criterion_1_gradient_correctness():
     detail = ", ".join(f"{k} max rel err {v:.2e}" for k, v in worst.items())
     _report(1, "gradient correctness", ok, f"{detail}; {elapsed:.1f}s")
     assert ok, worst
+
+
+@pytest.mark.parametrize("make", [sparse_label_graph, reweight_one_graph])
+def test_criterion_1_graph_path_gradients_on_the_gather_path(make):
+    """Criterion 1's graph-path check over a graph whose rows LabelGraph mostly gathers."""
+    B = make()
+    graph = LabelGraph(B)
+    assert graph.rows.position is not None and graph.T.position is not None
+    rng = np.random.default_rng(12)
+    worst = max(_graph_path_gradcheck(rng, B) for _ in range(3))
+    _report(1, "gradient correctness", worst <= 1e-4, f"graph-path over {len(B)} classes, gather path, "
+            f"max rel err {worst:.2e}")
+    assert worst <= 1e-4
 
 
 # --------------------------------------------------------------------------

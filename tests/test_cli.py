@@ -8,6 +8,7 @@ import pytest
 from mllgraph.cli import ConfigError, apply_set, default_run_config, main, merge_config
 from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.artifacts import write_score_csv
+from mllgraph.layers import LabelGraph
 from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report, format_report_json
 from mllgraph.trainer import LinearHead, load_checkpoint
 
@@ -325,6 +326,33 @@ def test_train_rerun_is_byte_identical(work, tmp_path):
     assert main(["train", "--out", str(again), *SMALL_SETS]) == 0
     for name in ("checkpoint.mllg", "metrics_test.json", "scores_test.csv", "trace.csv"):
         assert (work / "crc" / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_wide_eval_writes_the_test_scores_train_wrote(tmp_path):
+    """At 1000 classes most rows of B-hat are gathered; eval builds the same LabelGraph from the
+    checkpoint that train built from phase 1, so its scores of the test split are train's, cell for cell."""
+    wide = ["--set", "synthetic.sp_count=250", "--set", "synthetic.as_count=750",
+            "--set", "synthetic.n_samples=300"]
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--seed", "2", "--out", str(corpus), *wide]) == 0
+    assert main([
+        "train", "--seed", "2", "--variant", "MLL-GCN", "--out", str(tmp_path / "train"),
+        "--set", "train.epochs=1", "--set", "glove.epochs=2",
+        "--set", f"data.dataset_path={corpus / 'dataset.jsonl'}",
+        "--set", f"data.vocabulary_path={corpus / 'vocabulary.json'}",
+    ]) == 0
+    graph = LabelGraph(load_checkpoint(tmp_path / "train" / "checkpoint.mllg").correlation)
+    assert graph.rows.position is not None and graph.T.position is not None
+    train_scores = (tmp_path / "train" / "scores_test.csv").read_bytes()
+    test_ids = [line.split(b",", 1)[0].decode() for line in train_scores.splitlines()[1:]]
+    records = {json.loads(line)["id"]: line
+               for line in (corpus / "dataset.jsonl").read_text(encoding="utf-8").splitlines()}
+    (tmp_path / "test.jsonl").write_text("".join(records[i] + "\n" for i in test_ids), encoding="utf-8")
+    assert main([
+        "eval", "--checkpoint", str(tmp_path / "train" / "checkpoint.mllg"),
+        "--data", str(tmp_path / "test.jsonl"), "--out", str(tmp_path / "eval"),
+    ]) == 0
+    assert (tmp_path / "eval" / "scores.csv").read_bytes() == train_scores
 
 
 def test_eval_artifacts(work):

@@ -64,6 +64,17 @@ def test_vocabulary_needs_two_classes():
         LabelVocabulary((("A", "SP"),))
 
 
+def test_vocabulary_refuses_names_and_kinds_that_are_not_strings():
+    # the vocabulary file refuses them too; str() would have made 7 the name "7"
+    for entries, got in (
+        ((("A", "SP"), (7, "AS")), "entry 1: name and kind must be strings, got int and str"),
+        (((None, "SP"), ("B", "AS")), "entry 0: name and kind must be strings, got NoneType and str"),
+        ((("A", "SP"), ("B", ["AS"])), "entry 1: name and kind must be strings, got str and list"),
+    ):
+        with pytest.raises(ValueError, match=got):
+            LabelVocabulary(entries)
+
+
 def test_vocabulary_save_load_roundtrip(tmp_path):
     v = small_vocab()
     path = tmp_path / "vocab.json"
@@ -165,6 +176,25 @@ def test_dataset_reports_the_first_bad_sample():
     feats[1, 0] = 0.0
     with pytest.raises(ValueError, match="sample 1: empty label set"):
         Dataset(small_vocab(), ["0", "1", "2"], ["p"] * 3, feats, labels)
+
+
+def test_dataset_refuses_what_a_corpus_file_refuses(tmp_path):
+    """Non-string ids and subjects and a repeated id, each named by its first index."""
+    feats, labels = np.zeros((3, 1)), np.ones((3, 4), dtype=np.uint8)
+    for ids, subjects, got in (
+        ([7, 7, 8], ["p", "q", "r"], r"ids\[0\]: expected a string, got int"),
+        (["a", None, "c"], ["p", "q", "r"], r"ids\[1\]: expected a string, got NoneType"),
+        (["a", "b", "c"], ["p", "q", ["r"]], r"subjects\[2\]: expected a string, got list"),
+        (["a", "b", "c"], ["p", 1.5, "r"], r"subjects\[1\]: expected a string, got float"),
+        (["a", "b", "a"], ["p", "q", "r"], r"ids\[2\]: sample id 'a' repeats ids\[0\]"),
+        (["7", "7", "7"], ["p", "q", "r"], r"ids\[1\]: sample id '7' repeats ids\[0\]"),
+    ):
+        with pytest.raises(ValueError, match=got):
+            Dataset(small_vocab(), ids, subjects, feats, labels)
+    # so no Dataset saves a file that load_dataset refuses
+    ds = Dataset(small_vocab(), ["7", "8"], ["p", "q"], feats[:2], labels[:2])
+    save_dataset(ds, tmp_path / "d.jsonl")
+    assert load_dataset(tmp_path / "d.jsonl", small_vocab()).ids == ("7", "8")
 
 
 def test_dataset_rejects_label_width_mismatch():

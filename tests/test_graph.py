@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from mllgraph.cooccur import AdjacencyConfig, build_adjacency, build_cooccurrence, normalize_adjacency
+from mllgraph.corpus import SyntheticConfig, generate_synthetic, split_by_subject
 from mllgraph.layers import (
+    LabelGraph,
     LayerStack,
     gcn_forward,
     gcn_gradients,
     init_stack,
     propagate,
 )
+from mllgraph.seeding import stage_seed
 
 from gradcheck import away_from_kinks, gcn_hidden_preacts, max_rel_err, numeric_gradient
+from label_graphs import arrays_in, reweight_one_graph, sparse_label_graph
 
 
 def test_init_stack_shapes_and_activations():
@@ -106,3 +111,64 @@ def test_gradients_match_numeric():
             return float((K2 * upstream).sum())
 
         assert max_rel_err(dZ, numeric_gradient(f_z, Z)) < 1e-6
+
+
+def _products_agree(graph, B, H):
+    assert np.max(np.abs(graph @ H - B @ H)) <= 1e-12
+    assert np.max(np.abs(graph.T @ H - B.T @ H)) <= 1e-12
+
+
+def test_label_graph_gathers_sparse_rows_and_keeps_the_hub_dense():
+    B = sparse_label_graph()
+    graph = LabelGraph(B)
+    H = np.random.default_rng(1).standard_normal((len(B), 7))
+    _products_agree(graph, B, H)
+    # the hub is B's one dense row; every column of B is gathered
+    assert np.array_equal(graph.rows.dense, B[-1:])
+    assert len(graph.T.dense) == 0
+    # a row holding only its self-loop is that entry times H's row, exactly
+    assert np.count_nonzero(B[:10]) == 10
+    assert np.array_equal((graph @ H)[:10], np.diagonal(B)[:10, None] * H[:10])
+
+
+def test_label_graph_handles_a_zero_diagonal_and_empty_columns():
+    B = reweight_one_graph()
+    assert not np.any(np.diagonal(B))
+    empty = np.flatnonzero(~B.any(axis=0))
+    assert len(empty) == len(B) // 3
+    graph = LabelGraph(B)
+    assert graph.rows.position is not None and graph.T.position is not None
+    H = np.random.default_rng(2).standard_normal((len(B), 4))
+    _products_agree(graph, B, H)
+    assert not np.any((graph.T @ H)[empty])
+
+
+def test_label_graph_arrays_are_read_only():
+    graph = LabelGraph(sparse_label_graph())
+    arrays = arrays_in(graph)
+    assert len(arrays) > 10  # both orientations' dense blocks, positions and buckets
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] += 1
+
+
+def test_label_graph_leaves_its_input_writable_and_refuses_a_non_square_one():
+    B = np.eye(3)
+    LabelGraph(B)
+    B[0, 0] = 2.0
+    with pytest.raises(ValueError, match="square"):
+        LabelGraph(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("mode", ["binarized", "conditional"])
+def test_default_label_graph_stays_dense(mode):
+    """Every row of the 39-class B-hat, and of its transpose, is on the dense path: B @ H bit for bit."""
+    for seed in (1, 2, 3):
+        corpus = generate_synthetic(SyntheticConfig(seed=seed))
+        train = split_by_subject(corpus, (0.45, 0.27, 0.28), stage_seed(seed, "split"))[0]
+        B = normalize_adjacency(build_adjacency(build_cooccurrence(train), AdjacencyConfig(mode=mode)))
+        graph = LabelGraph(B)
+        assert graph.rows.position is None and graph.T.position is None
+        H = np.random.default_rng(seed).standard_normal((len(B), 32))
+        assert np.array_equal(graph @ H, B @ H)
+        assert np.array_equal(graph.T @ H, B.T @ H)

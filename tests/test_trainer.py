@@ -44,6 +44,8 @@ from mllgraph.trainer import (
     vanilla_contrast_labels,
 )
 
+from label_graphs import arrays_in
+
 
 def empty_dataset(vocab):
     return Dataset(vocab, [], [], np.zeros((0, 0)), np.zeros((0, vocab.size)))
@@ -130,7 +132,7 @@ def header_edits(header: dict) -> list:
         ("vocabulary_extra_key", dict(header, vocabulary=[dict(vocab[0], color="red")] + vocab[1:]),
          rf'vocabulary\[{re.escape(vocab[0]["name"])}\]\.color: the file has "red", a save writes nothing'),
         ("vocabulary_int_name", dict(header, vocabulary=[dict(vocab[0], name=7)] + vocab[1:]),
-         r'vocabulary\[7\]\.name: the file has 7, a save writes "7"'),
+         r"malformed header: ValueError: vocabulary entry 0: name and kind must be strings, got int and str"),
         ("extra_key", dict(header, note="hand-edited"), 'note: the file has "hand-edited", a save writes nothing'),
         ("zero_input_width", with_tensor("encoder.0.weight", shape=[0, 8]),
          "encoder.0.weight: input width 0 is not a positive integer"),
@@ -737,7 +739,7 @@ def test_checkpoint_header_golden(crc_result, small_splits):
 
 @pytest.mark.parametrize("target", ["embeddings", "correlation", "propagated"])
 def test_phase_one_tensors_are_read_only_in_phase_two(small_splits, monkeypatch, target):
-    """Z, B-hat and the B-hat Z the GCN head reads every batch cannot be written."""
+    """Z, the LabelGraph built from B-hat and the B-hat Z the GCN head reads every batch cannot be written."""
     train, val, _ = small_splits
     real_glove = trainer.train_glove
     real_forward = trainer.gcn_forward
@@ -747,10 +749,14 @@ def test_phase_one_tensors_are_read_only_in_phase_two(small_splits, monkeypatch,
         glove.append(real_glove(*args, **kwargs))
         return glove[-1]
 
-    def writing_forward(BZ, B, stack):
-        arrays = {"embeddings": glove[0].embedding, "correlation": B, "propagated": BZ}
-        arrays[target][0, 0] += 1.0
-        return real_forward(BZ, B, stack)
+    def writing_forward(BZ, graph, stack):
+        arrays = {"embeddings": [glove[0].embedding], "correlation": arrays_in(graph), "propagated": [BZ]}
+        first, *rest = arrays[target]
+        for arr in rest:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] += 1
+        first[...] += 1
+        return real_forward(BZ, graph, stack)
 
     monkeypatch.setattr(trainer, "train_glove", recording_glove)
     monkeypatch.setattr(trainer, "gcn_forward", writing_forward)

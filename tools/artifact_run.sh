@@ -21,7 +21,11 @@
 # line endings and one blank line.
 # Besides that corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
 # trained on as MLL-GCN-CRC with 16 GloVe epochs and evaluated in both SP
-# modes. `metrics-oracle` rechecks every eval report and the 1000-class
+# modes; its binarized B-hat is sparse, so the GCN head gathers most of its
+# rows. One more 1000-class MLL-GCN train uses the conditional adjacency over
+# a corpus it synthesizes in-process (1 SP + 999 AS, every structure drawn at
+# 0.08), whose B-hat is 94% non-zero: every row of it stays on the dense
+# path. `metrics-oracle` rechecks every eval report and the 1000-class
 # train's two reports from their score files (with the report's SP mode and
 # vocabulary); a disagreement or an unreadable score file stops the script.
 set -euo pipefail
@@ -112,6 +116,12 @@ for mode in exact argmax; do
         --data "$work/wide/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/wide/eval/$mode"
     oracle "eval-wide-$mode" "$work/wide/eval/$mode" "$mode" metrics.json scores.csv
 done
+# 1000 classes on the dense path: a conditional B-hat with no sparse row
+profile=$(python3 -c 'print([[0.08] * 999])' | tr -d ' ')
+run train-wide-conditional train --seed 3 --variant MLL-GCN --out "$work/wide/conditional" \
+    --set "train.epochs=$epochs" --set glove.epochs=16 --set adjacency.mode=conditional \
+    --set synthetic.sp_count=1 --set synthetic.as_count=999 --set synthetic.n_samples=1000 \
+    --set "synthetic.structure_profile=$profile"
 
 cd "$work"
 find . -type f | LC_ALL=C sort | xargs sha256sum
