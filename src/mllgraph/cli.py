@@ -43,6 +43,7 @@ from .trainer import (
     VariantSpec,
     VARIANT_NAMES,
     TrainConfig,
+    classifier_matrix,
     config_from_dict,
     load_checkpoint,
     run_pipeline,
@@ -220,9 +221,10 @@ def _out_path(out: str) -> Path:
     return Path(out)
 
 
-def _write_report(out: Path, suffix: str, cp, dataset: Dataset, threshold: float, sp_mode: str):
-    """Score `dataset` and write metrics<suffix>.json and scores<suffix>.csv; returns the report."""
-    table = score_dataset(cp, dataset, threshold)
+def _write_report(out: Path, suffix: str, cp, K, dataset: Dataset, threshold: float, sp_mode: str):
+    """Score `dataset` with the checkpoint and its classifier K, and write
+    metrics<suffix>.json and scores<suffix>.csv; returns the report."""
+    table = score_dataset(cp, dataset, threshold, K)
     values, per_class_ap = compute_report(table, cp.vocabulary.sp_indices, sp_mode)
     (out / f"metrics{suffix}.json").write_text(format_report_json(values), encoding="utf-8")
     write_score_csv(out / f"scores{suffix}.csv", table, dataset.ids, cp.vocabulary.names)
@@ -290,10 +292,11 @@ def cmd_train(args) -> int:
         write_assignments_csv(out / "sample_clusters.csv", train.ids, phase1.contrast_labels)
         write_centroids_csv(out / "centroids.csv", phase1.centroids)
 
+    K = classifier_matrix(cp)   # one classifier, and one LabelGraph, for both splits
     for split, name in ((val, "val"), (test, "test")):
         if len(split) == 0:
             continue
-        values, _ = _write_report(out, f"_{name}", cp, split, threshold, sp_mode)
+        values, _ = _write_report(out, f"_{name}", cp, K, split, threshold, sp_mode)
         scaled = percentages(values)
         print(f"{name}: " + " ".join(f"{k}={scaled[k]}" for k in ("MLL_ACC", "SP_ACC", "mAP", "HL")))
 
@@ -308,7 +311,7 @@ def cmd_eval(args) -> int:
     cp = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data, cp.vocabulary)
     out.mkdir(parents=True, exist_ok=True)
-    values, per_class_ap = _write_report(out, "", cp, dataset, args.threshold, args.sp_mode)
+    values, per_class_ap = _write_report(out, "", cp, classifier_matrix(cp), dataset, args.threshold, args.sp_mode)
     cp.vocabulary.save(out / "vocabulary.json")
     write_rows(out / "per_class_ap.csv", ("name", "ap"), cp.vocabulary.names, per_class_ap[:, None])
     scaled = percentages(values)

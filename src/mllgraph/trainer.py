@@ -471,13 +471,16 @@ def classifier_matrix(cp: Checkpoint) -> np.ndarray:
     return cp.head.forward(BZ, graph)[0]
 
 
-def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:
+def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5, K=None) -> ScoreTable:
+    """The checkpoint's probabilities on `dataset`; K is `classifier_matrix(cp)`, formed here if not given."""
     if dataset.vocabulary != cp.vocabulary:
         raise ValueError("dataset vocabulary does not match the checkpoint")
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
+    if K is None:
+        K = classifier_matrix(cp)
     features, targets = dataset.features_matrix(), dataset.labels_matrix()
-    return _score_table(features, cp.encoder_params, classifier_matrix(cp), targets, threshold)
+    return _score_table(features, cp.encoder_params, K, targets, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from mllgraph.corpus import SyntheticConfig, generate_synthetic, split_by_subjec
 from mllgraph.glove import (
     EmbeddingParams,
     GloveConfig,
+    _augmented,
     _fixed_terms,
-    _gradients,
+    _loss_and_grad,
     _loss_and_residual_grad,
     train_glove,
 )
@@ -73,21 +74,21 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _embedding_gradcheck(rng) -> float:
-    C = int(rng.integers(3, 9))
+    # C > 64, so the fit's row blocks of R and E meet at a boundary
+    C = int(rng.integers(65, 73))
     d = int(rng.integers(2, 6))
     counts = rng.integers(0, 6, (C, C))
     counts = counts + counts.T
     np.fill_diagonal(counts, counts.diagonal() + rng.integers(1, 4, C))
     wcfg = WeightingConfig()
-    params = EmbeddingParams(
-        w=rng.standard_normal((C, d)) * 0.3,
-        w_ctx=rng.standard_normal((C, d)) * 0.3,
-        b=rng.standard_normal(C) * 0.3,
-        b_ctx=rng.standard_normal(C) * 0.3,
-    )
-    # the loss/residual and gradient pair that train_glove runs each epoch
+    _, A, Bt, params = _augmented(C, d)
+    for block in ("w", "w_ctx", "b", "b_ctx"):
+        view = getattr(params, block)
+        view[...] = rng.standard_normal(view.shape) * 0.3
+    # the evaluation train_glove runs each epoch, against the masked loss
     terms = _fixed_terms(counts, wcfg)
-    grads = _gradients(params, _loss_and_residual_grad(params, *terms)[1])
+    _, dA, dBt, grads = _augmented(C, d)
+    _loss_and_grad(A, Bt, *terms, dA, dBt)
     worst = 0.0
     for block in ("w", "w_ctx", "b", "b_ctx"):
         def f(value, _block=block):

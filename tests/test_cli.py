@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mllgraph import trainer
 from mllgraph.cli import ConfigError, apply_set, default_run_config, main, merge_config
 from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.artifacts import write_score_csv
@@ -326,6 +327,19 @@ def test_train_rerun_is_byte_identical(work, tmp_path):
     assert main(["train", "--out", str(again), *SMALL_SETS]) == 0
     for name in ("checkpoint.mllg", "metrics_test.json", "scores_test.csv", "trace.csv"):
         assert (work / "crc" / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_train_builds_one_label_graph_for_scoring(tmp_path, monkeypatch):
+    """run_pipeline builds B-hat's LabelGraph for training, and val and test are scored with one more."""
+    built = []
+
+    def counting_graph(B):
+        built.append(B)
+        return LabelGraph(B)
+
+    monkeypatch.setattr(trainer, "LabelGraph", counting_graph)
+    assert main(["train", "--out", str(tmp_path / "crc"), *SMALL_SETS]) == 0
+    assert len(built) == 2
 
 
 def test_wide_eval_writes_the_test_scores_train_wrote(tmp_path):
