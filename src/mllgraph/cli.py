@@ -26,6 +26,7 @@ from .artifacts import (
     write_rows,
     write_score_csv,
 )
+from .config import _is_int, _is_number, config_from_dict
 from .corpus import (
     Dataset,
     LabelVocabulary,
@@ -44,7 +45,6 @@ from .trainer import (
     VARIANT_NAMES,
     TrainConfig,
     classifier_matrix,
-    config_from_dict,
     load_checkpoint,
     run_pipeline,
     save_checkpoint,
@@ -148,7 +148,7 @@ def resolve_config(args) -> dict:
     if getattr(args, "out", None) is not None:
         cfg["out_dir"] = args.out
     seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not (_is_int(seed) and seed >= 0):
         raise ConfigError("seed: must be a nonnegative integer")
     if not isinstance(cfg["out_dir"], str):
         raise ConfigError(f"out_dir: expected a string, got {json.dumps(cfg['out_dir'])}")
@@ -181,11 +181,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
 
 def _check_scoring(threshold, sp_mode, names=("--threshold", "--sp-mode")):
     """(threshold, sp_mode) once both are valid; `names` label the two in the error."""
-    if (
-        isinstance(threshold, bool)
-        or not isinstance(threshold, (int, float))
-        or not 0.0 <= float(threshold) <= 1.0
-    ):
+    if not (_is_number(threshold) and 0.0 <= threshold <= 1.0):
         raise ConfigError(f"{names[0]} must lie within [0, 1]")
     if sp_mode not in SP_MODES:
         raise ConfigError(f"{names[1]} must be 'exact' or 'argmax'")
@@ -197,7 +193,7 @@ def _check_ratios(cfg: dict):
     if (
         not isinstance(ratios, (list, tuple))
         or len(ratios) != 3
-        or any(isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 <= r <= 1 for r in ratios)
+        or not all(_is_number(r) and 0 <= r <= 1 for r in ratios)
         or abs(sum(float(r) for r in ratios) - 1.0) > 1e-9
     ):
         raise ConfigError("data.split_ratios: need three nonnegative numbers summing to 1")
@@ -268,9 +264,11 @@ def cmd_train(args) -> int:
     tcfg = build_train_config(cfg)
     # the splits hold copies of their rows, so the whole corpus is not kept beside them
     train, val, test = split_by_subject(_obtain_dataset(cfg), ratios, stage_seed(cfg["seed"], "split"))
+    vocab = train.vocabulary
+    if variant.contrastive_mode == "cluster_relabeled" and tcfg.n_clusters > vocab.size:
+        raise ConfigError(f"kmeans.n_clusters: {tcfg.n_clusters} exceeds the {vocab.size} classes k-means groups")
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    vocab = train.vocabulary
     print(f"variant {variant.name}, seed {cfg['seed']}")
     print(f"split sizes: train {len(train)} / val {len(val)} / test {len(test)}")
 
@@ -368,9 +366,7 @@ def cmd_metrics_oracle(args) -> int:
     missing = [k for k in METRIC_KEYS if k not in reported]
     if missing:
         raise ConfigError(f"report lacks keys: {missing}")
-    not_numbers = [
-        k for k in METRIC_KEYS if isinstance(reported[k], bool) or not isinstance(reported[k], (int, float))
-    ]
+    not_numbers = [k for k in METRIC_KEYS if not _is_number(reported[k])]
     if not_numbers:
         raise ConfigError(f"report values are not numbers: {not_numbers}")
     sp_indices = None

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, POSITIVE, one_of, within
 from .corpus import Dataset
 
 
@@ -34,17 +35,11 @@ def build_cooccurrence(dataset: Dataset) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WeightingConfig:
+class WeightingConfig(Config):
     """Saturating count weight: (x / x_max)^exponent below x_max, 1 above."""
 
-    x_max: float = 100.0
-    exponent: float = 0.75
-
-    def __post_init__(self):
-        if self.x_max <= 0:
-            raise ValueError("x_max must be positive")
-        if not 0.0 < self.exponent <= 1.0:
-            raise ValueError("exponent must lie in (0, 1]")
+    x_max: float = field(default=100.0, metadata=POSITIVE)
+    exponent: float = field(default=0.75, metadata=within(0, 1, "(]"))
 
 
 def weight_matrix(counts: np.ndarray, cfg: WeightingConfig) -> np.ndarray:
@@ -63,7 +58,7 @@ def weight_matrix(counts: np.ndarray, cfg: WeightingConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AdjacencyConfig:
+class AdjacencyConfig(Config):
     """Conditional-probability adjacency with optional binarize/reweight step.
 
     mode "binarized": threshold P(j|i) at `threshold`, then spread weight p
@@ -72,17 +67,9 @@ class AdjacencyConfig:
     with a unit diagonal.
     """
 
-    threshold: float = 0.4
-    reweight: float = 0.2
-    mode: str = "binarized"
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be within [0, 1]")
-        if not 0.0 <= self.reweight <= 1.0:
-            raise ValueError("reweight must be within [0, 1]")
-        if self.mode not in ("binarized", "conditional"):
-            raise ValueError(f"unknown adjacency mode: {self.mode!r}")
+    threshold: float = field(default=0.4, metadata=within(0, 1))
+    reweight: float = field(default=0.2, metadata=within(0, 1))
+    mode: str = field(default="binarized", metadata=one_of("binarized", "conditional"))
 
 
 def conditional_probabilities(X: np.ndarray) -> np.ndarray:

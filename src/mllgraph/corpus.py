@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import CSV_BREAKS, TARGET_PREFIX
+from .config import Config, NONNEGATIVE, POSITIVE, within
 from .seeding import stage_rng
 
 KIND_PLANE = "SP"
@@ -143,6 +144,10 @@ class Dataset:
             i = next((i for i, v in enumerate(values) if not isinstance(v, str)), None)
             if i is not None:
                 raise ValueError(f"{name}[{i}]: expected a string, got {type(values[i]).__name__}")
+        i = next((i for i, sid in enumerate(ids) if not CSV_BREAKS.isdisjoint(sid)), None)
+        if i is not None:
+            raise ValueError(f"ids[{i}]: sample id {ids[i]!r} holds a comma or a line break, "
+                             "which the CSV artifacts cannot carry")
         if len(set(ids)) != n:
             first = {}
             i = next(i for i, sid in enumerate(ids) if first.setdefault(sid, i) != i)
@@ -318,7 +323,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 @dataclass(frozen=True)
-class SyntheticConfig:
+class SyntheticConfig(Config):
     """Knobs for the planted-dependency synthetic benchmark.
 
     Each sample carries at most one plane label; structure bits are drawn
@@ -327,42 +332,31 @@ class SyntheticConfig:
     vectors of the active labels plus isotropic Gaussian noise.
     """
 
-    n_samples: int = 2000
-    sp_count: int = 10
-    as_count: int = 29
-    no_sp_probability: float = 0.1
+    n_samples: int = field(default=2000, metadata=POSITIVE)
+    sp_count: int = field(default=10, metadata=POSITIVE)
+    as_count: int = field(default=29, metadata=POSITIVE)
+    no_sp_probability: float = field(default=0.1, metadata=within(0, 1))
     structure_profile: object = None      # (sp_count, as_count) probabilities or None
     background_profile: object = None     # (as_count,) probabilities or None
-    feature_dim: int = 64
-    noise_sigma: float = 5.5
-    prototype_correlation: float = 0.0    # shared-direction weight within a plane's group
-    samples_per_subject: int = 10
-    seed: int = 0
+    feature_dim: int = field(default=64, metadata=POSITIVE)
+    noise_sigma: float = field(default=5.5, metadata=NONNEGATIVE)
+    # shared-direction weight within a plane's group
+    prototype_correlation: float = field(default=0.0, metadata=within(0, 1, "[)"))
+    samples_per_subject: int = field(default=10, metadata=POSITIVE)
+    seed: int = field(default=0, metadata=NONNEGATIVE)
 
     def __post_init__(self):
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if self.sp_count < 1 or self.as_count < 1:
-            raise ValueError("sp_count and as_count must be positive")
-        if not 0.0 <= self.no_sp_probability <= 1.0:
-            raise ValueError("no_sp_probability must be within [0, 1]")
-        if self.feature_dim <= 0:
-            raise ValueError("feature_dim must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if not 0.0 <= self.prototype_correlation < 1.0:
-            raise ValueError("prototype_correlation must be within [0, 1)")
-        if self.samples_per_subject < 1:
-            raise ValueError("samples_per_subject must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        super().__post_init__()
         for name, arr, shape in (
             ("structure_profile", self.structure_profile, (self.sp_count, self.as_count)),
             ("background_profile", self.background_profile, (self.as_count,)),
         ):
             if arr is None:
                 continue
-            a = np.asarray(arr, dtype=np.float64)
+            try:
+                a = np.asarray(arr, dtype=np.float64)
+            except (TypeError, ValueError) as exc:  # not numbers, or ragged rows
+                raise ValueError(f"{name} must be numbers of shape {shape}: {exc}") from exc
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
             if not np.all((a >= 0) & (a <= 1)):  # NaN fails both

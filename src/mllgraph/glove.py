@@ -2,37 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, POSITIVE, rule, within
 from .cooccur import WeightingConfig, weight_matrix
 from .layers import block_views
 
 
 @dataclass(frozen=True)
-class GloveConfig:
-    d: int = 32
-    epochs: int = 256
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    init_scale: float = 0.05
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("embedding dimension must be at least 2")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
+class GloveConfig(Config):
+    d: int = field(default=32, metadata=rule(lambda d: d >= 2, "is the embedding dimension and must be at least 2"))
+    epochs: int = field(default=256, metadata=POSITIVE)
+    learning_rate: float = field(default=0.001, metadata=POSITIVE)
+    beta1: float = field(default=0.9, metadata=within(0, 1, "[)"))
+    beta2: float = field(default=0.999, metadata=within(0, 1, "[)"))
+    eps: float = field(default=1e-8, metadata=POSITIVE)
+    init_scale: float = field(default=0.05, metadata=POSITIVE)
 
 
 @dataclass

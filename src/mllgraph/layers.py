@@ -10,23 +10,18 @@ B, and by B^T on the way back, through a `LabelGraph` built once from B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, NONNEGATIVE, rule
+
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    layer_widths: tuple[int, ...] = (16, 32)
-    slope: float = 0.2
-
-    def __post_init__(self):
-        widths = tuple(self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
-        if not widths or any(w < 1 for w in widths):
-            raise ValueError("layer_widths must be positive")
-        if self.slope < 0:
-            raise ValueError("slope must be nonnegative")
+class EncoderConfig(Config):
+    layer_widths: tuple[int, ...] = field(
+        default=(16, 32), metadata=rule(lambda ws: min(ws, default=0) >= 1, "must be positive"))
+    slope: float = field(default=0.2, metadata=NONNEGATIVE)
 
     @property
     def output_dim(self) -> int:

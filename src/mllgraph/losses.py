@@ -3,32 +3,23 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diagnostics
+from .config import Config, NONNEGATIVE, one_of
 
 NORMALIZATIONS = ("pair_mean", "raw_sum")
 CONTRASTIVE_MODES = ("none", "vanilla", "cluster_relabeled")
 
 
 @dataclass(frozen=True)
-class LossConfig:
-    alpha: float = 0.75       # weight on (1 - sim) for same-label pairs
-    beta: float = 0.25        # weight on (1 + sim) for different-label pairs
-    lam: float = 0.1          # contrastive weight in the total loss
-    contrastive_normalization: str = "pair_mean"
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.contrastive_normalization not in NORMALIZATIONS:
-            raise ValueError(
-                f"contrastive_normalization must be one of {NORMALIZATIONS}"
-            )
+class LossConfig(Config):
+    alpha: float = field(default=0.75, metadata=NONNEGATIVE)  # weight on (1 - sim) for same-label pairs
+    beta: float = field(default=0.25, metadata=NONNEGATIVE)   # weight on (1 + sim) for different-label pairs
+    lam: float = field(default=0.1, metadata=NONNEGATIVE)     # contrastive weight in the total loss
+    contrastive_normalization: str = field(default="pair_mean", metadata=one_of(*NORMALIZATIONS))
 
 
 _SIGMOID_BLOCK = 1 << 16  # elements per row block of sigmoid's temporaries

@@ -13,13 +13,12 @@ import itertools
 import json
 import math
 import struct
-import sys
-import typing
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, NONNEGATIVE, POSITIVE, _is_int, config_from_dict, within
 from .cooccur import (
     AdjacencyConfig,
     WeightingConfig,
@@ -79,7 +78,7 @@ class VariantSpec:
 
     @classmethod
     def from_name(cls, name: str) -> "VariantSpec":
-        if name not in _VARIANT_FLAGS:
+        if name not in VARIANT_NAMES:  # a tuple: an unhashable name is refused too
             raise ValueError(
                 f"unknown variant {name!r}; expected one of {', '.join(VARIANT_NAMES)}"
             )
@@ -88,38 +87,20 @@ class VariantSpec:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    seed: int = 0
-    epochs: int = 100
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 32
-    n_clusters: int = 10
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-6
+class TrainConfig(Config):
+    seed: int = field(default=0, metadata=NONNEGATIVE)
+    epochs: int = field(default=100, metadata=POSITIVE)
+    learning_rate: float = field(default=0.01, metadata=POSITIVE)
+    momentum: float = field(default=0.9, metadata=within(0, 1, "[)"))
+    batch_size: int = field(default=32, metadata=POSITIVE)
+    n_clusters: int = field(default=10, metadata=POSITIVE)
+    kmeans_max_iter: int = field(default=100, metadata=POSITIVE)
+    kmeans_tol: float = field(default=1e-6, metadata=NONNEGATIVE)
     loss: LossConfig = field(default_factory=LossConfig)
     glove: GloveConfig = field(default_factory=GloveConfig)
     weighting: WeightingConfig = field(default_factory=WeightingConfig)
     adjacency: AdjacencyConfig = field(default_factory=AdjacencyConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be positive")
-        if self.kmeans_max_iter < 1:
-            raise ValueError("kmeans_max_iter must be positive")
-        if self.kmeans_tol < 0:
-            raise ValueError("kmeans_tol must be nonnegative")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -127,44 +108,6 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"loss became non-finite at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def config_from_dict(cls, data, where: str = ""):
-    """Inverse of `dataclasses.asdict` for the config dataclasses.
-
-    Nested config sections are rebuilt recursively; absent keys keep their
-    defaults and unknown keys are rejected. An `int` field takes only an
-    integer (not a bool), a `float` field an integer or a finite float, and a
-    `tuple[int, ...]` field a list of integers; `where` is the dotted path
-    of `data`, which the errors name.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{where or cls.__name__}: expected an object, got {type(data).__name__}")
-    types = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(types))
-    if unknown:
-        raise ValueError(f"{where or cls.__name__}: unknown key {unknown[0]!r}")
-    kwargs = {}
-    for key, value in data.items():
-        path, kind = f"{where}.{key}" if where else key, types[key]
-        if dataclasses.is_dataclass(kind):
-            value = config_from_dict(kind, value, path)
-        elif kind is int and not _is_int(value):
-            raise ValueError(f"{path}: expected an integer, got {type(value).__name__}")
-        elif kind == tuple[int, ...] and not (
-            isinstance(value, (list, tuple)) and all(map(_is_int, value))
-        ):
-            raise ValueError(f"{path}: expected a list of integers, got {json.dumps(value)}")
-        elif kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ValueError(f"{path}: expected a number, got {type(value).__name__}")
-        elif kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, an int past float range
-            raise ValueError(f"{path}: expected a finite number, got {json.dumps(value)[:40]}")
-        kwargs[key] = value
-    return cls(**kwargs)
 
 
 class LinearHead:

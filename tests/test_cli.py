@@ -223,6 +223,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         ("encoder.layer_widths=[8,true]", "encoder.layer_widths: expected a list of integers, got [8, true]"),
         ("encoder.layer_widths=16", "encoder.layer_widths: expected a list of integers, got 16"),
         ("metrics.threshold=true", "metrics.threshold: must lie within [0, 1]"),
+        ("metrics.threshold=1" + "0" * 400, "metrics.threshold: must lie within [0, 1]"),
         ("seed=true", "seed: must be a nonnegative integer"),
         # non-finite numbers and bool ratios stop at the boundary, not in training
         ("kmeans.tol=NaN", "kmeans_tol: expected a finite number, got NaN"),
@@ -327,6 +328,25 @@ def test_train_rerun_is_byte_identical(work, tmp_path):
     assert main(["train", "--out", str(again), *SMALL_SETS]) == 0
     for name in ("checkpoint.mllg", "metrics_test.json", "scores_test.csv", "trace.csv"):
         assert (work / "crc" / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_train_refuses_a_variant_or_cluster_count_it_cannot_run_before_writing(tmp_path, capsys):
+    out = tmp_path / "x"
+    for args, message in (
+        (["--set", 'variant=["x"]'], "error: unknown variant ['x']; expected one of Single-MLL"),
+        (["--set", "variant=7"], "error: unknown variant 7; expected one of Single-MLL"),
+        # the 9-class corpus gives k-means 9 label embeddings to group
+        (["--variant", "MLL-CRC", "--set", "kmeans.n_clusters=10"],
+         "error: kmeans.n_clusters: 10 exceeds the 9 classes k-means groups"),
+        (["--variant", "MLL-GCN-CRC", "--set", "kmeans.n_clusters=50"],
+         "error: kmeans.n_clusters: 50 exceeds the 9 classes k-means groups"),
+    ):
+        assert main(["train", "--out", str(out), *SMALL_SETS, *args]) == 2, args
+        assert capsys.readouterr().err.startswith(message), args
+        assert not out.exists(), args
+    # a variant without cluster relabeling runs no k-means, whatever its cluster count
+    assert main(["train", "--out", str(out), *SMALL_SETS, "--variant", "MLL-GCN-CL",
+                 "--set", "kmeans.n_clusters=50"]) == 0
 
 
 def test_train_builds_one_label_graph_for_scoring(tmp_path, monkeypatch):

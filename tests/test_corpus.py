@@ -188,6 +188,8 @@ def test_dataset_refuses_what_a_corpus_file_refuses(tmp_path):
         (["a", "b", "c"], ["p", 1.5, "r"], r"subjects\[1\]: expected a string, got float"),
         (["a", "b", "a"], ["p", "q", "r"], r"ids\[2\]: sample id 'a' repeats ids\[0\]"),
         (["7", "7", "7"], ["p", "q", "r"], r"ids\[1\]: sample id '7' repeats ids\[0\]"),
+        (["a,b", "c", "d"], ["p", "q", "r"], r"ids\[0\]: sample id 'a,b' holds a comma or a line break"),
+        (["a", "b", "c\u2028"], ["p", "q", "r"], r"ids\[2\]: sample id 'c\\u2028' holds a comma or a line break"),
     ):
         with pytest.raises(ValueError, match=got):
             Dataset(small_vocab(), ids, subjects, feats, labels)
@@ -513,6 +515,10 @@ def test_synthetic_config_validation_messages():
             SyntheticConfig(sp_count=2, as_count=3, background_profile=profile)
     with pytest.raises(ValueError, match="structure_profile entries must be probabilities"):
         SyntheticConfig(sp_count=1, as_count=2, structure_profile=[[0.5, np.nan]])
+    # what numpy cannot read as numbers is named by its field, as a ValueError
+    for profile in ({"a": 1}, "abc", [[0.5, 0.5], [0.5]]):
+        with pytest.raises(ValueError, match=r"^structure_profile must be numbers of shape \(2, 2\): "):
+            SyntheticConfig(sp_count=2, as_count=2, structure_profile=profile)
 
 
 def test_default_structure_profile_plants_trios():

@@ -15,6 +15,9 @@
 # A second corpus is synthesized with prototype_correlation 0.3 (structure
 # prototypes mixed with their plane's shared direction), and one MLL-GCN-CRC
 # train runs with no data paths, on the corpus it synthesizes in-process.
+# Every run sets its config with --set except one MLL-GCN-CRC train, driven
+# by a --config file the script writes, which gives JSON integers to float
+# fields (loss.alpha and loss.beta, train.momentum, kmeans.tol).
 # The Single-MLL checkpoint is also evaluated on a corpus made by hand from
 # the default one, in forms its writer never gives: the first 300 lines, some
 # features as JSON integers (2**53 + 1 among them) and as true/false, CRLF
@@ -98,6 +101,15 @@ run train-MLL-GCN-weighting train --seed 3 --variant MLL-GCN --out "$work/train/
 run synth-ambiguous synth --seed 4 --out "$work/ambiguous" --set synthetic.prototype_correlation=0.3
 run train-synthesized train --seed 3 --variant MLL-GCN-CRC --out "$work/train/synthesized" \
     --set "train.epochs=$epochs"
+# a train driven by a config file that gives JSON integers to float fields
+# (loss.alpha, loss.beta, train.momentum, kmeans.tol): config.json and the
+# checkpoint header keep them as integers, never coerced to floats
+cat > "$work/integer-floats.json" <<JSON
+{"data": {"dataset_path": "$work/corpus/dataset.jsonl", "vocabulary_path": "$work/corpus/vocabulary.json"},
+ "train": {"epochs": $epochs, "momentum": 0}, "loss": {"alpha": 1, "beta": 0}, "kmeans": {"tol": 0}}
+JSON
+run train-config-file train --seed 3 --variant MLL-GCN-CRC --out "$work/train/config-file" \
+    --config "$work/integer-floats.json"
 for what in embeddings correlation clusters projection; do
     run "export-$what" export --checkpoint "$work/train/MLL-GCN-CRC/checkpoint.mllg" \
         --what "$what" --out "$work/export/$what"
