@@ -39,28 +39,27 @@ class GloveDivergenceError(RuntimeError):
 
 
 def _fixed_terms(counts: np.ndarray, wcfg: WeightingConfig):
-    """(f(X), the mask of zero cells, log X): the parts of the objective the counts fix.
+    """(f(X), log X): the parts of the objective the counts fix, log X 0 on the zero cells.
 
     Integer counts are read as they are; neither term makes a float copy of them.
     """
     X = np.asarray(counts)
-    mask = X > 0
-    logX = np.log(X, out=np.zeros(X.shape), where=mask)
-    return weight_matrix(X, wcfg), ~mask, logX
+    logX = np.log(X, out=np.zeros(X.shape), where=X > 0)
+    return weight_matrix(X, wcfg), logX
 
 
-def _loss_and_residual_grad(params: EmbeddingParams, F, zero, logX):
+def _loss_and_residual_grad(params: EmbeddingParams, counts, F, logX):
     """(loss, E) at `params`: loss = sum of f(X) R^2, and E = 2 f(X) R is d loss / d R.
 
-    R = w w~^T + b + b~^T - log X on the nonzero cells and 0 on the others.
-    R is built in place and f(X) R is reused for both the loss and E, so
-    one call holds two (C, C) arrays.
+    R = w w~^T + b + b~^T - log X on the nonzero cells of the counts X and
+    0 on the others. R is built in place and f(X) R is reused for both the
+    loss and E, so one call holds two (C, C) arrays and the zero-cell mask.
     """
     R = params.w @ params.w_ctx.T
     R += params.b[:, None]
     R += params.b_ctx[None, :]
     R -= logX
-    R[zero] = 0.0
+    R[~(np.asarray(counts) > 0)] = 0.0   # NaN cells too, as f(X) and log X take them
     E = F * R
     R *= E
     loss = float(np.sum(R))
@@ -97,8 +96,11 @@ def _fields(A, Bt) -> EmbeddingParams:
 _GLOVE_ROWS = 64
 
 
-def _loss_and_grad(A, Bt, F, zero, logX, dA, dBt) -> float:
+def _loss_and_grad(A, Bt, counts, F, logX, dA=None, dBt=None) -> float:
     """The loss at A B~^T, with d loss / dA into dA and d loss / dB~ into dBt.
+
+    With dA and dBt None only the loss is formed, without the two gradient
+    products of each block.
 
     R = A B~^T - log X and E = f(X) R are formed _GLOVE_ROWS rows at a
     time: each block adds vdot(E, R) to the loss, writes its rows of
@@ -113,13 +115,15 @@ def _loss_and_grad(A, Bt, F, zero, logX, dA, dBt) -> float:
     make the sum non-finite on its own, so a non-finite loss is evaluated
     again in the masked form over the whole matrix, whose E then gives the
     gradients; that form also raises the floating-point warnings, which
-    this one keeps quiet.
+    this one keeps quiet. Only that fallback builds the zero-cell mask.
     """
     C, d = A.shape[0], A.shape[1] - 2
+    grads = dA is not None
     R = np.empty((min(C, _GLOVE_ROWS), C))
     E = np.empty_like(R)
-    part = np.empty_like(dBt)
-    dBt[...] = 0.0
+    if grads:
+        part = np.empty_like(dBt)
+        dBt[...] = 0.0
     loss = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, C, _GLOVE_ROWS):
@@ -130,14 +134,17 @@ def _loss_and_grad(A, Bt, F, zero, logX, dA, dBt) -> float:
             r -= logX[rows]
             np.multiply(F[rows], r, out=e)
             loss += np.vdot(e, r)
-            np.matmul(e, Bt, out=dA[rows])
-            np.matmul(e.T, a, out=part)
-            dBt += part
+            if grads:
+                np.matmul(e, Bt, out=dA[rows])
+                np.matmul(e.T, a, out=part)
+                dBt += part
+    if not grads:
+        return float(loss) if np.isfinite(loss) else _loss_and_residual_grad(_fields(A, Bt), counts, F, logX)[0]
     if np.isfinite(loss):
         dA *= 2.0
         dBt *= 2.0
     else:
-        loss, masked = _loss_and_residual_grad(_fields(A, Bt), F, zero, logX)
+        loss, masked = _loss_and_residual_grad(_fields(A, Bt), counts, F, logX)
         np.matmul(masked, Bt, out=dA)
         np.matmul(masked.T, A, out=dBt)
     dA[:, d + 1] = 0.0
@@ -174,7 +181,7 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     v = np.zeros_like(flat)
     step = np.empty_like(flat)
     denom = np.empty_like(flat)
-    terms = _fixed_terms(counts, wcfg)
+    terms = (counts, *_fixed_terms(counts, wcfg))
     trace = np.empty(cfg.epochs + 1)
     trace[0] = _loss_and_grad(A, Bt, *terms, dA, dBt)
     if not np.isfinite(trace[0]):
@@ -196,7 +203,8 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
         denom += cfg.eps
         step /= denom
         flat -= step
-        trace[t] = _loss_and_grad(A, Bt, *terms, dA, dBt)
+        # no step follows the last evaluation, so it forms only the loss
+        trace[t] = _loss_and_grad(A, Bt, *terms, *((dA, dBt) if t < cfg.epochs else ()))
         if not np.isfinite(trace[t]):
             raise GloveDivergenceError(t)
     # Z is finite: a non-finite w or w~ row with a nonzero cell (its diagonal

@@ -49,13 +49,10 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _sigmoid_from(x: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sigmoid(x) into `out` given e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e).
 
-    out may be x itself: the sign of x is taken before out is written.
+    out may be x itself: the numerator is selected by the sign of x before
+    out is written.
     """
-    pos = x >= 0
-    d = 1.0 + e
-    np.divide(e, d, out=out)
-    np.divide(1.0, d, out=out, where=pos)
-    return out
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def mll_loss_and_grad(scores: np.ndarray, targets: np.ndarray):
@@ -92,38 +89,36 @@ def _unit_rows(X: np.ndarray):
 class PairTerms:
     """The label-only part of one batch's contrastive term.
 
-    pos and neg mark the ordered same-label (off-diagonal) and
-    different-label pairs; pull and push are alpha and beta times their
-    pair weights; G is the constant dL/dS, 2 push on neg, -2 pull on pos
-    and 0 on the diagonal.
+    G is twice the constant dL/dS: 2 push on different-label pairs, -2 pull
+    on same-label pairs and 0 on the diagonal, where pull and push are
+    alpha and beta times their pair weights. offset is pull n_pos + push
+    n_neg, the loss's constant part over the n_pos same-label
+    (off-diagonal) and n_neg different-label ordered pairs.
     """
 
-    pos: np.ndarray
-    neg: np.ndarray
-    pull: float
-    push: float
     G: np.ndarray
+    offset: float
 
 
 def _stacked_pair_terms(labels: np.ndarray, cfg: LossConfig) -> list:
-    """PairTerms of each row of a (k, b) label array, built as (k, b, b) stacks."""
+    """PairTerms of each row of a (k, b) label array, built as one (k, b, b) stack."""
     k, b = labels.shape
-    pos = labels[:, :, None] == labels[:, None, :]
-    neg = ~pos
-    diag = np.arange(b)
-    pos[:, diag, diag] = False
+    same = labels[:, :, None] == labels[:, None, :]
+    n_same = np.count_nonzero(same, axis=(1, 2))
+    n_pos = n_same - b
+    n_neg = b * b - n_same
     if cfg.contrastive_normalization == "pair_mean":
-        n_pos = np.count_nonzero(pos, axis=(1, 2))
-        n_neg = np.count_nonzero(neg, axis=(1, 2))
         w_pos = np.divide(1.0, n_pos, out=np.zeros(k), where=n_pos > 0)
         w_neg = np.divide(1.0, n_neg, out=np.zeros(k), where=n_neg > 0)
     else:
         w_pos = w_neg = np.ones(k)
     pull = cfg.alpha * w_pos
     push = cfg.beta * w_neg
-    G = np.where(neg, (2.0 * push)[:, None, None], (2.0 * -pull)[:, None, None])
+    offset = pull * n_pos + push * n_neg
+    G = np.where(same, (2.0 * -pull)[:, None, None], (2.0 * push)[:, None, None])
+    diag = np.arange(b)
     G[:, diag, diag] = 0.0
-    return [PairTerms(pos[i], neg[i], float(pull[i]), float(push[i]), G[i]) for i in range(k)]
+    return [PairTerms(G[i], float(offset[i])) for i in range(k)]
 
 
 def epoch_pair_terms(labels: np.ndarray, batch_size: int, cfg: LossConfig) -> list:
@@ -160,13 +155,15 @@ def contrastive_loss_and_grad(representations: np.ndarray, terms: PairTerms):
         diagnostics.record("contrastive_undersized_batch")
         return 0.0, np.zeros_like(X)
     U, safe, zero = _unit_rows(X)
-    S = U @ U.T
-    np.minimum(np.maximum(S, -1.0, out=S), 1.0, out=S)  # np.clip(S, -1, 1) in place
-    loss = float(terms.pull * (1.0 - S[terms.pos]).sum() + terms.push * (1.0 + S[terms.neg]).sum())
-    # loss is linear in the similarity entries, so dL/dS is the constant G.
-    # G is symmetric, so the (G + G.T) U of the chain rule is 2 G U, exactly.
+    # The loss is offset + sum of W * S over the pairs, with S = U U^T and
+    # W = G / 2, so dL/dS is the constant W. W is symmetric, so the
+    # (W + W.T) U of the chain rule is G U, exactly, and the pair sum is half
+    # the sum of the row dots r = (U * G U).sum(axis=1) the gradient forms
+    # anyway. S itself is never formed.
     dU = terms.G @ U
-    dX = (dU - (U * dU).sum(axis=1)[:, None] * U) / safe[:, None]
+    r = (U * dU).sum(axis=1)
+    loss = float(terms.offset + 0.5 * r.sum())
+    dX = (dU - r[:, None] * U) / safe[:, None]
     if zero is not None:
         dX[zero] = 0.0
     return loss, dX

@@ -86,7 +86,7 @@ def _embedding_gradcheck(rng) -> float:
         view = getattr(params, block)
         view[...] = rng.standard_normal(view.shape) * 0.3
     # the evaluation train_glove runs each epoch, against the masked loss
-    terms = _fixed_terms(counts, wcfg)
+    terms = (counts, *_fixed_terms(counts, wcfg))
     _, dA, dBt, grads = _augmented(C, d)
     _loss_and_grad(A, Bt, *terms, dA, dBt)
     worst = 0.0

@@ -22,7 +22,12 @@ from gradcheck import max_rel_err, numeric_gradient
 
 def glove_loss(params, counts, wcfg):
     """The objective train_glove minimizes, at `params`."""
-    return _loss_and_residual_grad(params, *_fixed_terms(counts, wcfg))[0]
+    return _loss_and_residual_grad(params, counts, *_fixed_terms(counts, wcfg))[0]
+
+
+def fixed_terms(counts, wcfg):
+    """(counts, f(X), log X), as train_glove hands them to each evaluation."""
+    return (counts, *_fixed_terms(counts, wcfg))
 
 
 def masked_gradients(params, terms):
@@ -33,7 +38,7 @@ def masked_gradients(params, terms):
 
 def glove_gradients(params, counts, wcfg):
     """The gradients of glove_loss at `params`."""
-    return masked_gradients(params, _fixed_terms(counts, wcfg))
+    return masked_gradients(params, fixed_terms(counts, wcfg))
 
 
 FIELDS = ("w", "w_ctx", "b", "b_ctx")
@@ -108,8 +113,7 @@ def test_fixed_log_counts_bit_equal_to_masked_log():
     rng = np.random.default_rng(6)
     X = np.where(rng.random((60, 60)) < 0.1, rng.integers(1, 400, (60, 60)), 0)
     X = (X + X.T).astype(np.float64)
-    F, zero, logX = _fixed_terms(X, WeightingConfig())
-    assert np.array_equal(zero, X == 0)
+    logX = _fixed_terms(X, WeightingConfig())[1]
     want = np.where(X > 0, np.log(np.where(X > 0, X, 1.0)), 0.0)
     assert logX.tobytes() == want.tobytes()
 
@@ -215,7 +219,7 @@ def test_block_evaluation_matches_masked_reference(C):
     counts = random_counts(rng, C)
     params = random_params(rng, C, 5)
     wcfg = WeightingConfig(x_max=50.0)
-    terms = _fixed_terms(counts, wcfg)
+    terms = fixed_terms(counts, wcfg)
     loss, grads, dA, dBt = block_evaluation(params, terms)
     assert loss == pytest.approx(_loss_and_residual_grad(params, *terms)[0], rel=1e-12)
     want = masked_gradients(params, terms)
@@ -237,7 +241,7 @@ def test_block_loss_masks_an_overflowing_empty_cell(row):
     params.w_ctx[:, 0] = 0.0
     params.w[row, 0] = 1e200
     params.w_ctx[3, 0] = 1e200
-    terms = _fixed_terms(counts, WeightingConfig())
+    terms = fixed_terms(counts, WeightingConfig())
     with np.errstate(over="ignore", invalid="ignore"):   # w w~^T is inf at (row, 3)
         want_loss = _loss_and_residual_grad(params, *terms)[0]
         want = masked_gradients(params, terms)
@@ -248,6 +252,33 @@ def test_block_loss_masks_an_overflowing_empty_cell(row):
         assert np.all(np.isfinite(getattr(grads, k)))
         assert_close(getattr(grads, k), getattr(want, k))
     assert not dA[:, -1].any() and not dBt[:, -2].any()
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+def test_loss_only_evaluation_gives_the_full_evaluations_bits(overflow):
+    """Without gradients, the evaluation gives the loss a full one gives, bit for bit,
+    in the masked fallback as well; train_glove's last trace entry is that loss at
+    the parameters it returns."""
+    rng = np.random.default_rng(12)
+    C = 130
+    counts = random_counts(rng, C)
+    params = random_params(rng, C, 4)
+    if overflow:
+        counts[100, 3] = counts[3, 100] = 0             # only the empty cell (100, 3) overflows
+        params.w[:, 0] = params.w_ctx[:, 0] = 0.0
+        params.w[100, 0] = params.w_ctx[3, 0] = 1e200
+    terms = fixed_terms(counts, WeightingConfig())
+    _, A, Bt, into = _augmented(C, 4)
+    for k in FIELDS:
+        getattr(into, k)[...] = getattr(params, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = block_evaluation(params, terms)[0]
+        loss = _loss_and_grad(A, Bt, *terms)
+    assert np.isfinite(want)
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+    res = train_glove(counts, GloveConfig(d=4, epochs=5, learning_rate=0.05), WeightingConfig(), seed=1)
+    want = block_evaluation(res.params, terms)[0]
+    assert np.float64(res.loss_trace[-1]).tobytes() == np.float64(want).tobytes()
 
 
 def test_train_glove_keeps_the_constant_columns_at_one():
