@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import dataclasses
 import json
 import sys
@@ -44,7 +45,6 @@ from .trainer import (
     VariantSpec,
     VARIANT_NAMES,
     TrainConfig,
-    classifier_matrix,
     load_checkpoint,
     run_pipeline,
     save_checkpoint,
@@ -217,11 +217,12 @@ def _out_path(out: str) -> Path:
     return Path(out)
 
 
-def _write_report(out: Path, suffix: str, cp, K, dataset: Dataset, threshold: float, sp_mode: str):
-    """Score `dataset` with the checkpoint and its classifier K, and write
-    metrics<suffix>.json and scores<suffix>.csv; returns the report."""
-    table = score_dataset(cp, dataset, threshold, K)
+def _write_report(out: Path, suffix: str, cp, dataset: Dataset, threshold: float, sp_mode: str):
+    """Score `dataset` with the checkpoint, and write metrics<suffix>.json and
+    scores<suffix>.csv into `out`, made once the report is; returns the report."""
+    table = score_dataset(cp, dataset, threshold)
     values, per_class_ap = compute_report(table, cp.vocabulary.sp_indices, sp_mode)
+    out.mkdir(parents=True, exist_ok=True)
     (out / f"metrics{suffix}.json").write_text(format_report_json(values), encoding="utf-8")
     write_score_csv(out / f"scores{suffix}.csv", table, dataset.ids, cp.vocabulary.names)
     return values, per_class_ap
@@ -267,13 +268,13 @@ def cmd_train(args) -> int:
     vocab = train.vocabulary
     if variant.contrastive_mode == "cluster_relabeled" and tcfg.n_clusters > vocab.size:
         raise ConfigError(f"kmeans.n_clusters: {tcfg.n_clusters} exceeds the {vocab.size} classes k-means groups")
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     print(f"variant {variant.name}, seed {cfg['seed']}")
     print(f"split sizes: train {len(train)} / val {len(val)} / test {len(test)}")
 
     result = run_pipeline(train, val, variant, tcfg)
     cp, phase1 = result.checkpoint, result.phase1
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(cp, out / "checkpoint.mllg")
     _write_config_snapshot(cfg, out)
     vocab.save(out / "vocabulary.json")
@@ -290,11 +291,10 @@ def cmd_train(args) -> int:
         write_assignments_csv(out / "sample_clusters.csv", train.ids, phase1.contrast_labels)
         write_centroids_csv(out / "centroids.csv", phase1.centroids)
 
-    K = classifier_matrix(cp)   # one classifier, and one LabelGraph, for both splits
     for split, name in ((val, "val"), (test, "test")):
         if len(split) == 0:
             continue
-        values, _ = _write_report(out, f"_{name}", cp, K, split, threshold, sp_mode)
+        values, _ = _write_report(out, f"_{name}", cp, split, threshold, sp_mode)
         scaled = percentages(values)
         print(f"{name}: " + " ".join(f"{k}={scaled[k]}" for k in ("MLL_ACC", "SP_ACC", "mAP", "HL")))
 
@@ -308,8 +308,7 @@ def cmd_eval(args) -> int:
     out = _out_path(args.out)
     cp = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data, cp.vocabulary)
-    out.mkdir(parents=True, exist_ok=True)
-    values, per_class_ap = _write_report(out, "", cp, classifier_matrix(cp), dataset, args.threshold, args.sp_mode)
+    values, per_class_ap = _write_report(out, "", cp, dataset, args.threshold, args.sp_mode)
     cp.vocabulary.save(out / "vocabulary.json")
     write_rows(out / "per_class_ap.csv", ("name", "ap"), cp.vocabulary.names, per_class_ap[:, None])
     scaled = percentages(values)
@@ -458,6 +457,17 @@ def main(argv=None) -> int:
     except (CheckpointError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _release_free_memory()
+
+
+def _release_free_memory() -> None:
+    """Hand the C heap's free pages back to the OS (glibc): whether glibc frees a command's
+    arrays on its own turns on where its cached small blocks landed, which varies run to run."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
+    if trim is not None:
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        trim(0)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Both run h <- act(P(h) W + b) layer by layer, leaky between layers and
 linear last. The encoder, h(HW + b), has P the identity; the GCN head,
 h(B HW), has P = B before every layer after the first and no biases, since
 its first input B Z is computed once by `propagate`. The head multiplies by
-B, and by B^T on the way back, through a `LabelGraph` built once from B.
+B, and by B^T on the way back, through a `LabelGraph` built once from B; a
+plain (C, C) array works there too, as the dense operator.
 """
 
 from __future__ import annotations
@@ -256,31 +257,20 @@ class LabelGraph:
         return self.rows @ H
 
 
-def _as_graph(correlation) -> LabelGraph:
-    """`correlation` itself if it is a LabelGraph, else the one built from that (C, C) array."""
-    return correlation if isinstance(correlation, LabelGraph) else LabelGraph(correlation)
-
-
-def propagate(embeddings: np.ndarray, correlation) -> np.ndarray:
-    """B Z, the first layer's propagated input; fixed while Z and B are.
-
-    `correlation` is a LabelGraph, or the (C, C) B one is built from.
-    """
+def propagate(embeddings: np.ndarray, graph: LabelGraph) -> np.ndarray:
+    """B Z, the first layer's propagated input; fixed while Z and B are."""
     Z = np.asarray(embeddings, dtype=np.float64)
-    graph = _as_graph(correlation)
     if Z.ndim != 2 or graph.shape != (Z.shape[0], Z.shape[0]):
         raise ValueError("embeddings must be (C, d) with a matching (C, C) correlation")
     return graph @ Z
 
 
-def gcn_forward(propagated: np.ndarray, correlation, stack: LayerStack):
+def gcn_forward(propagated: np.ndarray, graph: LabelGraph, stack: LayerStack):
     """Run G <- act(B G W) through the stack from B Z = propagate(Z, B).
 
-    `correlation` is a LabelGraph, or the (C, C) B one is built from.
     Returns (classifier, cache).
     """
     M = np.asarray(propagated, dtype=np.float64)
-    graph = _as_graph(correlation)
     if M.ndim != 2 or graph.shape != (M.shape[0], M.shape[0]):
         raise ValueError("B Z must be (C, d) with a matching (C, C) correlation")
     if M.shape[1] != stack.input_dim:
@@ -288,11 +278,11 @@ def gcn_forward(propagated: np.ndarray, correlation, stack: LayerStack):
     return _forward(M, stack, graph)
 
 
-def gcn_gradients(upstream: np.ndarray, cache: StackCache, correlation, stack: LayerStack):
+def gcn_gradients(upstream: np.ndarray, cache: StackCache, graph: LabelGraph, stack: LayerStack):
     """Backpropagate d(loss)/d(classifier); returns (per-layer dW, dH0).
 
     dH0 is d(first layer's preactivation); d(B Z) is dH0 @ W0.T and
     d(embeddings) is B.T @ d(B Z), which training keeps frozen and skips.
     """
-    dWs, _, dH0 = _backward(upstream, cache, stack, _as_graph(correlation))
+    dWs, _, dH0 = _backward(upstream, cache, stack, graph)
     return dWs, dH0

@@ -8,6 +8,7 @@ classifier with momentum SGD while everything from phase 1 stays frozen.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -117,27 +118,30 @@ class LinearHead:
     layers = None  # the checkpoint header's gcn_layers
     names = ("classifier",)  # checkpoint names of `params`, in order
 
-    def __init__(self, weights: np.ndarray):
-        self.weights = weights
+    def __init__(self, params, embeddings, correlation):
+        """The head over these arrays (held, not copied); it reads neither Z nor B-hat."""
+        (self.weights,) = params
 
     @classmethod
-    def init(cls, n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> "LinearHead":
+    def init(cls, embeddings, correlation, rep_dim: int, seed: int) -> "LinearHead":
         bound = 1.0 / np.sqrt(rep_dim)
-        return cls(np.random.default_rng(seed).uniform(-bound, bound, (n_classes, rep_dim)))
+        rng = np.random.default_rng(seed)
+        return cls([rng.uniform(-bound, bound, (len(embeddings), rep_dim))], embeddings, correlation)
 
-    @classmethod
-    def from_params(cls, params) -> "LinearHead":
-        """The head whose `params` are these arrays (held, not copied)."""
-        return cls(*params)
+    def with_params(self, params) -> "LinearHead":
+        """This head over other arrays (held, not copied)."""
+        head = copy.copy(self)
+        (head.weights,) = params
+        return head
 
     @property
     def params(self) -> list:
         return [self.weights]
 
-    def forward(self, BZ, graph):
+    def forward(self):
         return self.weights, None
 
-    def backward(self, dK, cache, graph) -> list:
+    def backward(self, dK, cache) -> list:
         return [dK]
 
     @staticmethod
@@ -147,10 +151,13 @@ class LinearHead:
 
 
 class GcnHead:
-    """ML-GCN head: graph convolutions map the label embeddings to K.
+    """ML-GCN head: graph convolutions map the label embeddings Z over B-hat to K.
 
     The stack is always two bias-free layers, leaky then linear, at slope
-    0.2; the checkpoint header records that pattern as `gcn_layers`.
+    0.2; the checkpoint header records that pattern as `gcn_layers`. The
+    LabelGraph of B-hat and the read-only B-hat Z are built once, with the
+    head, and every head `with_params` makes shares them, so training and
+    scoring multiply by the same operator bit for bit.
     """
 
     kind = "gcn"
@@ -158,26 +165,31 @@ class GcnHead:
     layers = [{"activation": "leaky", "slope": slope}, {"activation": "identity", "slope": slope}]
     names = ("gcn.0.weight", "gcn.1.weight")
 
-    def __init__(self, stack: LayerStack):
-        self.stack = stack
+    def __init__(self, params, embeddings, correlation):
+        self.stack = LayerStack(list(params), slope=self.slope)
+        self.graph = LabelGraph(correlation)
+        self.BZ = propagate(embeddings, self.graph)
+        self.BZ.setflags(write=False)
 
     @classmethod
-    def init(cls, n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> "GcnHead":
-        return cls(init_stack((embed_dim, embed_dim, rep_dim), slope=cls.slope, seed=seed))
+    def init(cls, embeddings, correlation, rep_dim: int, seed: int) -> "GcnHead":
+        d = embeddings.shape[1]
+        return cls(init_stack((d, d, rep_dim), slope=cls.slope, seed=seed).weights, embeddings, correlation)
 
-    @classmethod
-    def from_params(cls, params) -> "GcnHead":
-        return cls(LayerStack(list(params), slope=cls.slope))
+    def with_params(self, params) -> "GcnHead":
+        head = copy.copy(self)  # the graph and B-hat Z are shared
+        head.stack = LayerStack(list(params), slope=self.slope)
+        return head
 
     @property
     def params(self) -> list:
         return list(self.stack.weights)
 
-    def forward(self, BZ, graph):
-        return gcn_forward(BZ, graph, self.stack)
+    def forward(self):
+        return gcn_forward(self.BZ, self.graph, self.stack)
 
-    def backward(self, dK, cache, graph) -> list:
-        return gcn_gradients(dK, cache, graph, self.stack)[0]
+    def backward(self, dK, cache) -> list:
+        return gcn_gradients(dK, cache, self.graph, self.stack)[0]
 
     @staticmethod
     def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
@@ -197,7 +209,7 @@ class Checkpoint:
     config: TrainConfig
     vocabulary: LabelVocabulary
     encoder_params: LayerStack
-    head: object                      # head_type(variant)
+    head: object                      # head_type(variant), over these embeddings and correlation
     embeddings: np.ndarray            # frozen phase-1 label embeddings
     correlation: object               # (C, C) ndarray or None
     centroids: object                 # (N, d) ndarray or None
@@ -298,7 +310,8 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     Phase 2 trains the encoder and the head under momentum SGD against the
     read-only phase-1 record; an in-place write to any of its arrays, to the
-    arrays of the LabelGraph built from B-hat, or to B-hat Z, raises.
+    arrays of the LabelGraph the GCN head builds from B-hat, or to its B-hat Z,
+    raises.
     Per-stage randomness is derived from cfg.seed through fixed stage
     indices, so e.g. the k-means seed never shifts the batch order. The
     retained checkpoint is the earliest epoch with the highest validation
@@ -311,17 +324,15 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     phase1 = fit_phase1(train, variant, cfg)
     contrast_labels = phase1.contrast_labels
-    graph, BZ = _graph_input(phase1.embeddings, phase1.correlation)
-    Head = head_type(variant)
     enc = init_encoder(train.feature_dim, cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
-    head = Head.init(
-        train.vocabulary.size, cfg.glove.d, cfg.encoder.output_dim,
+    head = head_type(variant).init(
+        phase1.embeddings, phase1.correlation, cfg.encoder.output_dim,
         seed=stage_seed(cfg.seed, "classifier_init"),
     )
     n_enc = len(enc.weights)
     sgd = _MomentumSGD(enc.weights + enc.biases + head.params, cfg.learning_rate, cfg.momentum)
     enc = LayerStack(sgd.params[:n_enc], sgd.params[n_enc:2 * n_enc], enc.slope)
-    head = Head.from_params(sgd.params[2 * n_enc:])
+    head = head.with_params(sgd.params[2 * n_enc:])
     rng_batches = stage_rng(cfg.seed, "batches")
 
     Xtr = train.features_matrix()
@@ -346,7 +357,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         for k, bstart in enumerate(range(0, n, cfg.batch_size)):
             batch = slice(bstart, bstart + cfg.batch_size)
             reps, ecache = encode(Xep[batch], enc)
-            K, hcache = head.forward(BZ, graph)
+            K, hcache = head.forward()
             scores = reps @ K.T
             mll, d_scores = mll_loss_and_grad(scores, Yep[batch])
             d_reps = d_scores @ K
@@ -359,14 +370,14 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
                 raise TrainingDivergedError(epoch, k)
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
-            sgd.step(dWs_e + dbs_e + head.backward(dK, hcache, graph))
+            sgd.step(dWs_e + dbs_e + head.backward(dK, hcache))
             loss_sum += total * reps.shape[0]
-        K, _ = head.forward(BZ, graph)
+        K, _ = head.forward()
         vm = exact_match(_score_table(Xval, enc, K, Yval, 0.5))
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
             best_match = vm
-            best = (epoch, enc.copy(), Head.from_params([p.copy() for p in head.params]))
+            best = (epoch, enc.copy(), head.with_params([p.copy() for p in head.params]))
 
     best_epoch, best_enc, best_head = best
     checkpoint = Checkpoint(
@@ -397,33 +408,19 @@ def _score_table(features, enc: LayerStack, K, targets, threshold: float) -> Sco
     return ScoreTable(sigmoid(scores, out=scores), targets, threshold)
 
 
-def _graph_input(embeddings, correlation):
-    """(the LabelGraph of B-hat, the read-only B-hat Z), the GCN head's frozen inputs, or
-    (None, None) without B-hat. Training and scoring both build them here, so they agree bit for bit."""
-    if correlation is None:
-        return None, None
-    graph = LabelGraph(correlation)
-    BZ = propagate(embeddings, graph)
-    BZ.setflags(write=False)
-    return graph, BZ
-
-
 def classifier_matrix(cp: Checkpoint) -> np.ndarray:
     """The (C, D) classifier the checkpoint scores with."""
-    graph, BZ = _graph_input(cp.embeddings, cp.correlation)
-    return cp.head.forward(BZ, graph)[0]
+    return cp.head.forward()[0]
 
 
-def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5, K=None) -> ScoreTable:
-    """The checkpoint's probabilities on `dataset`; K is `classifier_matrix(cp)`, formed here if not given."""
+def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:
+    """The checkpoint's probabilities on `dataset`."""
     if dataset.vocabulary != cp.vocabulary:
         raise ValueError("dataset vocabulary does not match the checkpoint")
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
-    if K is None:
-        K = classifier_matrix(cp)
     features, targets = dataset.features_matrix(), dataset.labels_matrix()
-    return _score_table(features, cp.encoder_params, K, targets, threshold)
+    return _score_table(features, cp.encoder_params, classifier_matrix(cp), targets, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +628,15 @@ def load_checkpoint(path) -> Checkpoint:
     n_enc = len(config.encoder.layer_widths)
     enc = [[tensors[f"encoder.{i}.{part}"] for i in range(n_enc)] for part in ("weight", "bias")]
     Head = head_type(variant)
+    embeddings, correlation = tensors["embeddings"], tensors.get("correlation")
     return Checkpoint(
         variant=variant,
         config=config,
         vocabulary=vocab,
         encoder_params=LayerStack(*enc, config.encoder.slope),
-        head=Head.from_params([tensors[name] for name in Head.names]),
-        embeddings=tensors["embeddings"],
-        correlation=tensors.get("correlation"),
+        head=Head([tensors[name] for name in Head.names], embeddings, correlation),
+        embeddings=embeddings,
+        correlation=correlation,
         centroids=tensors.get("centroids"),
         epoch=epoch,
     )

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import re
+import types
 
 import numpy as np
 import pytest
 
-from mllgraph import trainer
+from mllgraph import cli, trainer
 from mllgraph.cli import ConfigError, apply_set, default_run_config, main, merge_config
 from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.artifacts import write_score_csv
@@ -349,8 +350,9 @@ def test_train_refuses_a_variant_or_cluster_count_it_cannot_run_before_writing(t
                  "--set", "kmeans.n_clusters=50"]) == 0
 
 
-def test_train_builds_one_label_graph_for_scoring(tmp_path, monkeypatch):
-    """run_pipeline builds B-hat's LabelGraph for training, and val and test are scored with one more."""
+def test_train_builds_one_label_graph_for_scoring(work, tmp_path, monkeypatch):
+    """The GCN head builds B-hat's LabelGraph once: a train trains and scores val and test
+    with the one run_pipeline builds, and an eval scores with the one its load builds."""
     built = []
 
     def counting_graph(B):
@@ -359,7 +361,58 @@ def test_train_builds_one_label_graph_for_scoring(tmp_path, monkeypatch):
 
     monkeypatch.setattr(trainer, "LabelGraph", counting_graph)
     assert main(["train", "--out", str(tmp_path / "crc"), *SMALL_SETS]) == 0
-    assert len(built) == 2
+    assert len(built) == 1
+    built.clear()
+    assert main([
+        "eval", "--checkpoint", str(tmp_path / "crc" / "checkpoint.mllg"),
+        "--data", str(work / "synth" / "dataset.jsonl"), "--out", str(tmp_path / "eval"),
+    ]) == 0
+    assert len(built) == 1
+
+
+def test_train_and_eval_that_fail_leave_no_output_directory(work, tmp_path, capsys):
+    """A train or eval that fails while it trains or scores exits 1 and has made no directory."""
+    narrow = tmp_path / "narrow"
+    assert main(["synth", "--out", str(narrow), *SMALL_SETS, "--set", "synthetic.feature_dim=8"]) == 0
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    checkpoint = str(work / "crc" / "checkpoint.mllg")
+    out = tmp_path / "out"
+    for args, message in (
+        (["eval", "--checkpoint", checkpoint, "--data", str(tmp_path / "empty.jsonl")],
+         "error: cannot score an empty dataset\n"),
+        (["eval", "--checkpoint", checkpoint, "--data", str(narrow / "dataset.jsonl")],
+         "error: feature length 8 != encoder input 16\n"),
+        (["train", *SMALL_SETS, "--set", "data.split_ratios=[1,0,0]"],
+         "error: train and val must be nonempty\n"),
+        (["train", *SMALL_SETS, "--set", "train.learning_rate=1e200"],
+         "error: loss became non-finite at epoch 1, batch "),
+    ):
+        capsys.readouterr()
+        with np.errstate(all="ignore"):  # the diverging train overflows on its way to the error
+            assert main([*args, "--out", str(out)]) == 1, args
+        assert capsys.readouterr().err.startswith(message), args
+        assert not out.exists(), args
+
+
+def test_every_command_hands_the_freed_heap_back(work, tmp_path, monkeypatch, capsys):
+    """main calls glibc's malloc_trim(0) after each command, a failed one included,
+    and runs as before where the C library has no such call."""
+    calls = []
+
+    def malloc_trim(pad):
+        calls.append(pad)
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(malloc_trim=malloc_trim))
+    checkpoint = str(work / "crc" / "checkpoint.mllg")
+    export = ["export", "--checkpoint", checkpoint, "--what", "embeddings"]
+    assert main([*export, "--out", str(tmp_path / "a")]) == 0
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(tmp_path / "missing.jsonl"),
+                 "--out", str(tmp_path / "b")]) == 1
+    assert calls == [0, 0]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert main([*export, "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "c" / "embeddings.csv").exists()
 
 
 def test_wide_eval_writes_the_test_scores_train_wrote(tmp_path):

@@ -426,14 +426,16 @@ def test_checkpoint_save_writes_the_tensors_without_copying_them(tmp_path):
     1 MiB of allocations, and the file is the bytes `checkpoint_bytes` joins."""
     cfg = TrainConfig()
     rng = np.random.default_rng(3)
+    Z = rng.standard_normal((WIDE, cfg.glove.d))
+    bhat = normalize_adjacency(build_adjacency(wide_counts(), cfg.adjacency))
     cp = Checkpoint(
         variant=VariantSpec.from_name("MLL-GCN-CRC"),
         config=cfg,
         vocabulary=synthetic_vocabulary(250, 750),
         encoder_params=init_encoder(16, cfg.encoder, seed=1),
-        head=GcnHead.init(WIDE, cfg.glove.d, cfg.encoder.output_dim, seed=2),
-        embeddings=rng.standard_normal((WIDE, cfg.glove.d)),
-        correlation=normalize_adjacency(build_adjacency(wide_counts(), cfg.adjacency)),
+        head=GcnHead.init(Z, bhat, cfg.encoder.output_dim, seed=2),
+        embeddings=Z,
+        correlation=bhat,
         centroids=rng.standard_normal((cfg.n_clusters, cfg.glove.d)),
         epoch=1,
     )

@@ -23,9 +23,10 @@
 # features as JSON integers (2**53 + 1 among them) and as true/false, CRLF
 # line endings and one blank line.
 # Besides that corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
-# trained on as MLL-GCN-CRC with 16 GloVe epochs and evaluated in both SP
-# modes; its binarized B-hat is sparse, so the GCN head gathers most of its
-# rows. One more 1000-class MLL-GCN train uses the conditional adjacency over
+# trained on as MLL-GCN-CRC with 16 GloVe epochs, evaluated in both SP modes
+# and exported in all four forms; its binarized B-hat is sparse, so the GCN
+# head gathers most of its rows, and every load of that checkpoint, export's
+# included, builds that gathered graph. One more 1000-class MLL-GCN train uses the conditional adjacency over
 # a corpus it synthesizes in-process (1 SP + 999 AS, every structure drawn at
 # 0.08), whose B-hat is 94% non-zero: every row of it stays on the dense
 # path. `metrics-oracle` rechecks every eval report and the 1000-class
@@ -127,6 +128,12 @@ for mode in exact argmax; do
     run "eval-wide-$mode" eval --checkpoint "$work/wide/train/checkpoint.mllg" \
         --data "$work/wide/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/wide/eval/$mode"
     oracle "eval-wide-$mode" "$work/wide/eval/$mode" "$mode" metrics.json scores.csv
+done
+# every export of that checkpoint: loading it builds the gathered graph in a
+# command that scores nothing
+for what in embeddings correlation clusters projection; do
+    run "export-wide-$what" export --checkpoint "$work/wide/train/checkpoint.mllg" \
+        --what "$what" --out "$work/wide/export/$what"
 done
 # 1000 classes on the dense path: a conditional B-hat with no sparse row
 profile=$(python3 -c 'print([[0.08] * 999])' | tr -d ' ')
