@@ -13,8 +13,10 @@ import copy
 import ctypes
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .corpus import (
     Dataset,
     LabelVocabulary,
     SyntheticConfig,
+    check_split_ratios,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -63,6 +66,20 @@ _TRAIN_SECTIONS = {
     "train": {key: key for key in ("epochs", "learning_rate", "momentum", "batch_size")},
     "kmeans": {"n_clusters": "n_clusters", "max_iter": "kmeans_max_iter", "tol": "kmeans_tol"},
 }
+# {TrainConfig field: its run-config key} for the fields in those sections
+_RUN_KEYS = {field: f"{name}.{key}" for name, keys in _TRAIN_SECTIONS.items() for key, field in keys.items()}
+
+
+class Run(NamedTuple):
+    """A checked run config: the snapshot to write, and what is built from it."""
+
+    cfg: dict
+    variant: VariantSpec
+    threshold: float
+    sp_mode: str
+    ratios: tuple
+    train: TrainConfig
+    synthetic: SyntheticConfig
 
 
 def default_run_config() -> dict:
@@ -127,7 +144,8 @@ def apply_set(cfg: dict, expr: str) -> None:
     node[parts[-1]] = _override(node[parts[-1]], value, key)
 
 
-def resolve_config(args) -> dict:
+def resolve_config(args) -> Run:
+    """The run config of the defaults, --config, --set and the flags, with every section checked."""
     cfg = default_run_config()
     if getattr(args, "config", None):
         try:
@@ -154,10 +172,25 @@ def resolve_config(args) -> dict:
         raise ConfigError(f"out_dir: expected a string, got {json.dumps(cfg['out_dir'])}")
     if not cfg["out_dir"]:
         raise ConfigError("out_dir: must not be empty")
+    data = cfg["data"]
     for key in ("dataset_path", "vocabulary_path"):
-        if not isinstance(cfg["data"][key], (str, type(None))):
-            raise ConfigError(f"data.{key}: expected a string or null, got {json.dumps(cfg['data'][key])}")
-    return cfg
+        if not isinstance(data[key], (str, type(None))):
+            raise ConfigError(f"data.{key}: expected a string or null, got {json.dumps(data[key])}")
+    try:
+        variant = VariantSpec.from_name(cfg["variant"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    threshold, sp_mode = _check_scoring(
+        cfg["metrics"]["threshold"], cfg["metrics"]["sp_mode"], ("metrics.threshold:", "metrics.sp_mode:")
+    )
+    try:
+        ratios = check_split_ratios(data["split_ratios"])
+    except ValueError as exc:
+        raise ConfigError(f"data.split_ratios: {exc}") from exc
+    tcfg = build_train_config(cfg)
+    if data["dataset_path"] and not data["vocabulary_path"]:
+        raise ConfigError("data.vocabulary_path: required when data.dataset_path is set")
+    return Run(cfg, variant, threshold, sp_mode, ratios, tcfg, build_synthetic_config(cfg))
 
 
 def build_synthetic_config(cfg: dict) -> SyntheticConfig:
@@ -175,8 +208,9 @@ def build_train_config(cfg: dict) -> TrainConfig:
         data.update((field, cfg[name][key]) for key, field in keys.items())
     try:
         return config_from_dict(TrainConfig, data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train config: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # the message starts with the field's name
+        field = re.match(r"\w*", str(exc)).group()
+        raise ConfigError(f"train config: {_RUN_KEYS.get(field, field)}{str(exc)[len(field):]}") from exc
 
 
 def _check_scoring(threshold, sp_mode, names=("--threshold", "--sp-mode")):
@@ -188,26 +222,11 @@ def _check_scoring(threshold, sp_mode, names=("--threshold", "--sp-mode")):
     return float(threshold), sp_mode
 
 
-def _check_ratios(cfg: dict):
-    ratios = cfg["data"]["split_ratios"]
-    if (
-        not isinstance(ratios, (list, tuple))
-        or len(ratios) != 3
-        or not all(_is_number(r) and 0 <= r <= 1 for r in ratios)
-        or abs(sum(float(r) for r in ratios) - 1.0) > 1e-9
-    ):
-        raise ConfigError("data.split_ratios: need three nonnegative numbers summing to 1")
-    return tuple(float(r) for r in ratios)
-
-
-def _obtain_dataset(cfg: dict) -> Dataset:
-    data = cfg["data"]
+def _obtain_dataset(run: Run) -> Dataset:
+    data = run.cfg["data"]
     if data["dataset_path"]:
-        if not data["vocabulary_path"]:
-            raise ConfigError("data.vocabulary_path: required when data.dataset_path is set")
-        vocab = LabelVocabulary.load(data["vocabulary_path"])
-        return load_dataset(data["dataset_path"], vocab)
-    return generate_synthetic(build_synthetic_config(cfg))
+        return load_dataset(data["dataset_path"], LabelVocabulary.load(data["vocabulary_path"]))
+    return generate_synthetic(run.synthetic)
 
 
 def _out_path(out: str) -> Path:
@@ -235,14 +254,13 @@ def _write_config_snapshot(cfg: dict, out: Path) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    syn = build_synthetic_config(cfg)
-    out = Path(cfg["out_dir"])
+    run = resolve_config(args)
+    out = Path(run.cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_synthetic(syn)
+    dataset = generate_synthetic(run.synthetic)
     save_dataset(dataset, out / "dataset.jsonl")
     dataset.vocabulary.save(out / "vocabulary.json")
-    _write_config_snapshot(cfg, out)
+    _write_config_snapshot(run.cfg, out)
     vocab = dataset.vocabulary
     print(
         f"wrote {len(dataset)} samples over {len(dataset.subject_ids())} subjects, "
@@ -253,18 +271,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    try:
-        variant = VariantSpec.from_name(cfg["variant"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    threshold, sp_mode = _check_scoring(
-        cfg["metrics"]["threshold"], cfg["metrics"]["sp_mode"], ("metrics.threshold:", "metrics.sp_mode:")
-    )
-    ratios = _check_ratios(cfg)
-    tcfg = build_train_config(cfg)
+    run = resolve_config(args)
+    cfg, variant, tcfg = run.cfg, run.variant, run.train
     # the splits hold copies of their rows, so the whole corpus is not kept beside them
-    train, val, test = split_by_subject(_obtain_dataset(cfg), ratios, stage_seed(cfg["seed"], "split"))
+    train, val, test = split_by_subject(_obtain_dataset(run), run.ratios, stage_seed(cfg["seed"], "split"))
     vocab = train.vocabulary
     if variant.contrastive_mode == "cluster_relabeled" and tcfg.n_clusters > vocab.size:
         raise ConfigError(f"kmeans.n_clusters: {tcfg.n_clusters} exceeds the {vocab.size} classes k-means groups")
@@ -294,7 +304,7 @@ def cmd_train(args) -> int:
     for split, name in ((val, "val"), (test, "test")):
         if len(split) == 0:
             continue
-        values, _ = _write_report(out, f"_{name}", cp, split, threshold, sp_mode)
+        values, _ = _write_report(out, f"_{name}", cp, split, run.threshold, run.sp_mode)
         scaled = percentages(values)
         print(f"{name}: " + " ".join(f"{k}={scaled[k]}" for k in ("MLL_ACC", "SP_ACC", "mAP", "HL")))
 

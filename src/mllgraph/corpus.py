@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -61,6 +62,8 @@ class LabelVocabulary:
                     f"vocabulary entry {i}: label name {name!r} holds a comma or a line break "
                     f"or starts with {TARGET_PREFIX!r}, which the CSV artifacts cannot carry"
                 )
+        if KIND_PLANE not in (k for _, k in entries):  # SP_ACC scores the plane columns
+            raise ValueError("vocabulary needs at least one SP class")
 
     @property
     def size(self) -> int:
@@ -98,14 +101,11 @@ class LabelVocabulary:
             raise DatasetFormatError(f"vocabulary file is not valid JSON: {exc}") from exc
         if not isinstance(payload, list):
             raise DatasetFormatError("vocabulary file must hold a JSON list")
-        entries = []
-        for i, item in enumerate(payload):
-            if not (isinstance(item, dict) and isinstance(item.get("name"), str)
-                    and isinstance(item.get("kind"), str)):
-                raise DatasetFormatError(f"vocabulary entry {i}: expected {{name, kind}} strings")
-            entries.append((item["name"], item["kind"]))
+        i = next((i for i, item in enumerate(payload) if not isinstance(item, dict)), None)
+        if i is not None:  # the constructor checks the rest
+            raise DatasetFormatError(f"vocabulary entry {i}: expected an object, got {type(payload[i]).__name__}")
         try:
-            return cls(tuple(entries))
+            return cls(tuple((item.get("name"), item.get("kind")) for item in payload))
         except ValueError as exc:
             raise DatasetFormatError(str(exc)) from exc
 
@@ -118,6 +118,45 @@ def synthetic_vocabulary(sp_count: int, as_count: int) -> LabelVocabulary:
     return LabelVocabulary(tuple(entries))
 
 
+def _sample_error(ids, subjects, features: np.ndarray, labels: np.ndarray, name):
+    """The message for the first sample that breaks a sample rule, or None.
+
+    The rules, in order: the id and the subject are strings; the id holds no
+    comma or line break and repeats no earlier id; the (n, F) `features` are
+    finite; the (n, C) `labels` are 0/1 bits, at least one set. The lowest
+    index wins, then the first rule; `name(i)` names sample i, in a repeat too.
+    """
+    problems = []  # (index, message), in rule order
+    for key, values in (("id", ids), ("subject_id", subjects)):
+        i = next((i for i, v in enumerate(values) if not isinstance(v, str)), None)
+        if i is not None:
+            problems.append((i, f"{key} must be a string, got {type(values[i]).__name__}"))
+    # the ids before the first sample that breaks the first rule: strings, safe to hash
+    head = ids[:min((i for i, _ in problems), default=len(ids))]
+    i = next((i for i, sid in enumerate(head) if not CSV_BREAKS.isdisjoint(sid)), None)
+    if i is not None:
+        problems.append((i, f"sample id {head[i]!r} holds a comma or a line break, "
+                            "which the CSV artifacts cannot carry"))
+    if len(set(head)) != len(head):  # a set first: the index of each id only when one repeats
+        first = {}
+        i = next(i for i, sid in enumerate(head) if first.setdefault(sid, i) != i)
+        problems.append((i, f"sample id {head[i]!r} repeats {name(first[head[i]])}"))
+    with np.errstate(invalid="ignore"):  # a NaN label is reported below, not warned about
+        bits = labels.astype(np.uint8, copy=False)
+    top = bits.max(axis=1)  # row maxima: uint8 input, as every corpus function gives, makes no (n, C) temporary
+    not_bits = top > 1
+    if bits is not labels:  # a value the cast changed was not 0 or 1
+        not_bits |= (bits != labels).any(axis=1)
+    for bad, message in ((~np.isfinite(features).all(axis=1), "non-finite feature value"),
+                         (not_bits, "labels must be 0/1 bits"), (top == 0, "empty label set")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            problems.append((i, f"sample {ids[i]}: {message}"))
+    if problems:
+        i, message = min(problems, key=lambda p: p[0])  # the first sample; per sample, the first rule
+        return f"{name(i)}: {message}"
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """n samples sharing one vocabulary, held as columns.
@@ -125,8 +164,8 @@ class Dataset:
     `ids` and `subjects` are tuples of n strings, the ids distinct, as a
     corpus file holds them; `features` an (n, F) float64 matrix and `labels`
     an (n, C) uint8 matrix of 0/1 bits, C being the vocabulary size. Both
-    matrices are read-only and validated once, as wholes; a sample with a
-    non-finite feature or without any label bit is rejected by its id.
+    matrices are read-only. The shapes are checked first, then the sample
+    rules of `_sample_error`, which name a sample by its index (`ids[2]`).
     """
 
     vocabulary: LabelVocabulary
@@ -140,18 +179,6 @@ class Dataset:
         n = len(ids)
         if len(subjects) != n:
             raise ValueError(f"{len(subjects)} subjects for {n} ids")
-        for name, values in (("ids", ids), ("subjects", subjects)):
-            i = next((i for i, v in enumerate(values) if not isinstance(v, str)), None)
-            if i is not None:
-                raise ValueError(f"{name}[{i}]: expected a string, got {type(values[i]).__name__}")
-        i = next((i for i, sid in enumerate(ids) if not CSV_BREAKS.isdisjoint(sid)), None)
-        if i is not None:
-            raise ValueError(f"ids[{i}]: sample id {ids[i]!r} holds a comma or a line break, "
-                             "which the CSV artifacts cannot carry")
-        if len(set(ids)) != n:
-            first = {}
-            i = next(i for i, sid in enumerate(ids) if first.setdefault(sid, i) != i)
-            raise ValueError(f"ids[{i}]: sample id {ids[i]!r} repeats ids[{first[ids[i]]}]")
         shape_error = f"features must be an (n, F) matrix: one row of equal feature length per id ({n})"
         try:
             feats = np.asarray(self.features, dtype=np.float64)
@@ -164,28 +191,10 @@ class Dataset:
             raise ValueError(f"labels must be an (n, C) matrix with one row per id ({n}), got shape {raw.shape}")
         if raw.shape[1] != self.vocabulary.size:
             raise ValueError(f"{raw.shape[1]} label bits per sample, vocabulary has {self.vocabulary.size}")
-        with np.errstate(invalid="ignore"):  # a NaN label is reported below, not warned about
-            bits = raw.astype(np.uint8, copy=False)
-        # row maxima rather than elementwise tests: uint8 input, which every
-        # corpus function passes, makes no (n, C) temporary
-        top = bits.max(axis=1)
-        not_bits = top > 1
-        if bits is not raw:  # a value the cast changed was not 0 or 1
-            not_bits |= (bits != raw).any(axis=1)
-        problems = [
-            (np.argmax(bad), message)
-            for bad, message in (
-                (~np.isfinite(feats).all(axis=1), "non-finite feature value"),
-                (not_bits, "labels must be 0/1 bits"),
-                (top == 0, "empty label set"),
-            )
-            if bad.any()
-        ]
-        if problems:
-            i, message = min(problems, key=lambda p: p[0])  # the first sample; per sample, the first check
-            raise ValueError(f"sample {ids[i]}: {message}")
-        feats = feats.view()
-        bits = bits.view()
+        message = _sample_error(ids, subjects, feats, raw, "ids[{}]".format)
+        if message:
+            raise ValueError(message)
+        feats, bits = feats.view(), raw.astype(np.uint8, copy=False).view()  # the cast keeps 0 and 1
         for a in (feats, bits):
             a.setflags(write=False)
         for name, value in (("ids", ids), ("subjects", subjects), ("features", feats), ("labels", bits)):
@@ -224,37 +233,29 @@ def _line_count(path) -> int:
         return sum(c.count(b"\n") + c.count(b"\r") for c in iter(lambda: fh.read(1 << 16), b"")) + 1
 
 
-def _first_non_finite(features: np.ndarray, line_of: dict) -> None:
-    """The error of the first row with a non-finite feature, if any; row j is `line_of`'s j-th id."""
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        sid, lineno = list(line_of.items())[np.argmin(finite)]
-        raise DatasetFormatError(f"line {lineno}: sample {sid}: non-finite feature value")
-
-
 def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
-    """Parse a JSONL corpus against a vocabulary.
+    """Parse a JSONL corpus of {"id", "subject_id", "features", "labels"} lines, labels by name.
 
-    Each line holds {"id", "subject_id", "features", "labels"}: a string id
-    and subject, and labels given by name. Non-string ids and subjects,
-    repeated ids, unknown labels, ragged feature lengths, empty label sets
-    and non-finite or out-of-range feature values are rejected with the
-    number of the first offending line. Each line is stored as it is read,
-    into feature and label matrices allocated once from the file's line
-    count; the stored features are checked for non-finite values before any
-    later line's error is reported, and once at the end.
+    A line is refused for what its text gets wrong: invalid JSON, not an
+    object, a missing key, features that are not numbers or not line 1's
+    length, an unknown label name, a number beyond float range. Lines are
+    stored as read (ids and subjects as given) into matrices sized by the
+    file's line count, and meet the sample rules (`_sample_error`, naming a
+    line) before a later line's error is reported and at the end: so the
+    first bad line is the one reported.
     """
     index = vocabulary.index
-    line_of = {}  # sample id -> its line number; in file order, the dataset's ids
-    subjects = []
+    ids, subjects, line_numbers = [], [], []  # one entry per stored line, in file order
     dim = None
-    features = np.zeros((0, 0))
-    labels = np.zeros((0, vocabulary.size), dtype=np.uint8)
+    features, labels = np.zeros((0, 0)), np.zeros((0, vocabulary.size), dtype=np.uint8)
+
+    def stored_error():
+        n = len(ids)
+        return _sample_error(ids, subjects, features[:n], labels[:n], lambda i: f"line {line_numbers[i]}")
 
     def bad(message):
-        """This line's error, once the stored lines' features have passed their check."""
-        _first_non_finite(features[:len(subjects)], line_of)
-        return DatasetFormatError(f"line {lineno}: {message}")
+        """This line's error, unless a stored line breaks a sample rule."""
+        return DatasetFormatError(stored_error() or f"line {lineno}: {message}")
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -269,23 +270,11 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
             for key in ("id", "subject_id", "features", "labels"):
                 if key not in rec:
                     raise bad(f"missing key {key!r}")
-            for key in ("id", "subject_id"):
-                if not isinstance(rec[key], str):
-                    raise bad(f"{key} must be a string")
-            sid = rec["id"]
-            if not CSV_BREAKS.isdisjoint(sid):
-                raise bad(f"sample id {sid!r} holds a comma or a line break, "
-                          "which the CSV artifacts cannot carry")
-            if sid in line_of:
-                raise bad(f"sample id {sid!r} repeats line {line_of[sid]}")
-            feats = rec["features"]
-            names = rec["labels"]
+            feats, names = rec["features"], rec["labels"]
             if not isinstance(feats, list) or not _NUMBER_TYPES.issuperset(map(type, feats)):
                 raise bad("features must be a list of numbers")
             if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
                 raise bad("labels must be a list of names")
-            if not names:
-                raise bad("empty label set")
             if dim is None:
                 dim = len(feats)
                 n_max = _line_count(path)
@@ -297,7 +286,7 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
                 cols = [index[name] for name in names]
             except KeyError as exc:  # the first unknown name
                 raise bad(f"unknown label name {exc.args[0]!r}") from None
-            i = len(subjects)
+            i = len(ids)
             try:
                 features[i] = feats
             except OverflowError:  # a JSON integer beyond float range
@@ -305,11 +294,14 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
             bits = labels[i]
             for c in cols:
                 bits[c] = 1
-            line_of[sid] = lineno
+            ids.append(rec["id"])
             subjects.append(rec["subject_id"])
-    n = len(subjects)
-    _first_non_finite(features[:n], line_of)
-    return Dataset(vocabulary, tuple(line_of), subjects, features[:n], labels[:n])
+            line_numbers.append(lineno)
+    message = stored_error()
+    if message:
+        raise DatasetFormatError(message)
+    n = len(ids)
+    return Dataset(vocabulary, ids, subjects, features[:n], labels[:n])
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -458,6 +450,18 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     return Dataset(vocab, ids, subjects, features, labels)
 
 
+def check_split_ratios(ratios) -> tuple:
+    """`ratios` as three floats, once it is a list or tuple of three numbers
+    within [0, 1] (so finite and nonnegative) summing to 1 within 1e-9; a bool
+    or a string is not a number, a NumPy float is."""
+    if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3
+            and all(isinstance(r, numbers.Real) and not isinstance(r, bool) and 0 <= r <= 1
+                    for r in ratios)  # NaN fails too
+            and abs(sum(map(float, ratios)) - 1.0) <= 1e-9):
+        raise ValueError("need three nonnegative numbers summing to 1")
+    return tuple(map(float, ratios))
+
+
 def split_by_subject(dataset: Dataset, ratios, seed: int):
     """Partition samples into train/val/test without splitting any subject.
 
@@ -465,13 +469,7 @@ def split_by_subject(dataset: Dataset, ratios, seed: int):
     largest remaining sample deficit (ties favor the earlier split), which
     keeps realized proportions close to the requested ratios.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3:
-        raise ValueError("ratios must have exactly 3 entries")
-    if not all(r >= 0 for r in ratios):  # NaN fails too
-        raise ValueError("ratios must be nonnegative")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
+    ratios = check_split_ratios(ratios)
     subjects = dataset.subject_ids()
     if len(subjects) < 3:
         raise ValueError(f"need at least 3 distinct subjects, got {len(subjects)}")

@@ -227,7 +227,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         ("metrics.threshold=1" + "0" * 400, "metrics.threshold: must lie within [0, 1]"),
         ("seed=true", "seed: must be a nonnegative integer"),
         # non-finite numbers and bool ratios stop at the boundary, not in training
-        ("kmeans.tol=NaN", "kmeans_tol: expected a finite number, got NaN"),
+        ("kmeans.tol=NaN", "train config: kmeans.tol: expected a finite number, got NaN"),
         ("loss.alpha=NaN", "loss.alpha: expected a finite number, got NaN"),
         ("glove.learning_rate=Infinity", "glove.learning_rate: expected a finite number, got Infinity"),
         ("train.momentum=-Infinity", "momentum: expected a finite number, got -Infinity"),
@@ -285,6 +285,67 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert main(args) == 2, args
         assert capsys.readouterr().err == "error: --out: must not be empty\n", args
     assert list(cwd.iterdir()) == []
+
+
+def test_synth_and_train_check_every_section_so_each_snapshot_reruns(work, tmp_path, capsys):
+    """synth checks the sections only train reads, and train on a data file checks `synthetic`:
+    a config.json either writes is one that `train --config` runs."""
+    out = tmp_path / "x"
+    corpus = ["--set", f"data.dataset_path={work / 'synth' / 'dataset.jsonl'}",
+              "--set", f"data.vocabulary_path={work / 'synth' / 'vocabulary.json'}"]
+    for args, message in (
+        (["synth", "--set", "train.epochs=0"], "train config: train.epochs must be positive"),
+        (["synth", "--set", "variant=nope"], "unknown variant 'nope'; expected one of "),
+        (["synth", "--set", "metrics.sp_mode=bogus"], "metrics.sp_mode: must be 'exact' or 'argmax'"),
+        (["synth", "--set", "data.split_ratios=[2,2]"],
+         "data.split_ratios: need three nonnegative numbers summing to 1"),
+        (["synth", "--set", "data.dataset_path=x.jsonl"],
+         "data.vocabulary_path: required when data.dataset_path is set"),
+        (["train", *corpus, "--set", "synthetic.n_samples=-5"], "synthetic: n_samples must be positive"),
+    ):
+        assert main([*args, "--out", str(out)]) == 2, args
+        assert capsys.readouterr().err.startswith(f"error: {message}"), args
+        assert not out.exists(), args
+    assert main(["train", "--config", str(work / "synth" / "config.json"), "--out", str(out)]) == 0
+
+
+def test_train_and_kmeans_errors_name_the_run_config_key(tmp_path, capsys):
+    """The `train` and `kmeans` sections fill TrainConfig fields; an error names the key as written."""
+    for expr, message in (
+        ("kmeans.tol=NaN", "kmeans.tol: expected a finite number, got NaN"),
+        ("kmeans.max_iter=0", "kmeans.max_iter must be positive"),
+        ("kmeans.n_clusters=2.0", "kmeans.n_clusters: expected an integer, got float"),
+        ("train.epochs=0", "train.epochs must be positive"),
+        ("train.momentum=1", "train.momentum must lie within [0, 1)"),
+        ("loss.alpha=-1", "loss.alpha must be nonnegative"),  # a nested section names its own path
+    ):
+        assert main(["train", "--out", str(tmp_path / "x"), "--set", expr]) == 2, expr
+        assert capsys.readouterr().err == f"error: train config: {message}\n", expr
+
+
+def test_a_vocabulary_without_a_plane_class_is_refused_before_any_work(work, tmp_path, capsys):
+    """SP_ACC scores the plane columns: train, eval and metrics-oracle --vocabulary refuse an
+    all-AS vocabulary with exit 1, having written nothing."""
+    (tmp_path / "vocabulary.json").write_text(
+        json.dumps([{"name": f"s{j}", "kind": "AS"} for j in range(4)]), encoding="utf-8")
+    (tmp_path / "dataset.jsonl").write_text("".join(
+        json.dumps({"id": f"i{k}", "subject_id": f"p{k // 2}", "features": [float(k), 1.0],
+                    "labels": [f"s{k % 4}"]}) + "\n" for k in range(40)), encoding="utf-8")
+    raw = (work / "crc" / "checkpoint.mllg").read_bytes()
+    header = read_header(raw)
+    no_plane = tmp_path / "no_plane.mllg"
+    no_plane.write_bytes(with_header(raw, dict(header, vocabulary=[dict(e, kind="AS") for e in header["vocabulary"]])))
+    out = tmp_path / "out"
+    for args in (
+        ["train", *SMALL_SETS, "--variant", "MLL-GCN", "--set", f"data.dataset_path={tmp_path / 'dataset.jsonl'}",
+         "--set", f"data.vocabulary_path={tmp_path / 'vocabulary.json'}", "--out", str(out)],
+        ["eval", "--checkpoint", str(no_plane), "--data", str(work / "synth" / "dataset.jsonl"), "--out", str(out)],
+        ["metrics-oracle", "--scores", str(work / "eval" / "scores.csv"), "--report",
+         str(work / "eval" / "metrics.json"), "--vocabulary", str(tmp_path / "vocabulary.json")],
+    ):
+        assert main(args) == 1, args[0]
+        assert "vocabulary needs at least one SP class" in capsys.readouterr().err, args[0]
+        assert not out.exists(), args[0]
 
 
 def test_train_requires_vocabulary_with_external_data(tmp_path):

@@ -44,7 +44,7 @@ def test_build_cooccurrence_matches_hand_count():
 def test_build_cooccurrence_matches_integer_product():
     rng = np.random.default_rng(8)
     for n, C in ((1, 2), (7, 3), (60, 11), (300, 40)):
-        vocab = LabelVocabulary(tuple((f"c{j}", "AS") for j in range(C)))
+        vocab = LabelVocabulary(tuple((f"c{j}", "AS" if j else "SP") for j in range(C)))
         Y = (rng.random((n, C)) < rng.uniform(0.05, 0.9)).astype(np.uint8)
         Y[np.flatnonzero(Y.sum(axis=1) == 0), 0] = 1
         data = Dataset(vocab, [f"s{i}" for i in range(n)], ["p"] * n, np.zeros((n, 1)), Y)
@@ -56,7 +56,7 @@ def test_build_cooccurrence_matches_integer_product():
 
 def random_label_dataset(n, C, density, seed):
     rng = np.random.default_rng(seed)
-    vocab = LabelVocabulary(tuple((f"c{j}", "AS") for j in range(C)))
+    vocab = LabelVocabulary(tuple((f"c{j}", "AS" if j else "SP") for j in range(C)))
     Y = (rng.random((n, C)) < density).astype(np.uint8)
     Y[:, 0] = 1
     return Dataset(vocab, [f"s{i}" for i in range(n)], ["p"] * n, np.zeros((n, 1)), Y)

@@ -100,14 +100,17 @@ def test_vocabulary_load_rejects_non_list(tmp_path):
 def test_vocabulary_load_rejects_bad_entry(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text('[{"name": "A"}]', encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match="entry 0"):
+    with pytest.raises(DatasetFormatError, match="entry 0: name and kind must be strings, got str and NoneType"):
+        LabelVocabulary.load(path)
+    path.write_text('[{"name": "A", "kind": "SP"}, ["B", "AS"]]', encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="entry 1: expected an object, got list"):
         LabelVocabulary.load(path)
     # a name or kind that is not a string is not turned into text
     for entries, where in (([{"name": None, "kind": "SP"}, {"name": "B", "kind": "AS"}], 0),
                            ([{"name": "A", "kind": "SP"}, {"name": 5, "kind": "AS"}], 1),
                            ([{"name": "A", "kind": "SP"}, {"name": "B", "kind": ["AS"]}], 1)):
         path.write_text(json.dumps(entries), encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match=f"entry {where}: expected {{name, kind}} strings"):
+        with pytest.raises(DatasetFormatError, match=f"entry {where}: name and kind must be strings"):
             LabelVocabulary.load(path)
     # a name the CSV artifacts cannot carry as a column, in the file and in memory
     for bad in ("L,AP", "L\nAP", "L\rAP", "L\u2028AP", "target:x"):
@@ -182,14 +185,18 @@ def test_dataset_refuses_what_a_corpus_file_refuses(tmp_path):
     """Non-string ids and subjects and a repeated id, each named by its first index."""
     feats, labels = np.zeros((3, 1)), np.ones((3, 4), dtype=np.uint8)
     for ids, subjects, got in (
-        ([7, 7, 8], ["p", "q", "r"], r"ids\[0\]: expected a string, got int"),
-        (["a", None, "c"], ["p", "q", "r"], r"ids\[1\]: expected a string, got NoneType"),
-        (["a", "b", "c"], ["p", "q", ["r"]], r"subjects\[2\]: expected a string, got list"),
-        (["a", "b", "c"], ["p", 1.5, "r"], r"subjects\[1\]: expected a string, got float"),
+        ([7, 7, 8], ["p", "q", "r"], r"ids\[0\]: id must be a string, got int"),
+        (["a", None, "c"], ["p", "q", "r"], r"ids\[1\]: id must be a string, got NoneType"),
+        (["a", "b", "c"], ["p", "q", ["r"]], r"ids\[2\]: subject_id must be a string, got list"),
+        (["a", "b", "c"], ["p", 1.5, "r"], r"ids\[1\]: subject_id must be a string, got float"),
         (["a", "b", "a"], ["p", "q", "r"], r"ids\[2\]: sample id 'a' repeats ids\[0\]"),
         (["7", "7", "7"], ["p", "q", "r"], r"ids\[1\]: sample id '7' repeats ids\[0\]"),
         (["a,b", "c", "d"], ["p", "q", "r"], r"ids\[0\]: sample id 'a,b' holds a comma or a line break"),
         (["a", "b", "c\u2028"], ["p", "q", "r"], r"ids\[2\]: sample id 'c\\u2028' holds a comma or a line break"),
+        # the lowest index wins, whatever rule it breaks; an unhashable id is never hashed
+        (["a", "a", 5], ["p", "q", "r"], r"ids\[1\]: sample id 'a' repeats ids\[0\]"),
+        (["a", ["b"], "a"], ["p", "q", "r"], r"ids\[1\]: id must be a string, got list"),
+        (["a", "b", {"c": 1}], ["p", "q", "r"], r"ids\[2\]: id must be a string, got dict"),
     ):
         with pytest.raises(ValueError, match=got):
             Dataset(small_vocab(), ids, subjects, feats, labels)
@@ -315,6 +322,20 @@ def test_load_dataset_reports_line_numbers(tmp_path):
             load_dataset(path, small_vocab())
 
 
+def test_load_dataset_reports_a_lines_text_before_its_sample_rules(tmp_path):
+    """On one line a parse error comes first; a stored line's sample-rule error comes before both."""
+    good = {"id": "a", "subject_id": "p", "features": [1.0], "labels": ["A"]}
+    both = dict(good, id=5, labels=["Q"])             # a non-string id and an unknown label
+    path = write_lines(tmp_path, [json.dumps(good), json.dumps(both)])
+    with pytest.raises(DatasetFormatError, match=re.escape("line 2: unknown label name 'Q'")):
+        load_dataset(path, small_vocab())
+    for first, want in ((dict(good, labels=[]), "line 1: sample a: empty label set"),
+                        (dict(good, id={"a": 1}), "line 1: id must be a string, got dict")):
+        path = write_lines(tmp_path, [json.dumps(first), json.dumps(both)])
+        with pytest.raises(DatasetFormatError, match=re.escape(want)):
+            load_dataset(path, small_vocab())
+
+
 def test_load_dataset_rejects_unknown_label(tmp_path):
     path = write_lines(tmp_path, [
         json.dumps({"id": "a", "subject_id": "p", "features": [1.0], "labels": ["Q"]}),
@@ -327,7 +348,7 @@ def test_load_dataset_rejects_empty_labels(tmp_path):
     path = write_lines(tmp_path, [
         json.dumps({"id": "a", "subject_id": "p", "features": [1.0], "labels": []}),
     ])
-    with pytest.raises(DatasetFormatError, match="line 1: empty label set"):
+    with pytest.raises(DatasetFormatError, match="line 1: sample a: empty label set"):
         load_dataset(path, small_vocab())
 
 
@@ -754,14 +775,21 @@ def test_split_is_deterministic():
 
 def test_split_validates_ratios():
     ds = split_fixture(n_subjects=4)
-    with pytest.raises(ValueError, match="exactly 3"):
-        split_by_subject(ds, (0.5, 0.5), seed=0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        split_by_subject(ds, (1.2, -0.1, -0.1), seed=0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        split_by_subject(ds, (float("nan"), 0.5, 0.5), seed=0)
-    with pytest.raises(ValueError, match="sum to 1"):
-        split_by_subject(ds, (0.5, 0.3, 0.3), seed=0)
+    for ratios in ((0.5, 0.5), (1.2, -0.1, -0.1), (float("nan"), 0.5, 0.5), (0.5, 0.3, 0.3),
+                   (float("inf"), 0.0, 0.0), (10**400, 0, 0), 0.5, None):
+        with pytest.raises(ValueError, match="^need three nonnegative numbers summing to 1$"):
+            split_by_subject(ds, ratios, seed=0)
+
+
+def test_split_refuses_ratios_that_are_not_numbers():
+    """Strings and bools are not ratios, as in the run config; NumPy floats are."""
+    ds = split_fixture(n_subjects=4)
+    for ratios in (["0.5", "0.25", "0.25"], [True, False, False], (0.5, 0.5, False)):
+        with pytest.raises(ValueError, match="^need three nonnegative numbers summing to 1$"):
+            split_by_subject(ds, ratios, seed=0)
+    want = split_by_subject(ds, (0.5, 0.25, 0.25), seed=0)
+    for ratios in ([np.float64(0.5), np.float64(0.25), np.float64(0.25)], (np.float32(0.5), 0.25, 0.25)):
+        assert [p.ids for p in split_by_subject(ds, ratios, seed=0)] == [p.ids for p in want]
 
 
 def test_split_needs_three_subjects():

@@ -269,8 +269,7 @@ def loop_vanilla_contrast_labels(dataset):
 def test_vanilla_contrast_labels_matches_loop_reference():
     rng = np.random.default_rng(4)
     vocabs = [synthetic_vocabulary(3, 4), synthetic_vocabulary(1, 2),
-              LabelVocabulary((("x", "AS"), ("y", "AS"), ("z", "SP"), ("w", "AS"))),
-              LabelVocabulary((("x", "AS"), ("y", "AS")))]  # no plane class at all
+              LabelVocabulary((("x", "AS"), ("y", "AS"), ("z", "SP"), ("w", "AS")))]
     for vocab in vocabs:
         rows = (rng.random((25, vocab.size)) < 0.4).astype(np.uint8)
         rows[:5, vocab.sp_indices] = 0                     # samples with no plane

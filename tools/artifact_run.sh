@@ -17,7 +17,10 @@
 # train runs with no data paths, on the corpus it synthesizes in-process.
 # Every run sets its config with --set except one MLL-GCN-CRC train, driven
 # by a --config file the script writes, which gives JSON integers to float
-# fields (loss.alpha and loss.beta, train.momentum, kmeans.tol).
+# fields (loss.alpha and loss.beta, train.momentum, kmeans.tol), and one
+# train driven by the config.json snapshot the default synth wrote, with only
+# the epoch count and output directory set on top: a snapshot that train
+# refuses stops the script.
 # The Single-MLL checkpoint is also evaluated on a corpus made by hand from
 # the default one, in forms its writer never gives: the first 300 lines, some
 # features as JSON integers (2**53 + 1 among them) and as true/false, CRLF
@@ -111,6 +114,10 @@ cat > "$work/integer-floats.json" <<JSON
 JSON
 run train-config-file train --seed 3 --variant MLL-GCN-CRC --out "$work/train/config-file" \
     --config "$work/integer-floats.json"
+# the default synth's config.json re-run as a train: every command checks the
+# whole run config, so a snapshot any command writes is one train accepts
+run train-snapshot train --config "$work/corpus/config.json" --set "train.epochs=$epochs" \
+    --out "$work/train/snapshot"
 for what in embeddings correlation clusters projection; do
     run "export-$what" export --checkpoint "$work/train/MLL-GCN-CRC/checkpoint.mllg" \
         --what "$what" --out "$work/export/$what"
