@@ -241,8 +241,8 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
     length, an unknown label name, a number beyond float range. Lines are
     stored as read (ids and subjects as given) into matrices sized by the
     file's line count, and meet the sample rules (`_sample_error`, naming a
-    line) before a later line's error is reported and at the end: so the
-    first bad line is the one reported.
+    line) before a later line's error is reported, and once more, through the
+    `Dataset`, at the end: so the first bad line is the one reported.
     """
     index = vocabulary.index
     ids, subjects, line_numbers = [], [], []  # one entry per stored line, in file order
@@ -297,11 +297,11 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
             ids.append(rec["id"])
             subjects.append(rec["subject_id"])
             line_numbers.append(lineno)
-    message = stored_error()
-    if message:
-        raise DatasetFormatError(message)
     n = len(ids)
-    return Dataset(vocabulary, ids, subjects, features[:n], labels[:n])
+    try:
+        return Dataset(vocabulary, ids, subjects, features[:n], labels[:n])
+    except ValueError:  # the shapes hold by construction, so a sample rule broke: name its line
+        raise DatasetFormatError(stored_error()) from None
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -54,10 +54,6 @@ class LayerStack:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    def copy(self) -> "LayerStack":
-        biases = None if self.biases is None else [b.copy() for b in self.biases]
-        return LayerStack([W.copy() for W in self.weights], biases, self.slope)
-
 
 def init_stack(dims, *, slope: float = 0.2, biases: bool = False, seed: int = 0) -> LayerStack:
     """Fan-in uniform weights drawn from `seed` layer by layer, zero biases if any."""

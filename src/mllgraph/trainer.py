@@ -8,7 +8,6 @@ classifier with momentum SGD while everything from phase 1 stays frozen.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 import json
@@ -105,8 +104,11 @@ class TrainConfig(Config):
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, batch: int):
-        super().__init__(f"loss became non-finite at epoch {epoch}, batch {batch}")
+    """A batch's loss went non-finite, or, after an epoch's last batch, the
+    validation scores of the parameters its step made did; batches count from 1."""
+
+    def __init__(self, epoch: int, batch: int, what: str = "loss"):
+        super().__init__(f"{what} became non-finite at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -122,17 +124,11 @@ class LinearHead:
         """The head over these arrays (held, not copied); it reads neither Z nor B-hat."""
         (self.weights,) = params
 
-    @classmethod
-    def init(cls, embeddings, correlation, rep_dim: int, seed: int) -> "LinearHead":
+    @staticmethod
+    def draw(n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> list:
+        """The initial `params`: fan-in uniform rows drawn from `seed`."""
         bound = 1.0 / np.sqrt(rep_dim)
-        rng = np.random.default_rng(seed)
-        return cls([rng.uniform(-bound, bound, (len(embeddings), rep_dim))], embeddings, correlation)
-
-    def with_params(self, params) -> "LinearHead":
-        """This head over other arrays (held, not copied)."""
-        head = copy.copy(self)
-        (head.weights,) = params
-        return head
+        return [np.random.default_rng(seed).uniform(-bound, bound, (n_classes, rep_dim))]
 
     @property
     def params(self) -> list:
@@ -156,8 +152,8 @@ class GcnHead:
     The stack is always two bias-free layers, leaky then linear, at slope
     0.2; the checkpoint header records that pattern as `gcn_layers`. The
     LabelGraph of B-hat and the read-only B-hat Z are built once, with the
-    head, and every head `with_params` makes shares them, so training and
-    scoring multiply by the same operator bit for bit.
+    head, and training builds the head once, over its SGD views, so training
+    and scoring multiply by the same operator bit for bit.
     """
 
     kind = "gcn"
@@ -171,15 +167,9 @@ class GcnHead:
         self.BZ = propagate(embeddings, self.graph)
         self.BZ.setflags(write=False)
 
-    @classmethod
-    def init(cls, embeddings, correlation, rep_dim: int, seed: int) -> "GcnHead":
-        d = embeddings.shape[1]
-        return cls(init_stack((d, d, rep_dim), slope=cls.slope, seed=seed).weights, embeddings, correlation)
-
-    def with_params(self, params) -> "GcnHead":
-        head = copy.copy(self)  # the graph and B-hat Z are shared
-        head.stack = LayerStack(list(params), slope=self.slope)
-        return head
+    @staticmethod
+    def draw(n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> list:
+        return init_stack((embed_dim, embed_dim, rep_dim), seed=seed).weights
 
     @property
     def params(self) -> list:
@@ -315,7 +305,8 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     Per-stage randomness is derived from cfg.seed through fixed stage
     indices, so e.g. the k-means seed never shifts the batch order. The
     retained checkpoint is the earliest epoch with the highest validation
-    exact-match.
+    exact-match: its parameters are copied out of the SGD buffer when it
+    scores, and copied back in place once the last epoch has run.
     """
     if train.vocabulary != val.vocabulary:
         raise ValueError("train and val must share one vocabulary")
@@ -324,15 +315,15 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     phase1 = fit_phase1(train, variant, cfg)
     contrast_labels = phase1.contrast_labels
+    Head = head_type(variant)
     enc = init_encoder(train.feature_dim, cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
-    head = head_type(variant).init(
-        phase1.embeddings, phase1.correlation, cfg.encoder.output_dim,
-        seed=stage_seed(cfg.seed, "classifier_init"),
-    )
+    head_draw = Head.draw(*phase1.embeddings.shape, cfg.encoder.output_dim,
+                          seed=stage_seed(cfg.seed, "classifier_init"))
     n_enc = len(enc.weights)
-    sgd = _MomentumSGD(enc.weights + enc.biases + head.params, cfg.learning_rate, cfg.momentum)
+    # from here to the checkpoint, every trainable array is a view of the one SGD buffer
+    sgd = _MomentumSGD(enc.weights + enc.biases + head_draw, cfg.learning_rate, cfg.momentum)
     enc = LayerStack(sgd.params[:n_enc], sgd.params[n_enc:2 * n_enc], enc.slope)
-    head = head.with_params(sgd.params[2 * n_enc:])
+    head = Head(sgd.params[2 * n_enc:], phase1.embeddings, phase1.correlation)
     rng_batches = stage_rng(cfg.seed, "batches")
 
     Xtr = train.features_matrix()
@@ -342,7 +333,6 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     n = len(train)
 
     best_match = -1.0
-    best = None
     trace = []
     for epoch in range(1, cfg.epochs + 1):
         # the epoch's order gathered once; each batch is a slice (a view) of
@@ -362,30 +352,36 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
             mll, d_scores = mll_loss_and_grad(scores, Yep[batch])
             d_reps = d_scores @ K
             total = mll
-            if variant.contrastive_mode != "none":
+            if pair_terms is not None:
                 closs, d_reps_c = contrastive_loss_and_grad(reps, pair_terms[k])
                 total = mll + cfg.loss.lam * closs
                 d_reps = d_reps + cfg.loss.lam * d_reps_c
             if not math.isfinite(total):
-                raise TrainingDivergedError(epoch, k)
+                raise TrainingDivergedError(epoch, k + 1)
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
             sgd.step(dWs_e + dbs_e + head.backward(dK, hcache))
             loss_sum += total * reps.shape[0]
-        K, _ = head.forward()
-        vm = exact_match(_score_table(Xval, enc, K, Yval, 0.5))
+        # no batch's loss has seen the last step: an overflow it caused shows
+        # in the scores, as NaN (which the score table would refuse with a
+        # message that hides the cause) or as infinity (which the sigmoid
+        # would saturate to 0 or 1 unseen); max and min propagate both
+        scores = _scores(Xval, enc, head.forward()[0])
+        if not (math.isfinite(scores.max()) and math.isfinite(scores.min())):
+            raise TrainingDivergedError(epoch, k + 1, "validation scores")
+        vm = exact_match(ScoreTable(sigmoid(scores, out=scores), Yval, 0.5))
+        del scores  # not alive while the next epoch trains and validates
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
-            best_match = vm
-            best = (epoch, enc.copy(), head.with_params([p.copy() for p in head.params]))
+            best_match, best_epoch, best = vm, epoch, sgd.flat.copy()
 
-    best_epoch, best_enc, best_head = best
+    sgd.flat[...] = best  # enc and head now hold the best epoch's parameters
     checkpoint = Checkpoint(
         variant=variant,
         config=cfg,
         vocabulary=train.vocabulary,
-        encoder_params=best_enc,
-        head=best_head,
+        encoder_params=enc,
+        head=head,
         embeddings=phase1.embeddings,
         correlation=phase1.correlation,
         centroids=phase1.centroids,
@@ -394,23 +390,17 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     return PipelineResult(checkpoint=checkpoint, trace=trace, phase1=phase1)
 
 
-def _score_table(features, enc: LayerStack, K, targets, threshold: float) -> ScoreTable:
-    """sigmoid(encode(features) K^T) against the targets, with one (n, C) array alive.
+def _scores(features, enc: LayerStack, K) -> np.ndarray:
+    """encode(features) K^T, with one (n, C) array alive.
 
-    The encoder's cache goes as soon as `encode` returns, the
-    representations once the scores are formed in the table, and the
-    probabilities then overwrite the scores.
+    The encoder's cache goes as soon as `encode` returns and the
+    representations once the scores are formed; callers turn the scores
+    into probabilities in place.
     """
     reps = encode(features, enc)[0]
     scores = np.empty((len(reps), len(K)))
     np.matmul(reps, K.T, out=scores)
-    del reps
-    return ScoreTable(sigmoid(scores, out=scores), targets, threshold)
-
-
-def classifier_matrix(cp: Checkpoint) -> np.ndarray:
-    """The (C, D) classifier the checkpoint scores with."""
-    return cp.head.forward()[0]
+    return scores
 
 
 def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:
@@ -420,7 +410,8 @@ def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> S
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
     features, targets = dataset.features_matrix(), dataset.labels_matrix()
-    return _score_table(features, cp.encoder_params, classifier_matrix(cp), targets, threshold)
+    scores = _scores(features, cp.encoder_params, cp.head.forward()[0])
+    return ScoreTable(sigmoid(scores, out=scores), targets, threshold)
 
 
 # ---------------------------------------------------------------------------

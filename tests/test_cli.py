@@ -446,7 +446,13 @@ def test_train_and_eval_that_fail_leave_no_output_directory(work, tmp_path, caps
         (["train", *SMALL_SETS, "--set", "data.split_ratios=[1,0,0]"],
          "error: train and val must be nonempty\n"),
         (["train", *SMALL_SETS, "--set", "train.learning_rate=1e200"],
-         "error: loss became non-finite at epoch 1, batch "),
+         "error: loss became non-finite at epoch 1, batch 2\n"),
+        (["train", "--variant", "Single-MLL", *SMALL_SETS, "--set", "train.learning_rate=1e200",
+          "--set", "train.batch_size=1000"],
+         "error: validation scores became non-finite at epoch 1, batch 1\n"),
+        (["train", *SMALL_SETS, "--set", "train.learning_rate=1e200", "--set", "train.batch_size=1000",
+          "--set", "train.epochs=1"],  # scores of +-inf, with no NaN among them
+         "error: validation scores became non-finite at epoch 1, batch 1\n"),
     ):
         capsys.readouterr()
         with np.errstate(all="ignore"):  # the diverging train overflows on its way to the error

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mllgraph import corpus
 from mllgraph.corpus import (
     Dataset,
     DatasetFormatError,
@@ -272,6 +273,22 @@ def test_load_dataset_happy_path(tmp_path):
     assert np.array_equal(ds.labels[0], [1, 0, 1, 0])
     assert ds.features[1, 1] == 3.5
     assert ds.ids == ("a", "b") and ds.subjects == ("p1", "p2")
+
+
+def test_load_dataset_checks_the_sample_rules_of_a_good_file_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = corpus._sample_error
+    monkeypatch.setattr(corpus, "_sample_error", counting)
+    path = write_lines(tmp_path, [
+        json.dumps({"id": f"s{i}", "subject_id": "p", "features": [float(i)], "labels": ["A"]}) for i in range(5)
+    ])
+    assert len(load_dataset(path, small_vocab())) == 5
+    assert len(calls) == 1
 
 
 def test_load_dataset_reports_line_numbers(tmp_path):

@@ -34,7 +34,6 @@ from mllgraph.trainer import (
     TrainingDivergedError,
     VariantSpec,
     checkpoint_bytes,
-    classifier_matrix,
     config_from_dict,
     fit_phase1,
     load_checkpoint,
@@ -293,7 +292,7 @@ def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
     assert res.phase1.centroids is None and res.phase1.contrast_labels is None
     assert np.array_equal(res.phase1.cooccurrence, build_cooccurrence(train))
     assert res.phase1.glove_loss_trace.shape == (31,)
-    K = classifier_matrix(cp)
+    K = cp.head.forward()[0]
     assert K.shape == (train.vocabulary.size, 16)
 
 
@@ -306,7 +305,7 @@ def test_pipeline_gcn_crc_artifacts(crc_result, small_splits):
     assert cp.centroids.shape == (4, 8)
     assert crc_result.phase1.contrast_labels.shape == (len(train),)
     assert crc_result.phase1.centroids.shape == (4, 8)
-    assert classifier_matrix(cp).shape == (train.vocabulary.size, 16)
+    assert cp.head.forward()[0].shape == (train.vocabulary.size, 16)
 
 
 def test_pipeline_is_deterministic(small_splits):
@@ -314,7 +313,7 @@ def test_pipeline_is_deterministic(small_splits):
     variant = VariantSpec.from_name("MLL-GCN")
     a = run_pipeline(train, val, variant, small_train_config())
     b = run_pipeline(train, val, variant, small_train_config())
-    assert np.array_equal(classifier_matrix(a.checkpoint), classifier_matrix(b.checkpoint))
+    assert np.array_equal(a.checkpoint.head.forward()[0], b.checkpoint.head.forward()[0])
     assert checkpoint_bytes(a.checkpoint) == checkpoint_bytes(b.checkpoint)
     assert [r.train_loss for r in a.trace] == [r.train_loss for r in b.trace]
 
@@ -339,6 +338,23 @@ def test_checkpoint_keeps_first_best_epoch(crc_result):
     assert crc_result.checkpoint.epoch == first_best
 
 
+@pytest.mark.parametrize("name, seed", [("MLL-GCN-CRC", 1), ("MLL-CL", 2)])
+def test_retained_epoch_holds_the_parameters_of_a_run_that_stops_there(name, seed):
+    """A run whose best epoch b comes before its last keeps, bit for bit, every
+    tensor of the same run stopped after epoch b."""
+    data = generate_synthetic(SyntheticConfig(n_samples=400, seed=4))
+    train, val, _ = split_by_subject(data, (0.7, 0.15, 0.15), seed=0)
+    variant = VariantSpec.from_name(name)
+    full = run_pipeline(train, val, variant, TrainConfig(epochs=12, seed=seed)).checkpoint
+    assert full.epoch < 12  # else nothing is restored
+    stopped = run_pipeline(train, val, variant, TrainConfig(epochs=full.epoch, seed=seed)).checkpoint
+    assert stopped.epoch == full.epoch
+    kept, expected = trainer._tensor_entries(full), trainer._tensor_entries(stopped)
+    assert [n for n, _ in kept] == [n for n, _ in expected]
+    for (tensor, a), (_, b) in zip(kept, expected):
+        assert np.array_equal(a, b), tensor
+
+
 def test_pipeline_input_validation(small_splits):
     train, val, _ = small_splits
     variant = VariantSpec.from_name("Single-MLL")
@@ -356,6 +372,26 @@ def test_training_divergence_is_reported(small_splits):
         with np.errstate(all="ignore"):
             run_pipeline(train, val, VariantSpec.from_name("Single-MLL"), cfg)
     assert err.value.epoch >= 1
+
+
+@pytest.mark.parametrize("name, learning_rate, batch_size, message", [
+    # the first step overflows what the second batch computes
+    ("Single-MLL", 1e200, 16, "loss became non-finite at epoch 1, batch 2"),
+    # one batch per epoch: its step overflows no parameter, but the
+    # validation forward pass overflows, so the epoch's scores hold NaN
+    ("Single-MLL", 1e200, 1000, "validation scores became non-finite at epoch 1, batch 1"),
+    ("MLL-GCN", 1e200, 1000, "validation scores became non-finite at epoch 1, batch 1"),
+    # a smaller overflow: scores of +-inf, with no NaN among them
+    ("Single-MLL", 1e150, 1000, "validation scores became non-finite at epoch 1, batch 1"),
+    ("MLL-GCN-CRC", 1e150, 1000, "validation scores became non-finite at epoch 1, batch 1"),
+])
+def test_divergence_names_its_epoch_and_batch(small_splits, name, learning_rate, batch_size, message):
+    train, val, _ = small_splits
+    cfg = small_train_config(learning_rate=learning_rate, batch_size=batch_size, epochs=1)
+    with pytest.raises(TrainingDivergedError, match=f"^{message}$") as err:
+        with np.errstate(all="ignore"):
+            run_pipeline(train, val, VariantSpec.from_name(name), cfg)
+    assert (err.value.epoch, err.value.batch) == (1, int(message[-1]))
 
 
 def test_score_and_evaluate(crc_result, small_splits):
@@ -432,7 +468,7 @@ def test_checkpoint_save_writes_the_tensors_without_copying_them(tmp_path):
         config=cfg,
         vocabulary=synthetic_vocabulary(250, 750),
         encoder_params=init_encoder(16, cfg.encoder, seed=1),
-        head=GcnHead.init(Z, bhat, cfg.encoder.output_dim, seed=2),
+        head=GcnHead(GcnHead.draw(WIDE, cfg.glove.d, cfg.encoder.output_dim, seed=2), Z, bhat),
         embeddings=Z,
         correlation=bhat,
         centroids=rng.standard_normal((cfg.n_clusters, cfg.glove.d)),
@@ -504,7 +540,7 @@ def test_checkpoint_roundtrip_is_bit_exact(variant_results, name, tmp_path):
     assert loaded.variant.name == name
     assert loaded.epoch == cp.epoch
     assert np.array_equal(loaded.embeddings, cp.embeddings)
-    assert np.array_equal(classifier_matrix(loaded), classifier_matrix(cp))
+    assert np.array_equal(loaded.head.forward()[0], cp.head.forward()[0])
 
 
 def test_checkpoint_save_rejects_tensors_its_header_does_not_describe(crc_result, tmp_path):

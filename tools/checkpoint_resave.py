@@ -3,10 +3,11 @@ writes the same bytes.
 
     PYTHONPATH=SRC_DIR python3 tools/checkpoint_resave.py FILE.mllg...
 
-SRC_DIR is the tree's `src` directory. Prints one line per file and exits 1
-if any file does not load or re-saves to other bytes (or if no file is
-given), so checkpoints written by another tree, say a base branch, can be
-checked to reload bit-exactly under this one.
+SRC_DIR is the tree's `src` directory. Prints one line per path and exits 1
+if any path does not load (a missing file or a directory among them) or
+re-saves to other bytes, or if no path is given. Every path is checked, so
+checkpoints written by another tree, say a base branch, can be checked to
+reload bit-exactly under this one.
 """
 
 import sys
@@ -20,7 +21,7 @@ def main(paths) -> int:
     for path in paths:
         try:
             same = checkpoint_bytes(load_checkpoint(path)) == Path(path).read_bytes()
-        except CheckpointError as exc:
+        except (CheckpointError, OSError) as exc:  # a bad file, or a path that reads no file
             print(f"{path}: does not load: {exc}")
             failed += 1
             continue
