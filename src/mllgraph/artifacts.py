@@ -6,6 +6,7 @@ reads back to the same bits; a NaN, a missing value, is an empty cell.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,23 @@ import numpy as np
 from .metrics import ScoreTable
 
 # What the CSV artifacts cannot carry in a label name or a sample id: the
-# comma, and every character `str.splitlines` breaks a line at. A name must
-# also not start with the prefix that marks a score file's target columns.
+# comma, every character `str.splitlines` breaks a line at, and a lone
+# surrogate (U+D800 to U+DFFF), which UTF-8 cannot encode. A name must also
+# not start with the prefix that marks a score file's target columns.
 CSV_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+CSV_BREAK_FAULT = "holds a comma or a line break"
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 TARGET_PREFIX = "target:"
+
+
+def csv_text_fault(text: str):
+    """What keeps `text` out of a CSV artifact's cell, as "holds ...", or None. An ASCII
+    text holds no surrogate, and `str.isascii` answers that without a scan."""
+    if not CSV_BREAKS.isdisjoint(text):
+        return CSV_BREAK_FAULT
+    if not text.isascii() and LONE_SURROGATE.search(text):
+        return "holds a lone surrogate (U+D800 to U+DFFF)"
+    return None
 
 
 def format_csv_row(values: np.ndarray) -> str:

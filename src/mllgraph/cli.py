@@ -9,7 +9,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import copy
 import ctypes
 import dataclasses
 import json
@@ -105,49 +104,41 @@ def default_run_config() -> dict:
     }
 
 
-def _override(default, value, where: str):
-    """`value` in place of `default`; a section (an object) takes only an object, merged into it."""
-    if not isinstance(default, dict):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
-    return merge_config(default, value, where + ".")
-
-
 def merge_config(base: dict, override: dict, path: str = "") -> dict:
-    """Recursive merge that rejects keys absent from the defaults."""
-    out = copy.deepcopy(base)
+    """`base` with `override`'s values, copying only the sections they change; a key absent
+    from `base` is refused, and a section (an object) takes only an object, merged key by key."""
+    out = dict(base)
     for key, value in override.items():
         where = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        out[key] = _override(base[key], value, where)
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
+            value = merge_config(base[key], value, where + ".")
+        out[key] = value
     return out
 
 
 def apply_set(cfg: dict, expr: str) -> None:
+    """Merge one `key.path=value` override into `cfg`; the value is JSON, or else the plain string."""
     if "=" not in expr:
         raise ConfigError(f"--set expects key=value, got {expr!r}")
-    key, _, raw = expr.partition("=")
+    key, _, value = expr.partition("=")
     try:
-        value = json.loads(raw)
+        value = json.loads(value)
     except (ValueError, RecursionError):  # not JSON, too many digits, too deep: the plain string
-        value = raw
-    node = cfg
-    parts = key.split(".")
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"unknown config key: {key}")
-        node = node[p]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"unknown config key: {key}")
-    node[parts[-1]] = _override(node[parts[-1]], value, key)
+        pass
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    cfg.update(merge_config(cfg, value))
 
 
 def resolve_config(args) -> Run:
-    """The run config of the defaults, --config, --set and the flags, with every section checked."""
+    """The run config of the defaults, --config, each --set in order and the flags, with every
+    section checked. A flag is applied when given (not None), even when it is empty."""
     cfg = default_run_config()
-    if getattr(args, "config", None):
+    if args.config is not None:
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
@@ -157,14 +148,10 @@ def resolve_config(args) -> Run:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = merge_config(cfg, file_cfg)
-    for expr in getattr(args, "set", None) or []:
+    for expr in args.set or []:
         apply_set(cfg, expr)
-    if getattr(args, "variant", None):
-        cfg["variant"] = args.variant
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg["out_dir"] = args.out
+    flags = {"variant": getattr(args, "variant", None), "seed": args.seed, "out_dir": args.out}
+    cfg = merge_config(cfg, {key: value for key, value in flags.items() if value is not None})
     seed = cfg["seed"]
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError("seed: must be a nonnegative integer")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import CSV_BREAKS, TARGET_PREFIX
+from .artifacts import CSV_BREAK_FAULT, LONE_SURROGATE, TARGET_PREFIX, csv_text_fault
 from .config import Config, NONNEGATIVE, POSITIVE, within
 from .seeding import stage_rng
 
@@ -57,11 +57,12 @@ class LabelVocabulary:
         for i, (name, kind) in enumerate(entries):
             if kind not in _VALID_KINDS:
                 raise ValueError(f"label {name!r} has invalid kind {kind!r}")
-            if not CSV_BREAKS.isdisjoint(name) or name.startswith(TARGET_PREFIX):
-                raise DatasetFormatError(
-                    f"vocabulary entry {i}: label name {name!r} holds a comma or a line break "
-                    f"or starts with {TARGET_PREFIX!r}, which the CSV artifacts cannot carry"
-                )
+            fault = csv_text_fault(name)
+            if fault == CSV_BREAK_FAULT or name.startswith(TARGET_PREFIX):
+                fault = f"{CSV_BREAK_FAULT} or starts with {TARGET_PREFIX!r}"
+            if fault:
+                raise DatasetFormatError(f"vocabulary entry {i}: label name {name!r} {fault}, "
+                                         "which the CSV artifacts cannot carry")
         if KIND_PLANE not in (k for _, k in entries):  # SP_ACC scores the plane columns
             raise ValueError("vocabulary needs at least one SP class")
 
@@ -121,10 +122,11 @@ def synthetic_vocabulary(sp_count: int, as_count: int) -> LabelVocabulary:
 def _sample_error(ids, subjects, features: np.ndarray, labels: np.ndarray, name):
     """The message for the first sample that breaks a sample rule, or None.
 
-    The rules, in order: the id and the subject are strings; the id holds no
-    comma or line break and repeats no earlier id; the (n, F) `features` are
-    finite; the (n, C) `labels` are 0/1 bits, at least one set. The lowest
-    index wins, then the first rule; `name(i)` names sample i, in a repeat too.
+    The rules, in order: the id and the subject are strings; the id is text
+    the CSV artifacts can carry (`csv_text_fault`) and repeats no earlier id;
+    the (n, F) `features` are finite; the (n, C) `labels` are 0/1 bits, at
+    least one set. The lowest index wins, then the first rule; `name(i)`
+    names sample i, in a repeat too.
     """
     problems = []  # (index, message), in rule order
     for key, values in (("id", ids), ("subject_id", subjects)):
@@ -133,9 +135,9 @@ def _sample_error(ids, subjects, features: np.ndarray, labels: np.ndarray, name)
             problems.append((i, f"{key} must be a string, got {type(values[i]).__name__}"))
     # the ids before the first sample that breaks the first rule: strings, safe to hash
     head = ids[:min((i for i, _ in problems), default=len(ids))]
-    i = next((i for i, sid in enumerate(head) if not CSV_BREAKS.isdisjoint(sid)), None)
+    i = next((i for i, sid in enumerate(head) if csv_text_fault(sid)), None)
     if i is not None:
-        problems.append((i, f"sample id {head[i]!r} holds a comma or a line break, "
+        problems.append((i, f"sample id {head[i]!r} {csv_text_fault(head[i])}, "
                             "which the CSV artifacts cannot carry"))
     if len(set(head)) != len(head):  # a set first: the index of each id only when one repeats
         first = {}
@@ -236,13 +238,14 @@ def _line_count(path) -> int:
 def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
     """Parse a JSONL corpus of {"id", "subject_id", "features", "labels"} lines, labels by name.
 
-    A line is refused for what its text gets wrong: invalid JSON, not an
-    object, a missing key, features that are not numbers or not line 1's
-    length, an unknown label name, a number beyond float range. Lines are
-    stored as read (ids and subjects as given) into matrices sized by the
-    file's line count, and meet the sample rules (`_sample_error`, naming a
-    line) before a later line's error is reported, and once more, through the
-    `Dataset`, at the end: so the first bad line is the one reported.
+    A line is refused for what its text gets wrong: a byte that is not UTF-8,
+    invalid JSON, not an object, a missing key, features that are not numbers
+    or not line 1's length, an unknown label name, a number beyond float
+    range. Lines are stored as read (ids and subjects as given) into matrices
+    sized by the file's line count, and meet the sample rules
+    (`_sample_error`, naming a line) before a later line's error is reported,
+    and once more, through the `Dataset`, at the end: so the first bad line is
+    the one reported.
     """
     index = vocabulary.index
     ids, subjects, line_numbers = [], [], []  # one entry per stored line, in file order
@@ -257,8 +260,10 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
         """This line's error, unless a stored line breaks a sample rule."""
         return DatasetFormatError(stored_error() or f"line {lineno}: {message}")
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and LONE_SURROGATE.search(line):  # an undecodable byte, escaped
+                raise bad("not UTF-8 text")
             if not line.strip():
                 continue
             try:

@@ -16,10 +16,6 @@ def record(event: str, n: int = 1) -> None:
     _counters[event] += n
 
 
-def count(event: str) -> int:
-    return _counters[event]
-
-
 def snapshot() -> dict:
     return dict(_counters)
 

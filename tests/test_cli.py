@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from mllgraph import cli, trainer
-from mllgraph.cli import ConfigError, apply_set, default_run_config, main, merge_config
+from mllgraph.cli import (
+    ConfigError,
+    apply_set,
+    build_parser,
+    default_run_config,
+    main,
+    merge_config,
+    resolve_config,
+)
 from mllgraph.corpus import LabelVocabulary, load_dataset, synthetic_vocabulary
 from mllgraph.artifacts import write_score_csv
 from mllgraph.layers import LabelGraph
@@ -88,6 +96,56 @@ def test_apply_set_parses_json_values():
         apply_set(cfg, "train.epochs")
     with pytest.raises(ConfigError, match="unknown config key"):
         apply_set(cfg, "train.warmup=1")
+    with pytest.raises(ConfigError, match="^unknown config key: optimizer$"):
+        apply_set(cfg, "optimizer.lr=1")
+
+
+def test_the_config_layers_merge_in_order(tmp_path):
+    """The defaults, then the --config file, then each --set in order, then the flags."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"variant": "MLL-CRC", "seed": 7, "out_dir": "file",
+                                "train": {"epochs": 5, "batch_size": 8}}), encoding="utf-8")
+    layers = ["train", "--config", str(path), "--set", "variant=MLL-CL", "--set", "seed=9",
+              "--set", "train.epochs=6", "--set", "train.epochs=7"]
+    flags = ["--variant", "MLL-GCN", "--seed", "3", "--out", "flag"]
+    for args, want in ((layers[:3], ("MLL-CRC", 7, "file", 5)), (layers, ("MLL-CL", 9, "file", 7)),
+                       (layers + flags, ("MLL-GCN", 3, "flag", 7))):
+        cfg = resolve_config(build_parser().parse_args(args)).cfg
+        assert (cfg["variant"], cfg["seed"], cfg["out_dir"], cfg["train"]["epochs"]) == want, args
+        assert cfg["train"] == dict(default_run_config()["train"], epochs=want[3], batch_size=8), args
+
+
+def test_a_flag_that_is_given_is_applied_even_when_empty(tmp_path, capsys, monkeypatch):
+    """An empty --variant or --config is refused like any other bad value, not dropped, and a
+    missing config file is a config error; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    for args, message in (
+        (["train", "--variant", ""], "error: unknown variant ''; expected one of Single-MLL"),
+        (["synth", "--config", ""], "error: cannot read config file: "),
+        (["train", "--config", ""], "error: cannot read config file: "),
+        (["synth", "--config", "missing.json"], "error: cannot read config file: "),
+    ):
+        assert main([*args, "--out", "x"]) == 2, args
+        assert capsys.readouterr().err.startswith(message), args
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_set_path_fails_as_a_config_file_of_its_nesting_does(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    path = tmp_path / "nested.json"
+    for expr, nested, message in (
+        ("optimizer.lr=1", {"optimizer": {"lr": 1}}, "unknown config key: optimizer"),
+        ("train.lr=1", {"train": {"lr": 1}}, "unknown config key: train.lr"),
+        ("train.epochs.x=1", {"train": {"epochs": {"x": 1}}},
+         "train config: train.epochs: expected an integer, got dict"),
+        ("train=3", {"train": 3}, "train: expected an object, got int"),
+    ):
+        path.write_text(json.dumps(nested), encoding="utf-8")
+        assert main(["train", "--out", out, "--set", expr]) == 2, expr
+        assert capsys.readouterr().err == f"error: {message}\n", expr
+        assert main(["train", "--out", out, "--config", str(path)]) == 2, expr
+        assert capsys.readouterr().err == f"error: {message}\n", expr
+    assert not (tmp_path / "x").exists()
 
 
 def test_synth_writes_loadable_corpus(work):
@@ -141,6 +199,38 @@ def test_train_and_eval_reject_integer_beyond_float_range(work, tmp_path, capsys
         "--data", str(data), "--out", str(tmp_path / "e"),
     ]) == 1
     assert "error: line 5: feature value too large for a float" in capsys.readouterr().err
+
+
+def test_train_and_eval_refuse_text_the_csv_files_cannot_encode(work, tmp_path, capsys):
+    """A corpus byte that is not UTF-8, and a sample id or label name holding a lone surrogate
+    (which JSON can escape, but UTF-8 cannot encode), are refused as they are read: the command
+    exits 1 and makes no output directory."""
+    synth = work / "synth"
+    lines = (synth / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+    undecodable = tmp_path / "undecodable.jsonl"
+    undecodable.write_bytes(b"".join(lines[:4] + [b"\xff" + lines[4]] + lines[5:]))
+    surrogate = tmp_path / "surrogate.jsonl"
+    lines[4] = (json.dumps(dict(json.loads(lines[4]), id="img\udcff")) + "\n").encode("ascii")
+    surrogate.write_bytes(b"".join(lines))
+    vocab = json.loads((synth / "vocabulary.json").read_text(encoding="utf-8"))
+    vocab[1]["name"] = "L\udcffAP"
+    bad_vocab = tmp_path / "vocabulary.json"
+    bad_vocab.write_text(json.dumps(vocab), encoding="utf-8")
+    checkpoint = str(work / "crc" / "checkpoint.mllg")
+    out = tmp_path / "out"
+    for args, message in (
+        (["eval", "--checkpoint", checkpoint, "--data", str(undecodable)], "line 5: not UTF-8 text"),
+        (["eval", "--checkpoint", checkpoint, "--data", str(surrogate)],
+         "line 5: sample id 'img\\udcff' holds a lone surrogate (U+D800 to U+DFFF), "
+         "which the CSV artifacts cannot carry"),
+        (["train", *SMALL_SETS, "--set", f"data.dataset_path={synth / 'dataset.jsonl'}",
+          "--set", f"data.vocabulary_path={bad_vocab}"],
+         "vocabulary entry 1: label name 'L\\udcffAP' holds a lone surrogate (U+D800 to U+DFFF), "
+         "which the CSV artifacts cannot carry"),
+    ):
+        assert main([*args, "--out", str(out)]) == 1, args[0]
+        assert capsys.readouterr().err == f"error: {message}\n", args[0]
+        assert not out.exists(), args[0]
 
 
 def test_train_and_eval_reject_names_and_ids_the_csv_files_cannot_carry(work, tmp_path, capsys):
@@ -411,6 +501,16 @@ def test_train_refuses_a_variant_or_cluster_count_it_cannot_run_before_writing(t
                  "--set", "kmeans.n_clusters=50"]) == 0
 
 
+def test_train_with_an_empty_test_split_writes_the_val_report_only(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), *SMALL_SETS, "--set", "data.split_ratios=[0.5,0.5,0]"]) == 0
+    assert (out / "metrics_val.json").exists() and (out / "scores_val.csv").exists()
+    assert not (out / "metrics_test.json").exists() and not (out / "scores_test.csv").exists()
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].endswith(" / test 0")
+    assert [line.split(":")[0] for line in printed[2:-2]] == ["val"]
+
+
 def test_train_builds_one_label_graph_for_scoring(work, tmp_path, monkeypatch):
     """The GCN head builds B-hat's LabelGraph once: a train trains and scores val and test
     with the one run_pipeline builds, and an eval scores with the one its load builds."""
@@ -447,6 +547,8 @@ def test_train_and_eval_that_fail_leave_no_output_directory(work, tmp_path, caps
          "error: train and val must be nonempty\n"),
         (["train", *SMALL_SETS, "--set", "train.learning_rate=1e200"],
          "error: loss became non-finite at epoch 1, batch 2\n"),
+        (["train", *SMALL_SETS, "--set", "glove.learning_rate=1e300"],
+         "error: objective became non-finite at epoch 1\n"),
         (["train", "--variant", "Single-MLL", *SMALL_SETS, "--set", "train.learning_rate=1e200",
           "--set", "train.batch_size=1000"],
          "error: validation scores became non-finite at epoch 1, batch 1\n"),

@@ -135,6 +135,8 @@ def test_weight_is_monotone_below_cap():
 def test_weight_rejects_negative():
     with pytest.raises(ValueError, match="nonnegative"):
         weight(-1, WeightingConfig())
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        weight_matrix(np.array([[1, -1], [-1, 1]]), WeightingConfig())
 
 
 def test_weight_matrix_matches_scalar():
@@ -248,6 +250,9 @@ def test_normalize_adjacency_isolated_row_keeps_identity():
 def test_normalize_adjacency_rejects_negative():
     with pytest.raises(ValueError, match="nonnegative"):
         normalize_adjacency(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    for shape in ((2, 3), (4,)):
+        with pytest.raises(ValueError, match="adjacency must be square"):
+            normalize_adjacency(np.ones(shape))
 
 
 def test_write_matrix_csv_roundtrips_floats(tmp_path):

@@ -121,7 +121,11 @@ def test_vocabulary_load_rejects_bad_entry(tmp_path):
             LabelVocabulary.load(path)
         with pytest.raises(DatasetFormatError, match="cannot carry"):
             LabelVocabulary((("A", "SP"), (bad, "AS")))
-    assert LabelVocabulary((("A", "SP"), ("x:target:", "AS"))).size == 2
+    # nor one with a lone surrogate, which JSON can escape but UTF-8 cannot encode
+    path.write_text('[{"name": "A", "kind": "SP"}, {"name": "L\\udcffAP", "kind": "AS"}]', encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape("entry 1: label name 'L\\udcffAP' holds a lone surrogate")):
+        LabelVocabulary.load(path)
+    assert LabelVocabulary((("A", "SP"), ("x:target:", "AS"), ("\u00e9\U0001f600", "AS"))).size == 3
 
 
 def test_default_vocabulary_shape():
@@ -194,6 +198,7 @@ def test_dataset_refuses_what_a_corpus_file_refuses(tmp_path):
         (["7", "7", "7"], ["p", "q", "r"], r"ids\[1\]: sample id '7' repeats ids\[0\]"),
         (["a,b", "c", "d"], ["p", "q", "r"], r"ids\[0\]: sample id 'a,b' holds a comma or a line break"),
         (["a", "b", "c\u2028"], ["p", "q", "r"], r"ids\[2\]: sample id 'c\\u2028' holds a comma or a line break"),
+        (["a", "\ud800b", "c"], ["p", "q", "r"], r"ids\[1\]: sample id '\\ud800b' holds a lone surrogate"),
         # the lowest index wins, whatever rule it breaks; an unhashable id is never hashed
         (["a", "a", 5], ["p", "q", "r"], r"ids\[1\]: sample id 'a' repeats ids\[0\]"),
         (["a", ["b"], "a"], ["p", "q", "r"], r"ids\[1\]: id must be a string, got list"),
@@ -306,6 +311,23 @@ def test_load_dataset_reports_line_numbers(tmp_path):
         path = write_lines(tmp_path, [first, bad])
         with pytest.raises(DatasetFormatError, match=re.escape("line 2: invalid JSON (")):
             load_dataset(path, small_vocab())
+    # JSON of the wrong shape: not an object, features or labels that are not lists of their kind
+    for bad, message in (("[1, 2]", "record must be a JSON object"),
+                         ('"a"', "record must be a JSON object"),
+                         (json.dumps(dict(json.loads(first), features=["1.0"])), "features must be a list of numbers"),
+                         (json.dumps(dict(json.loads(first), features=1.0)), "features must be a list of numbers"),
+                         (json.dumps(dict(json.loads(first), labels=[1])), "labels must be a list of names"),
+                         (json.dumps(dict(json.loads(first), labels="A")), "labels must be a list of names")):
+        path = write_lines(tmp_path, [first, bad])
+        with pytest.raises(DatasetFormatError, match=re.escape(f"line 2: {message}")):
+            load_dataset(path, small_vocab())
+    # a byte that is not UTF-8 names its line, and an earlier bad line still wins
+    for lines, want in (([first, '{"id": "b\xff"}'], "line 2: not UTF-8 text"),
+                        ([json.dumps(dict(json.loads(first), labels=[])), "\xff"], "line 1: sample a: empty label set")):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+        with pytest.raises(DatasetFormatError, match=re.escape(want)):
+            load_dataset(path, small_vocab())
     # a sample id the CSV artifacts cannot carry in a row
     for bad in ("img,7", "img\n7", "img\r7", "img\x857"):
         path = write_lines(tmp_path, [
@@ -314,6 +336,10 @@ def test_load_dataset_reports_line_numbers(tmp_path):
         ])
         with pytest.raises(DatasetFormatError, match=re.escape(f"line 2: sample id {bad!r} holds a comma")):
             load_dataset(path, small_vocab())
+    # nor a lone surrogate, which JSON can escape but UTF-8 cannot encode
+    path = write_lines(tmp_path, [first, json.dumps(dict(json.loads(first), id="b\udcff"))])
+    with pytest.raises(DatasetFormatError, match=re.escape("line 2: sample id 'b\\udcff' holds a lone surrogate")):
+        load_dataset(path, small_vocab())
     # ids and subjects that are not strings, and a repeated id, which would
     # otherwise load as their text: a null, a number, an object or a list
     good = {"id": "a", "subject_id": "p", "features": [1.0], "labels": ["A"]}

@@ -49,6 +49,8 @@ def test_init_rejects_bad_input_dim():
 
 
 def test_params_validation():
+    with pytest.raises(ValueError, match="at least one layer"):
+        LayerStack([])
     with pytest.raises(ValueError, match="matching weight/bias"):
         LayerStack([np.ones((2, 3))], [])
     with pytest.raises(ValueError, match="bias"):

@@ -10,6 +10,7 @@ from mllgraph.cooccur import WeightingConfig
 from mllgraph.glove import (
     EmbeddingParams,
     GloveConfig,
+    GloveDivergenceError,
     _augmented,
     _fixed_terms,
     _loss_and_grad,
@@ -334,6 +335,20 @@ def test_train_glove_reduces_loss_on_random_instances():
         res = train_glove(counts, GloveConfig(d=4, epochs=60, learning_rate=0.01),
                           WeightingConfig(), seed=int(rng.integers(1000)))
         assert res.loss_trace[-1] < res.loss_trace[0]
+
+
+@pytest.mark.parametrize("overrides, epoch", [
+    (dict(init_scale=1e200), 0),      # the initial objective overflows
+    (dict(learning_rate=1e300), 1),   # the first step overflows it
+])
+def test_train_glove_names_the_epoch_its_objective_diverges_at(overrides, epoch):
+    counts = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 5.0]])
+    # the masked form a non-finite loss falls back to raises the overflow warnings
+    with pytest.warns(RuntimeWarning) as warned, pytest.raises(GloveDivergenceError) as err:
+        train_glove(counts, GloveConfig(d=4, epochs=5, **overrides), WeightingConfig(), seed=3)
+    assert any("overflow" in str(w.message) for w in warned)
+    assert err.value.epoch == epoch
+    assert str(err.value) == f"objective became non-finite at epoch {epoch}"
 
 
 def test_train_glove_rejects_nonsquare():

@@ -85,9 +85,9 @@ def test_cosine_similarity_cases():
     assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
     assert cosine([2, 0], [5, 0]) == pytest.approx(1.0)
     assert cosine([1, 0], [-3, 0]) == pytest.approx(-1.0)
-    before = diagnostics.count("contrastive_zero_norm")
+    before = diagnostics.snapshot().get("contrastive_zero_norm", 0)
     assert cosine([0, 0], [1, 1]) == 0.0
-    assert diagnostics.count("contrastive_zero_norm") == before + 1
+    assert diagnostics.snapshot().get("contrastive_zero_norm", 0) == before + 1
 
 
 def test_contrastive_hand_case_both_normalizations():
@@ -104,11 +104,11 @@ def test_contrastive_hand_case_both_normalizations():
 
 
 def test_contrastive_undersized_batch_is_zero():
-    before = diagnostics.count("contrastive_undersized_batch")
+    before = diagnostics.snapshot().get("contrastive_undersized_batch", 0)
     loss, grad = contrastive_loss_and_grad(np.ones((1, 4)), batch_terms(np.array([0]), LossConfig()))
     assert loss == 0.0
     assert np.all(grad == 0.0)
-    assert diagnostics.count("contrastive_undersized_batch") == before + 1
+    assert diagnostics.snapshot().get("contrastive_undersized_batch", 0) == before + 1
 
 
 def test_contrastive_rejects_label_count_mismatch():
@@ -150,7 +150,7 @@ def test_contrastive_gradient_matches_numeric():
 def test_contrastive_zero_row_gets_zero_gradient():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 0, 1])
-    before = diagnostics.count("contrastive_zero_norm")
+    before = diagnostics.snapshot().get("contrastive_zero_norm", 0)
     _, grad = contrastive_loss_and_grad(X, batch_terms(labels, LossConfig()))
     assert np.all(grad[0] == 0.0)
-    assert diagnostics.count("contrastive_zero_norm") >= before + 1
+    assert diagnostics.snapshot().get("contrastive_zero_norm", 0) >= before + 1

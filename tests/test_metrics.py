@@ -281,21 +281,21 @@ def test_average_precision_hand_cases():
 def test_mean_average_precision_skips_empty_classes():
     scores = np.array([[0.9, 0.4], [0.1, 0.6]])
     targets = np.array([[1, 0], [0, 0]])
-    before_skip = diagnostics.count("map_class_without_positives")
+    before_skip = diagnostics.snapshot().get("map_class_without_positives", 0)
     mp, per_class = mean_average_precision(ScoreTable(scores, targets))
     assert mp == pytest.approx(1.0)
     assert per_class[0] == pytest.approx(1.0)
     assert np.isnan(per_class[1])
-    assert diagnostics.count("map_class_without_positives") == before_skip + 1
+    assert diagnostics.snapshot().get("map_class_without_positives", 0) == before_skip + 1
 
 
 def test_mean_average_precision_all_classes_empty():
     table = ScoreTable(np.array([[0.9, 0.4]]), np.array([[0, 0]]))
-    before = diagnostics.count("map_no_scorable_classes")
+    before = diagnostics.snapshot().get("map_no_scorable_classes", 0)
     mp, per_class = mean_average_precision(table)
     assert mp == 0.0
     assert np.all(np.isnan(per_class))
-    assert diagnostics.count("map_no_scorable_classes") == before + 1
+    assert diagnostics.snapshot().get("map_no_scorable_classes", 0) == before + 1
 
 
 def average_precision_reference(scores, targets):
@@ -396,6 +396,10 @@ def test_oracle_average_precision_agrees():
         assert average_precision(scores, targets) == pytest.approx(
             oracle_average_precision(scores, targets), abs=1e-12
         )
+    with pytest.raises(ValueError, match="at least one positive"):
+        oracle_average_precision([0.9, 0.1], [0, 0])
+    with pytest.raises(ValueError, match="at least one sample"):
+        oracle_metrics([], [])
 
 
 def test_score_csv_roundtrip(tmp_path):

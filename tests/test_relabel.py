@@ -73,9 +73,9 @@ def test_lloyd_repairs_empty_clusters():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]])
     for n_clusters in (2, 3):
         centroids = np.array([[-10.0, 1e-9 * k] for k in range(n_clusters)])
-        before = diagnostics.count("kmeans_empty_cluster_repaired")
+        before = diagnostics.snapshot().get("kmeans_empty_cluster_repaired", 0)
         res = _lloyd(pts, centroids, max_iter=20, tol=1e-9)
-        assert diagnostics.count("kmeans_empty_cluster_repaired") == before + n_clusters - 1
+        assert diagnostics.snapshot().get("kmeans_empty_cluster_repaired", 0) == before + n_clusters - 1
         counts = np.bincount(res.assignments, minlength=n_clusters)
         assert np.all(counts > 0)
         assert np.all(np.diff(res.objective_trace) <= 1e-12)
@@ -83,9 +83,18 @@ def test_lloyd_repairs_empty_clusters():
 
 def test_kmeans_without_empty_clusters_counts_no_repair():
     pts = np.random.default_rng(5).standard_normal((40, 3))
-    before = diagnostics.count("kmeans_empty_cluster_repaired")
+    before = diagnostics.snapshot().get("kmeans_empty_cluster_repaired", 0)
     kmeans(pts, 4, seed=1)
-    assert diagnostics.count("kmeans_empty_cluster_repaired") == before
+    assert diagnostics.snapshot().get("kmeans_empty_cluster_repaired", 0) == before
+
+
+def test_kmeans_of_coincident_points():
+    """When every point coincides, the ++ init draws its later centroids uniformly, and
+    Lloyd repairs the clusters no point was assigned to."""
+    res = kmeans(np.ones((4, 2)), 3, seed=0)
+    assert np.array_equal(res.centroids, np.ones((3, 2)))
+    assert sorted(np.bincount(res.assignments, minlength=3).tolist()) == [1, 1, 2]
+    assert res.inertia == 0.0
 
 
 def test_singleton_clusters_reachable():

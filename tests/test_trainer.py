@@ -668,6 +668,20 @@ def test_checkpoint_rejects_corruption(crc_result, variant_results, tmp_path):
     finite.write_bytes(with_value(raw, "embeddings", 0.25))
     assert load_checkpoint(finite).embeddings[0, 0] == 0.25
 
+    # A checksummed payload must hold exactly the bytes its header declares:
+    # a byte count that disagrees with the tensor's shape, or bytes after the last tensor.
+    (size,) = struct.unpack("<Q", raw[12 + n:20 + n])
+    first = header["tensors"][0]
+    for name, body, match in (
+        ("byte_count", raw[:12 + n] + struct.pack("<Q", size - 8) + raw[20 + n:-4],
+         re.escape(f"tensor {first['name']!r}: {size - 8} bytes for shape {first['shape']}")),
+        ("trailing", raw[:-4] + bytes(8), "trailing bytes after the tensor payload"),
+    ):
+        path = tmp_path / f"{name}.mllg"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointFormatError, match=match):
+            load_checkpoint(path)
+
     # ... and each tensor with the shape training gives it for the header's
     # vocabulary (9 classes) and config (d = 8, 4 clusters, widths 8 and 16).
     config = header["config"]

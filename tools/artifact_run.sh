@@ -20,7 +20,11 @@
 # fields (loss.alpha and loss.beta, train.momentum, kmeans.tol), and one
 # train driven by the config.json snapshot the default synth wrote, with only
 # the epoch count and output directory set on top: a snapshot that train
-# refuses stops the script.
+# refuses stops the script. One more train sets the variant, the seed and the
+# output directory in every layer of the run config: a --config file
+# (MLL-CRC, seed 7, with the corpus paths), then --set (MLL-CL, seed 9), then
+# the flags (MLL-GCN, seed 3), so its config.json and checkpoint header show
+# the order the layers merge in.
 # The Single-MLL checkpoint is also evaluated on a corpus made by hand from
 # the default one, in forms its writer never gives: the first 300 lines, some
 # features as JSON integers (2**53 + 1 among them) and as true/false, CRLF
@@ -118,6 +122,14 @@ run train-config-file train --seed 3 --variant MLL-GCN-CRC --out "$work/train/co
 # whole run config, so a snapshot any command writes is one train accepts
 run train-snapshot train --config "$work/corpus/config.json" --set "train.epochs=$epochs" \
     --out "$work/train/snapshot"
+# the same keys in every config layer: the defaults, then the file, then each
+# --set, then the flags; the flags' MLL-GCN, seed 3 and output directory win
+cat > "$work/layers.json" <<JSON
+{"variant": "MLL-CRC", "seed": 7, "out_dir": "$work/train/layers-file", "train": {"epochs": $epochs},
+ "data": {"dataset_path": "$work/corpus/dataset.jsonl", "vocabulary_path": "$work/corpus/vocabulary.json"}}
+JSON
+run train-layers train --config "$work/layers.json" --set variant=MLL-CL --set seed=9 \
+    --variant MLL-GCN --seed 3 --out "$work/train/layers"
 for what in embeddings correlation clusters projection; do
     run "export-$what" export --checkpoint "$work/train/MLL-GCN-CRC/checkpoint.mllg" \
         --what "$what" --out "$work/export/$what"
