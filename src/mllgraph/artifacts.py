@@ -19,16 +19,22 @@ from .metrics import ScoreTable
 # not start with the prefix that marks a score file's target columns.
 CSV_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 CSV_BREAK_FAULT = "holds a comma or a line break"
-LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 TARGET_PREFIX = "target:"
 
 
+def holds_surrogate(text: str) -> bool:
+    """Whether `text` holds a lone surrogate, as an undecodable byte read with
+    errors="surrogateescape" does. An ASCII text holds none, and `str.isascii`
+    answers that without a scan."""
+    return not text.isascii() and _LONE_SURROGATE.search(text) is not None
+
+
 def csv_text_fault(text: str):
-    """What keeps `text` out of a CSV artifact's cell, as "holds ...", or None. An ASCII
-    text holds no surrogate, and `str.isascii` answers that without a scan."""
+    """What keeps `text` out of a CSV artifact's cell, as "holds ...", or None."""
     if not CSV_BREAKS.isdisjoint(text):
         return CSV_BREAK_FAULT
-    if not text.isascii() and LONE_SURROGATE.search(text):
+    if holds_surrogate(text):
         return "holds a lone surrogate (U+D800 to U+DFFF)"
     return None
 
@@ -125,11 +131,14 @@ def write_score_csv(path, table: ScoreTable, ids, names) -> None:
 def read_score_csv(path, threshold: float = 0.5):
     """(ids, names, ScoreTable) of a file as write_score_csv writes it.
 
-    Any other file is a ValueError that names its first bad line: a header
-    other than `id,<names>,target:<names>`, a row without 1 + 2C cells, a
-    score that is not a number in [0, 1] or a target other than 0 or 1.
+    Any other file is a ValueError that names its first bad line: a line
+    that is not UTF-8 text, a header other than `id,<names>,target:<names>`,
+    a row without 1 + 2C cells, a score that is not a number in [0, 1] or a
+    target other than 0 or 1.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines()
+    if lines and holds_surrogate(lines[0]):
+        raise ValueError("line 1: not UTF-8 text")
     header = lines[0].split(",") if lines else []
     C = (len(header) - 1) // 2
     names = header[1:1 + C]
@@ -139,6 +148,8 @@ def read_score_csv(path, threshold: float = 0.5):
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         try:
+            if holds_surrogate(line):
+                raise ValueError("not UTF-8 text")
             if len(cells) != 1 + 2 * C:
                 raise ValueError(f"{len(cells)} cells, not {1 + 2 * C}")
             if not {"0", "1"}.issuperset(cells[1 + C:]):

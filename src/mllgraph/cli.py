@@ -242,9 +242,9 @@ def _write_config_snapshot(cfg: dict, out: Path) -> None:
 
 def cmd_synth(args) -> int:
     run = resolve_config(args)
+    dataset = generate_synthetic(run.synthetic)
     out = Path(run.cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_synthetic(run.synthetic)
     save_dataset(dataset, out / "dataset.jsonl")
     dataset.vocabulary.save(out / "vocabulary.json")
     _write_config_snapshot(run.cfg, out)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import CSV_BREAK_FAULT, LONE_SURROGATE, TARGET_PREFIX, csv_text_fault
+from .artifacts import CSV_BREAK_FAULT, TARGET_PREFIX, csv_text_fault, holds_surrogate
 from .config import Config, NONNEGATIVE, POSITIVE, within
 from .seeding import stage_rng
 
@@ -262,7 +262,7 @@ def load_dataset(path, vocabulary: LabelVocabulary) -> Dataset:
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii() and LONE_SURROGATE.search(line):  # an undecodable byte, escaped
+            if holds_surrogate(line):  # an undecodable byte, escaped
                 raise bad("not UTF-8 text")
             if not line.strip():
                 continue
@@ -319,6 +319,11 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+# The most cells one array of a synthetic corpus may hold (2 GiB of float64),
+# checked before anything is allocated.
+SYNTHETIC_MAX_CELLS = 2 ** 28
+
+
 @dataclass(frozen=True)
 class SyntheticConfig(Config):
     """Knobs for the planted-dependency synthetic benchmark.
@@ -344,6 +349,11 @@ class SyntheticConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
+        n, sp, st, F = self.n_samples, self.sp_count, self.as_count, self.feature_dim
+        cells = max(n * (sp + st), n * F, (sp + st) * F, sp * st)
+        if cells > SYNTHETIC_MAX_CELLS:
+            raise ValueError(f"the largest array (labels, features, prototypes or profile) would hold "
+                             f"{cells} cells, over the cap of {SYNTHETIC_MAX_CELLS}")
         for name, arr, shape in (
             ("structure_profile", self.structure_profile, (self.sp_count, self.as_count)),
             ("background_profile", self.background_profile, (self.as_count,)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,9 @@ class GloveConfig(Config):
     beta1: float = field(default=0.9, metadata=within(0, 1, "[)"))
     beta2: float = field(default=0.999, metadata=within(0, 1, "[)"))
     eps: float = field(default=1e-8, metadata=POSITIVE)
-    init_scale: float = field(default=0.05, metadata=POSITIVE)
+    # the init draws uniform(-s, s), whose width 2s must be a float
+    init_scale: float = field(default=0.05, metadata=rule(
+        lambda s: 0 < s <= sys.float_info.max / 2, "must be positive and at most half the largest float"))
 
 
 @dataclass
@@ -96,11 +99,8 @@ def _fields(A, Bt) -> EmbeddingParams:
 _GLOVE_ROWS = 64
 
 
-def _loss_and_grad(A, Bt, counts, F, logX, dA=None, dBt=None) -> float:
+def _loss_and_grad(A, Bt, counts, F, logX, dA, dBt) -> float:
     """The loss at A B~^T, with d loss / dA into dA and d loss / dB~ into dBt.
-
-    With dA and dBt None only the loss is formed, without the two gradient
-    products of each block.
 
     R = A B~^T - log X and E = f(X) R are formed _GLOVE_ROWS rows at a
     time: each block adds vdot(E, R) to the loss, writes its rows of
@@ -118,12 +118,10 @@ def _loss_and_grad(A, Bt, counts, F, logX, dA=None, dBt=None) -> float:
     this one keeps quiet. Only that fallback builds the zero-cell mask.
     """
     C, d = A.shape[0], A.shape[1] - 2
-    grads = dA is not None
     R = np.empty((min(C, _GLOVE_ROWS), C))
     E = np.empty_like(R)
-    if grads:
-        part = np.empty_like(dBt)
-        dBt[...] = 0.0
+    part = np.empty_like(dBt)
+    dBt[...] = 0.0
     loss = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, C, _GLOVE_ROWS):
@@ -134,12 +132,9 @@ def _loss_and_grad(A, Bt, counts, F, logX, dA=None, dBt=None) -> float:
             r -= logX[rows]
             np.multiply(F[rows], r, out=e)
             loss += np.vdot(e, r)
-            if grads:
-                np.matmul(e, Bt, out=dA[rows])
-                np.matmul(e.T, a, out=part)
-                dBt += part
-    if not grads:
-        return float(loss) if np.isfinite(loss) else _loss_and_residual_grad(_fields(A, Bt), counts, F, logX)[0]
+            np.matmul(e, Bt, out=dA[rows])
+            np.matmul(e.T, a, out=part)
+            dBt += part
     if np.isfinite(loss):
         dA *= 2.0
         dBt *= 2.0
@@ -183,28 +178,25 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     denom = np.empty_like(flat)
     terms = (counts, *_fixed_terms(counts, wcfg))
     trace = np.empty(cfg.epochs + 1)
-    trace[0] = _loss_and_grad(A, Bt, *terms, dA, dBt)
-    if not np.isfinite(trace[0]):
-        raise GloveDivergenceError(0)
-    for t in range(1, cfg.epochs + 1):
-        # m <- b1 m + (1 - b1) g and v <- b2 v + ((1 - b2) g) g
-        np.multiply(grad, 1.0 - cfg.beta1, out=step)
-        m *= cfg.beta1
-        m += step
-        np.multiply(grad, 1.0 - cfg.beta2, out=step)
-        step *= grad
-        v *= cfg.beta2
-        v += step
-        # p <- p - lr m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
-        step *= cfg.learning_rate
-        np.divide(v, 1.0 - cfg.beta2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += cfg.eps
-        step /= denom
-        flat -= step
-        # no step follows the last evaluation, so it forms only the loss
-        trace[t] = _loss_and_grad(A, Bt, *terms, *((dA, dBt) if t < cfg.epochs else ()))
+    for t in range(cfg.epochs + 1):
+        if t:
+            # m <- b1 m + (1 - b1) g and v <- b2 v + ((1 - b2) g) g
+            np.multiply(grad, 1.0 - cfg.beta1, out=step)
+            m *= cfg.beta1
+            m += step
+            np.multiply(grad, 1.0 - cfg.beta2, out=step)
+            step *= grad
+            v *= cfg.beta2
+            v += step
+            # p <- p - lr m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
+            step *= cfg.learning_rate
+            np.divide(v, 1.0 - cfg.beta2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.eps
+            step /= denom
+            flat -= step
+        trace[t] = _loss_and_grad(A, Bt, *terms, dA, dBt)
         if not np.isfinite(trace[t]):
             raise GloveDivergenceError(t)
     # Z is finite: a non-finite w or w~ row with a nonzero cell (its diagonal

@@ -179,23 +179,22 @@ class _Rows:
     each bucket (cols, vals) holds the m gathered rows with k non-zeros, as
     their columns (m, k) and values (m, 1, k), buckets in increasing k and
     rows in index order within each. `position` is each row's place in that
-    stacking of the products, dense rows first. When every row is dense,
-    `position` is None and `dense` is the matrix itself, so the product is
-    exactly `matrix @ H`.
+    stacking of the products, dense rows first.
     """
 
     dense: np.ndarray
     buckets: tuple
-    position: object
+    position: np.ndarray
 
     @classmethod
-    def split(cls, M: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "_Rows":
-        """M's rows on their paths; (rows, cols, vals) are M's non-zeros in row-major order."""
+    def split(cls, M: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> _Rows | np.ndarray:
+        """M's rows on their paths, or M itself when no row is gathered; (rows, cols, vals)
+        are M's non-zeros in row-major order."""
         C = len(M)
         counts = np.bincount(rows, minlength=C)
         gather = counts * _GATHER_COST < C
         if not gather.any():
-            return cls(M, (), None)
+            return M
         starts = np.cumsum(counts) - counts  # where each row's non-zeros begin
         dense_rows = np.flatnonzero(~gather)
         gathered = np.flatnonzero(gather)
@@ -213,8 +212,6 @@ class _Rows:
         return paths
 
     def __matmul__(self, H: np.ndarray) -> np.ndarray:
-        if self.position is None:
-            return self.dense @ H
         stacked = np.empty((len(H), H.shape[1]))  # B is square
         n = len(self.dense)
         np.matmul(self.dense, H, out=stacked[:n])
@@ -232,7 +229,7 @@ class LabelGraph:
     at `_GATHER_COST` picks: gathered in one `vals @ H[cols]` batched product
     per non-zero count, or in one BLAS product over the other rows. A
     gathered sum rounds differently from BLAS's, by a few ulp; an orientation
-    with no gathered row multiplies by B itself, bit for bit, so B must not
+    with no gathered row is B itself, or its transpose view, so B must not
     change while the operator is in use. Every array it holds is read-only.
     """
 

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mllgraph
 from mllgraph import cli, trainer
 from mllgraph.cli import (
     ConfigError,
@@ -408,9 +414,12 @@ def test_train_and_kmeans_errors_name_the_run_config_key(tmp_path, capsys):
         ("train.epochs=0", "train.epochs must be positive"),
         ("train.momentum=1", "train.momentum must lie within [0, 1)"),
         ("loss.alpha=-1", "loss.alpha must be nonnegative"),  # a nested section names its own path
+        # past half the largest float the init's uniform(-s, s) has no finite width
+        ("glove.init_scale=1e308", "glove.init_scale must be positive and at most half the largest float"),
     ):
         assert main(["train", "--out", str(tmp_path / "x"), "--set", expr]) == 2, expr
         assert capsys.readouterr().err == f"error: train config: {message}\n", expr
+        assert not (tmp_path / "x").exists(), expr
 
 
 def test_a_vocabulary_without_a_plane_class_is_refused_before_any_work(work, tmp_path, capsys):
@@ -549,6 +558,8 @@ def test_train_and_eval_that_fail_leave_no_output_directory(work, tmp_path, caps
          "error: loss became non-finite at epoch 1, batch 2\n"),
         (["train", *SMALL_SETS, "--set", "glove.learning_rate=1e300"],
          "error: objective became non-finite at epoch 1\n"),
+        (["train", *SMALL_SETS, "--set", f"glove.init_scale={sys.float_info.max / 2!r}"],
+         "error: objective became non-finite at epoch 0\n"),
         (["train", "--variant", "Single-MLL", *SMALL_SETS, "--set", "train.learning_rate=1e200",
           "--set", "train.batch_size=1000"],
          "error: validation scores became non-finite at epoch 1, batch 1\n"),
@@ -561,6 +572,29 @@ def test_train_and_eval_that_fail_leave_no_output_directory(work, tmp_path, caps
             assert main([*args, "--out", str(out)]) == 1, args
         assert capsys.readouterr().err.startswith(message), args
         assert not out.exists(), args
+
+
+def _capped_cli(args, cwd):
+    """Run the CLI in a child process whose address space is capped at 2 GiB, so
+    an unchecked size fails there with a MemoryError instead of filling the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(mllgraph.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "mllgraph.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("key", ["n_samples", "feature_dim", "sp_count", "as_count"])
+def test_oversized_synthetic_sizes_are_refused_before_anything_is_allocated(tmp_path, command, key):
+    """A size whose largest array passes the cell cap exits 2 with an error line,
+    no traceback and no directory, from synth and from train without a data path."""
+    run = _capped_cli([command, "--set", f"synthetic.{key}={10 ** 12}", "--out", "out"], tmp_path)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: synthetic: the largest array"), run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_command_hands_the_freed_heap_back(work, tmp_path, monkeypatch, capsys):

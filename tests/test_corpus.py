@@ -585,6 +585,22 @@ def test_synthetic_config_validation_messages():
             SyntheticConfig(sp_count=2, as_count=2, structure_profile=profile)
 
 
+def test_synthetic_config_caps_its_largest_array():
+    """Each of the four arrays is held to the cell cap before anything is allocated;
+    the 1000-class, 20 000-sample corpus stays well inside it."""
+    cap = corpus.SYNTHETIC_MAX_CELLS
+    SyntheticConfig(n_samples=20_000, sp_count=250, as_count=750, feature_dim=64)
+    SyntheticConfig(n_samples=cap // 64, feature_dim=64)
+    for sizes in (
+        dict(n_samples=cap // 64 + 1, feature_dim=64),              # features n x F
+        dict(n_samples=cap // 40 + 1, sp_count=10, as_count=30, feature_dim=1),   # labels n x C
+        dict(n_samples=1, sp_count=cap // 2 + 1, as_count=1, feature_dim=2),   # prototypes C x F
+        dict(n_samples=1, sp_count=2 ** 14, as_count=2 ** 14 + 1, feature_dim=1),  # profile sp x as
+    ):
+        with pytest.raises(ValueError, match=f"over the cap of {cap}$"):
+            SyntheticConfig(**sizes)
+
+
 def test_default_structure_profile_plants_trios():
     P = default_structure_profile(10, 29)
     assert P.shape == (10, 29)

@@ -162,13 +162,14 @@ def test_label_graph_leaves_its_input_writable_and_refuses_a_non_square_one():
 
 @pytest.mark.parametrize("mode", ["binarized", "conditional"])
 def test_default_label_graph_stays_dense(mode):
-    """Every row of the 39-class B-hat, and of its transpose, is on the dense path: B @ H bit for bit."""
+    """Every row of the 39-class B-hat, and of its transpose, is on the dense path: each
+    orientation is the matrix itself, so the products are B @ H bit for bit."""
     for seed in (1, 2, 3):
         corpus = generate_synthetic(SyntheticConfig(seed=seed))
         train = split_by_subject(corpus, (0.45, 0.27, 0.28), stage_seed(seed, "split"))[0]
         B = normalize_adjacency(build_adjacency(build_cooccurrence(train), AdjacencyConfig(mode=mode)))
         graph = LabelGraph(B)
-        assert graph.rows.position is None and graph.T.position is None
+        assert isinstance(graph.rows, np.ndarray) and isinstance(graph.T, np.ndarray)
         H = np.random.default_rng(seed).standard_normal((len(B), 32))
         assert np.array_equal(graph @ H, B @ H)
         assert np.array_equal(graph.T @ H, B.T @ H)

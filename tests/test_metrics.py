@@ -448,8 +448,13 @@ def test_read_score_csv_rejects_malformed(tmp_path, capsys):
         (header + "\n" + row0 + "\n" + row1[:-1] + "2\n", "line 3: a target is not 0 or 1"),
         (header + "\n" + row0 + "\n" + row1[:-1] + "01\n", "line 3: a target is not 0 or 1"),
         (header + "\n" + row0 + "\n" + row1[:-1] + " 0\n", "line 3: a target is not 0 or 1"),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        (header + "\n" + row0 + "\n\udcff" + row1 + "\n", "line 3: not UTF-8 text"),
+        (header + "\n" + row0.replace("r0", "r\udcff") + "\n" + row1 + "\n", "line 2: not UTF-8 text"),
+        (header.replace("id,a", "id,\udcff") + "\n" + row0 + "\n" + row1 + "\n", "line 1: not UTF-8 text"),
+        (header + "\n" + row0 + ",1\n\udcff" + row1 + "\n", "line 2: 8 cells, not 7"),
     ):
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=message):
             read_score_csv(path)
         capsys.readouterr()
