@@ -28,7 +28,7 @@ from .artifacts import (
     write_rows,
     write_score_csv,
 )
-from .config import _is_int, _is_number, config_from_dict
+from .config import _is_number, config_from_dict
 from .corpus import (
     Dataset,
     LabelVocabulary,
@@ -152,17 +152,13 @@ def resolve_config(args) -> Run:
         apply_set(cfg, expr)
     flags = {"variant": getattr(args, "variant", None), "seed": args.seed, "out_dir": args.out}
     cfg = merge_config(cfg, {key: value for key, value in flags.items() if value is not None})
-    seed = cfg["seed"]
-    if not (_is_int(seed) and seed >= 0):
-        raise ConfigError("seed: must be a nonnegative integer")
-    if not isinstance(cfg["out_dir"], str):
-        raise ConfigError(f"out_dir: expected a string, got {json.dumps(cfg['out_dir'])}")
-    if not cfg["out_dir"]:
-        raise ConfigError("out_dir: must not be empty")
+    _out_path(cfg["out_dir"], "out_dir")
     data = cfg["data"]
-    for key in ("dataset_path", "vocabulary_path"):
-        if not isinstance(data[key], (str, type(None))):
-            raise ConfigError(f"data.{key}: expected a string or null, got {json.dumps(data[key])}")
+    paths = ("dataset_path", "vocabulary_path")
+    given = [key for key in paths if _out_path(data[key], f"data.{key}", nullable=True) is not None]
+    if len(given) == 1:  # the corpus and its vocabulary come together or not at all
+        other = paths[1 - paths.index(given[0])]
+        raise ConfigError(f"data.{other}: required when data.{given[0]} is set")
     try:
         variant = VariantSpec.from_name(cfg["variant"])
     except ValueError as exc:
@@ -174,10 +170,7 @@ def resolve_config(args) -> Run:
         ratios = check_split_ratios(data["split_ratios"])
     except ValueError as exc:
         raise ConfigError(f"data.split_ratios: {exc}") from exc
-    tcfg = build_train_config(cfg)
-    if data["dataset_path"] and not data["vocabulary_path"]:
-        raise ConfigError("data.vocabulary_path: required when data.dataset_path is set")
-    return Run(cfg, variant, threshold, sp_mode, ratios, tcfg, build_synthetic_config(cfg))
+    return Run(cfg, variant, threshold, sp_mode, ratios, build_train_config(cfg), build_synthetic_config(cfg))
 
 
 def build_synthetic_config(cfg: dict) -> SyntheticConfig:
@@ -211,16 +204,21 @@ def _check_scoring(threshold, sp_mode, names=("--threshold", "--sp-mode")):
 
 def _obtain_dataset(run: Run) -> Dataset:
     data = run.cfg["data"]
-    if data["dataset_path"]:
+    if data["dataset_path"] is not None:
         return load_dataset(data["dataset_path"], LabelVocabulary.load(data["vocabulary_path"]))
     return generate_synthetic(run.synthetic)
 
 
-def _out_path(out: str) -> Path:
-    """eval's and export's --out; an empty one would be the working directory."""
-    if not out:
-        raise ConfigError("--out: must not be empty")
-    return Path(out)
+def _out_path(value, name: str, nullable: bool = False) -> Path | None:
+    """`value` as the Path it names, once it is a non-empty string (an empty one would be
+    the working directory); None stays None where `nullable`. `name` labels it in the error."""
+    if value is None and nullable:
+        return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{name}: expected a string{' or null' if nullable else ''}, got {json.dumps(value)}")
+    if not value:
+        raise ConfigError(f"{name}: must not be empty")
+    return Path(value)
 
 
 def _write_report(out: Path, suffix: str, cp, dataset: Dataset, threshold: float, sp_mode: str):
@@ -302,7 +300,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_scoring(args.threshold, args.sp_mode)
-    out = _out_path(args.out)
+    out = _out_path(args.out, "--out")
     cp = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data, cp.vocabulary)
     values, per_class_ap = _write_report(out, "", cp, dataset, args.threshold, args.sp_mode)
@@ -327,7 +325,7 @@ def _pca_projection(Z: np.ndarray):
 
 
 def cmd_export(args) -> int:
-    out = _out_path(args.out)
+    out = _out_path(args.out, "--out")
     cp = load_checkpoint(args.checkpoint)
     if args.what == "correlation" and cp.correlation is None:
         raise ConfigError("checkpoint stores no correlation matrix (non-graph variant)")
@@ -451,7 +449,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, OSError, ValueError, RuntimeError) as exc:
+    except (CheckpointError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

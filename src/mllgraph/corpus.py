@@ -387,15 +387,14 @@ def default_structure_profile(sp_count: int, as_count: int) -> np.ndarray:
     return profile
 
 
-def default_background_profile(as_count: int) -> np.ndarray:
-    return np.full(as_count, 0.08, dtype=np.float64)
-
-
-def _structure_profile(config: SyntheticConfig) -> np.ndarray:
-    """The config's structure profile as float64, or the default one if it gives none."""
-    if config.structure_profile is None:
-        return default_structure_profile(config.sp_count, config.as_count)
-    return np.asarray(config.structure_profile, dtype=np.float64)
+def _profiles(config: SyntheticConfig) -> tuple:
+    """(structure profile, background profile) as float64: the config's, or the defaults where it gives none."""
+    profile, background = config.structure_profile, config.background_profile
+    if profile is None:
+        profile = default_structure_profile(config.sp_count, config.as_count)
+    if background is None:
+        background = np.full(config.as_count, 0.08)
+    return np.asarray(profile, dtype=np.float64), np.asarray(background, dtype=np.float64)
 
 
 def class_prototypes(config: SyntheticConfig) -> np.ndarray:
@@ -410,7 +409,7 @@ def class_prototypes(config: SyntheticConfig) -> np.ndarray:
     protos = rng.standard_normal((C, config.feature_dim))
     rho = config.prototype_correlation
     if rho > 0.0:
-        profile = _structure_profile(config)
+        profile = _profiles(config)[0]
         shared = rng.standard_normal((config.sp_count, config.feature_dim))
         owner = np.argmax(profile, axis=0)  # ties -> lowest plane index
         for k in range(config.as_count):
@@ -422,12 +421,7 @@ def class_prototypes(config: SyntheticConfig) -> np.ndarray:
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """Sample a planted-dependency corpus; shares byte-identical results per config."""
     vocab = synthetic_vocabulary(config.sp_count, config.as_count)
-    profile = _structure_profile(config)
-    background = (
-        np.asarray(config.background_profile, dtype=np.float64)
-        if config.background_profile is not None
-        else default_background_profile(config.as_count)
-    )
+    profile, background = _profiles(config)
     protos = class_prototypes(config)
     rng_labels = stage_rng(config.seed, "labels")
     rng_noise = stage_rng(config.seed, "noise")

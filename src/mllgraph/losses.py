@@ -125,8 +125,10 @@ def epoch_pair_terms(labels: np.ndarray, batch_size: int, cfg: LossConfig) -> li
     """PairTerms of each batch labels[j * batch_size:(j + 1) * batch_size], in order.
 
     The full batches are built as one stack, a shorter last batch on its own.
+    A batch size past the label count gives one batch of them all.
     """
     labels = np.asarray(labels)
+    batch_size = min(batch_size, max(len(labels), 1))
     n_full = len(labels) // batch_size
     cut = n_full * batch_size
     terms = _stacked_pair_terms(labels[:cut].reshape(n_full, batch_size), cfg)

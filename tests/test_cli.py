@@ -28,6 +28,7 @@ from mllgraph.layers import LabelGraph
 from mllgraph.metrics import METRIC_KEYS, ScoreTable, compute_report, format_report_json
 from mllgraph.trainer import LinearHead, load_checkpoint
 
+import cli_fuzz
 from test_trainer import (
     LINEAR_GCN_LAYERS,
     header_edits,
@@ -273,6 +274,7 @@ def test_train_and_eval_reject_names_and_ids_the_csv_files_cannot_carry(work, tm
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert main(["synth", "--out", str(tmp_path / "x"), "--set", "synthetic.rho=1"]) == 2
     assert main(["synth", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.endswith("error: train config: seed must be nonnegative\n")
     assert main(["train", "--out", str(tmp_path / "x"), "--variant", "MLL-MEGA"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -293,7 +295,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert "error: config file is not valid JSON: " in capsys.readouterr().err, name
     # a --set value that does not parse stays a string, which the typed check refuses
     assert main(["synth", "--out", str(tmp_path / "x"), "--set", "seed=1" + "0" * 5000]) == 2
-    assert "error: seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert "error: train config: seed: expected an integer, got str" in capsys.readouterr().err
     # a NaN probability is not within [0, 1]
     assert main(["synth", "--out", str(tmp_path / "x"), "--set", "synthetic.sp_count=2",
                  "--set", "synthetic.as_count=3", "--set", "synthetic.background_profile=[NaN,NaN,NaN]"]) == 2
@@ -321,7 +323,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         ("encoder.layer_widths=16", "encoder.layer_widths: expected a list of integers, got 16"),
         ("metrics.threshold=true", "metrics.threshold: must lie within [0, 1]"),
         ("metrics.threshold=1" + "0" * 400, "metrics.threshold: must lie within [0, 1]"),
-        ("seed=true", "seed: must be a nonnegative integer"),
+        ("seed=true", "train config: seed: expected an integer, got bool"),
         # non-finite numbers and bool ratios stop at the boundary, not in training
         ("kmeans.tol=NaN", "train config: kmeans.tol: expected a finite number, got NaN"),
         ("loss.alpha=NaN", "loss.alpha: expected a finite number, got NaN"),
@@ -338,7 +340,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     # a bool is not an integer seed for synth either, nor is NaN a noise level,
     # and nothing is written
     assert main(["synth", "--out", str(tmp_path / "s"), "--set", "seed=true"]) == 2
-    assert "error: seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert "error: train config: seed: expected an integer, got bool" in capsys.readouterr().err
     assert main(["synth", "--out", str(tmp_path / "s"), "--set", "synthetic.noise_sigma=NaN"]) == 2
     assert "error: synthetic: noise_sigma: expected a finite number, got NaN" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
@@ -574,15 +576,15 @@ def test_train_and_eval_that_fail_leave_no_output_directory(work, tmp_path, caps
         assert not out.exists(), args
 
 
-def _capped_cli(args, cwd):
-    """Run the CLI in a child process whose address space is capped at 2 GiB, so
-    an unchecked size fails there with a MemoryError instead of filling the machine."""
+def _capped_cli(args, cwd, program=("-m", "mllgraph.cli")):
+    """Run the CLI (or another Python `program`) in a child process whose address space is capped
+    at 2 GiB, so an unchecked size fails there with a MemoryError instead of filling the machine."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     env = dict(os.environ, PYTHONPATH=str(Path(mllgraph.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "mllgraph.cli", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    return subprocess.run([sys.executable, *program, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap)
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])
@@ -595,6 +597,55 @@ def test_oversized_synthetic_sizes_are_refused_before_anything_is_allocated(tmp_
     assert run.stderr.startswith("error: synthetic: the largest array"), run.stderr
     assert "Traceback" not in run.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("expr", ["glove.d=1000000000000", "encoder.layer_widths=[1000000000000]"])
+def test_an_allocation_that_fails_exits_1(tmp_path, expr):
+    """A width whose arrays cannot be allocated ends as exit 1 with an error line,
+    no traceback and no directory."""
+    run = _capped_cli(["train", *SMALL_SETS, "--set", expr, "--out", "out"], tmp_path)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: Unable to allocate"), run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_seeded_fuzzer_cases_keep_the_exit_contract(tmp_path):
+    """tests/cli_fuzz.py, one capped child running every case in-process: each exits 0, 1 or 2,
+    a failure prints an error line and leaves nothing behind, and no exception escapes main."""
+    run = _capped_cli([str(tmp_path / "fuzz"), "0"], tmp_path, program=(str(Path(__file__).with_name("cli_fuzz.py")),))
+    assert run.returncode == 0, run.stderr
+    cases = [json.loads(line) for line in run.stdout.splitlines()]
+    assert len(cases) == len(cli_fuzz.REPLAYS) + sum(cli_fuzz.CASES.values()) + cli_fuzz.CASES["header"]
+    faults = [case for case in cases if case["escaped"] or (not case["skipped"] and (
+        case["code"] not in (0, 1, 2)
+        or case["code"] != 0 and (case["left"] or not re.search("^error: ", case["stderr"], re.M))))]
+    assert not faults, "\n".join(f"{c['target']}, {c['case']}: exit {c['code']}, left {c['left']}\n"
+                                 f"{c['escaped'] or c['stderr']}" for c in faults)
+    skipped = [f"{case['target']}, {case['case']}" for case in cases if case["skipped"]]
+    print("ended by the alarm:", *skipped, sep="\n  ")
+    # a valid run made long is skipped, and the fuzzer reaches the allocation that once escaped main
+    assert "set, train.epochs = 1000000000000" in skipped
+    (glove,) = [case for case in cases if case["case"] == "glove.d = 1000000000000"]
+    assert glove["code"] == 1 and glove["stderr"].startswith("error: Unable to allocate"), glove
+
+
+def test_the_corpus_paths_are_non_empty_and_given_together(tmp_path, capsys):
+    """An empty data path is refused, not read as absent, and either path alone is
+    refused from train and synth: none of them falls back to a synthesized corpus."""
+    out = tmp_path / "out"
+    for args, message in (
+        (["train", "--set", "data.dataset_path="], "data.dataset_path: must not be empty"),
+        (["train", "--set", "data.dataset_path=x.jsonl", "--set", "data.vocabulary_path="],
+         "data.vocabulary_path: must not be empty"),
+        (["train", "--set", "data.vocabulary_path=x.json"],
+         "data.dataset_path: required when data.vocabulary_path is set"),
+        (["synth", "--set", "data.vocabulary_path=x.json"],
+         "data.dataset_path: required when data.vocabulary_path is set"),
+    ):
+        assert main([*args, "--out", str(out)]) == 2, args
+        assert capsys.readouterr().err == f"error: {message}\n", args
+        assert not out.exists(), args
 
 
 def test_every_command_hands_the_freed_heap_back(work, tmp_path, monkeypatch, capsys):

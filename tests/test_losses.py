@@ -116,6 +116,22 @@ def test_contrastive_rejects_label_count_mismatch():
         contrastive_loss_and_grad(np.ones((3, 2)), batch_terms(np.array([0, 1]), LossConfig()))
 
 
+@pytest.mark.parametrize("norm", ["pair_mean", "raw_sum"])
+def test_a_batch_past_the_labels_is_one_batch_of_them_all(norm):
+    """A batch size past the label count, 10**12 included, builds the pair terms of
+    one batch of every label, bit for bit, and no (0, b, b) stack of the size asked for."""
+    cfg = LossConfig(contrastive_normalization=norm)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 31, 90):
+        labels = rng.integers(0, 4, n)
+        whole = epoch_pair_terms(labels, n, cfg)
+        for b in (n + 1, 100_000, 10**12):
+            terms = epoch_pair_terms(labels, b, cfg)
+            assert len(terms) == len(whole) == 1, (n, b)
+            assert terms[0].G.tobytes() == whole[0].G.tobytes(), (n, b)
+            assert np.float64(terms[0].offset).tobytes() == np.float64(whole[0].offset).tobytes(), (n, b)
+
+
 def test_contrastive_scale_invariance():
     rng = np.random.default_rng(1)
     cfg = LossConfig()

@@ -11,7 +11,9 @@
 # manifest, then run the other and compare the manifests. EPOCHS (default 3)
 # is the phase-2 epoch count of each `train`. On the default 39-class corpus
 # every variant trains at the defaults, and MLL-GCN once more with the
-# conditional adjacency and once with a non-default weighting and threshold.
+# conditional adjacency and once with a non-default weighting and threshold,
+# and MLL-GCN-CRC once more at train.batch_size 100000, past the train split,
+# which trains on one batch of the whole split.
 # A second corpus is synthesized with prototype_correlation 0.3 (structure
 # prototypes mixed with their plane's shared direction), and one MLL-GCN-CRC
 # train runs with no data paths, on the corpus it synthesizes in-process.
@@ -105,6 +107,9 @@ run train-MLL-GCN-conditional train --seed 3 --variant MLL-GCN --out "$work/trai
 run train-MLL-GCN-weighting train --seed 3 --variant MLL-GCN --out "$work/train/MLL-GCN-weighting" \
     --set "train.epochs=$epochs" --set weighting.x_max=7 --set weighting.exponent=0.5 \
     --set adjacency.threshold=0.25 "${corpus[@]}"
+# a batch size past the train split: each step takes one batch of the whole split
+run train-MLL-GCN-CRC-whole-split train --seed 3 --variant MLL-GCN-CRC --out "$work/train/whole-split" \
+    --set "train.epochs=$epochs" --set train.batch_size=100000 "${corpus[@]}"
 # the shared-direction prototypes, and a train on the corpus it synthesizes itself
 run synth-ambiguous synth --seed 4 --out "$work/ambiguous" --set synthetic.prototype_correlation=0.3
 run train-synthesized train --seed 3 --variant MLL-GCN-CRC --out "$work/train/synthesized" \
