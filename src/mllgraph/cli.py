@@ -326,21 +326,22 @@ def _pca_projection(Z: np.ndarray):
 
 def cmd_export(args) -> int:
     out = _out_path(args.out, "--out")
-    cp = load_checkpoint(args.checkpoint)
-    if args.what == "correlation" and cp.correlation is None:
+    cp = load_checkpoint(args.checkpoint)  # its encoder and head, never used here, are never built
+    tensors = cp.tensors
+    if args.what == "correlation" and "correlation" not in tensors:
         raise ConfigError("checkpoint stores no correlation matrix (non-graph variant)")
-    if args.what == "clusters" and cp.centroids is None:
+    if args.what == "clusters" and "centroids" not in tensors:
         raise ConfigError("checkpoint stores no cluster model (non-CRC variant)")
     out.mkdir(parents=True, exist_ok=True)
     names = cp.vocabulary.names
     if args.what == "embeddings":
-        write_embeddings_csv(out / "embeddings.csv", cp.embeddings, names)
+        write_embeddings_csv(out / "embeddings.csv", tensors["embeddings"], names)
     elif args.what == "correlation":
-        write_matrix_csv(out / "correlation.csv", cp.correlation, names)
+        write_matrix_csv(out / "correlation.csv", tensors["correlation"], names)
     elif args.what == "clusters":
-        write_centroids_csv(out / "centroids.csv", cp.centroids)
+        write_centroids_csv(out / "centroids.csv", tensors["centroids"])
     else:  # projection, the last of the parser's choices
-        proj, axes, mean = _pca_projection(cp.embeddings)
+        proj, axes, mean = _pca_projection(tensors["embeddings"])
         write_rows(out / "projection.csv", ("name", "pc1", "pc2"), names, proj)
         write_rows(out / "projection_axes.csv", ["component"] + [f"e{j}" for j in range(axes.shape[1])],
                    ["mean"] + [f"pc{j + 1}" for j in range(len(axes))], [mean, *axes])

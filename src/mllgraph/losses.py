@@ -11,7 +11,6 @@ from . import diagnostics
 from .config import Config, NONNEGATIVE, one_of
 
 NORMALIZATIONS = ("pair_mean", "raw_sum")
-CONTRASTIVE_MODES = ("none", "vanilla", "cluster_relabeled")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ classifier with momentum SGD while everything from phase 1 stays frozen.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -42,7 +43,6 @@ from .layers import (
     propagate,
 )
 from .losses import (
-    CONTRASTIVE_MODES,
     LossConfig,
     contrastive_loss_and_grad,
     epoch_pair_terms,
@@ -73,8 +73,10 @@ class VariantSpec:
     contrastive_mode: str
 
     def __post_init__(self):
-        if self.contrastive_mode not in CONTRASTIVE_MODES:
-            raise ValueError(f"unknown contrastive mode: {self.contrastive_mode!r}")
+        flags = _VARIANT_FLAGS[self.name] if self.name in VARIANT_NAMES else None
+        if (self.use_gcn, self.contrastive_mode) != flags:
+            raise ValueError(f"use_gcn={self.use_gcn!r}, contrastive_mode={self.contrastive_mode!r} "
+                             f"are not the flags of variant {self.name!r}")
 
     @classmethod
     def from_name(cls, name: str) -> "VariantSpec":
@@ -118,32 +120,24 @@ class LinearHead:
 
     kind = "linear"
     layers = None  # the checkpoint header's gcn_layers
-    names = ("classifier",)  # checkpoint names of `params`, in order
 
-    def __init__(self, params, embeddings, correlation):
-        """The head over these arrays (held, not copied); it reads neither Z nor B-hat."""
-        (self.weights,) = params
+    def __init__(self, tensors):
+        """The head over its tensor of the checkpoint's table (held, not copied); it reads
+        neither Z nor B-hat."""
+        self.weights = tensors["classifier"]
 
     @staticmethod
     def draw(n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> list:
-        """The initial `params`: fan-in uniform rows drawn from `seed`."""
+        """The initial values of the head's tensors, in `tensor_layout` order: fan-in
+        uniform rows drawn from `seed`."""
         bound = 1.0 / np.sqrt(rep_dim)
         return [np.random.default_rng(seed).uniform(-bound, bound, (n_classes, rep_dim))]
-
-    @property
-    def params(self) -> list:
-        return [self.weights]
 
     def forward(self):
         return self.weights, None
 
     def backward(self, dK, cache) -> list:
         return [dK]
-
-    @staticmethod
-    def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
-        """The shapes of `params` for these widths."""
-        return [[n_classes, rep_dim]]
 
 
 class GcnHead:
@@ -152,28 +146,23 @@ class GcnHead:
     The stack is always two bias-free layers, leaky then linear, at slope
     0.2; the checkpoint header records that pattern as `gcn_layers`. The
     LabelGraph of B-hat and the read-only B-hat Z are built once, with the
-    head, and training builds the head once, over its SGD views, so training
-    and scoring multiply by the same operator bit for bit.
+    head, and a checkpoint builds its head once, over the SGD views while it
+    trains, so training and scoring multiply by the same operator bit for bit.
     """
 
     kind = "gcn"
     slope = 0.2
     layers = [{"activation": "leaky", "slope": slope}, {"activation": "identity", "slope": slope}]
-    names = ("gcn.0.weight", "gcn.1.weight")
 
-    def __init__(self, params, embeddings, correlation):
-        self.stack = LayerStack(list(params), slope=self.slope)
-        self.graph = LabelGraph(correlation)
-        self.BZ = propagate(embeddings, self.graph)
+    def __init__(self, tensors):
+        self.stack = LayerStack([tensors["gcn.0.weight"], tensors["gcn.1.weight"]], slope=self.slope)
+        self.graph = LabelGraph(tensors["correlation"])
+        self.BZ = propagate(tensors["embeddings"], self.graph)
         self.BZ.setflags(write=False)
 
     @staticmethod
     def draw(n_classes: int, embed_dim: int, rep_dim: int, seed: int) -> list:
         return init_stack((embed_dim, embed_dim, rep_dim), seed=seed).weights
-
-    @property
-    def params(self) -> list:
-        return list(self.stack.weights)
 
     def forward(self):
         return gcn_forward(self.BZ, self.graph, self.stack)
@@ -181,29 +170,52 @@ class GcnHead:
     def backward(self, dK, cache) -> list:
         return gcn_gradients(dK, cache, self.graph, self.stack)[0]
 
-    @staticmethod
-    def shapes(n_classes: int, embed_dim: int, rep_dim: int) -> list:
-        return [[embed_dim, embed_dim], [embed_dim, rep_dim]]
-
 
 def head_type(variant: VariantSpec):
     """The classifier head a variant trains."""
     return GcnHead if variant.use_gcn else LinearHead
 
 
+def tensor_layout(variant: VariantSpec, config: TrainConfig, n_classes: int, input_dim: int) -> list:
+    """Every tensor of the variant's checkpoint as (name, shape), in file order: the
+    frozen phase-1 arrays (Z, then B-hat for the GCN head and the k-means centroids for
+    cluster relabeling), then the encoder's W0, b0, W1, b1, ..., then the head's."""
+    C, d, rep_dim = n_classes, config.glove.d, config.encoder.output_dim
+    layout = [("embeddings", (C, d))]
+    if variant.use_gcn:
+        layout.append(("correlation", (C, C)))
+    if variant.contrastive_mode == "cluster_relabeled":
+        layout.append(("centroids", (config.n_clusters, d)))
+    widths = [input_dim, *config.encoder.layer_widths]
+    for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
+        layout += [(f"encoder.{i}.weight", (w_in, w_out)), (f"encoder.{i}.bias", (w_out,))]
+    if variant.use_gcn:
+        return layout + [("gcn.0.weight", (d, d)), ("gcn.1.weight", (d, rep_dim))]
+    return layout + [("classifier", (C, rep_dim))]
+
+
 @dataclass
 class Checkpoint:
-    """Everything needed to score new samples and resume evaluation."""
+    """Everything needed to score new samples and resume evaluation: the tensors, and
+    the variant, config and vocabulary that lay them out (`tensor_layout`). The encoder
+    and the head are built from the tensors on first use, each once."""
 
     variant: VariantSpec
     config: TrainConfig
     vocabulary: LabelVocabulary
-    encoder_params: LayerStack
-    head: object                      # head_type(variant), over these embeddings and correlation
-    embeddings: np.ndarray            # frozen phase-1 label embeddings
-    correlation: object               # (C, C) ndarray or None
-    centroids: object                 # (N, d) ndarray or None
-    epoch: int                        # epoch the retained parameters come from
+    tensors: dict  # name -> array, in `tensor_layout` order
+    epoch: int     # epoch the retained parameters come from
+
+    @functools.cached_property
+    def encoder(self) -> LayerStack:
+        n = len(self.config.encoder.layer_widths)
+        return LayerStack([self.tensors[f"encoder.{i}.weight"] for i in range(n)],
+                          [self.tensors[f"encoder.{i}.bias"] for i in range(n)], self.config.encoder.slope)
+
+    @functools.cached_property
+    def head(self):
+        """head_type(variant) over the tensors: the GCN head builds B-hat's LabelGraph here."""
+        return head_type(self.variant)(self.tensors)
 
 
 @dataclass(frozen=True)
@@ -306,7 +318,9 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     indices, so e.g. the k-means seed never shifts the batch order. The
     retained checkpoint is the earliest epoch with the highest validation
     exact-match: its parameters are copied out of the SGD buffer when it
-    scores, and copied back in place once the last epoch has run.
+    scores, and copied back in place once the last epoch has run. The
+    checkpoint is made before training, over the phase-1 arrays and the SGD
+    views, and training runs through the encoder and head it builds.
     """
     if train.vocabulary != val.vocabulary:
         raise ValueError("train and val must share one vocabulary")
@@ -315,15 +329,17 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     phase1 = fit_phase1(train, variant, cfg)
     contrast_labels = phase1.contrast_labels
-    Head = head_type(variant)
     enc = init_encoder(train.feature_dim, cfg.encoder, seed=stage_seed(cfg.seed, "encoder_init"))
-    head_draw = Head.draw(*phase1.embeddings.shape, cfg.encoder.output_dim,
-                          seed=stage_seed(cfg.seed, "classifier_init"))
-    n_enc = len(enc.weights)
-    # from here to the checkpoint, every trainable array is a view of the one SGD buffer
-    sgd = _MomentumSGD(enc.weights + enc.biases + head_draw, cfg.learning_rate, cfg.momentum)
-    enc = LayerStack(sgd.params[:n_enc], sgd.params[n_enc:2 * n_enc], enc.slope)
-    head = Head(sgd.params[2 * n_enc:], phase1.embeddings, phase1.correlation)
+    head_draw = head_type(variant).draw(*phase1.embeddings.shape, cfg.encoder.output_dim,
+                                        seed=stage_seed(cfg.seed, "classifier_init"))
+    # every trainable array is a view of the one SGD buffer, laid out in file order
+    sgd = _MomentumSGD([*itertools.chain(*zip(enc.weights, enc.biases)), *head_draw],
+                       cfg.learning_rate, cfg.momentum)
+    names = [name for name, _ in tensor_layout(variant, cfg, train.vocabulary.size, train.feature_dim)]
+    n_frozen = len(names) - len(sgd.params)  # the phase-1 arrays, each named as its record field
+    tensors = dict(zip(names, [getattr(phase1, name) for name in names[:n_frozen]] + sgd.params))
+    checkpoint = Checkpoint(variant, cfg, train.vocabulary, tensors, epoch=0)  # epoch: the best, below
+    enc, head = checkpoint.encoder, checkpoint.head
     rng_batches = stage_rng(cfg.seed, "batches")
 
     Xtr = train.features_matrix()
@@ -360,7 +376,7 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
                 raise TrainingDivergedError(epoch, k + 1)
             dK = d_scores.T @ reps
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
-            sgd.step(dWs_e + dbs_e + head.backward(dK, hcache))
+            sgd.step([*itertools.chain(*zip(dWs_e, dbs_e)), *head.backward(dK, hcache)])
             loss_sum += total * reps.shape[0]
         # no batch's loss has seen the last step: an overflow it caused shows
         # in the scores, as NaN (which the score table would refuse with a
@@ -375,18 +391,8 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
         if vm > best_match:
             best_match, best_epoch, best = vm, epoch, sgd.flat.copy()
 
-    sgd.flat[...] = best  # enc and head now hold the best epoch's parameters
-    checkpoint = Checkpoint(
-        variant=variant,
-        config=cfg,
-        vocabulary=train.vocabulary,
-        encoder_params=enc,
-        head=head,
-        embeddings=phase1.embeddings,
-        correlation=phase1.correlation,
-        centroids=phase1.centroids,
-        epoch=best_epoch,
-    )
+    sgd.flat[...] = best  # the checkpoint's tensors now hold the best epoch's parameters
+    checkpoint.epoch = best_epoch
     return PipelineResult(checkpoint=checkpoint, trace=trace, phase1=phase1)
 
 
@@ -410,7 +416,7 @@ def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> S
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
     features, targets = dataset.features_matrix(), dataset.labels_matrix()
-    scores = _scores(features, cp.encoder_params, cp.head.forward()[0])
+    scores = _scores(features, cp.encoder, cp.head.forward()[0])
     return ScoreTable(sigmoid(scores, out=scores), targets, threshold)
 
 
@@ -451,20 +457,11 @@ class CheckpointChecksumError(CheckpointError):
 
 def checkpoint_header(variant: VariantSpec, config: TrainConfig, vocabulary: LabelVocabulary,
                       input_dim: int, epoch: int) -> dict:
-    """The header a save of a checkpoint with these fields writes: every tensor's
-    name and shape follow from the variant, vocabulary size, config and encoder
-    input (feature) width, and `encoder_slope` is the config's."""
+    """The header a save of a checkpoint with these fields writes: its tensors are
+    `tensor_layout` of the variant, config, vocabulary size and encoder input
+    (feature) width, and `encoder_slope` is the config's."""
     Head = head_type(variant)
-    C, d = vocabulary.size, config.glove.d
-    shapes = [("embeddings", [C, d])]
-    if variant.use_gcn:
-        shapes.append(("correlation", [C, C]))
-    if variant.contrastive_mode == "cluster_relabeled":
-        shapes.append(("centroids", [config.n_clusters, d]))
-    widths = [input_dim, *config.encoder.layer_widths]
-    for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
-        shapes += [(f"encoder.{i}.weight", [w_in, w_out]), (f"encoder.{i}.bias", [w_out])]
-    shapes += zip(Head.names, Head.shapes(C, d, config.encoder.output_dim))
+    layout = tensor_layout(variant, config, vocabulary.size, input_dim)
     return {
         "variant": variant.name,
         "classifier_kind": Head.kind,
@@ -473,7 +470,7 @@ def checkpoint_header(variant: VariantSpec, config: TrainConfig, vocabulary: Lab
         "vocabulary": [{"name": n, "kind": k} for n, k in vocabulary.entries],
         "encoder_slope": config.encoder.slope,
         "gcn_layers": Head.layers,
-        "tensors": [{"name": name, "shape": shape, "dtype": "<f8"} for name, shape in shapes],
+        "tensors": [{"name": name, "shape": list(shape), "dtype": "<f8"} for name, shape in layout],
     }
 
 
@@ -500,31 +497,22 @@ def _first_difference(stored, rebuilt, path: str = "") -> str:
     return next(_first_difference(x, y, where) for where, x, y in items if _canonical(x) != _canonical(y))
 
 
-def _tensor_entries(cp: Checkpoint):
-    entries = [("embeddings", cp.embeddings)]
-    if cp.correlation is not None:
-        entries.append(("correlation", cp.correlation))
-    if cp.centroids is not None:
-        entries.append(("centroids", cp.centroids))
-    for i, (W, b) in enumerate(zip(cp.encoder_params.weights, cp.encoder_params.biases)):
-        entries.append((f"encoder.{i}.weight", W))
-        entries.append((f"encoder.{i}.bias", b))
-    return entries + list(zip(cp.head.names, cp.head.params))
-
-
 def _checkpoint_chunks(cp: Checkpoint):
     """The file a save of `cp` writes, as byte chunks: magic, version and header, then each
     tensor's length and little-endian payload (a view of the tensor, not a copy), then the
-    CRC-32. Raises ValueError before the first chunk if the tensors or encoder slope are not
-    the ones the header describes."""
-    header = checkpoint_header(cp.variant, cp.config, cp.vocabulary, cp.encoder_params.input_dim, cp.epoch)
-    entries = [(name, np.ascontiguousarray(arr, dtype=np.float64)) for name, arr in _tensor_entries(cp)]
-    tensors = [{"name": name, "shape": list(arr.shape), "dtype": "<f8"} for name, arr in entries]
-    if tensors != header["tensors"] or cp.encoder_params.slope != cp.config.encoder.slope:
-        raise ValueError("checkpoint tensors or encoder slope do not match its variant, vocabulary and config")
+    CRC-32. Raises ValueError before the first chunk if the tensors are not the ones the
+    header describes."""
+    try:
+        header = checkpoint_header(cp.variant, cp.config, cp.vocabulary, cp.encoder.input_dim, cp.epoch)
+    except KeyError as exc:  # the encoder is built from tensors the table lacks
+        raise ValueError(f"checkpoint tensors do not match its variant, vocabulary and config: no {exc}") from exc
+    arrays = [np.ascontiguousarray(arr, dtype=np.float64) for arr in cp.tensors.values()]
+    tensors = [{"name": name, "shape": list(arr.shape), "dtype": "<f8"} for name, arr in zip(cp.tensors, arrays)]
+    if tensors != header["tensors"]:
+        raise ValueError("checkpoint tensors do not match its variant, vocabulary and config")
     header_bytes = _canonical(header).encode("utf-8")
     chunks = [MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes]
-    for _, arr in entries:
+    for arr in arrays:
         payload = memoryview(arr.astype("<f8", copy=False)).cast("B")
         chunks += [struct.pack("<Q", payload.nbytes), payload]
     return _with_crc32(chunks)
@@ -615,19 +603,4 @@ def load_checkpoint(path) -> Checkpoint:
         tensors[name] = arr
     if len(data) - pos != 4:
         raise CheckpointFormatError("trailing bytes after the tensor payload")
-
-    n_enc = len(config.encoder.layer_widths)
-    enc = [[tensors[f"encoder.{i}.{part}"] for i in range(n_enc)] for part in ("weight", "bias")]
-    Head = head_type(variant)
-    embeddings, correlation = tensors["embeddings"], tensors.get("correlation")
-    return Checkpoint(
-        variant=variant,
-        config=config,
-        vocabulary=vocab,
-        encoder_params=LayerStack(*enc, config.encoder.slope),
-        head=Head([tensors[name] for name in Head.names], embeddings, correlation),
-        embeddings=embeddings,
-        correlation=correlation,
-        centroids=tensors.get("centroids"),
-        epoch=epoch,
-    )
+    return Checkpoint(variant, config, vocab, tensors, epoch)

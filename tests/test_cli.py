@@ -524,7 +524,7 @@ def test_train_with_an_empty_test_split_writes_the_val_report_only(tmp_path, cap
 
 def test_train_builds_one_label_graph_for_scoring(work, tmp_path, monkeypatch):
     """The GCN head builds B-hat's LabelGraph once: a train trains and scores val and test
-    with the one run_pipeline builds, and an eval scores with the one its load builds."""
+    with the one run_pipeline builds, and an eval scores with the one its checkpoint builds."""
     built = []
 
     def counting_graph(B):
@@ -682,7 +682,7 @@ def test_wide_eval_writes_the_test_scores_train_wrote(tmp_path):
         "--set", f"data.dataset_path={corpus / 'dataset.jsonl'}",
         "--set", f"data.vocabulary_path={corpus / 'vocabulary.json'}",
     ]) == 0
-    graph = LabelGraph(load_checkpoint(tmp_path / "train" / "checkpoint.mllg").correlation)
+    graph = load_checkpoint(tmp_path / "train" / "checkpoint.mllg").head.graph
     assert graph.rows.position is not None and graph.T.position is not None
     train_scores = (tmp_path / "train" / "scores_test.csv").read_bytes()
     test_ids = [line.split(b",", 1)[0].decode() for line in train_scores.splitlines()[1:]]
@@ -743,6 +743,24 @@ def test_export_targets(work, tmp_path):
     proj_lines = (tmp_path / "projection" / "projection.csv").read_text(encoding="utf-8").splitlines()
     assert proj_lines[0] == "name,pc1,pc2"
     assert len(proj_lines) == 10
+
+
+def test_export_builds_no_label_graph(work, tmp_path, monkeypatch):
+    """export reads the checkpoint's tensors only: the GCN head, and with it B-hat's
+    LabelGraph, is built on first use, which export never makes."""
+    ckpt = str(work / "crc" / "checkpoint.mllg")
+    whats = ("embeddings", "correlation", "clusters", "projection")
+    for what in whats:
+        assert main(["export", "--checkpoint", ckpt, "--what", what, "--out", str(tmp_path / "a" / what)]) == 0
+
+    def refuse(B):
+        raise AssertionError("export built a LabelGraph")
+
+    monkeypatch.setattr(trainer, "LabelGraph", refuse)
+    for what in whats:
+        assert main(["export", "--checkpoint", ckpt, "--what", what, "--out", str(tmp_path / "b" / what)]) == 0
+        for path in (tmp_path / "a" / what).iterdir():
+            assert (tmp_path / "b" / what / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_export_rejects_missing_tensors(work, tmp_path):

@@ -121,7 +121,7 @@ def test_command_row_artifacts_bytes(tmp_path, monkeypatch):
     result = seen["result"]
     cp = load_checkpoint(ckpt)
     names = cp.vocabulary.names
-    proj, axes, mean = cli._pca_projection(cp.embeddings)
+    proj, axes, mean = cli._pca_projection(cp.tensors["embeddings"])
     want = {
         "train/glove_trace.csv": "epoch,loss\n" + "".join(
             f"{i},{ref_row(np.array([v]))}\n" for i, v in enumerate(result.phase1.glove_loss_trace)),

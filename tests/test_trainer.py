@@ -18,7 +18,7 @@ from mllgraph.corpus import (
     split_by_subject,
     synthetic_vocabulary,
 )
-from mllgraph.layers import EncoderConfig, init_encoder
+from mllgraph.layers import EncoderConfig
 from mllgraph.glove import GloveConfig
 from mllgraph.metrics import compute_report
 from mllgraph.trainer import (
@@ -187,8 +187,25 @@ def test_variant_names_cover_the_ablation_grid():
     assert VariantSpec.from_name("MLL-CRC").contrastive_mode == "cluster_relabeled"
     with pytest.raises(ValueError, match="Single-MLL"):
         VariantSpec.from_name("GCN")
-    with pytest.raises(ValueError, match="contrastive mode"):
+    with pytest.raises(ValueError, match="not the flags of variant 'x'"):
         VariantSpec(name="x", use_gcn=False, contrastive_mode="triplet")
+
+
+def test_a_variant_spec_holds_its_names_flags():
+    """A spec is one of the six cells: flags that disagree with its name are refused,
+    since such a spec would train one head and save a header naming the other."""
+    for name in VARIANT_NAMES:
+        spec = VariantSpec.from_name(name)
+        assert VariantSpec(name, spec.use_gcn, spec.contrastive_mode) == spec
+    for name, use_gcn, mode in (
+        ("MLL-GCN", False, "none"),
+        ("Single-MLL", True, "none"),
+        ("MLL-CRC", False, "vanilla"),
+        ("MLL-GCN-CL", True, "triplet"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(
+                f"use_gcn={use_gcn!r}, contrastive_mode={mode!r} are not the flags of variant {name!r}")):
+            VariantSpec(name=name, use_gcn=use_gcn, contrastive_mode=mode)
 
 
 def test_train_config_validation():
@@ -288,7 +305,7 @@ def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
     cp = res.checkpoint
     assert isinstance(cp.head, LinearHead)
     assert cp.head.weights.shape == (train.vocabulary.size, 16)
-    assert cp.correlation is None and cp.centroids is None
+    assert "correlation" not in cp.tensors and "centroids" not in cp.tensors
     assert res.phase1.centroids is None and res.phase1.contrast_labels is None
     assert np.array_equal(res.phase1.cooccurrence, build_cooccurrence(train))
     assert res.phase1.glove_loss_trace.shape == (31,)
@@ -300,9 +317,9 @@ def test_pipeline_gcn_crc_artifacts(crc_result, small_splits):
     train, _, _ = small_splits
     cp = crc_result.checkpoint
     assert isinstance(cp.head, GcnHead)
-    assert [W.shape for W in cp.head.params] == [(8, 8), (8, 16)]
-    assert cp.correlation.shape == (train.vocabulary.size, train.vocabulary.size)
-    assert cp.centroids.shape == (4, 8)
+    assert [W.shape for W in cp.head.stack.weights] == [(8, 8), (8, 16)]
+    assert cp.tensors["correlation"].shape == (train.vocabulary.size, train.vocabulary.size)
+    assert cp.tensors["centroids"].shape == (4, 8)
     assert crc_result.phase1.contrast_labels.shape == (len(train),)
     assert crc_result.phase1.centroids.shape == (4, 8)
     assert cp.head.forward()[0].shape == (train.vocabulary.size, 16)
@@ -326,10 +343,9 @@ def test_zero_weight_contrastive_matches_plain_variant(small_splits):
     plain = run_pipeline(train, val, VariantSpec.from_name("Single-MLL"), cfg)
     vanilla = run_pipeline(train, val, VariantSpec.from_name("MLL-CL"), cfg)
     assert [r.train_loss for r in plain.trace] == [r.train_loss for r in vanilla.trace]
-    assert np.array_equal(plain.checkpoint.head.weights, vanilla.checkpoint.head.weights)
-    for Wp, Wv in zip(plain.checkpoint.encoder_params.weights,
-                      vanilla.checkpoint.encoder_params.weights):
-        assert np.array_equal(Wp, Wv)
+    assert list(plain.checkpoint.tensors) == list(vanilla.checkpoint.tensors)
+    for name, arr in plain.checkpoint.tensors.items():
+        assert np.array_equal(arr, vanilla.checkpoint.tensors[name]), name
 
 
 def test_checkpoint_keeps_first_best_epoch(crc_result):
@@ -349,10 +365,9 @@ def test_retained_epoch_holds_the_parameters_of_a_run_that_stops_there(name, see
     assert full.epoch < 12  # else nothing is restored
     stopped = run_pipeline(train, val, variant, TrainConfig(epochs=full.epoch, seed=seed)).checkpoint
     assert stopped.epoch == full.epoch
-    kept, expected = trainer._tensor_entries(full), trainer._tensor_entries(stopped)
-    assert [n for n, _ in kept] == [n for n, _ in expected]
-    for (tensor, a), (_, b) in zip(kept, expected):
-        assert np.array_equal(a, b), tensor
+    assert list(full.tensors) == list(stopped.tensors)
+    for tensor, arr in full.tensors.items():
+        assert np.array_equal(arr, stopped.tensors[tensor]), tensor
 
 
 def test_pipeline_input_validation(small_splits):
@@ -460,20 +475,11 @@ def test_checkpoint_save_writes_the_tensors_without_copying_them(tmp_path):
     """A 1000-class MLL-GCN-CRC checkpoint (8 MB of B-hat alone) saves in under
     1 MiB of allocations, and the file is the bytes `checkpoint_bytes` joins."""
     cfg = TrainConfig()
+    variant = VariantSpec.from_name("MLL-GCN-CRC")
     rng = np.random.default_rng(3)
-    Z = rng.standard_normal((WIDE, cfg.glove.d))
-    bhat = normalize_adjacency(build_adjacency(wide_counts(), cfg.adjacency))
-    cp = Checkpoint(
-        variant=VariantSpec.from_name("MLL-GCN-CRC"),
-        config=cfg,
-        vocabulary=synthetic_vocabulary(250, 750),
-        encoder_params=init_encoder(16, cfg.encoder, seed=1),
-        head=GcnHead(GcnHead.draw(WIDE, cfg.glove.d, cfg.encoder.output_dim, seed=2), Z, bhat),
-        embeddings=Z,
-        correlation=bhat,
-        centroids=rng.standard_normal((cfg.n_clusters, cfg.glove.d)),
-        epoch=1,
-    )
+    tensors = {name: rng.standard_normal(shape) for name, shape in trainer.tensor_layout(variant, cfg, WIDE, 16)}
+    tensors["correlation"] = normalize_adjacency(build_adjacency(wide_counts(), cfg.adjacency))
+    cp = Checkpoint(variant, cfg, synthetic_vocabulary(250, 750), tensors, epoch=1)
     path = tmp_path / "wide.mllg"
     tracemalloc.start()
     try:
@@ -520,9 +526,29 @@ def test_phase1_record_holds_what_the_variant_trains_against(variant_results, sm
         trained = getattr(result.phase1, key)
         assert (arr is None and trained is None) or np.array_equal(arr, trained), key
     cp = result.checkpoint
-    assert cp.embeddings is result.phase1.embeddings
-    assert cp.correlation is result.phase1.correlation
-    assert cp.centroids is result.phase1.centroids
+    for key in ("embeddings", "correlation", "centroids"):
+        assert cp.tensors.get(key) is getattr(result.phase1, key), key
+
+
+@pytest.mark.parametrize("name", VARIANT_NAMES)
+def test_trainable_tensors_are_views_of_one_buffer_in_layout_order(variant_results, small_splits, name):
+    """The checkpoint's table is `tensor_layout`: the phase-1 record's arrays first, then
+    the encoder and the head, each a view of the one SGD buffer, laid end to end in that order."""
+    train, _, _ = small_splits
+    result = variant_results[name]
+    cp = result.checkpoint
+    layout = trainer.tensor_layout(cp.variant, cp.config, train.vocabulary.size, train.feature_dim)
+    assert [(key, arr.shape) for key, arr in cp.tensors.items()] == layout
+    n_frozen = sum(getattr(result.phase1, key) is not None for key in ("embeddings", "correlation", "centroids"))
+    frozen, trainable = list(cp.tensors.values())[:n_frozen], list(cp.tensors.values())[n_frozen:]
+    buffer = trainable[0].base
+    assert buffer.ndim == 1 and all(arr.base is buffer for arr in trainable)
+    start = buffer.__array_interface__["data"][0]
+    offsets = [arr.__array_interface__["data"][0] - start for arr in trainable]
+    assert offsets == np.cumsum([0] + [arr.nbytes for arr in trainable[:-1]]).tolist()
+    assert offsets[-1] + trainable[-1].nbytes == buffer.nbytes
+    assert not any(np.shares_memory(arr, buffer) for arr in frozen)
+    assert cp.encoder.weights[0] is cp.tensors["encoder.0.weight"]
 
 
 @pytest.mark.parametrize("name", VARIANT_NAMES)
@@ -534,23 +560,27 @@ def test_checkpoint_roundtrip_is_bit_exact(variant_results, name, tmp_path):
     assert checkpoint_bytes(cp) == raw
     loaded = load_checkpoint(path)
     assert checkpoint_bytes(loaded) == raw
+    # the header lists the trained and the loaded table, name for name, in order
+    assert [t["name"] for t in read_header(raw)["tensors"]] == list(cp.tensors) == list(loaded.tensors)
     # each tensor is its own aligned, writable array, not a view of the file's bytes
-    for arr in (loaded.embeddings, *loaded.encoder_params.weights, *loaded.head.params):
-        assert arr.flags.owndata and arr.flags.aligned and arr.flags.writeable
+    for key, arr in loaded.tensors.items():
+        assert arr.flags.owndata and arr.flags.aligned and arr.flags.writeable, key
+        assert np.array_equal(arr, cp.tensors[key]), key
     assert loaded.variant.name == name
     assert loaded.epoch == cp.epoch
-    assert np.array_equal(loaded.embeddings, cp.embeddings)
     assert np.array_equal(loaded.head.forward()[0], cp.head.forward()[0])
 
 
 def test_checkpoint_save_rejects_tensors_its_header_does_not_describe(crc_result, tmp_path):
     cp = crc_result.checkpoint
     path = tmp_path / "bad.mllg"
-    for bad in (
-        dataclasses.replace(cp, embeddings=cp.embeddings[:, :4]),
-        dataclasses.replace(cp, centroids=None),
-        dataclasses.replace(cp, encoder_params=dataclasses.replace(cp.encoder_params, slope=0.7)),
+    for tensors in (
+        dict(cp.tensors, embeddings=cp.tensors["embeddings"][:, :4]),
+        {key: arr for key, arr in cp.tensors.items() if key != "centroids"},
+        {key: arr for key, arr in cp.tensors.items() if key != "encoder.0.weight"},
+        dict(reversed(cp.tensors.items())),  # every tensor, out of layout order
     ):
+        bad = dataclasses.replace(cp, tensors=tensors)
         with pytest.raises(ValueError, match="do not match its variant, vocabulary and config"):
             checkpoint_bytes(bad)
         with pytest.raises(ValueError, match="do not match its variant, vocabulary and config"):
@@ -666,7 +696,7 @@ def test_checkpoint_rejects_corruption(crc_result, variant_results, tmp_path):
             load_checkpoint(path)
     finite = tmp_path / "finite.mllg"
     finite.write_bytes(with_value(raw, "embeddings", 0.25))
-    assert load_checkpoint(finite).embeddings[0, 0] == 0.25
+    assert load_checkpoint(finite).tensors["embeddings"][0, 0] == 0.25
 
     # A checksummed payload must hold exactly the bytes its header declares:
     # a byte count that disagrees with the tensor's shape, or bytes after the last tensor.
@@ -735,7 +765,7 @@ def test_checkpoint_roundtrip_linear_head(small_splits, tmp_path):
     save_checkpoint(res.checkpoint, path)
     loaded = load_checkpoint(path)
     assert isinstance(loaded.head, LinearHead)
-    assert loaded.correlation is None and loaded.centroids is None
+    assert "correlation" not in loaded.tensors and "centroids" not in loaded.tensors
     assert np.array_equal(loaded.head.weights, res.checkpoint.head.weights)
 
 

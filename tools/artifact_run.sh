@@ -34,8 +34,8 @@
 # Besides that corpus, a 1000-class one (250 SP + 750 AS, 1000 samples) is synthesized,
 # trained on as MLL-GCN-CRC with 16 GloVe epochs, evaluated in both SP modes
 # and exported in all four forms; its binarized B-hat is sparse, so the GCN
-# head gathers most of its rows, and every load of that checkpoint, export's
-# included, builds that gathered graph. One more 1000-class MLL-GCN train uses the conditional adjacency over
+# head gathers most of its rows: the evals build that gathered graph when they
+# score, and the exports, which score nothing, no longer build it. One more 1000-class MLL-GCN train uses the conditional adjacency over
 # a corpus it synthesizes in-process (1 SP + 999 AS, every structure drawn at
 # 0.08), whose B-hat is 94% non-zero: every row of it stays on the dense
 # path. `metrics-oracle` rechecks every eval report and the 1000-class
@@ -153,8 +153,8 @@ for mode in exact argmax; do
         --data "$work/wide/corpus/dataset.jsonl" --sp-mode "$mode" --out "$work/wide/eval/$mode"
     oracle "eval-wide-$mode" "$work/wide/eval/$mode" "$mode" metrics.json scores.csv
 done
-# every export of that checkpoint: loading it builds the gathered graph in a
-# command that scores nothing
+# every export of that checkpoint: eval-wide built its gathered graph, and an
+# export, which scores nothing, reads the tensors without building it
 for what in embeddings correlation clusters projection; do
     run "export-wide-$what" export --checkpoint "$work/wide/train/checkpoint.mllg" \
         --what "$what" --out "$work/wide/export/$what"
