@@ -361,7 +361,9 @@ def cmd_metrics_oracle(args) -> int:
     missing = [k for k in METRIC_KEYS if k not in reported]
     if missing:
         raise ConfigError(f"report lacks keys: {missing}")
-    not_numbers = [k for k in METRIC_KEYS if not _is_number(reported[k])]
+    # finite, as config fields are: NaN, infinity and an int past float range are no metric
+    not_numbers = [k for k in METRIC_KEYS
+                   if not (_is_number(reported[k]) and abs(reported[k]) <= sys.float_info.max)]
     if not_numbers:
         raise ConfigError(f"report values are not numbers: {not_numbers}")
     sp_indices = None
@@ -450,7 +452,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, OSError, ValueError, RuntimeError, MemoryError) as exc:
+    except (CheckpointError, OSError, ValueError, RuntimeError, MemoryError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

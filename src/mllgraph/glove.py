@@ -51,25 +51,6 @@ def _fixed_terms(counts: np.ndarray, wcfg: WeightingConfig):
     return weight_matrix(X, wcfg), logX
 
 
-def _loss_and_residual_grad(params: EmbeddingParams, counts, F, logX):
-    """(loss, E) at `params`: loss = sum of f(X) R^2, and E = 2 f(X) R is d loss / d R.
-
-    R = w w~^T + b + b~^T - log X on the nonzero cells of the counts X and
-    0 on the others. R is built in place and f(X) R is reused for both the
-    loss and E, so one call holds two (C, C) arrays and the zero-cell mask.
-    """
-    R = params.w @ params.w_ctx.T
-    R += params.b[:, None]
-    R += params.b_ctx[None, :]
-    R -= logX
-    R[~(np.asarray(counts) > 0)] = 0.0   # NaN cells too, as f(X) and log X take them
-    E = F * R
-    R *= E
-    loss = float(np.sum(R))
-    E *= 2.0
-    return loss, E
-
-
 def _augmented(C: int, d: int):
     """(flat, A, B~, the EmbeddingParams views): one buffer of ones holding
     A = [w b 1] and B~ = [w~ 1 b~], each (C, d + 2), end to end.
@@ -99,7 +80,7 @@ def _fields(A, Bt) -> EmbeddingParams:
 _GLOVE_ROWS = 64
 
 
-def _loss_and_grad(A, Bt, counts, F, logX, dA, dBt) -> float:
+def _loss_and_grad(A, Bt, F, logX, dA, dBt, empty=None) -> float:
     """The loss at A B~^T, with d loss / dA into dA and d loss / dB~ into dBt.
 
     R = A B~^T - log X and E = f(X) R are formed _GLOVE_ROWS rows at a
@@ -109,13 +90,11 @@ def _loss_and_grad(A, Bt, counts, F, logX, dA, dBt) -> float:
     The gradients of the constant columns (E b~ in dA, E^T b in dB~) are
     zeroed, so Adam leaves those columns at exactly 1.
 
-    The zero cells are not masked: f(X) is 0 there, so while R is finite
-    E is +-0 and f(X) R^2 is +0, which leaves the loss and the gradients
-    as the masked form gives them. Only a non-finite R in a zero cell can
-    make the sum non-finite on its own, so a non-finite loss is evaluated
-    again in the masked form over the whole matrix, whose E then gives the
-    gradients; that form also raises the floating-point warnings, which
-    this one keeps quiet. Only that fallback builds the zero-cell mask.
+    R is zeroed on the cells of the (C, C) boolean `empty` when it is
+    given. Without it, f(X) = 0 on the zero cells leaves E +-0 and
+    f(X) R^2 +0 there while R is finite, which is the masked loss and
+    gradients; only a non-finite R in a zero cell makes them differ, and
+    then the loss is non-finite too.
     """
     C, d = A.shape[0], A.shape[1] - 2
     R = np.empty((min(C, _GLOVE_ROWS), C))
@@ -130,18 +109,15 @@ def _loss_and_grad(A, Bt, counts, F, logX, dA, dBt) -> float:
             r, e = R[:len(a)], E[:len(a)]
             np.matmul(a, Bt.T, out=r)
             r -= logX[rows]
+            if empty is not None:
+                r[empty[rows]] = 0.0
             np.multiply(F[rows], r, out=e)
             loss += np.vdot(e, r)
             np.matmul(e, Bt, out=dA[rows])
             np.matmul(e.T, a, out=part)
             dBt += part
-    if np.isfinite(loss):
         dA *= 2.0
         dBt *= 2.0
-    else:
-        loss, masked = _loss_and_residual_grad(_fields(A, Bt), counts, F, logX)
-        np.matmul(masked, Bt, out=dA)
-        np.matmul(masked.T, A, out=dBt)
     dA[:, d + 1] = 0.0
     dBt[:, d] = 0.0
     return float(loss)
@@ -158,9 +134,11 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     """Full-batch Adam fit of the weighted log-bilinear objective; `seed` drives the init.
 
     One evaluation per epoch: the residual at the parameters of epoch t
-    gives both loss_trace[t] and the gradient of step t + 1. Parameters,
-    gradients and both moments are one flat buffer each, in the augmented
-    layout of `_augmented`, so each Adam operation runs once over all of them.
+    gives both loss_trace[t] and the gradient of step t + 1. A non-finite
+    loss is evaluated again with the zero cells masked, and only that
+    builds the (C, C) mask. Parameters, gradients and both moments are one
+    flat buffer each, in the augmented layout of `_augmented`, so each Adam
+    operation runs once over all of them.
     """
     if np.ndim(counts) != 2 or np.shape(counts)[0] != np.shape(counts)[1]:
         raise ValueError("counts must be square")
@@ -176,7 +154,7 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     v = np.zeros_like(flat)
     step = np.empty_like(flat)
     denom = np.empty_like(flat)
-    terms = (counts, *_fixed_terms(counts, wcfg))
+    F, logX = _fixed_terms(counts, wcfg)
     trace = np.empty(cfg.epochs + 1)
     for t in range(cfg.epochs + 1):
         if t:
@@ -196,7 +174,9 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
             denom += cfg.eps
             step /= denom
             flat -= step
-        trace[t] = _loss_and_grad(A, Bt, *terms, dA, dBt)
+        trace[t] = _loss_and_grad(A, Bt, F, logX, dA, dBt)
+        if not np.isfinite(trace[t]):  # NaN cells are masked too, as f(X) and log X take them
+            trace[t] = _loss_and_grad(A, Bt, F, logX, dA, dBt, ~(np.asarray(counts) > 0))
         if not np.isfinite(trace[t]):
             raise GloveDivergenceError(t)
     # Z is finite: a non-finite w or w~ row with a nonzero cell (its diagonal

@@ -317,10 +317,11 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     Per-stage randomness is derived from cfg.seed through fixed stage
     indices, so e.g. the k-means seed never shifts the batch order. The
     retained checkpoint is the earliest epoch with the highest validation
-    exact-match: its parameters are copied out of the SGD buffer when it
-    scores, and copied back in place once the last epoch has run. The
-    checkpoint is made before training, over the phase-1 arrays and the SGD
-    views, and training runs through the encoder and head it builds.
+    exact-match, which `score_dataset` scores after each epoch: its
+    parameters are copied out of the SGD buffer when it scores, and copied
+    back in place once the last epoch has run. The checkpoint is made
+    before training, over the phase-1 arrays and the SGD views, and
+    training runs through the encoder and head it builds.
     """
     if train.vocabulary != val.vocabulary:
         raise ValueError("train and val must share one vocabulary")
@@ -344,8 +345,6 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     Xtr = train.features_matrix()
     Ytr = train.labels_matrix()
-    Xval = val.features_matrix()
-    Yval = val.labels_matrix()
     n = len(train)
 
     best_match = -1.0
@@ -378,15 +377,11 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
             dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
             sgd.step([*itertools.chain(*zip(dWs_e, dbs_e)), *head.backward(dK, hcache)])
             loss_sum += total * reps.shape[0]
-        # no batch's loss has seen the last step: an overflow it caused shows
-        # in the scores, as NaN (which the score table would refuse with a
-        # message that hides the cause) or as infinity (which the sigmoid
-        # would saturate to 0 or 1 unseen); max and min propagate both
-        scores = _scores(Xval, enc, head.forward()[0])
-        if not (math.isfinite(scores.max()) and math.isfinite(scores.min())):
-            raise TrainingDivergedError(epoch, k + 1, "validation scores")
-        vm = exact_match(ScoreTable(sigmoid(scores, out=scores), Yval, 0.5))
-        del scores  # not alive while the next epoch trains and validates
+        # no batch's loss has seen the last step: an overflow it caused shows in the scores
+        try:
+            vm = exact_match(score_dataset(checkpoint, val))
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(epoch, k + 1, "validation scores") from exc
         trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
         if vm > best_match:
             best_match, best_epoch, best = vm, epoch, sgd.flat.copy()
@@ -396,28 +391,27 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
     return PipelineResult(checkpoint=checkpoint, trace=trace, phase1=phase1)
 
 
-def _scores(features, enc: LayerStack, K) -> np.ndarray:
-    """encode(features) K^T, with one (n, C) array alive.
+def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:
+    """The checkpoint's probabilities on `dataset`, with one (n, C) array alive.
 
     The encoder's cache goes as soon as `encode` returns and the
-    representations once the scores are formed; callers turn the scores
-    into probabilities in place.
+    representations once the scores are formed. Scores that overflowed, to
+    NaN (which the score table would refuse with a message that hides the
+    cause) or to infinity (which the sigmoid would saturate to 0 or 1
+    unseen), raise FloatingPointError; max and min propagate both.
     """
-    reps = encode(features, enc)[0]
-    scores = np.empty((len(reps), len(K)))
-    np.matmul(reps, K.T, out=scores)
-    return scores
-
-
-def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> ScoreTable:
-    """The checkpoint's probabilities on `dataset`."""
     if dataset.vocabulary != cp.vocabulary:
         raise ValueError("dataset vocabulary does not match the checkpoint")
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
-    features, targets = dataset.features_matrix(), dataset.labels_matrix()
-    scores = _scores(features, cp.encoder, cp.head.forward()[0])
-    return ScoreTable(sigmoid(scores, out=scores), targets, threshold)
+    K = cp.head.forward()[0]
+    reps = encode(dataset.features_matrix(), cp.encoder)[0]
+    scores = np.empty((len(reps), len(K)))
+    np.matmul(reps, K.T, out=scores)
+    del reps
+    if not (math.isfinite(scores.max()) and math.isfinite(scores.min())):
+        raise FloatingPointError("non-finite scores: the model overflows on this dataset's features")
+    return ScoreTable(sigmoid(scores, out=scores), dataset.labels_matrix(), threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ values in POOL, or deletes it, and runs one command in-process through
 - the run config, as a whole --config file or as one --set, through train;
 - one corpus line, through eval;
 - the vocabulary, through train;
-- the checkpoint header, its CRC recomputed, through eval and export.
+- the checkpoint header, its CRC recomputed, through eval and export;
+- the test-split metrics report train wrote, through metrics-oracle with
+  its score CSV and vocabulary.
 
 REPLAYS run first, then CASES seeded cases per target. Each case prints one
 JSON line: {"target", "case", "code", "stderr", "escaped", "left",
@@ -17,6 +19,11 @@ JSON line: {"target", "case", "code", "stderr", "escaped", "left",
 exception that left main, and `left` what the case left in the empty
 directory it ran in. A case its alarm ended is `skipped`: a value that only
 lengthens a valid run (train.epochs = 10**12) is no fault.
+
+The exit contract: each case exits 0, 1 or 2, a failed one prints an
+`error:` line (or metrics-oracle's verdict that the report disagrees) and
+leaves nothing behind, and no exception escapes main. The script lists
+every case that breaks it on stderr and then exits 1.
 
 Run it in a process whose address space is capped (RLIMIT_AS), so that an
 unchecked size fails there as a MemoryError instead of filling the machine.
@@ -34,6 +41,7 @@ import json
 import operator
 import os
 import random
+import re
 import shutil
 import signal
 import struct
@@ -47,7 +55,7 @@ from mllgraph.cli import default_run_config, main, merge_config
 POOL = (None, "", 0, -1, 10**12, 1e308, [], {}, True)
 DELETE = "<deleted>"
 ALARM_S = 1
-CASES = {"config": 60, "set": 60, "corpus": 60, "vocabulary": 30, "header": 40}
+CASES = {"config": 60, "set": 60, "corpus": 60, "vocabulary": 30, "header": 40, "report": 30}
 # a small corpus and a short run, so that a case that runs through costs milliseconds
 SMALL = {
     "out_dir": "out",
@@ -68,6 +76,7 @@ REPLAYS = [
     ("set", ("data", "dataset_path"), ""),
     ("set", ("data", "vocabulary_path"), "vocabulary.json"),
     ("set", ("train", "epochs"), 10**12),
+    ("report", ("HL",), 10**400),
 ]
 
 
@@ -98,6 +107,17 @@ def mutated(doc, path, value):
     return doc
 
 
+# the line a failed case prints on stderr
+FAILURE_LINE = re.compile("^(error: |metrics disagree with the oracle$)", re.M)
+
+
+def breaks_contract(case: dict) -> bool:
+    """Whether a case's record breaks the exit contract; a case its alarm ended does not."""
+    return bool(case["escaped"]) or not case["skipped"] and (
+        case["code"] not in (0, 1, 2)
+        or case["code"] != 0 and bool(case["left"] or not FAILURE_LINE.search(case["stderr"])))
+
+
 def with_header(raw: bytes, edit) -> bytes:
     """Checkpoint bytes whose JSON header is edit(header), with the CRC footer recomputed."""
     (n,) = struct.unpack("<I", raw[8:12])
@@ -123,7 +143,10 @@ class Fuzzer:
         self.lines = self.data.read_text(encoding="utf-8").splitlines()
         self.vocabulary = json.loads((corpus / "vocabulary.json").read_text(encoding="utf-8"))
         self.checkpoint = (train / "checkpoint.mllg").read_bytes()
+        self.train = train
+        self.report = json.loads((train / "metrics_test.json").read_text(encoding="utf-8"))
         self.count = 0
+        self.faults = []
 
     def write(self, name: str, content) -> Path:
         path = self.inputs / name
@@ -155,8 +178,11 @@ class Fuzzer:
         os.chdir(self.work)
         left = sorted(p.name for p in cwd.iterdir())
         shutil.rmtree(cwd)
-        print(json.dumps({"target": target, "case": case, "code": code, "stderr": err.getvalue()[-2000:],
-                          "escaped": escaped, "left": left, "skipped": skipped}), flush=True)
+        record = {"target": target, "case": case, "code": code, "stderr": err.getvalue()[-2000:],
+                  "escaped": escaped, "left": left, "skipped": skipped}
+        print(json.dumps(record), flush=True)
+        if breaks_contract(record):
+            self.faults.append(record)
 
     def case(self, target: str, path: tuple, value) -> None:
         shown = f"{'.'.join(map(str, path))} = {value if value == DELETE else json.dumps(value)}"
@@ -180,6 +206,10 @@ class Fuzzer:
             vocabulary = self.write("vocabulary.json", json.dumps(mutated(self.vocabulary, path, value)))
             self.run(target, shown, ["train", "--config", str(self.base), "--set", f"data.dataset_path={self.data}",
                                      "--set", f"data.vocabulary_path={vocabulary}"])
+        elif target == "report":
+            report = self.write("report.json", json.dumps(mutated(self.report, path, value)))
+            self.run(target, shown, ["metrics-oracle", "--scores", str(self.train / "scores_test.csv"),
+                                     "--report", str(report), "--vocabulary", str(self.train / "vocabulary.json")])
         else:  # header
             checkpoint = self.write("checkpoint.mllg", with_header(self.checkpoint, lambda h: mutated(h, path, value)))
             self.run(target, f"eval, {shown}",
@@ -198,10 +228,12 @@ class Fuzzer:
             "corpus": [(i,) + p for i, line in enumerate(self.lines) for p in paths(json.loads(line))],
             "vocabulary": list(paths(self.vocabulary)),
             "header": list(paths(header)),
+            "report": list(paths(self.report)),
         }
 
 
-def fuzz(work: Path, seed: int) -> None:
+def fuzz(work: Path, seed: int) -> int:
+    """Run every case; 1 if any broke the exit contract, each listed on stderr, else 0."""
     signal.signal(signal.SIGALRM, _ring)
     fuzzer = Fuzzer(work)
     for target, path, value in REPLAYS:
@@ -211,7 +243,11 @@ def fuzz(work: Path, seed: int) -> None:
         values = POOL if target == "set" else POOL + (DELETE,)  # --set cannot delete a key
         for _ in range(CASES[target]):
             fuzzer.case(target, rng.choice(choices), rng.choice(values))
+    for c in fuzzer.faults:
+        print(f"{c['target']}, {c['case']}: exit {c['code']}, left {c['left']}\n{c['escaped'] or c['stderr']}",
+              file=sys.stderr)
+    return 1 if fuzzer.faults else 0
 
 
 if __name__ == "__main__":
-    fuzz(Path(sys.argv[1]).resolve(), int(sys.argv[2]) if len(sys.argv) > 2 else 0)
+    sys.exit(fuzz(Path(sys.argv[1]).resolve(), int(sys.argv[2]) if len(sys.argv) > 2 else 0))

@@ -24,7 +24,6 @@ from mllgraph.glove import (
     _augmented,
     _fixed_terms,
     _loss_and_grad,
-    _loss_and_residual_grad,
     train_glove,
 )
 from mllgraph.layers import (
@@ -53,6 +52,7 @@ from mllgraph.trainer import (
     score_dataset,
 )
 
+from glove_reference import masked_loss_and_residual_grad
 from gradcheck import (
     away_from_kinks,
     encoder_hidden_preacts,
@@ -86,7 +86,7 @@ def _embedding_gradcheck(rng) -> float:
         view = getattr(params, block)
         view[...] = rng.standard_normal(view.shape) * 0.3
     # the evaluation train_glove runs each epoch, against the masked loss
-    terms = (counts, *_fixed_terms(counts, wcfg))
+    terms = _fixed_terms(counts, wcfg)
     _, dA, dBt, grads = _augmented(C, d)
     _loss_and_grad(A, Bt, *terms, dA, dBt)
     worst = 0.0
@@ -94,7 +94,7 @@ def _embedding_gradcheck(rng) -> float:
         def f(value, _block=block):
             fields = {k: getattr(params, k) for k in ("w", "w_ctx", "b", "b_ctx")}
             fields[_block] = value
-            return _loss_and_residual_grad(EmbeddingParams(**fields), *terms)[0]
+            return masked_loss_and_residual_grad(EmbeddingParams(**fields), counts, *terms)[0]
 
         numeric = numeric_gradient(f, getattr(params, block))
         worst = max(worst, max_rel_err(getattr(grads, block), numeric))

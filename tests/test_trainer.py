@@ -423,6 +423,28 @@ def test_score_and_evaluate(crc_result, small_splits):
         score_dataset(crc_result.checkpoint, empty_dataset(small_splits[0].vocabulary))
 
 
+def test_score_dataset_refuses_non_finite_scores_before_the_sigmoid(crc_result, small_splits, monkeypatch):
+    """Scores that overflowed raise FloatingPointError before the sigmoid, which would
+    saturate an infinity to 0 or 1 unseen, runs: the scores of features the model overflows
+    on, and those of a representation with an infinite entry of either sign."""
+    _, _, test = small_splits
+    cp = crc_result.checkpoint
+    reps = trainer.encode(test.features, cp.encoder)[0]
+    calls = []
+    monkeypatch.setattr(trainer, "sigmoid", lambda *args, **kwargs: calls.append(args))
+    signs = np.where(np.arange(test.features.size).reshape(test.features.shape) % 2, 1.0, -1.0)
+    huge = dataclasses.replace(test, features=1.7e308 * signs)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="^non-finite scores: "):
+        score_dataset(cp, huge)
+    for value in (np.inf, -np.inf):
+        bad = reps.copy()
+        bad[1, 0] = value
+        monkeypatch.setattr(trainer, "encode", lambda features, params, _bad=bad: (_bad, None))
+        with pytest.raises(FloatingPointError, match="^non-finite scores: "):
+            score_dataset(cp, test)
+    assert not calls
+
+
 def test_scoring_and_report_hold_a_bounded_working_set():
     """score_dataset plus compute_report at 10 000 x 39 peak below 2.5 float64 score tables.
 
