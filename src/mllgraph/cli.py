@@ -160,7 +160,7 @@ def resolve_config(args) -> Run:
         other = paths[1 - paths.index(given[0])]
         raise ConfigError(f"data.{other}: required when data.{given[0]} is set")
     try:
-        variant = VariantSpec.from_name(cfg["variant"])
+        variant = VariantSpec(cfg["variant"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     threshold, sp_mode = _check_scoring(
@@ -386,7 +386,7 @@ def cmd_metrics_oracle(args) -> int:
             ok = False
             print(f"{key}: MISMATCH report={got} oracle={want}")
     if not ok:
-        print("metrics disagree with the oracle", file=sys.stderr)
+        print("error: metrics disagree with the oracle", file=sys.stderr)
         return 1
     print("all metrics agree with the oracle")
     return 0

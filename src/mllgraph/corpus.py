@@ -451,9 +451,10 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     if config.noise_sigma > 0:
         # a block of rows per draw: the same stream as one row per draw, with
         # no (n, F) temporary
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = features[start:start + _BLOCK_ROWS]
-            rows += config.noise_sigma * rng_noise.standard_normal(rows.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # the Dataset refuses a non-finite feature
+            for start in range(0, n, _BLOCK_ROWS):
+                rows = features[start:start + _BLOCK_ROWS]
+                rows += config.noise_sigma * rng_noise.standard_normal(rows.shape)
     ids = [f"img{i:06d}" for i in range(n)]
     subjects = [f"subj{i // config.samples_per_subject:05d}" for i in range(n)]
     return Dataset(vocab, ids, subjects, features, labels)

@@ -156,29 +156,31 @@ def train_glove(counts: np.ndarray, cfg: GloveConfig, wcfg: WeightingConfig, *, 
     denom = np.empty_like(flat)
     F, logX = _fixed_terms(counts, wcfg)
     trace = np.empty(cfg.epochs + 1)
-    for t in range(cfg.epochs + 1):
-        if t:
-            # m <- b1 m + (1 - b1) g and v <- b2 v + ((1 - b2) g) g
-            np.multiply(grad, 1.0 - cfg.beta1, out=step)
-            m *= cfg.beta1
-            m += step
-            np.multiply(grad, 1.0 - cfg.beta2, out=step)
-            step *= grad
-            v *= cfg.beta2
-            v += step
-            # p <- p - lr m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
-            step *= cfg.learning_rate
-            np.divide(v, 1.0 - cfg.beta2 ** t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += cfg.eps
-            step /= denom
-            flat -= step
-        trace[t] = _loss_and_grad(A, Bt, F, logX, dA, dBt)
-        if not np.isfinite(trace[t]):  # NaN cells are masked too, as f(X) and log X take them
-            trace[t] = _loss_and_grad(A, Bt, F, logX, dA, dBt, ~(np.asarray(counts) > 0))
-        if not np.isfinite(trace[t]):
-            raise GloveDivergenceError(t)
+    # an overflow shows as a non-finite loss, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.epochs + 1):
+            if t:
+                # m <- b1 m + (1 - b1) g and v <- b2 v + ((1 - b2) g) g
+                np.multiply(grad, 1.0 - cfg.beta1, out=step)
+                m *= cfg.beta1
+                m += step
+                np.multiply(grad, 1.0 - cfg.beta2, out=step)
+                step *= grad
+                v *= cfg.beta2
+                v += step
+                # p <- p - lr m_hat / (sqrt(v_hat) + eps)
+                np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
+                step *= cfg.learning_rate
+                np.divide(v, 1.0 - cfg.beta2 ** t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += cfg.eps
+                step /= denom
+                flat -= step
+            trace[t] = _loss_and_grad(A, Bt, F, logX, dA, dBt)
+            if not np.isfinite(trace[t]):  # NaN cells are masked too, as f(X) and log X take them
+                trace[t] = _loss_and_grad(A, Bt, F, logX, dA, dBt, ~(np.asarray(counts) > 0))
+            if not np.isfinite(trace[t]):
+                raise GloveDivergenceError(t)
     # Z is finite: a non-finite w or w~ row with a nonzero cell (its diagonal
     # at least) makes that epoch's loss non-finite, and a row without one has
     # a zero gradient, so it keeps its init

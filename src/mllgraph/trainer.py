@@ -66,26 +66,21 @@ VARIANT_NAMES = tuple(_VARIANT_FLAGS)
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """One ablation cell: classifier shape plus contrastive labeling mode."""
+    """One ablation cell, named by its `_VARIANT_FLAGS` key: classifier shape plus contrastive labeling mode."""
 
     name: str
-    use_gcn: bool
-    contrastive_mode: str
 
     def __post_init__(self):
-        flags = _VARIANT_FLAGS[self.name] if self.name in VARIANT_NAMES else None
-        if (self.use_gcn, self.contrastive_mode) != flags:
-            raise ValueError(f"use_gcn={self.use_gcn!r}, contrastive_mode={self.contrastive_mode!r} "
-                             f"are not the flags of variant {self.name!r}")
+        if self.name not in VARIANT_NAMES:  # a tuple: an unhashable name is refused too
+            raise ValueError(f"unknown variant {self.name!r}; expected one of {', '.join(VARIANT_NAMES)}")
 
-    @classmethod
-    def from_name(cls, name: str) -> "VariantSpec":
-        if name not in VARIANT_NAMES:  # a tuple: an unhashable name is refused too
-            raise ValueError(
-                f"unknown variant {name!r}; expected one of {', '.join(VARIANT_NAMES)}"
-            )
-        use_gcn, mode = _VARIANT_FLAGS[name]
-        return cls(name=name, use_gcn=use_gcn, contrastive_mode=mode)
+    @property
+    def use_gcn(self) -> bool:
+        return _VARIANT_FLAGS[self.name][0]
+
+    @property
+    def contrastive_mode(self) -> str:
+        return _VARIANT_FLAGS[self.name][1]
 
 
 @dataclass(frozen=True)
@@ -349,42 +344,44 @@ def run_pipeline(train: Dataset, val: Dataset, variant: VariantSpec, cfg: TrainC
 
     best_match = -1.0
     trace = []
-    for epoch in range(1, cfg.epochs + 1):
-        # the epoch's order gathered once; each batch is a slice (a view) of
-        # it, and the contrastive pair terms of every batch are built up front
-        perm = rng_batches.permutation(n)
-        Xep, Yep = Xtr[perm], Ytr[perm]
-        pair_terms = (
-            epoch_pair_terms(contrast_labels[perm], cfg.batch_size, cfg.loss)
-            if contrast_labels is not None else None
-        )
-        loss_sum = 0.0
-        for k, bstart in enumerate(range(0, n, cfg.batch_size)):
-            batch = slice(bstart, bstart + cfg.batch_size)
-            reps, ecache = encode(Xep[batch], enc)
-            K, hcache = head.forward()
-            scores = reps @ K.T
-            mll, d_scores = mll_loss_and_grad(scores, Yep[batch])
-            d_reps = d_scores @ K
-            total = mll
-            if pair_terms is not None:
-                closs, d_reps_c = contrastive_loss_and_grad(reps, pair_terms[k])
-                total = mll + cfg.loss.lam * closs
-                d_reps = d_reps + cfg.loss.lam * d_reps_c
-            if not math.isfinite(total):
-                raise TrainingDivergedError(epoch, k + 1)
-            dK = d_scores.T @ reps
-            dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
-            sgd.step([*itertools.chain(*zip(dWs_e, dbs_e)), *head.backward(dK, hcache)])
-            loss_sum += total * reps.shape[0]
-        # no batch's loss has seen the last step: an overflow it caused shows in the scores
-        try:
-            vm = exact_match(score_dataset(checkpoint, val))
-        except FloatingPointError as exc:
-            raise TrainingDivergedError(epoch, k + 1, "validation scores") from exc
-        trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
-        if vm > best_match:
-            best_match, best_epoch, best = vm, epoch, sgd.flat.copy()
+    # an overflow shows as a non-finite loss or validation score, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            # the epoch's order gathered once; each batch is a slice (a view) of
+            # it, and the contrastive pair terms of every batch are built up front
+            perm = rng_batches.permutation(n)
+            Xep, Yep = Xtr[perm], Ytr[perm]
+            pair_terms = (
+                epoch_pair_terms(contrast_labels[perm], cfg.batch_size, cfg.loss)
+                if contrast_labels is not None else None
+            )
+            loss_sum = 0.0
+            for k, bstart in enumerate(range(0, n, cfg.batch_size)):
+                batch = slice(bstart, bstart + cfg.batch_size)
+                reps, ecache = encode(Xep[batch], enc)
+                K, hcache = head.forward()
+                scores = reps @ K.T
+                mll, d_scores = mll_loss_and_grad(scores, Yep[batch])
+                d_reps = d_scores @ K
+                total = mll
+                if pair_terms is not None:
+                    closs, d_reps_c = contrastive_loss_and_grad(reps, pair_terms[k])
+                    total = mll + cfg.loss.lam * closs
+                    d_reps = d_reps + cfg.loss.lam * d_reps_c
+                if not math.isfinite(total):
+                    raise TrainingDivergedError(epoch, k + 1)
+                dK = d_scores.T @ reps
+                dWs_e, dbs_e, _ = encoder_gradients(d_reps, ecache, enc)
+                sgd.step([*itertools.chain(*zip(dWs_e, dbs_e)), *head.backward(dK, hcache)])
+                loss_sum += total * reps.shape[0]
+            # no batch's loss has seen the last step: an overflow it caused shows in the scores
+            try:
+                vm = exact_match(score_dataset(checkpoint, val))
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(epoch, k + 1, "validation scores") from exc
+            trace.append(EpochRecord(epoch=epoch, train_loss=loss_sum / n, val_exact_match=vm))
+            if vm > best_match:
+                best_match, best_epoch, best = vm, epoch, sgd.flat.copy()
 
     sgd.flat[...] = best  # the checkpoint's tensors now hold the best epoch's parameters
     checkpoint.epoch = best_epoch
@@ -404,14 +401,15 @@ def score_dataset(cp: Checkpoint, dataset: Dataset, threshold: float = 0.5) -> S
         raise ValueError("dataset vocabulary does not match the checkpoint")
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
-    K = cp.head.forward()[0]
-    reps = encode(dataset.features_matrix(), cp.encoder)[0]
-    scores = np.empty((len(reps), len(K)))
-    np.matmul(reps, K.T, out=scores)
-    del reps
-    if not (math.isfinite(scores.max()) and math.isfinite(scores.min())):
-        raise FloatingPointError("non-finite scores: the model overflows on this dataset's features")
-    return ScoreTable(sigmoid(scores, out=scores), dataset.labels_matrix(), threshold)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite score
+        K = cp.head.forward()[0]
+        reps = encode(dataset.features_matrix(), cp.encoder)[0]
+        scores = np.empty((len(reps), len(K)))
+        np.matmul(reps, K.T, out=scores)
+        del reps
+        if not (math.isfinite(scores.max()) and math.isfinite(scores.min())):
+            raise FloatingPointError("non-finite scores: the model overflows on this dataset's features")
+        return ScoreTable(sigmoid(scores, out=scores), dataset.labels_matrix(), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +565,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     # the header passed the checksum but may still lack keys or mistype them
     try:
-        variant = VariantSpec.from_name(header["variant"])
+        variant = VariantSpec(header["variant"])
         config = config_from_dict(TrainConfig, header["config"])
         vocab = LabelVocabulary(tuple((e["name"], e["kind"]) for e in header["vocabulary"]))
         epoch = header["epoch"]

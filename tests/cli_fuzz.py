@@ -21,9 +21,9 @@ directory it ran in. A case its alarm ended is `skipped`: a value that only
 lengthens a valid run (train.epochs = 10**12) is no fault.
 
 The exit contract: each case exits 0, 1 or 2, a failed one prints an
-`error:` line (or metrics-oracle's verdict that the report disagrees) and
-leaves nothing behind, and no exception escapes main. The script lists
-every case that breaks it on stderr and then exits 1.
+`error:` line and leaves nothing behind, no case prints a warning, and no
+exception escapes main. The script lists every case that breaks it on
+stderr and then exits 1.
 
 Run it in a process whose address space is capped (RLIMIT_AS), so that an
 unchecked size fails there as a MemoryError instead of filling the machine.
@@ -47,6 +47,7 @@ import signal
 import struct
 import sys
 import traceback
+import warnings
 import zlib
 from pathlib import Path
 
@@ -107,13 +108,14 @@ def mutated(doc, path, value):
     return doc
 
 
-# the line a failed case prints on stderr
-FAILURE_LINE = re.compile("^(error: |metrics disagree with the oracle$)", re.M)
+# the line a failed case prints on stderr, and the line no case prints there
+FAILURE_LINE = re.compile("^error: ", re.M)
+WARNING_LINE = re.compile(r"^.+:\d+: \w*Warning: ", re.M)
 
 
 def breaks_contract(case: dict) -> bool:
     """Whether a case's record breaks the exit contract; a case its alarm ended does not."""
-    return bool(case["escaped"]) or not case["skipped"] and (
+    return bool(case["escaped"] or WARNING_LINE.search(case["stderr"])) or not case["skipped"] and (
         case["code"] not in (0, 1, 2)
         or case["code"] != 0 and bool(case["left"] or not FAILURE_LINE.search(case["stderr"])))
 
@@ -235,6 +237,7 @@ class Fuzzer:
 def fuzz(work: Path, seed: int) -> int:
     """Run every case; 1 if any broke the exit contract, each listed on stderr, else 0."""
     signal.signal(signal.SIGALRM, _ring)
+    warnings.simplefilter("always")  # each case shows its own warnings, not only the first at each line
     fuzzer = Fuzzer(work)
     for target, path, value in REPLAYS:
         fuzzer.case(target, path, value)

@@ -403,7 +403,7 @@ def test_criterion_5_benchmark_ordering():
         data = generate_synthetic(SyntheticConfig(seed=stage_seed(seed, "synthetic")))
         train, val, test = split_by_subject(data, (0.45, 0.27, 0.28), stage_seed(seed, "split"))
         for v in variants:
-            res = run_pipeline(train, val, VariantSpec.from_name(v), TrainConfig(seed=seed))
+            res = run_pipeline(train, val, VariantSpec(v), TrainConfig(seed=seed))
             table = score_dataset(res.checkpoint, test)
             accs[v].append(compute_report(table, test.vocabulary.sp_indices)[0]["MLL_ACC"] * 100.0)
     means = {v: float(np.mean(accs[v])) for v in variants}

@@ -7,7 +7,8 @@ import typing
 
 import pytest
 
-import mllgraph
+# the modules that define a Config subclass, so that the census below finds each one
+from mllgraph import cooccur, corpus, glove, layers, losses, trainer
 from mllgraph.config import Config, config_from_dict
 
 CONFIG_CLASSES = sorted(Config.__subclasses__(), key=lambda c: c.__name__)
@@ -41,10 +42,10 @@ def test_constructor_refuses_mistyped_and_non_finite_values(cls):
             # the JSON path refuses it too, a nested section's with the section's name in front
             with pytest.raises(ValueError, match=f"^{name}: expected "):
                 config_from_dict(cls, {name: value})
-            for section, section_kind in _typed_fields(mllgraph.TrainConfig):
+            for section, section_kind in _typed_fields(trainer.TrainConfig):
                 if section_kind is cls:
                     with pytest.raises(ValueError, match=rf"^{section}\.{name}: expected "):
-                        config_from_dict(mllgraph.TrainConfig, {section: {name: value}})
+                        config_from_dict(trainer.TrainConfig, {section: {name: value}})
 
 
 def _with_integer_floats(cls):

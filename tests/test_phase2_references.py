@@ -410,7 +410,7 @@ def test_pipeline_with_the_similarity_matrix_reference_term_matches(monkeypatch)
                                               samples_per_subject=5, seed=3))
     train, val, _ = split_by_subject(data, (0.6, 0.2, 0.2), seed=0)
     cfg = TrainConfig(epochs=4, batch_size=16, n_clusters=4, glove=GloveConfig(d=8, epochs=30))
-    variant = VariantSpec.from_name("MLL-GCN-CRC")
+    variant = VariantSpec("MLL-GCN-CRC")
     fast = run_pipeline(train, val, variant, cfg)
     monkeypatch.setattr(trainer, "epoch_pair_terms", lambda labels, b, _: [
         labels[start:start + b] for start in range(0, len(labels), b)])

@@ -28,7 +28,7 @@ def test_checkpoint_resave_reports_every_path_and_goes_on(resave, tmp_path, caps
     train, val, _ = split_by_subject(data, (0.6, 0.2, 0.2), seed=0)
     cfg = TrainConfig(epochs=1, glove=GloveConfig(d=4, epochs=5), encoder=EncoderConfig(layer_widths=(4,)))
     good = tmp_path / "good.mllg"
-    save_checkpoint(run_pipeline(train, val, VariantSpec.from_name("MLL-GCN"), cfg).checkpoint, good)
+    save_checkpoint(run_pipeline(train, val, VariantSpec("MLL-GCN"), cfg).checkpoint, good)
     corrupt = tmp_path / "corrupt.mllg"
     raw = good.read_bytes()
     corrupt.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))  # one bit of the CRC flipped

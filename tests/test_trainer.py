@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mllgraph import trainer
+from mllgraph.config import config_from_dict
 from mllgraph.cooccur import AdjacencyConfig, build_adjacency, build_cooccurrence, normalize_adjacency
 from mllgraph.corpus import (
     Dataset,
@@ -22,6 +23,7 @@ from mllgraph.layers import EncoderConfig
 from mllgraph.glove import GloveConfig
 from mllgraph.metrics import compute_report
 from mllgraph.trainer import (
+    _VARIANT_FLAGS,
     VARIANT_NAMES,
     Checkpoint,
     CheckpointChecksumError,
@@ -34,7 +36,6 @@ from mllgraph.trainer import (
     TrainingDivergedError,
     VariantSpec,
     checkpoint_bytes,
-    config_from_dict,
     fit_phase1,
     load_checkpoint,
     run_pipeline,
@@ -173,7 +174,7 @@ def small_splits():
 @pytest.fixture(scope="module")
 def crc_result(small_splits):
     train, val, _ = small_splits
-    variant = VariantSpec.from_name("MLL-GCN-CRC")
+    variant = VariantSpec("MLL-GCN-CRC")
     return run_pipeline(train, val, variant, small_train_config())
 
 
@@ -181,31 +182,25 @@ def test_variant_names_cover_the_ablation_grid():
     assert VARIANT_NAMES == (
         "Single-MLL", "MLL-CL", "MLL-CRC", "MLL-GCN", "MLL-GCN-CL", "MLL-GCN-CRC",
     )
-    spec = VariantSpec.from_name("MLL-GCN-CL")
+    spec = VariantSpec("MLL-GCN-CL")
     assert spec.use_gcn and spec.contrastive_mode == "vanilla"
-    assert not VariantSpec.from_name("Single-MLL").use_gcn
-    assert VariantSpec.from_name("MLL-CRC").contrastive_mode == "cluster_relabeled"
+    assert not VariantSpec("Single-MLL").use_gcn
+    assert VariantSpec("MLL-CRC").contrastive_mode == "cluster_relabeled"
     with pytest.raises(ValueError, match="Single-MLL"):
-        VariantSpec.from_name("GCN")
-    with pytest.raises(ValueError, match="not the flags of variant 'x'"):
-        VariantSpec(name="x", use_gcn=False, contrastive_mode="triplet")
+        VariantSpec("GCN")
 
 
 def test_a_variant_spec_holds_its_names_flags():
-    """A spec is one of the six cells: flags that disagree with its name are refused,
-    since such a spec would train one head and save a header naming the other."""
+    """A spec is its name: its one field, with the flags of that name's `_VARIANT_FLAGS` entry,
+    so no spec can train one head and save a header naming the other."""
+    assert [f.name for f in dataclasses.fields(VariantSpec)] == ["name"]
     for name in VARIANT_NAMES:
-        spec = VariantSpec.from_name(name)
-        assert VariantSpec(name, spec.use_gcn, spec.contrastive_mode) == spec
-    for name, use_gcn, mode in (
-        ("MLL-GCN", False, "none"),
-        ("Single-MLL", True, "none"),
-        ("MLL-CRC", False, "vanilla"),
-        ("MLL-GCN-CL", True, "triplet"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(
-                f"use_gcn={use_gcn!r}, contrastive_mode={mode!r} are not the flags of variant {name!r}")):
-            VariantSpec(name=name, use_gcn=use_gcn, contrastive_mode=mode)
+        spec = VariantSpec(name)
+        assert (spec.use_gcn, spec.contrastive_mode) == _VARIANT_FLAGS[name]
+    expected = ", ".join(VARIANT_NAMES)
+    for name in ("x", ["x"]):  # an unhashable name is refused the same way
+        with pytest.raises(ValueError, match=re.escape(f"unknown variant {name!r}; expected one of {expected}")):
+            VariantSpec(name)
 
 
 def test_train_config_validation():
@@ -298,7 +293,7 @@ def test_vanilla_contrast_labels_matches_loop_reference():
 
 def test_pipeline_trace_and_checkpoint_shape_single(small_splits):
     train, val, _ = small_splits
-    res = run_pipeline(train, val, VariantSpec.from_name("Single-MLL"), small_train_config())
+    res = run_pipeline(train, val, VariantSpec("Single-MLL"), small_train_config())
     assert [r.epoch for r in res.trace] == [1, 2, 3]
     assert all(0.0 <= r.val_exact_match <= 1.0 for r in res.trace)
     assert all(np.isfinite(r.train_loss) for r in res.trace)
@@ -327,7 +322,7 @@ def test_pipeline_gcn_crc_artifacts(crc_result, small_splits):
 
 def test_pipeline_is_deterministic(small_splits):
     train, val, _ = small_splits
-    variant = VariantSpec.from_name("MLL-GCN")
+    variant = VariantSpec("MLL-GCN")
     a = run_pipeline(train, val, variant, small_train_config())
     b = run_pipeline(train, val, variant, small_train_config())
     assert np.array_equal(a.checkpoint.head.forward()[0], b.checkpoint.head.forward()[0])
@@ -340,8 +335,8 @@ def test_zero_weight_contrastive_matches_plain_variant(small_splits):
     # gradients, so the parameter trajectory must match the plain variant.
     train, val, _ = small_splits
     cfg = small_train_config(loss=dataclasses.replace(TrainConfig().loss, lam=0.0))
-    plain = run_pipeline(train, val, VariantSpec.from_name("Single-MLL"), cfg)
-    vanilla = run_pipeline(train, val, VariantSpec.from_name("MLL-CL"), cfg)
+    plain = run_pipeline(train, val, VariantSpec("Single-MLL"), cfg)
+    vanilla = run_pipeline(train, val, VariantSpec("MLL-CL"), cfg)
     assert [r.train_loss for r in plain.trace] == [r.train_loss for r in vanilla.trace]
     assert list(plain.checkpoint.tensors) == list(vanilla.checkpoint.tensors)
     for name, arr in plain.checkpoint.tensors.items():
@@ -360,7 +355,7 @@ def test_retained_epoch_holds_the_parameters_of_a_run_that_stops_there(name, see
     tensor of the same run stopped after epoch b."""
     data = generate_synthetic(SyntheticConfig(n_samples=400, seed=4))
     train, val, _ = split_by_subject(data, (0.7, 0.15, 0.15), seed=0)
-    variant = VariantSpec.from_name(name)
+    variant = VariantSpec(name)
     full = run_pipeline(train, val, variant, TrainConfig(epochs=12, seed=seed)).checkpoint
     assert full.epoch < 12  # else nothing is restored
     stopped = run_pipeline(train, val, variant, TrainConfig(epochs=full.epoch, seed=seed)).checkpoint
@@ -372,7 +367,7 @@ def test_retained_epoch_holds_the_parameters_of_a_run_that_stops_there(name, see
 
 def test_pipeline_input_validation(small_splits):
     train, val, _ = small_splits
-    variant = VariantSpec.from_name("Single-MLL")
+    variant = VariantSpec("Single-MLL")
     other = empty_dataset(synthetic_vocabulary(2, 2))
     with pytest.raises(ValueError, match="share one vocabulary"):
         run_pipeline(train, other, variant, small_train_config())
@@ -384,8 +379,7 @@ def test_training_divergence_is_reported(small_splits):
     train, val, _ = small_splits
     cfg = small_train_config(learning_rate=1e12, epochs=50)
     with pytest.raises(TrainingDivergedError) as err:
-        with np.errstate(all="ignore"):
-            run_pipeline(train, val, VariantSpec.from_name("Single-MLL"), cfg)
+        run_pipeline(train, val, VariantSpec("Single-MLL"), cfg)
     assert err.value.epoch >= 1
 
 
@@ -404,8 +398,7 @@ def test_divergence_names_its_epoch_and_batch(small_splits, name, learning_rate,
     train, val, _ = small_splits
     cfg = small_train_config(learning_rate=learning_rate, batch_size=batch_size, epochs=1)
     with pytest.raises(TrainingDivergedError, match=f"^{message}$") as err:
-        with np.errstate(all="ignore"):
-            run_pipeline(train, val, VariantSpec.from_name(name), cfg)
+        run_pipeline(train, val, VariantSpec(name), cfg)
     assert (err.value.epoch, err.value.batch) == (1, int(message[-1]))
 
 
@@ -434,7 +427,7 @@ def test_score_dataset_refuses_non_finite_scores_before_the_sigmoid(crc_result, 
     monkeypatch.setattr(trainer, "sigmoid", lambda *args, **kwargs: calls.append(args))
     signs = np.where(np.arange(test.features.size).reshape(test.features.shape) % 2, 1.0, -1.0)
     huge = dataclasses.replace(test, features=1.7e308 * signs)
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="^non-finite scores: "):
+    with pytest.raises(FloatingPointError, match="^non-finite scores: "):
         score_dataset(cp, huge)
     for value in (np.inf, -np.inf):
         bad = reps.copy()
@@ -454,7 +447,7 @@ def test_scoring_and_report_hold_a_bounded_working_set():
     data = generate_synthetic(SyntheticConfig(n_samples=10000, seed=2))
     train, val, _ = split_by_subject(data, (0.1, 0.05, 0.85), seed=0)
     cfg = TrainConfig(epochs=1, glove=GloveConfig(epochs=16))
-    cp = run_pipeline(train, val, VariantSpec.from_name("MLL-GCN"), cfg).checkpoint
+    cp = run_pipeline(train, val, VariantSpec("MLL-GCN"), cfg).checkpoint
     tracemalloc.start()
     try:
         table = score_dataset(cp, data)
@@ -497,7 +490,7 @@ def test_checkpoint_save_writes_the_tensors_without_copying_them(tmp_path):
     """A 1000-class MLL-GCN-CRC checkpoint (8 MB of B-hat alone) saves in under
     1 MiB of allocations, and the file is the bytes `checkpoint_bytes` joins."""
     cfg = TrainConfig()
-    variant = VariantSpec.from_name("MLL-GCN-CRC")
+    variant = VariantSpec("MLL-GCN-CRC")
     rng = np.random.default_rng(3)
     tensors = {name: rng.standard_normal(shape) for name, shape in trainer.tensor_layout(variant, cfg, WIDE, 16)}
     tensors["correlation"] = normalize_adjacency(build_adjacency(wide_counts(), cfg.adjacency))
@@ -520,7 +513,7 @@ def variant_results(small_splits, crc_result):
     train, val, _ = small_splits
     return {
         name: crc_result if name == "MLL-GCN-CRC"
-        else run_pipeline(train, val, VariantSpec.from_name(name), small_train_config())
+        else run_pipeline(train, val, VariantSpec(name), small_train_config())
         for name in VARIANT_NAMES
     }
 
@@ -531,7 +524,7 @@ def test_phase1_record_holds_what_the_variant_trains_against(variant_results, sm
     contrast labels only with a contrastive term, all read-only; run_pipeline
     trains against the same record and its checkpoint holds those arrays."""
     train, _, _ = small_splits
-    variant = VariantSpec.from_name(name)
+    variant = VariantSpec(name)
     phase1 = fit_phase1(train, variant, small_train_config())
     assert (phase1.correlation is not None) == variant.use_gcn
     assert (phase1.centroids is not None) == (variant.contrastive_mode == "cluster_relabeled")
@@ -782,7 +775,7 @@ def test_checkpoint_rejects_corruption(crc_result, variant_results, tmp_path):
 
 def test_checkpoint_roundtrip_linear_head(small_splits, tmp_path):
     train, val, _ = small_splits
-    res = run_pipeline(train, val, VariantSpec.from_name("MLL-CL"), small_train_config())
+    res = run_pipeline(train, val, VariantSpec("MLL-CL"), small_train_config())
     path = tmp_path / "linear.mllg"
     save_checkpoint(res.checkpoint, path)
     loaded = load_checkpoint(path)
@@ -817,7 +810,7 @@ ENCODER_TENSORS = [
 
 def test_checkpoint_header_golden(crc_result, small_splits):
     train, val, _ = small_splits
-    linear = run_pipeline(train, val, VariantSpec.from_name("MLL-CL"), small_train_config())
+    linear = run_pipeline(train, val, VariantSpec("MLL-CL"), small_train_config())
     cases = (
         (linear.checkpoint, "linear", None,
          [("embeddings", [9, 8])] + ENCODER_TENSORS + [("classifier", [9, 16])]),
@@ -864,4 +857,4 @@ def test_phase_one_tensors_are_read_only_in_phase_two(small_splits, monkeypatch,
     monkeypatch.setattr(trainer, "train_glove", recording_glove)
     monkeypatch.setattr(trainer, "gcn_forward", writing_forward)
     with pytest.raises(ValueError, match="read-only"):
-        run_pipeline(train, val, VariantSpec.from_name("MLL-GCN"), small_train_config())
+        run_pipeline(train, val, VariantSpec("MLL-GCN"), small_train_config())
